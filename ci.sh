@@ -25,11 +25,12 @@
 #   verify-isa   static dataflow verification of every PIM trace + mutation gate
 #   topology     multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS
 #   trace        flight-recorder kill/restore/replay identity, byte-diffed
-#   compile      verify-gated pipeline compilation + compiled-vs-interpreted differential
+#   compile      verify-gated pipeline compilation + reference executors vs the assign kernel
+#   benchmark    frozen benchmark/ harness builds and passes its --quick suite
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace compile)
+ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace compile benchmark)
 
 describe_stage() {
   case "$1" in
@@ -47,7 +48,8 @@ describe_stage() {
     verify-isa)  echo "static dataflow verification of every PIM trace + mutation gate" ;;
     topology)    echo "multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS" ;;
     trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
-    compile)     echo "verify-gated pipeline compilation + compiled-vs-interpreted differential" ;;
+    compile)     echo "verify-gated pipeline compilation + reference executors vs the assign kernel" ;;
+    benchmark)   echo "frozen benchmark/ harness builds and passes its --quick suite" ;;
     *)           echo "" ;;
   esac
 }
@@ -153,121 +155,67 @@ stage_determinism() {
   rm -rf "$tmp"
 }
 
-stage_recovery() {
-  local tmp
+# threads_matrix <bin> <committed-report>: run a dual-bench report bin
+# under DUAL_THREADS in {0, 2, 8} and require the three reports to be
+# byte-identical to each other and to the committed artifact. Each bin
+# asserts its own invariants before writing (and exits nonzero on a
+# violation); the matrix pins the report bytes across thread counts and
+# against the one-way ratchet in results/.
+threads_matrix() {
+  local bin="$1" committed="$2" tmp threads
   tmp=$(mktemp -d)
-  echo "--- recovery_harness: kill x policy sweep under DUAL_THREADS in {0, 2, 8}"
-  # The harness itself asserts every (policy, kill_tick) cell restores
-  # and replays to a bit-identical end state; the sweep here pins the
-  # report bytes across thread counts and against the committed
-  # artifact.
   for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin recovery_harness -- \
-      --out "$tmp/recovery_$threads.json" >/dev/null
+    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin "$bin" -- \
+      --out "$tmp/$threads.json" >/dev/null
     echo "    DUAL_THREADS=$threads ok"
   done
   for threads in 2 8; do
-    diff "$tmp/recovery_0.json" "$tmp/recovery_$threads.json" \
-      || { echo "recovery report diverged at DUAL_THREADS=$threads"; return 1; }
+    diff "$tmp/0.json" "$tmp/$threads.json" \
+      || { echo "$bin report diverged at DUAL_THREADS=$threads"; return 1; }
   done
-  diff "$tmp/recovery_0.json" results/recovery_report.json \
-    || { echo "recovery_report.json drifted: regenerate and commit it"; return 1; }
+  diff "$tmp/0.json" "$committed" \
+    || { echo "$committed drifted: regenerate and commit it"; return 1; }
   echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
   rm -rf "$tmp"
+}
+
+stage_recovery() {
+  echo "--- recovery_harness: every (policy, kill_tick) cell restores and replays bit-identically"
+  threads_matrix recovery_harness results/recovery_report.json
 }
 
 stage_verify_isa() {
-  local tmp
-  tmp=$(mktemp -d)
-  echo "--- trace_verifier: static verification of every in-tree PIM trace"
-  # The bin exits nonzero when any workload trace carries a gate-failing
-  # diagnostic or any seeded mutation goes unrejected; the sweep here
-  # additionally pins the report bytes across thread counts and against
-  # the committed artifact (the one-way ratchet).
-  for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin trace_verifier -- \
-      --out "$tmp/isa_verify_$threads.json" >/dev/null
-    echo "    DUAL_THREADS=$threads ok"
-  done
-  for threads in 2 8; do
-    diff "$tmp/isa_verify_0.json" "$tmp/isa_verify_$threads.json" \
-      || { echo "isa_verify report diverged at DUAL_THREADS=$threads"; return 1; }
-  done
-  diff "$tmp/isa_verify_0.json" results/isa_verify.json \
-    || { echo "isa_verify.json drifted: regenerate and commit it"; return 1; }
-  echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
-  rm -rf "$tmp"
+  echo "--- trace_verifier: every in-tree PIM trace verifies, every seeded mutation is rejected"
+  threads_matrix trace_verifier results/isa_verify.json
 }
 
 stage_topology() {
-  local tmp
-  tmp=$(mktemp -d)
-  echo "--- tenant_sweep: 4 tenants x workloads x quota tiers under DUAL_THREADS in {0, 2, 8}"
-  # The bin itself asserts per-tenant isolation (a fault storm in one
-  # tenant leaves every other tenant's outputs bit-identical) and the
-  # exact per-tenant energy-ledger sum; the sweep here pins the report
-  # bytes across thread counts and against the committed artifact.
-  for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin tenant_sweep -- \
-      --out "$tmp/topology_$threads.json" >/dev/null
-    echo "    DUAL_THREADS=$threads ok"
-  done
-  for threads in 2 8; do
-    diff "$tmp/topology_0.json" "$tmp/topology_$threads.json" \
-      || { echo "topology report diverged at DUAL_THREADS=$threads"; return 1; }
-  done
-  diff "$tmp/topology_0.json" results/topology_report.json \
-    || { echo "topology_report.json drifted: regenerate and commit it"; return 1; }
-  echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
-  rm -rf "$tmp"
+  echo "--- tenant_sweep: 4 tenants x workloads x quota tiers, isolation + exact energy-ledger sum"
+  threads_matrix tenant_sweep results/topology_report.json
 }
 
 stage_trace() {
-  local tmp
-  tmp=$(mktemp -d)
-  echo "--- flight_recorder: kill/restore/replay trace identity under DUAL_THREADS in {0, 2, 8}"
-  # The bin itself asserts the flight-recorder ring, causal span ids,
-  # and alert latches survive kill/restore/replay bit-for-bit; the
-  # sweep here pins the merged trace report bytes across thread counts
-  # and against the committed artifact.
-  for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin flight_recorder -- \
-      --out "$tmp/trace_$threads.json" >/dev/null
-    echo "    DUAL_THREADS=$threads ok"
-  done
-  for threads in 2 8; do
-    diff "$tmp/trace_0.json" "$tmp/trace_$threads.json" \
-      || { echo "trace report diverged at DUAL_THREADS=$threads"; return 1; }
-  done
-  diff "$tmp/trace_0.json" results/trace_report.json \
-    || { echo "trace_report.json drifted: regenerate and commit it"; return 1; }
-  echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
-  rm -rf "$tmp"
+  echo "--- flight_recorder: ring, causal span ids and alert latches survive kill/restore/replay"
+  threads_matrix flight_recorder results/trace_report.json
 }
 
 stage_compile() {
-  local tmp
-  tmp=$(mktemp -d)
-  echo "--- compile_report: shape matrix, mutation corpus, engine + executor differentials"
-  # The bin itself asserts every shape compiles Verifier::check-clean,
-  # every mutation-corpus corruption is rejected with its expected
-  # diagnostic class, and interpreted-vs-compiled engines agree to the
-  # bit (snapshots, WAL, obs registries, energy ledgers); the sweep
-  # here pins the report bytes across thread counts and against the
-  # committed artifact.
-  for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin compile_report -- \
-      --out "$tmp/compile_$threads.json" >/dev/null
-    echo "    DUAL_THREADS=$threads ok"
-  done
-  for threads in 2 8; do
-    diff "$tmp/compile_0.json" "$tmp/compile_$threads.json" \
-      || { echo "compile report diverged at DUAL_THREADS=$threads"; return 1; }
-  done
-  diff "$tmp/compile_0.json" results/compile_report.json \
-    || { echo "compile_report.json drifted: regenerate and commit it"; return 1; }
-  echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
-  rm -rf "$tmp"
+  echo "--- compile_report: shape matrix verifies clean, mutation corpus rejected, Vm + simulator == assign kernel"
+  threads_matrix compile_report results/compile_report.json
+}
+
+stage_benchmark() {
+  # The frozen harness under benchmark/ is its own workspace calling the
+  # public API: an API removal that breaks it must fail here, not in the
+  # benchmark pipeline. It builds --offline without --locked, so cargo
+  # rewrites benchmark/Cargo.lock when a crate's dependencies shrank;
+  # that file stays as committed, so put it back.
+  local lock rc=0
+  lock=$(mktemp)
+  cp benchmark/Cargo.lock "$lock"
+  bash benchmark/run.sh --quick || rc=$?
+  mv "$lock" benchmark/Cargo.lock
+  return "$rc"
 }
 
 # ---------------------------------------------------------------- driver

@@ -1,12 +1,12 @@
 //! Compile-stage gate: compile every in-tree pipeline shape, verify
-//! each emitted program, exercise the mutation corpus, and run the
-//! compiled-vs-interpreted differentials end to end.
+//! each emitted program, exercise the mutation corpus, and compare the
+//! program's reference executors against the production assign kernel.
 //!
 //! ```text
 //! cargo run --release -p dual-bench --bin compile_report [--out PATH]
 //! ```
 //!
-//! Four sections, all asserted before the report is written (any
+//! Three sections, all asserted before the report is written (any
 //! violation panics, failing the CI stage):
 //!
 //! 1. **Shapes** — D ∈ {1000, 4000} × shards ∈ {1, 2, 8}: each shape
@@ -18,30 +18,23 @@
 //! 2. **Mutations** — every `dual_compile::Mutation` corpus entry is
 //!    force-fed to the verifier and must be rejected with its expected
 //!    diagnostic class.
-//! 3. **Engine differential** — two identical `StreamEngine` runs,
-//!    interpreted vs compiled, `threads = 0` so `DUAL_THREADS` drives
-//!    the worker count: snapshots, write-ahead blobs, the engine's
-//!    private obs registry, and the *global* registry deltas must all
-//!    be bit-identical.
-//! 4. **Executor differential** — flat scan, fused kernel, literal VM
-//!    and `Runtime::run_program` on the functional simulator must
-//!    agree on every assignment of a small shape.
+//! 3. **Executor differential** — the flat scan, the sharded kernel
+//!    the stream engine runs (`search::assign_sharded`, `threads = 0`
+//!    so `DUAL_THREADS` drives the worker count), the literal VM and
+//!    `Runtime::run_program` on the functional simulator must agree on
+//!    every assignment of a small shape.
 //!
 //! The JSON contains only thread-invariant quantities, so the file is
 //! byte-identical across machines and `DUAL_THREADS` settings — CI
 //! diffs runs at 0, 2 and 8 threads against the committed
 //! `results/compile_report.json`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dual_compile::{CompiledPipeline, Compiler, Mutation, PipelineShape, COLS};
-use dual_data::DriftSpec;
-use dual_hdc::{search, HdMapper, Hypervector};
+use dual_hdc::{search, Hypervector};
 use dual_isa::{ProgramIo, Runtime};
 use dual_isa_verify::{Geometry, Verifier};
-use dual_obs::Snapshot;
-use dual_stream::{StreamConfig, StreamEngine};
 
 /// The in-tree shape matrix: the paper's D=4000 and the reduced D=1000
 /// operating point, swept over the shard counts CI cares about.
@@ -179,94 +172,6 @@ fn mutation_corpus(out: &mut String) {
     out.push_str("\n  ],\n");
 }
 
-/// Counter deltas of the process-global registry across one closure.
-fn global_deltas<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<&'static str, u64>) {
-    let reg = dual_obs::install_global();
-    let before: Snapshot = reg.snapshot();
-    let value = f();
-    let after: Snapshot = reg.snapshot();
-    let mut delta = BTreeMap::new();
-    for (name, v) in &after.counters {
-        let b = before.counters.get(name).copied().unwrap_or(0);
-        if *v > b {
-            delta.insert(*name, *v - b);
-        }
-    }
-    (value, delta)
-}
-
-fn engine_run(compiled: bool) -> StreamEngine<HdMapper> {
-    let encoder = HdMapper::builder(256, 8)
-        .seed(13)
-        .sigma(4.0)
-        .build()
-        .expect("valid encoder spec");
-    let mut cfg = StreamConfig::new(4);
-    cfg.centroids_per_cluster = 2;
-    cfg.shards = 3;
-    cfg.max_batch = 32;
-    cfg.max_ticks = 4;
-    cfg.decay = 0.9;
-    cfg.threads = 0; // DUAL_THREADS drives the worker count
-    cfg.snapshot_every = 2;
-    cfg.compiled = compiled;
-    let mut engine = StreamEngine::new(encoder, cfg).expect("valid stream config");
-    let mut spec = DriftSpec::new(8, 4);
-    spec.drift_rate = 2e-3;
-    for (i, (point, _)) in spec.stream(99).take(400).enumerate() {
-        engine.push(&point).expect("well-shaped point");
-        if (i + 1) % 37 == 0 {
-            engine.tick().expect("tick");
-        }
-    }
-    engine.drain().expect("drain");
-    engine
-}
-
-fn engine_differential(out: &mut String) {
-    let (interp, interp_obs) = global_deltas(|| engine_run(false));
-    let (comp, comp_obs) = global_deltas(|| engine_run(true));
-    let a = interp.snapshot();
-    let b = comp.snapshot();
-    assert_eq!(a, b, "compiled engine snapshot must be bit-identical");
-    assert_eq!(
-        a.energy_pj.to_bits(),
-        b.energy_pj.to_bits(),
-        "energy ledgers must agree to the bit"
-    );
-    assert_eq!(
-        a.time_ns.to_bits(),
-        b.time_ns.to_bits(),
-        "latency ledgers must agree to the bit"
-    );
-    assert_eq!(interp.wal(), comp.wal(), "write-ahead blobs must match");
-    assert_eq!(
-        interp.obs_registry().snapshot(),
-        comp.obs_registry().snapshot(),
-        "engine-private registries must match, unstable keys included"
-    );
-    assert_eq!(
-        interp_obs, comp_obs,
-        "global registry deltas must match, push counters included"
-    );
-    println!(
-        "  engine differential: {} points, {} batches, {:.2} uJ — interpreted == compiled (snapshot, wal, obs, global obs)",
-        a.points,
-        a.batches,
-        a.energy_pj / 1e6
-    );
-    out.push_str("  \"engine_differential\": {");
-    let _ = write!(out, "\"points\": {}, ", a.points);
-    let _ = write!(out, "\"batches\": {}, ", a.batches);
-    let _ = write!(out, "\"energy_pj\": {:.3}, ", a.energy_pj);
-    let _ = write!(out, "\"time_ns\": {:.3}, ", a.time_ns);
-    let _ = write!(out, "\"snapshot_identical\": true, ");
-    let _ = write!(out, "\"wal_identical\": true, ");
-    let _ = write!(out, "\"obs_identical\": true, ");
-    let _ = write!(out, "\"global_obs_identical\": true");
-    out.push_str("},\n");
-}
-
 fn executor_differential(out: &mut String) {
     let shape = PipelineShape {
         dim: 40,
@@ -285,12 +190,12 @@ fn executor_differential(out: &mut String) {
 
     // Reference: flat strict-less tie-low scan.
     let flat = search::assign_batch(&queries, &centroids, 1);
-    // Fused word-level kernel, serial and parallel.
-    for threads in [1usize, 2] {
+    // The production sharded kernel: serial, parallel, and auto.
+    for threads in [1usize, 2, 0] {
         assert_eq!(
-            compiled.assign_batch(&queries, &centroids, threads),
+            search::assign_sharded(&queries, &centroids, shape.shards, threads),
             flat,
-            "fused kernel diverges at threads={threads}"
+            "sharded kernel diverges at threads={threads}"
         );
     }
     // Literal-window VM.
@@ -334,7 +239,7 @@ fn executor_differential(out: &mut String) {
         "Runtime::run_program diverges from the flat scan"
     );
     println!(
-        "  executor differential: flat == fused kernel == literal VM == Runtime::run_program ({} queries x {} slots)",
+        "  executor differential: flat == sharded kernel == literal VM == Runtime::run_program ({} queries x {} slots)",
         queries.len(),
         centroids.len()
     );
@@ -364,7 +269,6 @@ fn main() {
     println!();
     mutation_corpus(&mut out);
     println!();
-    engine_differential(&mut out);
     executor_differential(&mut out);
     out.push_str("}\n");
 

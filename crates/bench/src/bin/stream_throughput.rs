@@ -13,16 +13,12 @@
 //! PIM energy/latency from the DUAL cost model — so the file is
 //! byte-stable across machines, reruns, and thread counts.
 //!
-//! `--summary-out PATH` additionally measures the perf-ratchet metrics
-//! `stream_pipeline_over_encode` (interpreted assign) and
-//! `stream_pipeline_compiled` (the same pipeline dispatching the
-//! verifier-gated `dual-compile` program): each is the median-of-5
-//! ratio of full serial pipeline wall time over bare serial HD-encode
-//! wall time for the same points. Numerator and denominator scale
-//! together with the host, so the ratios are machine-normalized;
-//! `bench_ratchet` compares them against the committed
-//! `results/bench_summary.json`. Compiled beating interpreted is the
-//! win the `compile` CI stage ratchets.
+//! `--summary-out PATH` additionally measures the perf-ratchet metric
+//! `stream_pipeline_over_encode`: the median-of-5 ratio of full serial
+//! pipeline wall time over bare serial HD-encode wall time for the
+//! same points. Numerator and denominator scale together with the
+//! host, so the ratio is machine-normalized; `bench_ratchet` compares
+//! it against the committed `results/bench_summary.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -122,10 +118,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// bare serial HD encoding of the same points, median of
 /// [`RATCHET_REPS`] repetitions. Serial on both sides (`threads = 1`)
 /// so the ratio is independent of `DUAL_THREADS` and core count.
-/// `compiled` flips the assign stage onto the pre-compiled pipeline
-/// program (compilation happens at engine construction, outside the
-/// timed region — that is the point of compiling once).
-fn ratchet_ratio(compiled: bool) -> f64 {
+fn ratchet_ratio() -> f64 {
     let make_encoder = || {
         HdMapper::builder(DIM, FEATURES)
             .seed(7)
@@ -160,7 +153,6 @@ fn ratchet_ratio(compiled: bool) -> f64 {
         cfg.centroids_per_cluster = 2;
         cfg.decay = 0.95;
         cfg.threads = 1;
-        cfg.compiled = compiled;
         let mut engine = StreamEngine::new(make_encoder(), cfg).expect("valid stream config");
         let t0 = Instant::now();
         for (i, p) in stream.iter().enumerate() {
@@ -309,14 +301,12 @@ fn main() {
     }
 
     if let Some(path) = summary_out {
-        let interpreted = ratchet_ratio(false);
-        let compiled = ratchet_ratio(true);
-        let payload = format!(
-            "{{\n  \"version\": 1,\n  \"stream_pipeline_compiled\": {compiled:.4},\n  \"stream_pipeline_over_encode\": {interpreted:.4}\n}}\n"
-        );
+        let ratio = ratchet_ratio();
+        let payload =
+            format!("{{\n  \"version\": 1,\n  \"stream_pipeline_over_encode\": {ratio:.4}\n}}\n");
         std::fs::write(&path, payload).expect("writable --summary-out path");
         println!(
-            "ratchet metrics written to {path}: stream_pipeline_over_encode = {interpreted:.4}, stream_pipeline_compiled = {compiled:.4} (medians of {RATCHET_REPS})"
+            "ratchet metric written to {path}: stream_pipeline_over_encode = {ratio:.4} (median of {RATCHET_REPS})"
         );
     }
 }

@@ -1,15 +1,16 @@
 //! # dual-compile — register-allocating bytecode compiler for the PIM ISA
 //!
-//! The stream engine's interpreted pipeline re-derives the same facts
-//! on every micro-batch: how many 7-bit windows a dimension needs,
-//! where each chunk block starts, how the shard merge folds, which
-//! query-register loads are actually required. This crate does that
-//! work **once**: [`Compiler::compile`] lowers a whole clustering
-//! micro-batch — encode → sharded Hamming search → centroid update —
-//! for a fixed [`PipelineShape`] into one flat, contiguous
-//! [`Program`](dual_isa::Program) of Table I instructions, and the
-//! resulting [`CompiledPipeline`] executes it with zero per-batch
-//! dispatch.
+//! [`Compiler::compile`] lowers a whole clustering micro-batch —
+//! encode → sharded Hamming search → centroid update — for a fixed
+//! [`PipelineShape`] into one flat, contiguous
+//! [`Program`](dual_isa::Program) of Table I instructions: how many
+//! 7-bit windows a dimension needs, where each chunk block starts,
+//! which query-register loads are actually required, all decided once.
+//! The resulting [`CompiledPipeline`] is the statically verified,
+//! Table-III-priced *description* of a batch. It is not on the stream
+//! engine's hot path — production assignment is the one kernel
+//! `dual_hdc::search::assign_sharded`, and this crate does not depend
+//! on the engine nor the engine on it.
 //!
 //! Three properties define the artifact:
 //!
@@ -28,16 +29,15 @@
 //!   allocator overlapping columns and proving the verifier refuses
 //!   each corruption with the expected diagnostic class.
 //!
-//! The same artifact drives both executions: the literal-window
-//! [`Vm`] (reference semantics, also runnable on the functional
-//! simulator via [`dual_isa::Runtime::run_program`]) and the fused
-//! word-level kernel in [`CompiledPipeline::assign_batch`] the stream
-//! engine dispatches to. The differential suite pins the two
-//! bit-identical.
+//! The artifact has two reference executors: the literal-window [`Vm`]
+//! and the functional simulator via
+//! [`dual_isa::Runtime::run_program`]. Both exist to be compared
+//! against — the differential suite pins them bit-identical to
+//! `search::assign_sharded` and the flat `search::assign_batch`.
 //!
 //! ```rust
 //! use dual_compile::{Compiler, PipelineShape};
-//! use dual_hdc::{BitVec, Hypervector};
+//! use dual_hdc::{search, BitVec, Hypervector};
 //!
 //! let shape = PipelineShape {
 //!     dim: 128,
@@ -52,12 +52,12 @@
 //!
 //! let zeros = Hypervector::from_bitvec(BitVec::zeros(128));
 //! let ones = Hypervector::from_bitvec(BitVec::ones(128));
-//! let assigned = compiled.assign_batch(
-//!     &[zeros.clone(), ones.clone(), zeros.clone()],
-//!     &[zeros, ones],
-//!     1,
-//! );
+//! let queries = [zeros.clone(), ones.clone(), zeros.clone()];
+//! let centroids = [zeros, ones];
+//! // The literal VM agrees with the production kernel.
+//! let assigned = compiled.vm().assign(&queries, &centroids)?;
 //! assert_eq!(assigned, vec![(0, 0), (1, 0), (0, 0)]);
+//! assert_eq!(assigned, search::assign_sharded(&queries, &centroids, shape.shards, 1));
 //! # Ok::<(), dual_compile::CompileError>(())
 //! ```
 

@@ -1,39 +1,23 @@
-//! The executable compilation artifact.
+//! The compilation artifact.
 //!
 //! [`CompiledPipeline`] bundles the verified [`Program`] with its
 //! shape, the verifier's analytic [`CostBound`], and the column
-//! allocator's footprint accounting. Its [`assign_batch`] kernel is
-//! the fast path the stream engine dispatches to: it executes the
-//! program's window sweeps in *fused* form — each point's contiguous
-//! `hamm_7` pieces collapse into one word-level XOR-popcount per
-//! candidate — under the license the compiler emits them (contiguous
-//! windows over the same span sum to a popcount over the span). The
-//! literal-window [`Vm`] plus the differential suite are what make
-//! that fusion trustworthy.
-//!
-//! The kernel mirrors the interpreted sharded scan *exactly*: the same
-//! balanced shard boundaries, the same strict-improvement merge in
-//! shard order (ties to the lowest global index), and the same
-//! observability counters — so a stream engine running compiled is
-//! bit-identical to one running interpreted, snapshots included.
-//!
-//! [`assign_batch`]: CompiledPipeline::assign_batch
+//! allocator's footprint accounting. It is a *specification*, not a
+//! production executor: the stream engine's assign stage runs the one
+//! kernel `dual_hdc::search::assign_sharded`, and the program's two
+//! reference executors — the literal-window [`Vm`] here and
+//! `dual_isa::Runtime::run_program` on the functional simulator — are
+//! what the differential suite compares that kernel against.
 
-use dual_hdc::Hypervector;
 use dual_isa::Program;
 use dual_isa_verify::CostBound;
-use dual_obs::{Key, Obs};
 use serde::Serialize;
 
 use crate::alloc::AllocStats;
 use crate::shape::PipelineShape;
 use crate::vm::Vm;
 
-fn as_u64(x: usize) -> u64 {
-    u64::try_from(x).unwrap_or(u64::MAX)
-}
-
-/// A verified, executable lowering of one pipeline shape.
+/// A verified lowering of one pipeline shape.
 #[derive(Debug, Clone, Serialize)]
 pub struct CompiledPipeline {
     shape: PipelineShape,
@@ -86,162 +70,5 @@ impl CompiledPipeline {
     #[must_use]
     pub fn vm(&self) -> Vm<'_> {
         Vm::new(&self.program)
-    }
-
-    /// Assign every query to its nearest centroid, executing the
-    /// program's search stages in fused word-level form across up to
-    /// `threads` workers (`0` = auto). Bit-identical to the
-    /// interpreted `ShardedIndex::assign` for every
-    /// `(shards, threads)` combination, including the
-    /// `hdc.search.*` observability counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `centroids` is empty or dimensionalities disagree
-    /// (the [`Hypervector::hamming`] contract).
-    #[must_use]
-    pub fn assign_batch(
-        &self,
-        queries: &[Hypervector],
-        centroids: &[Hypervector],
-        threads: usize,
-    ) -> Vec<(usize, usize)> {
-        assert!(
-            !centroids.is_empty(),
-            "cannot assign against an empty centroid set"
-        );
-        let shards = self.shape.shards;
-        let mut out = vec![(0usize, 0usize); queries.len()];
-        dual_pool::par_fill(&mut out, threads, |offset, slots| {
-            assign_chunk(slots, &queries[offset..], centroids, shards);
-        });
-        out
-    }
-}
-
-/// One worker's span of the batch: the fused equivalent of the
-/// interpreted per-query shard merge, with the same counter
-/// accounting (`queries × shards` scan starts, `queries × candidates`
-/// popcount word sweeps, and the per-shard strict-improvement push
-/// count).
-fn assign_chunk(
-    slots: &mut [(usize, usize)],
-    queries: &[Hypervector],
-    centroids: &[Hypervector],
-    shards: usize,
-) {
-    let len = centroids.len();
-    // The same balanced split `ShardedIndex::shard_ranges` takes from
-    // `dual_pool::chunk_ranges`, computed inline without allocating.
-    let n_shards = shards.min(len).max(1);
-    let base = len / n_shards;
-    let extra = len % n_shards;
-    let mut pushes = 0u64;
-    let mut pop_words = 0u64;
-    for (slot, q) in slots.iter_mut().zip(queries) {
-        let words = as_u64(q.dim().div_ceil(64));
-        let mut best: Option<(usize, usize)> = None;
-        let mut start = 0usize;
-        for c in 0..n_shards {
-            let size = base + usize::from(c < extra);
-            let mut shard_best: Option<(usize, usize)> = None;
-            for (i, centroid) in centroids.iter().enumerate().skip(start).take(size) {
-                let d = q.hamming(centroid);
-                // Strict improvement only: within a shard the index
-                // always grows, so this is exactly the bounded top-1
-                // push discipline of the interpreted scan.
-                if shard_best.is_none_or(|(bd, _)| d < bd) {
-                    shard_best = Some((d, i));
-                    pushes += 1;
-                }
-            }
-            if let Some((d, gi)) = shard_best {
-                // Shard-order merge, ties to the earlier (lower
-                // global index) shard.
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((gi, d));
-                }
-            }
-            start += size;
-        }
-        pop_words += as_u64(len) * words;
-        // Non-empty centroid set: a winner always exists.
-        *slot = best.unwrap_or((0, 0));
-    }
-    let obs = Obs::global();
-    obs.add(
-        Key::HdcSearchQueries,
-        as_u64(slots.len()) * as_u64(n_shards),
-    );
-    obs.add(Key::HdcPopcountWords, pop_words);
-    obs.add(Key::HdcTopKPushes, pushes);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compiler::Compiler;
-    use dual_hdc::ops::random_hypervector;
-    use dual_hdc::search;
-
-    fn pool(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
-        (0..n)
-            .map(|i| random_hypervector(dim, seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-            .collect()
-    }
-
-    fn shape(dim: usize, slots: usize, shards: usize, batch: usize) -> PipelineShape {
-        PipelineShape {
-            dim,
-            n_features: 4,
-            slots,
-            shards,
-            batch,
-        }
-    }
-
-    #[test]
-    fn fused_kernel_matches_flat_scan_for_all_shard_and_thread_counts() {
-        let centroids = pool(13, 300, 3);
-        let queries = pool(17, 300, 42);
-        let want = search::assign_batch(&queries, &centroids, 1);
-        for shards in [1usize, 2, 3, 8, 64] {
-            let compiled = Compiler::compile(shape(300, 13, shards, 17)).expect("compiles");
-            for threads in [1usize, 2, 5] {
-                assert_eq!(
-                    compiled.assign_batch(&queries, &centroids, threads),
-                    want,
-                    "shards={shards} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_kernel_matches_literal_vm() {
-        let compiled = Compiler::compile(shape(200, 9, 4, 11)).expect("compiles");
-        let centroids = pool(9, 200, 7);
-        let queries = pool(11, 200, 70);
-        let fused = compiled.assign_batch(&queries, &centroids, 1);
-        let literal = compiled.vm().assign(&queries, &centroids).expect("vm runs");
-        assert_eq!(fused, literal, "fusion must be semantics-preserving");
-    }
-
-    #[test]
-    fn inline_shard_split_matches_chunk_ranges() {
-        for (len, shards) in [(13usize, 3usize), (8, 8), (5, 64), (100, 7)] {
-            let ranges = dual_pool::chunk_ranges(len, shards);
-            let n_shards = shards.min(len).max(1);
-            let base = len / n_shards;
-            let extra = len % n_shards;
-            let mut start = 0usize;
-            let mut inline = Vec::new();
-            for c in 0..n_shards {
-                let size = base + usize::from(c < extra);
-                inline.push(start..start + size);
-                start += size;
-            }
-            assert_eq!(inline, ranges, "len={len} shards={shards}");
-        }
     }
 }

@@ -6,9 +6,9 @@
 //! and every `near_search` takes a tie-low argmin over that memory —
 //! exactly what [`dual_isa::Runtime::run_program`] does against the
 //! functional simulator, minus the cost ledger. It is deliberately the
-//! *slow* executor: the fused word-level kernel in
-//! [`crate::CompiledPipeline`] is only trusted because the
-//! differential suite pins it bit-identical to this one.
+//! *slow* executor, kept as an oracle: the differential suite pins the
+//! production word-level kernel `dual_hdc::search::assign_sharded`
+//! bit-identical to this one.
 //!
 //! Arithmetic, update and writeback instructions carry cost but no
 //! assignment-visible state, so the VM skips them; the stream engine's
@@ -160,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn vm_matches_flat_nearest_scan() {
+    fn vm_matches_flat_nearest_scan_and_sharded_kernel() {
         let shape = PipelineShape {
             dim: 150,
             n_features: 4,
@@ -178,6 +178,10 @@ mod tests {
             let want = dual_hdc::search::nearest(q, &centroids).expect("non-empty");
             assert_eq!((idx, d), want);
         }
+        assert_eq!(
+            got,
+            dual_hdc::search::assign_sharded(&queries, &centroids, shape.shards, 1)
+        );
     }
 
     #[test]

@@ -122,7 +122,10 @@ impl HdMapperBuilder {
             });
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
+        let normal = Normal::new(0.0, 1.0).map_err(|_| HdcError::InvalidParameter {
+            name: "normal",
+            reason: "unit normal distribution rejected",
+        })?;
         let base = (0..self.dim * self.n_features)
             .map(|_| normal.sample(&mut rng))
             .collect();

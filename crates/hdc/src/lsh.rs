@@ -58,7 +58,10 @@ impl LshEncoder {
             });
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
+        let normal = Normal::new(0.0, 1.0).map_err(|_| HdcError::InvalidParameter {
+            name: "normal",
+            reason: "unit normal distribution rejected",
+        })?;
         let planes = (0..dim * n_features)
             .map(|_| normal.sample(&mut rng))
             .collect();

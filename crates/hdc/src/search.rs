@@ -19,24 +19,28 @@
 //!   scan does.
 //! * [`top_k_parallel`] merges per-chunk top-`k` lists by the same
 //!   `(distance, index)` total order [`top_k`] sorts by.
+//! * [`assign_sharded`] folds per-shard winners in shard order under
+//!   strict improvement, so it equals the flat [`assign_batch`] for
+//!   every shard count as well.
 
 use crate::Hypervector;
 use dual_obs::{Key, Obs};
 
 /// Record one batch of Hamming scans against the process-global
-/// recorder: `queries` search queries, each sweeping `candidates`
-/// candidates of `dim` bits (`⌈dim/64⌉` packed popcount words per
-/// candidate). Recorded once per *public* call — never per chunk — so
-/// the counters are invariant across thread counts.
-fn note_scan(queries: usize, candidates: usize, dim: usize) {
+/// recorder: `scans` scan starts (one per query and candidate slice
+/// swept) making `compares` query-candidate comparisons of `dim` bits
+/// in total (`⌈dim/64⌉` packed popcount words per comparison).
+/// Recorded once per *public* call — never per chunk — so the counters
+/// are invariant across thread counts.
+fn note_scan(scans: usize, compares: usize, dim: usize) {
     let obs = Obs::global();
     if !obs.enabled() {
         return;
     }
-    obs.add(Key::HdcSearchQueries, queries as u64);
+    obs.add(Key::HdcSearchQueries, scans as u64);
     obs.add(
         Key::HdcPopcountWords,
-        (queries as u64) * (candidates as u64) * (dim.div_ceil(64) as u64),
+        (compares as u64) * (dim.div_ceil(64) as u64),
     );
 }
 
@@ -216,7 +220,7 @@ pub fn assign_batch(
         "assign_batch requires at least one centroid"
     );
     if let Some(first) = queries.first() {
-        note_scan(queries.len(), centroids.len(), first.dim());
+        note_scan(queries.len(), queries.len() * centroids.len(), first.dim());
     }
     let mut out = vec![(0usize, 0usize); queries.len()];
     dual_pool::par_fill(&mut out, threads, |offset, slots| {
@@ -225,6 +229,75 @@ pub fn assign_batch(
             // one; the fallback keeps the closure total without
             // panicking.
             *slot = scan_nearest(q, centroids).unwrap_or((0, 0));
+        }
+    });
+    out
+}
+
+/// [`assign_batch`] with the centroid set split into at most `shards`
+/// contiguous slices, the software shape of DUAL's block-parallel
+/// search (§V-C): every crossbar block resolves its own rows and a
+/// bit-serial minimum across blocks picks the winner. Each query scans
+/// every shard serially and folds the per-shard winners in shard order
+/// under strict improvement, so ties break toward the lowest global
+/// index and the output is **bit-identical to the flat
+/// [`assign_batch`]** for every `(shards, threads)` combination.
+///
+/// Shard boundaries are [`dual_pool::chunk_ranges`]`(centroids.len(),
+/// shards)`, a pure function of the two counts, and never outnumber
+/// the centroids. One call records `queries × shard_count` scan starts
+/// and `queries × candidates × ⌈D/64⌉` popcount words.
+///
+/// # Panics
+///
+/// Panics when `centroids` is empty, `shards == 0`, or
+/// dimensionalities differ (the [`Hypervector::hamming`] contract).
+///
+/// ```rust
+/// use dual_hdc::{search, BitVec, Hypervector};
+///
+/// let zeros = Hypervector::from_bitvec(BitVec::zeros(16));
+/// let ones = Hypervector::from_bitvec(BitVec::ones(16));
+/// let centroids = [zeros.clone(), ones.clone(), zeros.clone()];
+/// // Slots 0 and 2 tie; the lower index wins across the shard boundary.
+/// let assigned = search::assign_sharded(&[zeros, ones], &centroids, 2, 1);
+/// assert_eq!(assigned, vec![(0, 0), (1, 0)]);
+/// ```
+#[must_use]
+pub fn assign_sharded(
+    queries: &[Hypervector],
+    centroids: &[Hypervector],
+    shards: usize,
+    threads: usize,
+) -> Vec<(usize, usize)> {
+    assert!(
+        !centroids.is_empty(),
+        "assign_sharded requires at least one centroid"
+    );
+    // `chunk_ranges` reads 0 as "auto"; a shard layout must not depend
+    // on the host or on `DUAL_THREADS`.
+    assert!(shards > 0, "shard count must be positive");
+    let ranges = dual_pool::chunk_ranges(centroids.len(), shards);
+    if let Some(first) = queries.first() {
+        note_scan(
+            queries.len() * ranges.len(),
+            queries.len() * centroids.len(),
+            first.dim(),
+        );
+    }
+    let mut out = vec![(0usize, 0usize); queries.len()];
+    dual_pool::par_fill(&mut out, threads, |offset, slots| {
+        for (slot, q) in slots.iter_mut().zip(&queries[offset..]) {
+            let mut best: Option<(usize, usize)> = None;
+            for r in &ranges {
+                if let Some((i, d)) = scan_nearest(q, &centroids[r.clone()]) {
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((r.start + i, d));
+                    }
+                }
+            }
+            // Non-empty centroid set: some shard always has a winner.
+            *slot = best.unwrap_or((0, 0));
         }
     });
     out
@@ -296,6 +369,57 @@ mod tests {
     fn assign_batch_rejects_empty_centroids() {
         let q = Hypervector::zeros(8);
         let _ = assign_batch(&[q], &[], 1);
+    }
+
+    #[test]
+    fn assign_sharded_matches_flat_scan_for_all_shapes() {
+        // 64 shards over 1..=65 candidates also covers `shards >
+        // candidates`, where every candidate is its own shard.
+        for n in [1usize, 2, 7, 13, 63, 64, 65] {
+            let centroids = pool(n, 300, 3);
+            let queries = pool(17, 300, 42);
+            let want = assign_batch(&queries, &centroids, 1);
+            for shards in [1usize, 2, 3, 8, 64] {
+                for threads in [0usize, 1, 2, 3, 8] {
+                    assert_eq!(
+                        assign_sharded(&queries, &centroids, shards, threads),
+                        want,
+                        "n={n} shards={shards} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assign_sharded_ties_break_low_across_shard_boundaries() {
+        let q = Hypervector::zeros(16);
+        let centroids = vec![q.clone(), q.clone(), q.clone(), q.clone()];
+        for shards in [1usize, 2, 4, 9] {
+            assert_eq!(
+                assign_sharded(std::slice::from_ref(&q), &centroids, shards, 1),
+                vec![(0, 0)],
+                "shards={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn assign_sharded_empty_batch_is_empty() {
+        let centroids = pool(5, 64, 9);
+        assert!(assign_sharded(&[], &centroids, 2, 4).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one centroid")]
+    fn assign_sharded_rejects_empty_centroids() {
+        let _ = assign_sharded(&[Hypervector::zeros(8)], &[], 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be positive")]
+    fn assign_sharded_rejects_zero_shards() {
+        let _ = assign_sharded(&[Hypervector::zeros(8)], &pool(2, 8, 1), 0, 1);
     }
 
     #[test]

@@ -147,13 +147,17 @@ pub enum Key {
     // ---- counters -------------------------------------------------------
     /// Hypervectors encoded by `dual_hdc` encoders.
     HdcEncoded,
-    /// Batch Hamming search queries answered (`nearest`/`top_k`/
-    /// `assign_batch`, counted once per public call per query).
+    /// Batch Hamming search scan starts (`nearest`/`top_k`/
+    /// `assign_batch`: one per query; `assign_sharded`: one per query
+    /// and shard), recorded once per public call.
     HdcSearchQueries,
     /// Packed 64-bit popcount words scanned by Hamming searches.
     HdcPopcountWords,
     /// Bounded top-k heap insertions. **Unstable**: per-chunk selection
     /// makes the push count depend on chunk boundaries (thread count).
+    /// Counts real `top_k`/`top_k_parallel` insertions only:
+    /// nearest-centroid assignment is a running minimum, not a top-k
+    /// selection, and does not touch it.
     HdcTopKPushes,
     /// Lloyd iterations executed by (Hamming) k-means fits.
     KmeansIterations,

@@ -66,14 +66,6 @@ pub struct StreamConfig {
     /// trace site reduces to one branch.
     #[serde(default)]
     pub trace_capacity: usize,
-    /// Execute the un-faulted assign stage through a pre-compiled,
-    /// verifier-gated [`dual_compile::CompiledPipeline`] instead of the
-    /// tree-walking sharded scan. Pure execution strategy: outputs,
-    /// snapshots, energy ledgers and observability counters are
-    /// bit-identical either way (the `compile` CI stage pins it), and
-    /// the flag is deliberately **not** part of snapshot state.
-    #[serde(default)]
-    pub compiled: bool,
 }
 
 impl StreamConfig {
@@ -95,7 +87,6 @@ impl StreamConfig {
             threads: 0,
             snapshot_every: 0,
             trace_capacity: 256,
-            compiled: false,
         }
     }
 
@@ -313,10 +304,6 @@ pub struct StreamEngine<E> {
     /// Tick-clock alert rules evaluated against [`StreamEngine::obs_registry`]
     /// at the end of every tick (see [`StreamEngine::with_alerts`]).
     pub(crate) alerts: AlertEngine,
-    /// The verified compiled pipeline the assign stage dispatches to
-    /// when [`StreamConfig::compiled`] is set; built once at
-    /// construction, `None` on the interpreted path.
-    pub(crate) compiled: Option<dual_compile::CompiledPipeline>,
 }
 
 impl<E: Encoder + Sync> StreamEngine<E> {
@@ -358,25 +345,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             config.shards,
         );
         let wear = WearLeveler::new(encoder.dim().div_ceil(BLOCK_ROWS).max(1));
-        let compiled = if config.compiled {
-            let shape = dual_compile::PipelineShape {
-                dim: encoder.dim(),
-                n_features: encoder.n_features(),
-                slots: config.k * config.centroids_per_cluster,
-                shards: config.shards,
-                batch: config.max_batch,
-            };
-            // The compiler refuses any program `Verifier::check` flags,
-            // so a `Some` here is a verified artifact by construction.
-            Some(dual_compile::Compiler::compile(shape).map_err(|_| {
-                StreamError::InvalidConfig {
-                    name: "compiled",
-                    reason: "pipeline shape is outside the verified-compilation envelope",
-                }
-            })?)
-        } else {
-            None
-        };
         Ok(Self {
             encoder,
             ring: Ring::with_capacity(config.capacity),
@@ -389,7 +357,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             wal: None,
             trace: Recorder::new(config.trace_capacity),
             alerts: AlertEngine::default(),
-            compiled,
             config,
         })
     }
@@ -833,27 +800,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         );
         let before = self.flight();
         let update = match views {
-            // Un-faulted path: dispatch to the compiled program when
-            // one is installed — same assignments, same counters, no
-            // per-batch re-derivation of windows/shards/geometry. The
-            // sensed path below stays interpreted (its candidate set
-            // is a per-batch fault view, not the compiled shape).
-            None => match &self.compiled {
-                Some(pipeline) => self.model.observe_batch_with(
-                    &encoded,
-                    self.config.threads,
-                    |queries, centroids, threads| {
-                        pipeline.assign_batch(queries, centroids, threads)
-                    },
-                ),
-                None => self.model.observe_batch(&encoded, self.config.threads),
-            },
-            Some(views) => {
-                self.model
-                    .observe_batch_sensed(&encoded, self.config.threads, |slot, _| {
-                        views.get(slot).cloned().flatten()
-                    })
-            }
+            None => self.model.observe_batch(&encoded, self.config.threads),
+            Some(views) => self
+                .model
+                .observe_batch_sensed(&encoded, self.config.threads, views),
         };
         self.charge_assign(n, self.model.seeded());
         self.end_stage(tick, stage_span, dual_obs::Stage::Nearest, before);
@@ -1234,51 +1184,6 @@ mod tests {
         assert_eq!(e.config().policy, BackpressurePolicy::Block);
         assert_eq!(e.counters().rejected, 1);
         assert_eq!(e.counters().dropped, 1);
-    }
-
-    #[test]
-    fn compiled_engine_is_bit_identical_to_interpreted() {
-        let run = |compiled: bool, threads: usize| {
-            let mut cfg = StreamConfig::new(3);
-            cfg.max_batch = 8;
-            cfg.shards = 2;
-            cfg.centroids_per_cluster = 2;
-            cfg.threads = threads;
-            cfg.compiled = compiled;
-            let mut e = engine(cfg);
-            for i in 0..40 {
-                e.push(&point(i)).unwrap();
-                e.tick().unwrap();
-            }
-            e.drain().unwrap();
-            e
-        };
-        for threads in [1usize, 3] {
-            let a = run(false, threads);
-            let b = run(true, threads);
-            assert!(b.compiled.is_some(), "flag must install a pipeline");
-            assert_eq!(a.snapshot(), b.snapshot(), "threads={threads}");
-            assert_eq!(
-                a.obs_registry().snapshot(),
-                b.obs_registry().snapshot(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_flag_rejects_uncompilable_shapes() {
-        let mut cfg = StreamConfig::new(2);
-        cfg.compiled = true;
-        cfg.max_batch = 1 << 17; // outside the unroll envelope
-        let mapper = HdMapper::new(64, 2, 7).unwrap();
-        assert!(matches!(
-            StreamEngine::new(mapper, cfg),
-            Err(StreamError::InvalidConfig {
-                name: "compiled",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!                                                            ▼
 //!                      OnlineKMeans ◄── encode (dual_hdc::Encoder, deterministic fan-out)
 //!                 decayed accumulators │
-//!                 + ShardedIndex      ▼
+//!                 + sharded assign    ▼
 //!                              StreamMeter (per-batch pJ / ns, dual_pim::CostModel)
 //! ```
 //!
@@ -26,7 +26,9 @@
 //! * **Clustering** — [`OnlineKMeans`]: decayed per-centroid
 //!   bit-count accumulators with majority re-binarization (the exact
 //!   vote of the batch solver) and MEMHD-style multi-centroid sets,
-//!   searched through the [`ShardedIndex`].
+//!   searched `shards` ways by `dual_hdc::search::assign_sharded` —
+//!   the one batch nearest-centroid kernel, pristine and fault-sensed
+//!   alike.
 //! * **Attribution** — every committed batch is priced on the paper's
 //!   chip cost model via `dual_pim::StreamMeter`.
 //! * **Durability** (opt-in) — [`StreamEngine::checkpoint`] captures
@@ -89,7 +91,6 @@
 mod batcher;
 mod engine;
 mod error;
-mod index;
 mod online;
 mod persist;
 mod ring;
@@ -99,6 +100,5 @@ pub use engine::{
     FaultConfig, FaultStatus, StreamConfig, StreamCounters, StreamEngine, StreamSnapshot,
 };
 pub use error::StreamError;
-pub use index::ShardedIndex;
 pub use online::{BatchUpdate, OnlineKMeans};
 pub use ring::{BackpressurePolicy, PushOutcome, Ring};

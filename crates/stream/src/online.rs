@@ -10,8 +10,8 @@
 //!
 //! Following MEMHD's multi-centroid memory, each of the `k` clusters
 //! may own several **sub-centroids**; assignment searches the flat
-//! sub-centroid set through the [`ShardedIndex`] and reports both the
-//! winning sub-centroid and its cluster. Sub-centroid slot `s` belongs
+//! sub-centroid set with [`search::assign_sharded`] and reports both
+//! the winning sub-centroid and its cluster. Sub-centroid slot `s` belongs
 //! to cluster `s % k`, so seeding slots in order round-robins the
 //! clusters: every cluster receives its first center before any
 //! cluster receives its second.
@@ -25,9 +25,8 @@
 //! in `f64`). The property suite pins this.
 
 use crate::error::StreamError;
-use crate::index::ShardedIndex;
 use dual_cluster::CentroidAccumulator;
-use dual_hdc::Hypervector;
+use dual_hdc::{search, Hypervector};
 use serde::{Deserialize, Serialize};
 
 /// What one observed micro-batch did to the model.
@@ -43,14 +42,17 @@ pub struct BatchUpdate {
 
 /// Online decayed mini-batch k-means state: `k × centroids_per_cluster`
 /// sub-centroid slots, one decayed accumulator per slot, and the
-/// sharded index the assignment step searches.
+/// centroid storage the assignment step searches `shards` ways.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineKMeans {
     dim: usize,
     k: usize,
     centroids_per_cluster: usize,
     decay: f64,
-    index: ShardedIndex,
+    /// Seeded sub-centroids in slot order: the single source of truth
+    /// for "what does the chip currently store".
+    centroids: Vec<Hypervector>,
+    shards: usize,
     accumulators: Vec<CentroidAccumulator>,
     batches_observed: u64,
 }
@@ -84,12 +86,14 @@ impl OnlineKMeans {
             decay > 0.0 && decay <= 1.0,
             "decay must be in (0, 1], got {decay}"
         );
+        assert!(shards > 0, "shard count must be positive");
         Self {
             dim,
             k,
             centroids_per_cluster,
             decay,
-            index: ShardedIndex::new(Vec::new(), shards),
+            centroids: Vec::new(),
+            shards,
             accumulators: Vec::new(),
             batches_observed: 0,
         }
@@ -128,7 +132,7 @@ impl OnlineKMeans {
     /// Slots seeded so far.
     #[must_use]
     pub fn seeded(&self) -> usize {
-        self.index.len()
+        self.centroids.len()
     }
 
     /// Whether every slot holds a centroid.
@@ -197,9 +201,7 @@ impl OnlineKMeans {
                 reason: "restored accumulator dimensionality differs from engine dim",
             });
         }
-        for c in centroids {
-            model.index.push(c);
-        }
+        model.centroids = centroids;
         model.accumulators = accumulators;
         model.batches_observed = batches_observed;
         Ok(model)
@@ -215,7 +217,7 @@ impl OnlineKMeans {
     /// set until seeding completes).
     #[must_use]
     pub fn centroids(&self) -> &[Hypervector] {
-        self.index.centroids()
+        &self.centroids
     }
 
     /// Current centers grouped per cluster: `clusters()[c]` holds the
@@ -223,7 +225,7 @@ impl OnlineKMeans {
     #[must_use]
     pub fn clusters(&self) -> Vec<Vec<Hypervector>> {
         let mut out = vec![Vec::new(); self.k];
-        for (s, hv) in self.index.centroids().iter().enumerate() {
+        for (s, hv) in self.centroids.iter().enumerate() {
             out[self.cluster_of(s)].push(hv.clone());
         }
         out
@@ -249,7 +251,7 @@ impl OnlineKMeans {
             });
         }
         for c in centers {
-            self.index.push(c.clone());
+            self.centroids.push(c.clone());
             self.accumulators.push(CentroidAccumulator::new(self.dim));
         }
         Ok(())
@@ -266,8 +268,8 @@ impl OnlineKMeans {
     ///    (a no-op at `decay == 1.0`). Empty batches skip this: logical
     ///    time advances with data, not with ticks.
     /// 3. **Assign** — every point (seeds included) goes to its nearest
-    ///    sub-centroid via the sharded index; `threads` workers chunk
-    ///    the queries, bit-identically for every thread count.
+    ///    sub-centroid via [`search::assign_sharded`]; `threads` workers
+    ///    chunk the queries, bit-identically for every thread count.
     /// 4. **Accumulate** — points fold into their winner's accumulator
     ///    in point order.
     /// 5. **Re-binarize** — every accumulator holding mass majority-votes
@@ -278,94 +280,50 @@ impl OnlineKMeans {
     /// Panics on a hypervector dimensionality mismatch (the engine
     /// encodes with the geometry the model was built from).
     pub fn observe_batch(&mut self, encoded: &[Hypervector], threads: usize) -> BatchUpdate {
-        if encoded.is_empty() {
-            return BatchUpdate::default();
-        }
-        assert!(
-            encoded.iter().all(|h| h.dim() == self.dim),
-            "batch hypervector dimensionality differs from model dim"
-        );
-        let mut update = BatchUpdate::default();
-        self.seed_from(encoded, &mut update);
-        self.decay_all();
-        update.assignments = self.index.assign(encoded, threads);
-        self.fold(encoded, &mut update);
-        update
-    }
-
-    /// [`OnlineKMeans::observe_batch`] with the assign stage delegated
-    /// to `assign` — the hook the stream engine uses to dispatch a
-    /// pre-compiled pipeline kernel. Seed, decay, accumulate and
-    /// re-binarize are byte-for-byte the interpreted stages; only the
-    /// nearest-centroid search is swapped, and the caller owes the
-    /// same contract [`ShardedIndex::assign`] meets: one
-    /// `(global slot, distance)` per query, bit-identical to the flat
-    /// scan.
-    ///
-    /// # Panics
-    ///
-    /// As [`OnlineKMeans::observe_batch`]; additionally if `assign`
-    /// returns a different number of assignments than queries.
-    pub fn observe_batch_with<F>(
-        &mut self,
-        encoded: &[Hypervector],
-        threads: usize,
-        assign: F,
-    ) -> BatchUpdate
-    where
-        F: FnOnce(&[Hypervector], &[Hypervector], usize) -> Vec<(usize, usize)>,
-    {
-        if encoded.is_empty() {
-            return BatchUpdate::default();
-        }
-        assert!(
-            encoded.iter().all(|h| h.dim() == self.dim),
-            "batch hypervector dimensionality differs from model dim"
-        );
-        let mut update = BatchUpdate::default();
-        self.seed_from(encoded, &mut update);
-        self.decay_all();
-        update.assignments = assign(encoded, self.index.centroids(), threads);
-        assert!(
-            update.assignments.len() == encoded.len(),
-            "assign hook must return one assignment per query"
-        );
-        self.fold(encoded, &mut update);
-        update
+        self.observe(encoded, threads, None)
     }
 
     /// [`OnlineKMeans::observe_batch`] with a fault-injected *sense*
     /// stage: the assignment step searches the centroid array as seen
-    /// through `sense(slot, stored)` instead of the pristine storage.
+    /// through `views` instead of the pristine storage.
     ///
-    /// `sense` returns the (possibly corrupted) hypervector the match
-    /// lines observe for a stored slot, or `None` when the slot is
+    /// `views[slot]` is the (possibly corrupted) hypervector the match
+    /// lines observe for the slot, or `None` when the slot is
     /// unavailable (its shard is dead) and must be excluded from
-    /// assignment. Slots seeded *by this batch* are sensed pristine —
-    /// they were written this tick and the first faulty read happens on
-    /// the next batch. If `sense` excludes every slot the model falls
-    /// back to the pristine index (total array loss is outside the
+    /// assignment; it covers exactly the slots seeded before this
+    /// call. Slots seeded *by this batch* are sensed pristine — they
+    /// were written this tick and the first faulty read happens on the
+    /// next batch. If every slot is excluded the model falls back to
+    /// the pristine storage (total array loss is outside the
     /// degradation model).
     ///
     /// The accumulate and re-binarize stages always run against the
     /// pristine storage: corruption is a read-path phenomenon, and the
     /// majority rewrite is exactly the mechanism that heals stored
-    /// centers. `sense` is called serially in slot order, so
-    /// determinism is inherited from the caller's epoch keying.
+    /// centers.
     ///
     /// # Panics
     ///
-    /// As [`OnlineKMeans::observe_batch`]; additionally if `sense`
-    /// returns a hypervector of a different dimensionality.
-    pub fn observe_batch_sensed<F>(
+    /// As [`OnlineKMeans::observe_batch`]; additionally if `views` does
+    /// not hold one entry per already-seeded slot or a view has a
+    /// different dimensionality.
+    pub fn observe_batch_sensed(
         &mut self,
         encoded: &[Hypervector],
         threads: usize,
-        mut sense: F,
-    ) -> BatchUpdate
-    where
-        F: FnMut(usize, &Hypervector) -> Option<Hypervector>,
-    {
+        views: Vec<Option<Hypervector>>,
+    ) -> BatchUpdate {
+        self.observe(encoded, threads, Some(views))
+    }
+
+    /// The one body behind both public entry points: `views` of `None`
+    /// searches the pristine storage, `Some` the sensed array.
+    fn observe(
+        &mut self,
+        encoded: &[Hypervector],
+        threads: usize,
+        views: Option<Vec<Option<Hypervector>>>,
+    ) -> BatchUpdate {
         if encoded.is_empty() {
             return BatchUpdate::default();
         }
@@ -377,15 +335,35 @@ impl OnlineKMeans {
         let pre_seeded = self.seeded();
         self.seed_from(encoded, &mut update);
         self.decay_all();
+        let sensed = views.and_then(|views| self.compact_views(views, pre_seeded));
+        update.assignments = match sensed {
+            None => search::assign_sharded(encoded, &self.centroids, self.shards, threads),
+            Some((sensed, map)) => search::assign_sharded(encoded, &sensed, self.shards, threads)
+                .into_iter()
+                .map(|(i, d)| (map[i], d))
+                .collect(),
+        };
+        self.fold(encoded, &mut update);
+        update
+    }
 
-        let mut sensed: Vec<Hypervector> = Vec::with_capacity(self.index.len());
-        let mut map: Vec<usize> = Vec::with_capacity(self.index.len());
-        for (slot, stored) in self.index.centroids().iter().enumerate() {
-            let view = if slot < pre_seeded {
-                sense(slot, stored)
-            } else {
-                Some(stored.clone()) // freshly seeded this batch
-            };
+    /// Compact the available sensed slots (plus, pristine, the slots
+    /// seeded after the sense pass) into a dense candidate array and
+    /// the map from its indices back to global slots. `None` when no
+    /// slot is available.
+    fn compact_views(
+        &self,
+        views: Vec<Option<Hypervector>>,
+        pre_seeded: usize,
+    ) -> Option<(Vec<Hypervector>, Vec<usize>)> {
+        assert!(
+            views.len() == pre_seeded,
+            "sensed views must cover exactly the already-seeded slots"
+        );
+        let fresh = self.centroids[pre_seeded..].iter().cloned().map(Some);
+        let mut sensed = Vec::with_capacity(self.centroids.len());
+        let mut map = Vec::with_capacity(self.centroids.len());
+        for (slot, view) in views.into_iter().chain(fresh).enumerate() {
             if let Some(hv) = view {
                 assert!(
                     hv.dim() == self.dim,
@@ -395,18 +373,7 @@ impl OnlineKMeans {
                 sensed.push(hv);
             }
         }
-        update.assignments = if sensed.is_empty() {
-            self.index.assign(encoded, threads)
-        } else {
-            let view = ShardedIndex::new(sensed, self.index.shards());
-            view.assign(encoded, threads)
-                .into_iter()
-                .map(|(i, d)| (map[i], d))
-                .collect()
-        };
-
-        self.fold(encoded, &mut update);
-        update
+        (!sensed.is_empty()).then_some((sensed, map))
     }
 
     /// Stage 1: copy the batch's leading points into unseeded slots.
@@ -415,7 +382,7 @@ impl OnlineKMeans {
             if self.is_fully_seeded() {
                 break;
             }
-            self.index.push(p.clone());
+            self.centroids.push(p.clone());
             self.accumulators.push(CentroidAccumulator::new(self.dim));
             update.seeded += 1;
         }
@@ -436,7 +403,7 @@ impl OnlineKMeans {
         }
         for (slot, acc) in self.accumulators.iter().enumerate() {
             if let Some(center) = acc.majority() {
-                self.index.set(slot, center);
+                self.centroids[slot] = center;
                 update.rebinarized += 1;
             }
         }
@@ -550,6 +517,11 @@ mod tests {
         assert_eq!(clusters[0][1], m.centroids()[2]);
     }
 
+    /// The pristine view of every slot seeded so far.
+    fn pristine(m: &OnlineKMeans) -> Vec<Option<Hypervector>> {
+        m.centroids().iter().cloned().map(Some).collect()
+    }
+
     #[test]
     fn sensed_identity_matches_plain_observe() {
         let points = pool(30, 64, 21);
@@ -557,7 +529,8 @@ mod tests {
         let mut sensed = plain.clone();
         for chunk in points.chunks(10) {
             let a = plain.observe_batch(chunk, 2);
-            let b = sensed.observe_batch_sensed(chunk, 2, |_, hv| Some(hv.clone()));
+            let views = pristine(&sensed);
+            let b = sensed.observe_batch_sensed(chunk, 2, views);
             assert_eq!(a, b);
         }
         assert_eq!(plain, sensed);
@@ -570,15 +543,39 @@ mod tests {
         m.seed(&centers).unwrap();
         // Query exactly center 1, but sense slot 1 as unavailable: the
         // point must land on some other slot.
-        let up = m.observe_batch_sensed(std::slice::from_ref(&centers[1]), 1, |slot, hv| {
-            (slot != 1).then(|| hv.clone())
-        });
+        let mut views = pristine(&m);
+        views[1] = None;
+        let up = m.observe_batch_sensed(std::slice::from_ref(&centers[1]), 1, views);
         assert_ne!(up.assignments[0].0, 1);
         // With every slot excluded, assignment falls back to pristine.
         let mut m2 = OnlineKMeans::new(64, 4, 1, 1.0, 2);
         m2.seed(&centers).unwrap();
-        let up2 = m2.observe_batch_sensed(std::slice::from_ref(&centers[1]), 1, |_, _| None);
+        let up2 = m2.observe_batch_sensed(std::slice::from_ref(&centers[1]), 1, vec![None; 4]);
         assert_eq!(up2.assignments[0], (1, 0));
+    }
+
+    #[test]
+    fn sensed_whole_shard_masked_with_more_shards_than_survivors() {
+        // 8 slots over 4 shards of 2; shards 0, 1 and 3 are dead, so 2
+        // survivors are searched 4 ways (one candidate per shard) and
+        // the winners map back to global slots 4 and 5.
+        let centers = pool(8, 64, 51);
+        let mut m = OnlineKMeans::new(64, 8, 1, 1.0, 4);
+        m.seed(&centers).unwrap();
+        let mut views = pristine(&m);
+        for slot in [0, 1, 2, 3, 6, 7] {
+            views[slot] = None;
+        }
+        let queries = [centers[0].clone(), centers[5].clone(), centers[4].clone()];
+        let up = m.observe_batch_sensed(&queries, 2, views);
+        let survivors = &centers[4..6];
+        let want: Vec<(usize, usize)> = search::assign_batch(&queries, survivors, 1)
+            .into_iter()
+            .map(|(i, d)| (4 + i, d))
+            .collect();
+        assert_eq!(up.assignments, want);
+        assert_eq!(up.assignments[1], (5, 0));
+        assert_eq!(up.assignments[2], (4, 0));
     }
 
     #[test]
@@ -589,9 +586,8 @@ mod tests {
         let zeros = Hypervector::zeros(32);
         let mut m = OnlineKMeans::new(32, 2, 1, 1.0, 1);
         m.seed(&[ones.clone(), zeros.clone()]).unwrap();
-        let up = m.observe_batch_sensed(std::slice::from_ref(&ones), 1, |slot, hv| {
-            Some(if slot == 0 { zeros.clone() } else { hv.clone() })
-        });
+        let views = vec![Some(zeros.clone()), Some(zeros.clone())];
+        let up = m.observe_batch_sensed(std::slice::from_ref(&ones), 1, views);
         // Both sensed slots look identical (all zeros); tie-break low.
         assert_eq!(up.assignments[0].0, 0);
         assert_eq!(m.centroids()[0], ones, "storage is not corrupted");

@@ -360,9 +360,6 @@ fn rebuild_config(c: &ConfigState) -> Result<StreamConfig, StreamError> {
         threads: to_usize(c.threads, "config.threads")?,
         snapshot_every: c.snapshot_every,
         trace_capacity: to_usize(c.trace_capacity, "config.trace_capacity")?,
-        // Execution strategy, not state: a restored engine starts on
-        // the interpreted path and can be rebuilt compiled explicitly.
-        compiled: false,
     };
     cfg.validate()?;
     Ok(cfg)

@@ -1,14 +1,14 @@
 //! End-to-end properties of the pipeline compiler: every `Program`
 //! the compiler emits must pass the static dataflow verifier with
-//! zero diagnostics, and executing it — through the literal bytecode
-//! VM or the fused kernel — must be bit-identical to the interpreted
-//! nearest-centroid scan it replaces. The mutation corpus closes the
+//! zero diagnostics, and executing it through the literal bytecode VM
+//! must be bit-identical to the production sharded kernel
+//! (`search::assign_sharded`) and a flat scan. The mutation corpus closes the
 //! loop from the other side: seeded allocator bugs must be *rejected*
 //! with the exact diagnostic class the corpus predicts.
 
 use dual_compile::{Compiler, Mutation, PipelineShape, COLS};
 use dual_hdc::ops::random_hypervector;
-use dual_hdc::Hypervector;
+use dual_hdc::{search, Hypervector};
 use dual_isa_verify::{Geometry, Verifier};
 use proptest::prelude::*;
 
@@ -79,8 +79,8 @@ proptest! {
         prop_assert_eq!(program.count_of("near_search"), shape.batch);
     }
 
-    /// The fused kernel (across thread counts) and the literal VM both
-    /// reproduce the interpreted flat scan bit-for-bit.
+    /// The sharded kernel (across thread counts) and the literal VM
+    /// both reproduce the flat scan bit-for-bit.
     #[test]
     fn prop_compiled_execution_matches_interpreted(
         shape in shape_strategy(),
@@ -91,7 +91,7 @@ proptest! {
         let centroids = points(shape.dim, shape.slots, seed ^ 0x9E37_79B9_7F4A_7C15);
         let expected = flat_nearest(&queries, &centroids);
         for threads in [1usize, 3] {
-            let got = pipeline.assign_batch(&queries, &centroids, threads);
+            let got = search::assign_sharded(&queries, &centroids, shape.shards, threads);
             prop_assert_eq!(&got, &expected, "kernel diverged at threads={}", threads);
         }
         let via_vm = pipeline

@@ -249,9 +249,8 @@ fn stream_assign_batch_matches_sharded_index_for_all_shapes() {
                 "assign_batch n={n} threads={threads}"
             );
             for shards in [1usize, 2, 6] {
-                let idx = dual_stream::ShardedIndex::new(centroids.clone(), shards);
                 assert_eq!(
-                    idx.assign(&queries, threads),
+                    search::assign_sharded(&queries, &centroids, shards, threads),
                     want,
                     "sharded n={n} threads={threads} shards={shards}"
                 );
