@@ -176,6 +176,33 @@ fn bench_parallel_pairs(c: &mut Criterion) {
     c.bench_function("encode_256x1024_parallel", |bench| {
         bench.iter(|| std::hint::black_box(acc.encode_parallel(&feats, 0).expect("valid dims")))
     });
+
+    // One `stream_wide` micro-batch (64 points × 784 features, D = 4000):
+    // the tiled `encode_batch` against the same points one `encode` at a
+    // time. Both produce the same bits; the pair shows what loading each
+    // base row once per tile instead of once per point buys.
+    let wide = HdMapper::builder(4000, 784)
+        .seed(7)
+        .sigma(28.0)
+        .build()
+        .expect("valid");
+    let batch: Vec<Vec<f64>> = (0..64)
+        .map(|i| {
+            (0..784)
+                .map(|j| ((i * 784 + j) as f64 * 0.13).sin())
+                .collect()
+        })
+        .collect();
+    c.bench_function("encode_batch_64x784_d4000", |bench| {
+        bench.iter(|| std::hint::black_box(wide.encode_batch(&batch).expect("valid dims")))
+    });
+    c.bench_function("encode_per_point_64x784_d4000", |bench| {
+        bench.iter(|| {
+            for p in &batch {
+                std::hint::black_box(wide.encode(p).expect("valid dims"));
+            }
+        })
+    });
 }
 
 /// No-op-vs-live `dual-obs` pair: the same k-means fit once with the

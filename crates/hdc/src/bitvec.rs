@@ -70,6 +70,16 @@ impl BitVec {
         Self { words, len }
     }
 
+    /// Adopt already-packed words (bit `i` at `words[i / 64] >> (i % 64)`);
+    /// bits beyond `len` in the last word must be zero.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
+        debug_assert!(
+            len.is_multiple_of(WORD_BITS) || words[len / WORD_BITS] >> (len % WORD_BITS) == 0
+        );
+        Self { words, len }
+    }
+
     /// Number of bits.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -134,23 +144,21 @@ impl BitVec {
     /// fallible variant.
     #[must_use]
     pub fn hamming(&self, other: &Self) -> usize {
-        self.try_hamming(other)
-            .expect("hamming distance requires equal lengths")
+        assert_eq!(
+            self.len, other.len,
+            "hamming distance requires equal lengths"
+        );
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a ^ b).count_ones() as usize)
+            .sum()
     }
 
     /// Hamming distance to `other`, or `None` when lengths differ.
     #[must_use]
     pub fn try_hamming(&self, other: &Self) -> Option<usize> {
-        if self.len != other.len {
-            return None;
-        }
-        Some(
-            self.words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| (a ^ b).count_ones() as usize)
-                .sum(),
-        )
+        (self.len == other.len).then(|| self.hamming(other))
     }
 
     /// Bitwise XOR with `other`, in place.

@@ -1,6 +1,6 @@
 //! The HD-Mapper: DUAL's non-linear RBF-inspired encoder (§III-A).
 
-use crate::{BitVec, Encoder, HdcError, Hypervector};
+use crate::{project, Encoder, HdcError, Hypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
@@ -194,24 +194,19 @@ impl HdMapper {
     ///
     /// Returns [`HdcError::FeatureLength`] on a feature-count mismatch.
     pub fn project(&self, features: &[f64]) -> Result<Vec<f64>, HdcError> {
-        if features.len() != self.n_features {
-            return Err(HdcError::FeatureLength {
-                expected: self.n_features,
-                got: features.len(),
-            });
-        }
+        project::check_len(features, self.n_features)?;
         let inv_sigma = 1.0 / self.sigma;
-        Ok((0..self.dim)
-            .map(|i| {
-                let dot: f64 = self
-                    .base_vector(i)
-                    .iter()
-                    .zip(features)
-                    .map(|(b, f)| b * f)
-                    .sum();
-                eval_cosine(dot * inv_sigma, self.mode)
-            })
-            .collect())
+        let mut out = Vec::with_capacity(self.dim);
+        project::tile_dots::<1>(&self.base, self.n_features, features, |_, &[dot]| {
+            out.push(eval_cosine(dot * inv_sigma, self.mode));
+        });
+        Ok(out)
+    }
+
+    /// The sign test of §III-A on one dot product.
+    fn positive(&self) -> impl Fn(f64) -> bool + Copy {
+        let (inv_sigma, mode) = (1.0 / self.sigma, self.mode);
+        move |dot| eval_cosine(dot * inv_sigma, mode) > 0.0
     }
 }
 
@@ -225,13 +220,11 @@ impl Encoder for HdMapper {
     }
 
     fn encode(&self, features: &[f64]) -> Result<Hypervector, HdcError> {
-        let projected = self.project(features)?;
-        let bits: BitVec = projected.iter().map(|&h| h > 0.0).collect();
-        // Counted here (not in `encode_batch`, which delegates) so
-        // every successfully encoded hypervector is counted exactly
-        // once regardless of the entry point.
-        dual_obs::Obs::global().add(dual_obs::Key::HdcEncoded, 1);
-        Ok(Hypervector::from_bitvec(bits))
+        project::sign_one(&self.base, self.n_features, features, self.positive())
+    }
+
+    fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Hypervector>, HdcError> {
+        project::sign_batch(&self.base, self.n_features, rows, self.positive())
     }
 }
 

@@ -42,6 +42,7 @@ mod error;
 mod hypervector;
 mod lsh;
 pub mod ops;
+mod project;
 pub mod search;
 
 pub use bitvec::{BitVec, Windows};
@@ -73,10 +74,27 @@ pub trait Encoder {
 
     /// Encode a batch of feature vectors.
     ///
+    /// The contract every implementation keeps:
+    ///
+    /// * the output equals mapping [`Encoder::encode`] over `rows`, bit
+    ///   for bit and in order, however the batch is split into calls;
+    /// * every row is length-checked before any is encoded, so a bad
+    ///   row fails the whole call without encoding (or counting into
+    ///   `hdc.encoded`) anything;
+    /// * a good batch adds `rows.len()` to `hdc.encoded`, once.
+    ///
+    /// [`HdMapper`] and [`LshEncoder`] override it with a tiled
+    /// projection that loads each base row once per tile of points
+    /// instead of once per point.
+    ///
     /// # Errors
     ///
-    /// Propagates the first [`HdcError::FeatureLength`] encountered.
+    /// Returns [`HdcError::FeatureLength`] for the first row whose
+    /// length differs from [`Encoder::n_features`].
     fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Hypervector>, HdcError> {
+        for row in rows {
+            project::check_len(row, self.n_features())?;
+        }
         rows.iter().map(|r| self.encode(r)).collect()
     }
 }
@@ -113,6 +131,35 @@ pub fn estimate_dimension(n_points: usize, n_clusters: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_encode_batch_checks_every_row_before_encoding_any() {
+        struct Counting(std::cell::Cell<usize>);
+        impl Encoder for Counting {
+            fn dim(&self) -> usize {
+                8
+            }
+            fn n_features(&self) -> usize {
+                2
+            }
+            fn encode(&self, _: &[f64]) -> Result<Hypervector, HdcError> {
+                self.0.set(self.0.get() + 1);
+                Ok(Hypervector::zeros(8))
+            }
+        }
+        let enc = Counting(std::cell::Cell::new(0));
+        let bad = [vec![0.0; 2], vec![0.0; 2], vec![0.0; 3]];
+        assert_eq!(
+            enc.encode_batch(&bad),
+            Err(HdcError::FeatureLength {
+                expected: 2,
+                got: 3
+            })
+        );
+        assert_eq!(enc.0.get(), 0);
+        assert_eq!(enc.encode_batch(&bad[..2]).map(|v| v.len()), Ok(2));
+        assert_eq!(enc.0.get(), 2);
+    }
 
     #[test]
     fn estimate_dimension_is_monotone_in_points() {

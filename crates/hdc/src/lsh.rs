@@ -1,7 +1,7 @@
 //! Sign-random-projection LSH encoder — the linear comparison point of
 //! Fig. 10b-d.
 
-use crate::{BitVec, Encoder, HdcError, Hypervector};
+use crate::{project, Encoder, HdcError, Hypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
@@ -83,21 +83,11 @@ impl Encoder for LshEncoder {
     }
 
     fn encode(&self, features: &[f64]) -> Result<Hypervector, HdcError> {
-        if features.len() != self.n_features {
-            return Err(HdcError::FeatureLength {
-                expected: self.n_features,
-                got: features.len(),
-            });
-        }
-        let bits: BitVec = (0..self.dim)
-            .map(|i| {
-                let row = &self.planes[i * self.n_features..(i + 1) * self.n_features];
-                let dot: f64 = row.iter().zip(features).map(|(b, f)| b * f).sum();
-                dot > 0.0
-            })
-            .collect();
-        dual_obs::Obs::global().add(dual_obs::Key::HdcEncoded, 1);
-        Ok(Hypervector::from_bitvec(bits))
+        project::sign_one(&self.planes, self.n_features, features, |dot| dot > 0.0)
+    }
+
+    fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Hypervector>, HdcError> {
+        project::sign_batch(&self.planes, self.n_features, rows, |dot| dot > 0.0)
     }
 }
 

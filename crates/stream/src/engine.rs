@@ -779,13 +779,12 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         );
         let before = self.flight();
         let encoder = &self.encoder;
-        let results: Vec<Result<Hypervector, dual_hdc::HdcError>> =
-            dual_pool::par_map_chunks(&rows, self.config.threads, |_, chunk| {
-                chunk.iter().map(|r| encoder.encode(r)).collect()
-            });
-        let mut encoded = Vec::with_capacity(rows.len());
-        for r in results {
-            encoded.push(r?);
+        let parts = dual_pool::par_map_ranges(rows.len(), self.config.threads, |chunk| {
+            encoder.encode_batch(&rows[chunk])
+        });
+        let mut encoded: Vec<Hypervector> = Vec::with_capacity(rows.len());
+        for part in parts {
+            encoded.extend(part?);
         }
         self.charge_encode(n);
         self.end_stage(tick, stage_span, dual_obs::Stage::Encoding, before);

@@ -185,7 +185,7 @@ fn stream_engine_snapshots_are_bit_identical_across_thread_counts() {
     // The full pipeline — ring, batcher, parallel encode, sharded
     // assignment, decayed accumulators, cost meter — must export the
     // same snapshot for every thread count, including energy bits.
-    let run = |threads: usize, shards: usize| {
+    let run = |threads: usize, shards: usize, max_batch: usize| {
         let encoder = HdMapper::builder(256, 4)
             .seed(3)
             .sigma(4.0)
@@ -194,7 +194,7 @@ fn stream_engine_snapshots_are_bit_identical_across_thread_counts() {
         let mut cfg = StreamConfig::new(4);
         cfg.threads = threads;
         cfg.shards = shards;
-        cfg.max_batch = 32;
+        cfg.max_batch = max_batch;
         cfg.max_ticks = 3;
         cfg.decay = 0.85;
         cfg.centroids_per_cluster = 2;
@@ -210,28 +210,28 @@ fn stream_engine_snapshots_are_bit_identical_across_thread_counts() {
         engine.drain().unwrap();
         engine.snapshot()
     };
-    let gold = run(1, 1);
-    for &threads in &THREADS {
-        for shards in [1usize, 2, 3, 8] {
-            let snap = run(threads, shards);
-            assert_eq!(
-                snap.clusters, gold.clusters,
-                "centroids differ threads={threads} shards={shards}"
-            );
-            assert_eq!(
-                snap.counters, gold.counters,
-                "threads={threads} shards={shards}"
-            );
-            assert_eq!(
-                snap.energy_pj.to_bits(),
-                gold.energy_pj.to_bits(),
-                "energy differs threads={threads} shards={shards}"
-            );
-            assert_eq!(
-                snap.time_ns.to_bits(),
-                gold.time_ns.to_bits(),
-                "latency differs threads={threads} shards={shards}"
-            );
+    // The encode stage tiles each thread's chunk 16 points at a time.
+    // 32 is whole tiles at one thread and sub-tile chunks at eight; 21
+    // and 37 leave a short tile and a one-point tail; 5 never fills one.
+    for max_batch in [32usize, 21, 37, 5] {
+        let gold = run(1, 1, max_batch);
+        for &threads in &THREADS {
+            for shards in [1usize, 2, 3, 8] {
+                let snap = run(threads, shards, max_batch);
+                let tag = format!("threads={threads} shards={shards} max_batch={max_batch}");
+                assert_eq!(snap.clusters, gold.clusters, "centroids differ {tag}");
+                assert_eq!(snap.counters, gold.counters, "{tag}");
+                assert_eq!(
+                    snap.energy_pj.to_bits(),
+                    gold.energy_pj.to_bits(),
+                    "energy differs {tag}"
+                );
+                assert_eq!(
+                    snap.time_ns.to_bits(),
+                    gold.time_ns.to_bits(),
+                    "latency differs {tag}"
+                );
+            }
         }
     }
 }
