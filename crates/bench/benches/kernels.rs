@@ -2,7 +2,10 @@
 //! in the software simulator are visible.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dual_cluster::{AgglomerativeClustering, CondensedMatrix, Dbscan, KMeans, Linkage};
+use dual_cluster::{
+    hamming_lloyd_step, AgglomerativeClustering, CentroidAccumulator, CondensedMatrix, Dbscan,
+    KMeans, Linkage,
+};
 use dual_core::pipeline::hamming_pipeline;
 use dual_core::DualConfig;
 use dual_hdc::{BitVec, Encoder, HdMapper};
@@ -205,6 +208,29 @@ fn bench_parallel_pairs(c: &mut Criterion) {
     });
 }
 
+/// The center update of Hamming k-means at `batch_offline`'s shape
+/// (4 000 points, D = 4 000, k = 8): one whole Lloyd step (assign +
+/// vote), the integer bit-sliced vote alone over one cluster's worth of
+/// members, and one `f64` accumulate of the decayed stream path.
+fn bench_center_update(c: &mut Criterion) {
+    let points: Vec<dual_hdc::Hypervector> = (0..4000)
+        .map(|i| dual_hdc::ops::random_hypervector(4000, i))
+        .collect();
+    let centers: Vec<dual_hdc::Hypervector> = points.iter().step_by(500).cloned().collect();
+    c.bench_function("lloyd_step_4000x4000_k8", |bench| {
+        bench.iter(|| std::hint::black_box(hamming_lloyd_step(&points, &centers, 1)))
+    });
+    let members: Vec<&dual_hdc::Hypervector> = points.iter().take(500).collect();
+    c.bench_function("majority_bundle_500x4000", |bench| {
+        bench.iter(|| std::hint::black_box(dual_hdc::majority_bundle(&members).expect("members")))
+    });
+    let mut acc = CentroidAccumulator::new(4000);
+    c.bench_function("accumulator_add_d4000", |bench| {
+        bench.iter(|| acc.add(std::hint::black_box(&points[0])))
+    });
+    std::hint::black_box(acc.majority());
+}
+
 /// No-op-vs-live `dual-obs` pair: the same k-means fit once with the
 /// global registry uninstalled (every metrics site is a branch-on-null
 /// no-op) and once recording into a live local [`dual_obs::Registry`].
@@ -236,6 +262,7 @@ criterion_group!(
     bench_cam_search,
     bench_linkage,
     bench_parallel_pairs,
+    bench_center_update,
     bench_obs_pair
 );
 criterion_main!(benches);

@@ -6,11 +6,17 @@
 //! the same per-dimension one-counts *online*, with an exponential
 //! decay applied between mini-batches so stale history fades (the
 //! MEMHD-style multi-centroid memory keeps one accumulator per
-//! sub-centroid). Both paths call [`CentroidAccumulator::majority`],
-//! so their tie-breaking (`2·count > weight` → ties resolve to 0) is
-//! identical by construction, and with `decay == 1.0` the streaming
-//! update degenerates to exactly the batch majority vote: counts and
-//! weights are then small integers, which `f64` represents exactly.
+//! sub-centroid). The batch path ([`crate::hamming_lloyd_step`]) votes
+//! in [`dual_hdc::majority_bundle`]'s integer bit-sliced counter; the
+//! stream path votes here, in `f64`, because decayed counts are not
+//! integers and `c + 1 + 1 + 1` rounds differently from `c + 3`. Both
+//! break ties the same way (`2·count > weight` → ties resolve to 0), and
+//! with `decay == 1.0` the streaming update degenerates to exactly the
+//! batch majority vote: counts and weights are then small integers,
+//! which `f64` represents exactly. That agreement is pinned by two
+//! proptests: `prop_undecayed_majority_matches_majority_bundle` below
+//! and the "undecayed batch == one Lloyd step" property in
+//! `dual-stream`.
 
 use dual_hdc::{BitVec, Hypervector};
 use serde::{Deserialize, Serialize};
@@ -115,9 +121,11 @@ impl CentroidAccumulator {
             self.dim(),
             hv.dim()
         );
-        let bits = hv.bits();
-        for (i, c) in self.counts.iter_mut().enumerate() {
-            *c += f64::from(u8::from(bits.get(i)));
+        // One `+= 0.0 | 1.0` per dimension, read straight from the word.
+        for (chunk, &word) in self.counts.chunks_mut(64).zip(hv.bits().as_words()) {
+            for (j, c) in chunk.iter_mut().enumerate() {
+                *c += f64::from(u8::from((word >> j) & 1 == 1));
+            }
         }
         self.weight += 1.0;
     }
@@ -138,8 +146,19 @@ impl CentroidAccumulator {
         if self.is_empty() {
             return None;
         }
-        let bits: BitVec = self.counts.iter().map(|&c| 2.0 * c > self.weight).collect();
-        Some(Hypervector::from_bitvec(bits))
+        let words = self
+            .counts
+            .chunks(64)
+            .map(|chunk| {
+                chunk.iter().enumerate().fold(0u64, |word, (j, &c)| {
+                    word | (u64::from(2.0 * c > self.weight) << j)
+                })
+            })
+            .collect();
+        Some(Hypervector::from_bitvec(BitVec::from_words(
+            words,
+            self.dim(),
+        )))
     }
 }
 
@@ -206,6 +225,85 @@ mod tests {
         acc.clear();
         assert!(acc.is_empty());
         assert_eq!(acc.majority(), None);
+    }
+
+    /// `add` and `majority` as they were before they read whole words,
+    /// one `bits.get(i)` per dimension: the oracle for the word-level
+    /// forms, compared through `f64::to_bits`.
+    fn add_per_bit(counts: &mut [f64], weight: &mut f64, hv: &Hypervector) {
+        for (i, c) in counts.iter_mut().enumerate() {
+            *c += f64::from(u8::from(hv.bits().get(i)));
+        }
+        *weight += 1.0;
+    }
+
+    fn majority_per_bit(counts: &[f64], weight: f64) -> Option<Hypervector> {
+        if weight <= 0.0 {
+            return None; // a NaN weight is not "empty", as in `is_empty`
+        }
+        let bits = counts.iter().map(|&c| 2.0 * c > weight).collect();
+        Some(Hypervector::from_bitvec(bits))
+    }
+
+    fn to_bits(counts: &[f64]) -> Vec<u64> {
+        counts.iter().map(|c| c.to_bits()).collect()
+    }
+
+    fn assert_matches_per_bit(acc: &mut CentroidAccumulator, members: &[Hypervector], decay: f64) {
+        let mut counts = acc.counts().to_vec();
+        let mut weight = acc.weight();
+        for hv in members {
+            acc.decay(decay);
+            if decay != 1.0 {
+                counts.iter_mut().for_each(|c| *c *= decay);
+                weight *= decay;
+            }
+            acc.add(hv);
+            add_per_bit(&mut counts, &mut weight, hv);
+            assert_eq!(to_bits(acc.counts()), to_bits(&counts));
+            assert_eq!(acc.weight().to_bits(), weight.to_bits());
+            assert_eq!(acc.majority(), majority_per_bit(&counts, weight));
+        }
+    }
+
+    fn members(dim: usize, n: u64) -> Vec<Hypervector> {
+        (0..n)
+            .map(|m| dual_hdc::ops::random_hypervector(dim, m))
+            .collect()
+    }
+
+    #[test]
+    fn word_level_add_and_majority_match_per_bit_on_decayed_counts() {
+        for dim in [1, 63, 65, 100, 130, 1_000] {
+            let members = members(dim, 12);
+            for decay in [1.0, 0.95, 0.3] {
+                let mut acc = CentroidAccumulator::new(dim);
+                assert_matches_per_bit(&mut acc, &members, decay);
+            }
+        }
+    }
+
+    #[test]
+    fn word_level_add_and_majority_match_per_bit_on_restored_special_values() {
+        let specials = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::INFINITY,
+            0.1 + 0.2,
+            -3.5,
+            1e300,
+        ];
+        for dim in [7, 70, 130] {
+            let counts: Vec<f64> = (0..dim).map(|i| specials[i % specials.len()]).collect();
+            let members = members(dim, 4);
+            for weight in [0.0, 0.6, 2.0, f64::INFINITY, f64::NAN] {
+                let mut acc = CentroidAccumulator::from_parts(counts.clone(), weight);
+                assert_eq!(acc.majority(), majority_per_bit(&counts, weight));
+                assert_matches_per_bit(&mut acc, &members, 0.9);
+            }
+        }
     }
 
     proptest! {

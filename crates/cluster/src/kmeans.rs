@@ -1,8 +1,8 @@
 //! K-means clustering: Euclidean Lloyd's algorithm (baseline) and the
 //! binary Hamming-space variant DUAL executes in memory (§VI-C, Fig. 9b).
 
-use crate::{squared_euclidean, CentroidAccumulator, ClusterError};
-use dual_hdc::Hypervector;
+use crate::{squared_euclidean, ClusterError};
+use dual_hdc::{majority_bundle, Hypervector};
 use dual_obs::{Key, Obs};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -506,21 +506,20 @@ pub fn hamming_lloyd_step(
 ) -> (Vec<usize>, Vec<Option<Hypervector>>) {
     let assigned = dual_hdc::search::assign_batch(points, centers, threads);
     let labels: Vec<usize> = assigned.into_iter().map(|(c, _)| c).collect();
-    let dim = centers.first().map_or(0, Hypervector::dim);
-    let mut accs: Vec<CentroidAccumulator> = centers
-        .iter()
-        .map(|_| CentroidAccumulator::new(dim))
-        .collect();
+    let mut members: Vec<Vec<&Hypervector>> = vec![Vec::new(); centers.len()];
     for (p, &lbl) in points.iter().zip(&labels) {
-        accs[lbl].add(p);
+        members[lbl].push(p);
     }
-    let votes = accs.iter().map(CentroidAccumulator::majority).collect();
+    // An empty member list is `majority_bundle`'s only reachable error:
+    // `assign_batch` has already panicked on a dimensionality mismatch.
+    let votes = members.iter().map(|m| majority_bundle(m).ok()).collect();
     (labels, votes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CentroidAccumulator;
     use dual_hdc::BitVec;
     use proptest::prelude::*;
 
@@ -620,6 +619,50 @@ mod tests {
             .unwrap();
         assert_eq!(loose.iterations, 1);
         assert!(tight.iterations >= loose.iterations);
+    }
+
+    /// The body `hamming_lloyd_step` had before it voted through
+    /// `majority_bundle`: one `f64` accumulator per center.
+    fn lloyd_step_via_accumulators(
+        points: &[Hypervector],
+        centers: &[Hypervector],
+    ) -> (Vec<usize>, Vec<Option<Hypervector>>) {
+        let labels: Vec<usize> = dual_hdc::search::assign_batch(points, centers, 1)
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
+        let mut accs = vec![CentroidAccumulator::new(centers[0].dim()); centers.len()];
+        for (p, &lbl) in points.iter().zip(&labels) {
+            accs[lbl].add(p);
+        }
+        let votes = accs.iter().map(CentroidAccumulator::majority).collect();
+        (labels, votes)
+    }
+
+    #[test]
+    fn lloyd_step_matches_the_accumulator_oracle_for_every_thread_count() {
+        for d in [1, 63, 64, 65, 200] {
+            let mut points = binary_blobs(d);
+            points.extend((0..40).map(|i| dual_hdc::ops::random_hypervector(d, i)));
+            // Live centers, then a duplicate that never wins a tie
+            // against the lower index: `centers` is wider than the
+            // points' occupancy.
+            let mut centers = vec![points[0].clone(), points[1].clone(), points[20].clone()];
+            centers.push(points[0].clone());
+            let want = lloyd_step_via_accumulators(&points, &centers);
+            assert_eq!(want.1[3], None, "duplicate center attracts no member");
+            assert!(want.1[..2].iter().all(Option::is_some));
+            for threads in [0, 1, 2, 3, 8] {
+                assert_eq!(
+                    hamming_lloyd_step(&points, &centers, threads),
+                    want,
+                    "d {d} threads {threads}"
+                );
+            }
+        }
+        let (labels, votes) = hamming_lloyd_step(&[], &[Hypervector::zeros(8)], 2);
+        assert!(labels.is_empty());
+        assert_eq!(votes, vec![None]);
     }
 
     proptest! {

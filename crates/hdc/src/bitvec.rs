@@ -70,14 +70,32 @@ impl BitVec {
         Self { words, len }
     }
 
-    /// Adopt already-packed words (bit `i` at `words[i / 64] >> (i % 64)`);
-    /// bits beyond `len` in the last word must be zero.
-    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
-        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
-        debug_assert!(
-            len.is_multiple_of(WORD_BITS) || words[len / WORD_BITS] >> (len % WORD_BITS) == 0
+    /// Adopt already-packed words (bit `i` at `words[i / 64] >> (i % 64)`,
+    /// the layout of [`BitVec::as_words`]). Bits beyond `len` in the last
+    /// word are cleared, so the "tail bits are zero" invariant
+    /// [`BitVec::hamming`] and [`BitVec::count_ones`] rely on holds for
+    /// any input.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words.len() == len.div_ceil(64)`.
+    ///
+    /// ```rust
+    /// use dual_hdc::BitVec;
+    ///
+    /// let v = BitVec::from_words(vec![u64::MAX, u64::MAX], 65);
+    /// assert_eq!(v, BitVec::ones(65));
+    /// ```
+    #[must_use]
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WORD_BITS),
+            "a {len}-bit vector needs exactly ⌈len / 64⌉ words"
         );
-        Self { words, len }
+        let mut v = Self { words, len };
+        v.mask_tail();
+        v
     }
 
     /// Number of bits.
@@ -288,6 +306,24 @@ mod tests {
     fn ones_masks_tail() {
         let v = BitVec::ones(65);
         assert_eq!(v.as_words()[1], 1);
+    }
+
+    #[test]
+    fn from_words_masks_tail_and_matches_from_bits() {
+        let words = vec![0xDEAD_BEEF_0123_4567, u64::MAX, u64::MAX];
+        for len in [129, 130, 191, 192] {
+            let v = BitVec::from_words(words.clone(), len);
+            let want = BitVec::from_bits((0..len).map(|i| (words[i / 64] >> (i % 64)) & 1 == 1));
+            assert_eq!(v, want, "len {len}");
+            assert_eq!(v.count_ones(), want.count_ones());
+        }
+        assert_eq!(BitVec::from_words(Vec::new(), 0), BitVec::zeros(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "words")]
+    fn from_words_rejects_wrong_word_count() {
+        let _ = BitVec::from_words(vec![0; 2], 64);
     }
 
     #[test]

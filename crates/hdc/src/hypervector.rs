@@ -126,8 +126,9 @@ impl Hypervector {
                 reason: "must be in 1..=current dimensionality",
             });
         }
+        let words = self.bits.as_words()[..dim.div_ceil(64)].to_vec();
         Ok(Self {
-            bits: (0..dim).map(|i| self.bits.get(i)).collect(),
+            bits: BitVec::from_words(words, dim),
         })
     }
 }
@@ -162,6 +163,12 @@ impl AsRef<BitVec> for Hypervector {
 ///
 /// This is the *binarized center update* of DUAL's k-means (§VI-C): the
 /// accumulated per-dimension sums are thresholded so centers stay binary.
+/// It is the one integer majority kernel of the tree — the software twin
+/// of the paper's per-block counters. The per-dimension counts are kept
+/// *bit-sliced*: for every 64-dimension word, plane `p` holds bit `p` of
+/// that word's 64 counts, so folding a member in is a ripple-carry add of
+/// one whole word and the vote is one word-wide comparison. Counts are
+/// exact integers, so the result does not depend on member order.
 ///
 /// # Errors
 ///
@@ -173,7 +180,9 @@ pub fn majority_bundle(items: &[&Hypervector]) -> Result<Hypervector, HdcError> 
         reason: "must be non-empty",
     })?;
     let dim = first.dim();
-    let mut counts = vec![0usize; dim];
+    // ⌈log₂(n + 1)⌉ planes hold every count in 0..=n.
+    let depth = (usize::BITS - items.len().leading_zeros()) as usize;
+    let mut planes = vec![0u64; first.bits.as_words().len() * depth];
     for hv in items {
         if hv.dim() != dim {
             return Err(HdcError::DimensionMismatch {
@@ -181,14 +190,42 @@ pub fn majority_bundle(items: &[&Hypervector]) -> Result<Hypervector, HdcError> 
                 right: hv.dim(),
             });
         }
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c += usize::from(hv.bits.get(i));
+        for (count, &word) in planes.chunks_exact_mut(depth).zip(hv.bits.as_words()) {
+            let mut carry = word;
+            for plane in count {
+                if carry == 0 {
+                    break;
+                }
+                let old = *plane;
+                *plane = old ^ carry;
+                carry &= old;
+            }
         }
     }
-    let half = items.len();
-    Ok(Hypervector::from_bitvec(
-        counts.iter().map(|&c| 2 * c > half).collect(),
-    ))
+    // `2·count > n` over integers is `count ≥ ⌊n / 2⌋ + 1`.
+    let threshold = items.len() / 2 + 1;
+    let words = planes
+        .chunks_exact(depth)
+        .map(|count| sliced_at_least(count, threshold))
+        .collect();
+    Ok(Hypervector::from_bitvec(BitVec::from_words(words, dim)))
+}
+
+/// Lane mask of `count ≥ threshold` for 64 bit-sliced counters
+/// (`planes[p]` holds bit `p` of every lane), compared MSB first.
+/// `threshold` must fit in `planes.len()` bits.
+fn sliced_at_least(planes: &[u64], threshold: usize) -> u64 {
+    let mut greater = 0u64;
+    let mut equal = u64::MAX;
+    for (p, &plane) in planes.iter().enumerate().rev() {
+        if (threshold >> p) & 1 == 1 {
+            equal &= plane;
+        } else {
+            greater |= equal & plane;
+            equal &= !plane;
+        }
+    }
+    greater | equal
 }
 
 #[cfg(test)]
@@ -248,6 +285,63 @@ mod tests {
         assert!(!m.bits().get(0));
     }
 
+    /// The per-bit kernel `majority_bundle` replaced, kept as the oracle.
+    fn naive_majority(items: &[&Hypervector]) -> Hypervector {
+        let mut counts = vec![0usize; items[0].dim()];
+        for hv in items {
+            for (i, c) in counts.iter_mut().enumerate() {
+                *c += usize::from(hv.bits().get(i));
+            }
+        }
+        Hypervector::from_bitvec(counts.iter().map(|&c| 2 * c > items.len()).collect())
+    }
+
+    const MEMBER_COUNTS: [usize; 11] = [1, 2, 3, 4, 63, 64, 65, 255, 256, 257, 1_000];
+    const DIMS: [usize; 7] = [1, 63, 64, 65, 127, 1_000, 4_000];
+
+    #[test]
+    fn majority_bundle_matches_per_bit_reference_across_sizes() {
+        for dim in DIMS {
+            // Half the bits set, so counts straddle the vote threshold.
+            let pool: Vec<Hypervector> = (0..1_000)
+                .map(|m| crate::ops::random_hypervector(dim, m))
+                .collect();
+            for n in MEMBER_COUNTS {
+                let refs: Vec<&Hypervector> = pool[..n].iter().collect();
+                assert_eq!(
+                    majority_bundle(&refs).unwrap(),
+                    naive_majority(&refs),
+                    "n {n} dim {dim}"
+                );
+                let same: Vec<&Hypervector> = std::iter::repeat_n(&pool[0], n).collect();
+                assert_eq!(majority_bundle(&same).unwrap(), pool[0], "n {n} dim {dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn majority_bundle_resolves_ties_and_their_neighbours() {
+        for dim in DIMS {
+            let ones = Hypervector::from_bitvec(BitVec::ones(dim));
+            let zeros = Hypervector::zeros(dim);
+            for n in MEMBER_COUNTS.into_iter().filter(|n| n % 2 == 0) {
+                // `set` ones among `n` members, in both member orders.
+                let vote = |set: usize| {
+                    let mut refs = vec![&ones; set];
+                    refs.resize(n, &zeros);
+                    let forward = majority_bundle(&refs).unwrap();
+                    refs.reverse();
+                    assert_eq!(majority_bundle(&refs).unwrap(), forward);
+                    assert_eq!(naive_majority(&refs), forward);
+                    forward
+                };
+                assert_eq!(vote(n / 2), zeros, "tie, n {n} dim {dim}");
+                assert_eq!(vote(n / 2 + 1), ones, "tie + 1, n {n} dim {dim}");
+                assert_eq!(vote(n / 2 - 1), zeros, "tie - 1, n {n} dim {dim}");
+            }
+        }
+    }
+
     #[test]
     fn majority_bundle_empty_errors() {
         assert!(majority_bundle(&[]).is_err());
@@ -268,6 +362,23 @@ mod tests {
             let refs: Vec<&Hypervector> = std::iter::repeat_n(&h, copies).collect();
             let m = majority_bundle(&refs).unwrap();
             prop_assert_eq!(m, h);
+        }
+
+        #[test]
+        fn prop_majority_bundle_matches_per_bit_reference(
+            dim in 1usize..200,
+            rows in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 200), 1..40),
+        ) {
+            let hvs: Vec<Hypervector> = rows.iter().map(|r| hv(&r[..dim])).collect();
+            let refs: Vec<&Hypervector> = hvs.iter().collect();
+            prop_assert_eq!(majority_bundle(&refs).unwrap(), naive_majority(&refs));
+        }
+
+        #[test]
+        fn prop_truncated_is_the_bit_prefix(bits in proptest::collection::vec(any::<bool>(), 1..200),
+                                            cut in 1usize..200) {
+            let cut = cut.min(bits.len());
+            prop_assert_eq!(hv(&bits).truncated(cut).unwrap(), hv(&bits[..cut]));
         }
 
         #[test]

@@ -120,15 +120,17 @@ fn hv_words(hv: &Hypervector) -> Vec<u64> {
 
 /// Rebuild a `dim`-bit hypervector from packed words (the layout of
 /// `BitVec::as_words`: bit `i` lives in word `i / 64`, position
-/// `i % 64`).
+/// `i % 64`). Bits above `dim` in the last word are ignored.
 fn words_hv(words: &[u64], dim: usize) -> Result<Hypervector, StreamError> {
     if words.len() != dim.div_ceil(64) {
         return Err(StreamError::Snapshot(SnapError::Corrupt {
             reason: "hypervector word count",
         }));
     }
-    let bits = BitVec::from_bits((0..dim).map(|i| (words[i / 64] >> (i % 64)) & 1 == 1));
-    Ok(Hypervector::from_bitvec(bits))
+    Ok(Hypervector::from_bitvec(BitVec::from_words(
+        words.to_vec(),
+        dim,
+    )))
 }
 
 /// Export every metric of `reg` in `Key::ALL` order (which is dense
@@ -1029,6 +1031,37 @@ mod tests {
             StreamEngine::restore(mapper, &flipped),
             Err(StreamError::Snapshot(_))
         ));
+    }
+
+    #[test]
+    fn centroid_words_reject_a_wrong_count_and_ignore_tail_garbage() {
+        // D = 70: six live bits in the second word, 58 tail bits.
+        let mapper = || HdMapper::new(70, 2, 7).unwrap();
+        let mut cfg = StreamConfig::new(2);
+        cfg.max_batch = 8;
+        let mut e = StreamEngine::new(mapper(), cfg).unwrap();
+        drive(&mut e, 0..10);
+        let clean = e.capture();
+        assert!(!clean.model.centroids.is_empty());
+
+        let mut short = e.capture();
+        short.model.centroids[0].pop();
+        assert!(matches!(
+            StreamEngine::restore(mapper(), &short.encode()),
+            Err(StreamError::Snapshot(SnapError::Corrupt {
+                reason: "hypervector word count"
+            }))
+        ));
+
+        let mut dirty = e.capture();
+        for words in &mut dirty.model.centroids {
+            words[1] |= u64::MAX << 6;
+        }
+        assert_ne!(dirty.encode(), clean.encode());
+        let mut from_clean = StreamEngine::restore(mapper(), &clean.encode()).unwrap();
+        let mut from_dirty = StreamEngine::restore(mapper(), &dirty.encode()).unwrap();
+        assert_eq!(from_dirty.checkpoint(), from_clean.checkpoint());
+        assert_eq!(from_dirty.capture().model.centroids, clean.model.centroids);
     }
 
     #[test]
