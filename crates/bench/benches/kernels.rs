@@ -180,6 +180,19 @@ fn bench_parallel_pairs(c: &mut Criterion) {
         bench.iter(|| std::hint::black_box(acc.encode_parallel(&feats, 0).expect("valid dims")))
     });
 
+    // The shape `batch_offline`, `stream_codebook` and `topo_resilient`
+    // share (16 features, σ = 4): a base row is 16 multiply-adds, so
+    // the sign test is most of the work, where at 784 features it is a
+    // tenth.
+    let narrow = HdMapper::builder(4000, 16)
+        .seed(7)
+        .sigma(4.0)
+        .build()
+        .expect("valid");
+    c.bench_function("encode_batch_256x16_d4000", |bench| {
+        bench.iter(|| std::hint::black_box(narrow.encode_batch(&feats).expect("valid dims")))
+    });
+
     // One `stream_wide` micro-batch (64 points × 784 features, D = 4000):
     // the tiled `encode_batch` against the same points one `encode` at a
     // time. Both produce the same bits; the pair shows what loading each

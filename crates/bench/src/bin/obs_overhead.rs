@@ -147,8 +147,11 @@ fn main() {
     );
 
     // ---- Pair 2: HD encode (baseline before install_global). ----
+    // 192 points keep one sample near 10 ms now that the sign test no
+    // longer pays a cosine per dimension; at 64 a sample was 3.4 ms and
+    // scheduler noise alone read as 3 %.
     let mapper = HdMapper::new(2000, 64, 7).expect("valid");
-    let feats: Vec<Vec<f64>> = (0..64)
+    let feats: Vec<Vec<f64>> = (0..192)
         .map(|i| {
             (0..64)
                 .map(|j| ((i * 64 + j) as f64 * 0.13).sin())

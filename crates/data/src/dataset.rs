@@ -93,7 +93,7 @@ impl Dataset {
             assigned += q;
             rema.push((exact - exact.floor(), c));
         }
-        rema.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
+        rema.sort_by(|a, b| b.0.total_cmp(&a.0));
         let mut left = n.saturating_sub(assigned);
         for &(_, c) in &rema {
             if left == 0 {
@@ -220,6 +220,23 @@ mod tests {
         assert!(s.labels.contains(&0) && s.labels.contains(&1));
         // Oversized requests return everything.
         assert_eq!(ds.stratified_sample(100).len(), 30);
+    }
+
+    #[test]
+    fn equal_remainders_go_to_the_lowest_classes() {
+        // Four classes of five, six wanted: every class is owed 1.5, so
+        // the two spare points are a four-way tie on the remainder and
+        // the stable sort hands them out in class order.
+        let ds = Dataset {
+            name: "tie".into(),
+            points: (0..20).map(|i| vec![f64::from(i)]).collect(),
+            labels: (0..20).map(|i| i / 5).collect(),
+            n_clusters: 4,
+        };
+        assert_eq!(ds.stratified_sample(6).labels, [0, 0, 1, 1, 2, 3]);
+        let (first, rest) = ds.split(0.3);
+        assert_eq!(first.labels, [0, 0, 1, 1, 2, 3]);
+        assert_eq!(rest.len(), 14);
     }
 
     #[test]

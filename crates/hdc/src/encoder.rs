@@ -206,7 +206,7 @@ impl HdMapper {
     /// The sign test of §III-A on one dot product.
     fn positive(&self) -> impl Fn(f64) -> bool + Copy {
         let (inv_sigma, mode) = (1.0 / self.sigma, self.mode);
-        move |dot| eval_cosine(dot * inv_sigma, mode) > 0.0
+        move |dot| cosine_positive(dot * inv_sigma, mode)
     }
 }
 
@@ -235,6 +235,40 @@ pub(crate) fn eval_cosine(x: f64, mode: CosineMode) -> f64 {
         CosineMode::Exact => x.cos(),
         CosineMode::Taylor3 => taylor3_folded(x),
         CosineMode::Taylor3Raw => taylor3_poly(reduce_to_pi(x)),
+    }
+}
+
+/// 2²⁰: angles at or above it leave [`cosine_positive`]'s parity path.
+const MAX_ANGLE: f64 = (1u64 << 20) as f64;
+
+/// `eval_cosine(x, mode) > 0.0`, the one bit the mapper keeps, without
+/// evaluating the cosine where the answer is already certain.
+///
+/// `cos x > 0` exactly when the integer nearest to `x/π` is even. For
+/// `CosineMode::Exact` and `|x| < 2²⁰`, `r = x · (1/π)` is off the true
+/// quotient by less than 1.2·10⁻¹⁰ (two roundings of relative size
+/// 2⁻⁵³ on `|r| < 3.4·10⁵`). Adding `1.5·2⁵²` lands the sum where
+/// doubles are one apart, so the addition itself rounds `r` to its
+/// nearest integer `k` and leaves `k`'s parity in the lowest mantissa
+/// bit; subtracting the constant again gives `k` exactly, and so is
+/// `r − k`. While `|r − k| ≤ ½ − 10⁻⁶` the true quotient is still
+/// nearer to `k` than to any other integer and the parity is the sign.
+/// Everything else (within 10⁻⁶ of a half-integer, `|x| ≥ 2²⁰`, NaN,
+/// ±∞, the Taylor modes) takes `eval_cosine`. Outside the guard band
+/// `|cos x| ≥ sin(10⁻⁶·π) > 3·10⁻⁶`, far above libm's error, so the
+/// parity is libm's sign too and no bit differs from `x.cos() > 0.0`.
+/// Plain adds and multiplies only: the default x86-64 target has no
+/// rounding instruction, so `f64::round` would be a libm call again.
+fn cosine_positive(x: f64, mode: CosineMode) -> bool {
+    const SHIFT: f64 = 1.5 * (1u64 << 52) as f64;
+    const GUARD: f64 = 0.5 - 1e-6;
+    let r = x * std::f64::consts::FRAC_1_PI;
+    let shifted = r + SHIFT;
+    let k = shifted - SHIFT;
+    if mode == CosineMode::Exact && x.abs() < MAX_ANGLE && (r - k).abs() <= GUARD {
+        shifted.to_bits() & 1 == 0
+    } else {
+        eval_cosine(x, mode) > 0.0
     }
 }
 
@@ -365,6 +399,69 @@ mod tests {
         }
     }
 
+    /// `x` moved `ulps` representable values up (down when negative).
+    fn stepped(x: f64, ulps: i32) -> f64 {
+        (0..ulps.abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+    }
+
+    fn assert_sign_is_libms(x: f64) {
+        assert_eq!(
+            cosine_positive(x, CosineMode::Exact),
+            x.cos() > 0.0,
+            "x = {x:e} ({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn sign_test_is_libms_sign_around_every_crossing() {
+        use std::f64::consts::PI;
+        // Both sides of the guard band's edge (10⁻⁶), deep inside the
+        // fallback, deep inside the parity path, and the extrema.
+        const OFFSETS: [f64; 9] = [0.0, 1e-12, 1e-9, 0.99e-6, 1e-6, 1.01e-6, 1e-5, 1e-3, 0.5];
+        let mut crossings = 0u32;
+        for k in 0.. {
+            let crossing = (f64::from(k) + 0.5) * PI;
+            if crossing >= MAX_ANGLE {
+                break;
+            }
+            crossings += 1;
+            for offset in OFFSETS {
+                for x in [crossing - offset * PI, crossing + offset * PI] {
+                    for ulps in -2..=2 {
+                        let x = stepped(x, ulps);
+                        assert_sign_is_libms(x);
+                        assert_sign_is_libms(-x);
+                    }
+                }
+            }
+        }
+        // ⌊2²⁰/π − ½⌋ + 1: the loop met every crossing below the limit.
+        assert_eq!(crossings, 333_772);
+    }
+
+    #[test]
+    fn sign_test_is_libms_sign_on_specials_and_at_the_range_limit() {
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -2.2e-308,
+            1e300,
+            -1e300,
+            MAX_ANGLE,
+            -MAX_ANGLE,
+            MAX_ANGLE.next_down(),
+            -MAX_ANGLE.next_down(),
+            MAX_ANGLE.next_up(),
+        ] {
+            assert_sign_is_libms(x);
+        }
+    }
+
     #[test]
     fn batch_encode_matches_single() {
         let m = HdMapper::new(128, 2, 0).unwrap();
@@ -391,6 +488,11 @@ mod tests {
             let m2 = HdMapper::builder(128, 4).seed(5).sigma(scale).build().unwrap();
             let scaled: Vec<f64> = feats.iter().map(|f| f * scale).collect();
             prop_assert_eq!(m1.encode(&feats).unwrap(), m2.encode(&scaled).unwrap());
+        }
+
+        #[test]
+        fn prop_sign_test_is_libms_sign(x in -1.1 * MAX_ANGLE..1.1 * MAX_ANGLE) {
+            prop_assert_eq!(cosine_positive(x, CosineMode::Exact), x.cos() > 0.0);
         }
 
         #[test]

@@ -269,6 +269,28 @@ mod tests {
     }
 
     #[test]
+    fn angles_past_the_parity_range_match_the_sum_loop() {
+        // σ = 10⁻⁷ scales every dot product above 0.105 in magnitude
+        // past 2²⁰, where the mapper's sign test defers to libm.
+        let (sigma, n_features) = (1e-7, 16);
+        let mapper = HdMapper::builder(130, n_features)
+            .seed(11)
+            .sigma(sigma)
+            .build()
+            .unwrap();
+        let matrix = matrix_of(&mapper);
+        let rows = points(33, n_features, 5);
+        let batch = mapper.encode_batch(&rows).unwrap();
+        for (row, hv) in rows.iter().zip(&batch) {
+            let want = reference(&matrix, n_features, row, |dot| {
+                eval_cosine(dot * (1.0 / sigma), CosineMode::Exact) > 0.0
+            });
+            assert_eq!(hv, &want);
+            assert_eq!(mapper.encode(row).unwrap(), want);
+        }
+    }
+
+    #[test]
     fn grid_lsh() {
         // The planes are private; `lsh_sign_test_matches_the_sum_loop`
         // runs the oracle one level down instead.
