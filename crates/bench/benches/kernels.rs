@@ -163,6 +163,34 @@ fn bench_parallel_pairs(c: &mut Criterion) {
         bench.iter(|| std::hint::black_box(dual_hdc::search::nearest_parallel(&query, &cands, 0)))
     });
 
+    // One `topo_resilient` sense pass: 32 stored sub-centroids × 1024
+    // cells read through a plan with that workload's rates, 3-read
+    // majority, permanent-fault masks already cached.
+    let mut spec = dual_fault::FaultPlanSpec::clean(40, 1024);
+    spec.seed = 0xFA17;
+    spec.stuck_rate = 1e-3;
+    spec.dead_row_rate = 1e-3;
+    spec.flip_rate = 5e-4;
+    let plan = dual_fault::FaultPlan::new(spec).expect("valid spec");
+    let masks: Vec<dual_fault::RowMasks> = (0..32)
+        .map(|row| dual_fault::RowMasks::build(&plan, row))
+        .collect();
+    let stored: Vec<dual_hdc::Hypervector> = (0..32)
+        .map(|i| dual_hdc::ops::random_hypervector(1024, i))
+        .collect();
+    c.bench_function("sense_32x1024_reads3", |bench| {
+        let mut out = [0u64; 16];
+        bench.iter(|| {
+            let mut bad = 0;
+            for (m, hv) in masks.iter().zip(&stored) {
+                let words = hv.bits().as_words();
+                bad += dual_fault::sense_row(&plan, m, words, 1024, 7, 3, &mut out).bad;
+                std::hint::black_box(&out);
+            }
+            std::hint::black_box(bad)
+        })
+    });
+
     // Batch encoding through the accelerator front-end, n = 256.
     let acc = dual_core::DualAccelerator::new(DualConfig::paper().with_dim(1024), 16, 3)
         .expect("valid encoder");

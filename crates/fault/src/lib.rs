@@ -19,9 +19,11 @@
 //! * [`HealingPolicy`] / [`SpareRowPool`] / [`majority_read_bit`] —
 //!   spare-row remap for dead and over-worn rows, and majority-vote
 //!   re-read that cancels transient flips.
-//! * [`FaultyStore`] — a hypervector store wiring plan + policy
-//!   together on the read/write path, with [`FaultStats`] for obs
-//!   export.
+//! * [`RowMasks`] / [`sense_row`] — the word-level read path: one
+//!   row's permanent faults as cached word masks, and the kernel that
+//!   senses a stored row through them plus the epoch's transient flips
+//!   (raw and majority-voted), bit for bit what the per-cell
+//!   [`FaultPlan::read_bit`] / [`majority_read_bit`] definition gives.
 //! * [`Quarantine`] — the shard quarantine/requeue state machine the
 //!   streaming engine drives on its logical tick clock.
 //!
@@ -36,7 +38,7 @@
 pub mod heal;
 pub mod plan;
 pub mod quarantine;
-pub mod store;
+pub mod sense;
 
 pub use heal::{majority_read_bit, HealingPolicy, SpareRowPool};
 pub use plan::{
@@ -44,4 +46,4 @@ pub use plan::{
     InjectionReport,
 };
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineStats, ShardHealth};
-pub use store::{FaultStats, FaultyStore, StoreOutcome};
+pub use sense::{sense_row, RowMasks, SenseCounts};

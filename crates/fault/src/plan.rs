@@ -29,11 +29,11 @@ use std::collections::{BTreeMap, BTreeSet};
 const SALT_STUCK: u64 = 0x5EED_57AC_0000_0001;
 const SALT_STUCK_VALUE: u64 = 0x5EED_57AC_0000_0002;
 const SALT_DEAD: u64 = 0x5EED_DEAD_0000_0003;
-const SALT_FLIP: u64 = 0x5EED_F11F_0000_0004;
+pub(crate) const SALT_FLIP: u64 = 0x5EED_F11F_0000_0004;
 
 /// splitmix64 finalizer: a high-quality 64-bit mixing function.
 #[inline]
-fn splitmix(mut z: u64) -> u64 {
+pub(crate) fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -439,7 +439,8 @@ impl FaultPlan {
     }
 
     /// Number of permanently faulty cells in row `row` (stuck cells;
-    /// `cols` for a dead row). O(cols) — scan once and cache if hot.
+    /// `cols` for a dead row). O(cols) — hot paths keep a
+    /// [`crate::RowMasks`] per row and read [`crate::RowMasks::fault_count`].
     #[must_use]
     pub fn row_fault_count(&self, row: usize) -> usize {
         if row >= self.spec.rows {

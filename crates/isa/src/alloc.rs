@@ -121,9 +121,9 @@ impl BlockAllocator {
         if needed > self.free.len() {
             return Err(IsaError::OutOfMemory { rows: len, bits });
         }
-        let blocks: Vec<usize> = (0..needed)
-            .map(|_| self.free.pop().expect("checked above"))
-            .collect();
+        // Same order as popping one block at a time: last-free first.
+        let mut blocks = self.free.split_off(self.free.len() - needed);
+        blocks.reverse();
         let id = AllocId(self.next_id);
         self.next_id += 1;
         self.table.insert(
@@ -188,6 +188,19 @@ mod tests {
         assert_eq!(al.chunks(), 3);
         assert_eq!(al.row_groups(), 2);
         assert_eq!(al.blocks.len(), 6);
+    }
+
+    #[test]
+    fn blocks_are_handed_out_last_free_first() {
+        let mut a = BlockAllocator::new(8, 16, 32);
+        let first = a.alloc(70, 30).unwrap(); // 6 blocks
+        assert_eq!(a.get(first).unwrap().blocks, vec![0, 1, 2, 3, 4, 5]);
+        a.free(first).unwrap();
+        // The free list is now [7, 6, 0, 1, 2, 3, 4, 5]; pops come off its end.
+        let second = a.alloc(40, 20).unwrap(); // 2 chunks × 2 groups
+        assert_eq!(a.get(second).unwrap().blocks, vec![5, 4, 3, 2]);
+        let third = a.alloc(8, 8).unwrap();
+        assert_eq!(a.get(third).unwrap().blocks, vec![1]);
     }
 
     #[test]

@@ -17,6 +17,13 @@ impl Writer {
         Self { buf: Vec::new() }
     }
 
+    /// A writer that appends into `buf`'s allocation; whatever `buf`
+    /// held is discarded.
+    pub(crate) fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -160,22 +167,38 @@ pub(crate) const HEADER_LEN: usize = 16;
 /// Trailing frame checksum size.
 pub(crate) const CHECKSUM_LEN: usize = 8;
 
-/// Wrap `payload` in the shared frame: magic, version, length,
-/// payload, FNV-1a-64 checksum over everything before the checksum.
-/// Every blob family in this crate (`DSNP` engine snapshots, `DTNP`
-/// tenant checkpoints) uses this exact envelope.
-pub(crate) fn frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    for b in magic {
-        w.put_u8(b);
-    }
+/// Open the shared frame at the start of an empty writer: magic,
+/// version, and a zero payload length that [`end_frame`] patches once
+/// the payload has been appended. Every blob family in this crate
+/// (`DSNP` engine snapshots, `DTNP` tenant checkpoints) uses this exact
+/// envelope.
+pub(crate) fn begin_frame(w: &mut Writer, magic: [u8; 4], version: u32) {
+    debug_assert!(w.buf.is_empty(), "a frame starts its buffer");
+    w.buf.extend_from_slice(&magic);
     w.put_u32(version);
-    w.put_u64(len_u64(payload.len()));
+    w.put_u64(0);
+}
+
+/// Close the frame [`begin_frame`] opened: patch the payload length
+/// and append the FNV-1a-64 checksum over everything before it.
+pub(crate) fn end_frame(w: Writer) -> Vec<u8> {
     let mut bytes = w.into_bytes();
-    bytes.extend_from_slice(payload);
+    let payload_len = len_u64(bytes.len() - HEADER_LEN);
+    bytes[8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let sum = fnv1a64(&bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
+}
+
+/// Wrap an already-encoded `payload` in the shared frame, in one
+/// exactly-sized allocation.
+pub(crate) fn frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::reusing(Vec::with_capacity(
+        HEADER_LEN + payload.len() + CHECKSUM_LEN,
+    ));
+    begin_frame(&mut w, magic, version);
+    w.buf.extend_from_slice(payload);
+    end_frame(w)
 }
 
 /// Validate the frame envelope (magic, version, length, checksum,
@@ -281,6 +304,19 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.u64_vec().is_err());
+    }
+
+    #[test]
+    fn frame_is_sized_once_and_round_trips() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let bytes = frame(*b"TEST", 7, &payload);
+        assert_eq!(bytes.len(), HEADER_LEN + payload.len() + CHECKSUM_LEN);
+        let reserved = Vec::<u8>::with_capacity(bytes.len()).capacity();
+        assert_eq!(bytes.capacity(), reserved, "no growth past the reservation");
+        assert_eq!(&bytes[..4], b"TEST");
+        assert_eq!(bytes[4..8], 7u32.to_le_bytes());
+        assert_eq!(bytes[8..16], 256u64.to_le_bytes());
+        assert_eq!(unframe(&bytes, *b"TEST", 7).unwrap(), &payload[..]);
     }
 
     #[test]

@@ -76,9 +76,22 @@ impl EngineSnapshot {
     /// snapshots encode to identical bytes, on every platform.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        self.encode_payload(&mut payload);
-        codec::frame(MAGIC, VERSION, &payload.into_bytes())
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`EngineSnapshot::encode`] into a caller-owned buffer: `out` is
+    /// cleared and left holding exactly the framed blob, reusing its
+    /// allocation — the periodic write-ahead capture encodes a blob of
+    /// nearly the same size every tick. The frame is built in place
+    /// (header with a zero length, payload, length patched, checksum),
+    /// so no second copy of the payload ever exists.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::reusing(std::mem::take(out));
+        codec::begin_frame(&mut w, MAGIC, VERSION);
+        self.encode_payload(&mut w);
+        *out = codec::end_frame(w);
     }
 
     /// Parse a framed snapshot blob, failing closed on any corruption.
@@ -286,6 +299,24 @@ mod tests {
         let back = EngineSnapshot::decode(&bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.tick(), 41);
+    }
+
+    #[test]
+    fn encode_into_overwrites_a_dirty_longer_buffer() {
+        let snap = sample();
+        let want = snap.encode();
+        let mut buf = vec![0xAB; want.len() * 3 + 5];
+        let before = buf.capacity();
+        snap.encode_into(&mut buf);
+        assert_eq!(buf, want, "no stale byte survives, none trails");
+        assert_eq!(buf.capacity(), before, "the allocation is reused");
+        // A smaller snapshot into the same buffer shrinks it.
+        let mut small = sample();
+        small.fault = None;
+        small.pending.clear();
+        small.encode_into(&mut buf);
+        assert_eq!(buf, small.encode());
+        assert_eq!(EngineSnapshot::decode(&buf).unwrap(), small);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 
 use crate::batcher::{Batcher, CutReason};
 use crate::error::StreamError;
+use crate::fault::{FaultConfig, FaultState, FaultStatus};
 use crate::online::OnlineKMeans;
 use crate::ring::{BackpressurePolicy, PushOutcome, Ring};
-use dual_fault::{
-    majority_read_bit, FaultPlan, HealingPolicy, Quarantine, QuarantineConfig, SpareRowPool,
-};
+use dual_fault::{Quarantine, SpareRowPool};
 use dual_hdc::{Encoder, Hypervector};
 use dual_obs::{Key, Registry};
 use dual_pim::endurance::WearLeveler;
@@ -126,91 +125,6 @@ impl StreamConfig {
         }
         Ok(())
     }
-}
-
-/// Fault-injection configuration of a [`StreamEngine`]: the physical
-/// fault plan, the self-healing policy, and the shard quarantine
-/// budget (see [`StreamEngine::with_fault_injection`]).
-///
-/// The plan's geometry must cover the engine: `cols ≥ dim(D)` (every
-/// hypervector bit has a cell) and `rows ≥ slots + spares` (every
-/// sub-centroid slot has a row, followed by the spare pool).
-#[derive(Debug, Clone)]
-pub struct FaultConfig {
-    /// The deterministic fault plan stored sub-centroids are read
-    /// through.
-    pub plan: FaultPlan,
-    /// Which self-healing mechanisms are active.
-    pub policy: HealingPolicy,
-    /// Retry/backoff budget of the shard quarantine machine.
-    pub quarantine: QuarantineConfig,
-    /// Observed corrupted-bit fraction (per shard, per sense pass)
-    /// above which the shard is benched. In `(0, 1]`.
-    pub quarantine_threshold: f64,
-}
-
-impl FaultConfig {
-    /// A config over `plan` with healing off, the default quarantine
-    /// budget, and a 2 % corruption threshold.
-    #[must_use]
-    pub fn new(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            policy: HealingPolicy::Off,
-            quarantine: QuarantineConfig::default(),
-            quarantine_threshold: 0.02,
-        }
-    }
-
-    /// Replace the healing policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: HealingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-/// A consistent export of the engine's fault/healing state (see
-/// [`StreamEngine::fault_status`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultStatus {
-    /// Healing policy label (`off` / `spare_rows` / `majority_reread`
-    /// / `full`).
-    pub policy: String,
-    /// Reads per cell under majority re-read (1 when off).
-    pub reads: u32,
-    /// Spare rows handed out by the remap pool.
-    pub spares_used: usize,
-    /// Spare rows still available.
-    pub spares_free: usize,
-    /// Bits observed corrupted on the raw (first) read, lifetime.
-    pub injected: u64,
-    /// Corrupted raw reads repaired by majority voting, lifetime.
-    pub healed: u64,
-    /// Shard quarantine trips, lifetime.
-    pub quarantine_trips: u64,
-    /// Quarantined shards released back to service, lifetime.
-    pub requeues: u64,
-    /// Shards currently benched.
-    pub quarantined_now: usize,
-    /// Shards permanently out of rotation.
-    pub dead_shards: usize,
-}
-
-/// Live fault-injection state threaded through the cut pipeline.
-/// Fields are crate-visible for the snapshot path in
-/// [`crate::persist`].
-#[derive(Debug, Clone)]
-pub(crate) struct FaultState {
-    pub(crate) plan: FaultPlan,
-    pub(crate) policy: HealingPolicy,
-    pub(crate) pool: SpareRowPool,
-    pub(crate) quarantine: Quarantine,
-    /// Per-shard corrupted-bit fraction that trips quarantine.
-    pub(crate) threshold: f64,
-    /// Permanent faults per row above which a row is remapped
-    /// (`cols / 100 + 1`: about 1 % of the row).
-    pub(crate) remap_threshold: usize,
 }
 
 /// Per-stage event counters, monotone over the engine's lifetime.
@@ -426,6 +340,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             policy: fault.policy,
             threshold: fault.quarantine_threshold,
             remap_threshold,
+            masks: vec![None; slots + spares],
+            #[cfg(test)]
+            per_bit_reference: false,
         });
         Ok(self)
     }
@@ -688,7 +605,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         // replays pushes/ticks strictly after `now` and lands
         // bit-identical to the uninterrupted run.
         if self.config.snapshot_every > 0 && now.is_multiple_of(self.config.snapshot_every) {
-            let blob = self.checkpoint();
+            // Encoded in place into the previous blob's allocation.
+            let mut blob = self.wal.take().unwrap_or_default();
+            self.checkpoint_into(&mut blob);
             self.wal = Some(blob);
         }
         Ok(costs)
@@ -900,8 +819,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         let seeded = self.model.seeded();
         let dim = self.model.dim();
         let epoch = self.batcher.now();
-        let reads = fault.policy.reads();
-        let remap_on = fault.policy.spares() > 0;
         let ranges = dual_pool::chunk_ranges(seeded, self.config.shards);
         let centroids = self.model.centroids();
         let mut views: Vec<Option<Hypervector>> = Vec::with_capacity(seeded);
@@ -910,44 +827,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         let mut healed = 0u64;
         for (shard, range) in ranges.iter().enumerate() {
             for slot in range.clone() {
-                let stored = &centroids[slot];
-                if remap_on
-                    && !fault.pool.is_remapped(slot)
-                    && (fault.plan.is_dead_row(slot)
-                        || fault.plan.row_fault_count(slot) >= fault.remap_threshold)
-                {
-                    // An exhausted pool returns None: the row keeps
-                    // serving faulty and quarantine picks up the shard.
-                    let _spare = fault.pool.remap(slot, &fault.plan);
-                }
-                let row = fault.pool.resolve(slot);
-                let mut seen = Hypervector::zeros(dim);
-                for c in 0..dim {
-                    let stored_bit = stored.bits().get(c);
-                    // The raw (j = 0) read of the voting window — what
-                    // a single read would have observed.
-                    let raw = fault.plan.read_bit(
-                        row,
-                        c,
-                        stored_bit,
-                        epoch.wrapping_mul(u64::from(reads)),
-                    );
-                    let bit = if reads > 1 {
-                        majority_read_bit(&fault.plan, row, c, stored_bit, epoch, reads)
-                    } else {
-                        raw
-                    };
-                    if raw != stored_bit {
-                        injected += 1;
-                        if bit == stored_bit {
-                            healed += 1;
-                        }
-                    }
-                    if bit != stored_bit {
-                        shard_bad[shard] += 1;
-                    }
-                    seen.bits_mut().set(c, bit);
-                }
+                let (seen, counts) = fault.sense_slot(slot, &centroids[slot], epoch);
+                injected += counts.injected;
+                healed += counts.healed;
+                shard_bad[shard] += counts.bad;
                 views.push(Some(seen));
             }
         }

@@ -91,14 +91,14 @@
 mod batcher;
 mod engine;
 mod error;
+mod fault;
 mod online;
 mod persist;
 mod ring;
 
 pub use batcher::{Batcher, CutReason};
-pub use engine::{
-    FaultConfig, FaultStatus, StreamConfig, StreamCounters, StreamEngine, StreamSnapshot,
-};
+pub use engine::{StreamConfig, StreamCounters, StreamEngine, StreamSnapshot};
 pub use error::StreamError;
+pub use fault::{FaultConfig, FaultStatus};
 pub use online::{BatchUpdate, OnlineKMeans};
 pub use ring::{BackpressurePolicy, PushOutcome, Ring};

@@ -25,8 +25,9 @@
 //! re-supply unchanged, exactly like the encoder weights.
 
 use crate::batcher::Batcher;
-use crate::engine::{as_f64, as_u64, FaultConfig, StreamConfig, StreamEngine};
+use crate::engine::{as_f64, as_u64, StreamConfig, StreamEngine};
 use crate::error::StreamError;
+use crate::fault::FaultConfig;
 use crate::online::OnlineKMeans;
 use crate::ring::BackpressurePolicy;
 use dual_cluster::CentroidAccumulator;
@@ -383,6 +384,18 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// length cannot change between the passes and the blob ends up
     /// carrying its own size).
     pub fn checkpoint(&mut self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.checkpoint_into(&mut bytes);
+        bytes
+    }
+
+    /// [`StreamEngine::checkpoint`] into a caller-owned buffer, which
+    /// ends up holding exactly the blob (cleared first, allocation
+    /// reused). The probe pass and the final pass both encode in place
+    /// into `out`, so the periodic write-ahead capture — a blob of
+    /// nearly the same size every tick — allocates no wire buffer at
+    /// all once the first one has grown.
+    pub(crate) fn checkpoint_into(&mut self, out: &mut Vec<u8>) {
         self.obs.add(Key::SnapCaptured, 1);
         self.obs
             .gauge(Key::SnapLastTick, as_f64(self.batcher.now()));
@@ -397,11 +410,11 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 tick: self.batcher.now(),
             },
         );
-        let probe = self.capture().encode().len();
+        self.capture().encode_into(out);
+        let probe = out.len();
         self.obs.gauge(Key::SnapBytes, as_f64(as_u64(probe)));
-        let bytes = self.capture().encode();
-        debug_assert_eq!(bytes.len(), probe, "gauge width must not affect the length");
-        bytes
+        self.capture().encode_into(out);
+        debug_assert_eq!(out.len(), probe, "gauge width must not affect the length");
     }
 
     /// The engine's state as a `dual-snap` tree (no framing, no metric
@@ -1074,5 +1087,43 @@ mod tests {
         assert_eq!(snap.tick() % 4, 0, "captures land on the interval");
         assert!(e.obs_registry().counter(Key::SnapCaptured) > 0);
         assert!(e.obs_registry().gauge_value(Key::SnapBytes) > 0.0);
+    }
+
+    #[test]
+    fn tick_end_wal_equals_the_fresh_checkpoint_as_it_grows_and_shrinks() {
+        // A 24-event trace ring fills within a few ticks, after which
+        // the pending points are what moves the blob's length.
+        let mut cfg = engine(3).config;
+        cfg.snapshot_every = 1;
+        cfg.trace_capacity = 24;
+        let mut e = StreamEngine::new(HdMapper::new(64, 2, 7).unwrap(), cfg).unwrap();
+        let mut lens = Vec::new();
+        let mut next = 0;
+        for tick in 0..30 {
+            // A burst every sixth tick leaves points pending in that
+            // tick's blob; the quieter ticks after it drain them.
+            let burst = if tick % 6 == 0 { 21 } else { 3 };
+            for _ in 0..burst {
+                e.push(&point(next)).unwrap();
+                next += 1;
+            }
+            // The reference: from the same pre-tick state, run the tick
+            // without its capture, then take the fresh-`Vec` path.
+            let mut twin = e.clone();
+            twin.config.snapshot_every = 0;
+            twin.tick().unwrap();
+            twin.config.snapshot_every = 1;
+            let fresh = twin.checkpoint();
+            e.tick().unwrap();
+            let wal = e.wal().expect("captured every tick");
+            assert_eq!(wal, &fresh[..], "tick {tick}");
+            assert_eq!(EngineSnapshot::decode(wal).unwrap().tick(), e.now());
+            lens.push(wal.len());
+        }
+        // The trace ring filling grows the blob; a drained burst shrinks
+        // it — a reused buffer that was not truncated would carry
+        // trailing bytes, which `decode` rejects.
+        assert!(lens.windows(2).any(|w| w[1] > w[0]), "{lens:?}");
+        assert!(lens.windows(2).any(|w| w[1] < w[0]), "{lens:?}");
     }
 }
