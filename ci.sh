@@ -13,7 +13,7 @@
 # Stages (./ci.sh --list prints the same table):
 #   build        cargo build --release
 #   test         tier-1 root-package tests, then the full workspace
-#   doc          cargo test --doc --workspace (doctests incl. README/DESIGN fences)
+#   doc          doctests incl. README/DESIGN fences, then rustdoc with -D warnings
 #   clippy       cargo clippy --workspace --all-targets -D warnings
 #   fmt          cargo fmt --all --check
 #   lint         dual-lint static-analysis gate (see DESIGN.md)
@@ -25,18 +25,17 @@
 #   verify-isa   static dataflow verification of every PIM trace + mutation gate
 #   topology     multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS
 #   trace        flight-recorder kill/restore/replay identity, byte-diffed
-#   compile      verify-gated pipeline compilation + reference executors vs the assign kernel
 #   benchmark    frozen benchmark/ harness builds and passes its --quick suite
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace compile benchmark)
+ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace benchmark)
 
 describe_stage() {
   case "$1" in
     build)       echo "cargo build --release" ;;
     test)        echo "tier-1 root-package tests, then the full workspace" ;;
-    doc)         echo "cargo test --doc --workspace (doctests incl. README/DESIGN fences)" ;;
+    doc)         echo "doctests incl. README/DESIGN fences, then rustdoc with -D warnings" ;;
     clippy)      echo "cargo clippy --workspace --all-targets -D warnings" ;;
     fmt)         echo "cargo fmt --all --check" ;;
     lint)        echo "dual-lint static-analysis gate (see DESIGN.md)" ;;
@@ -48,7 +47,6 @@ describe_stage() {
     verify-isa)  echo "static dataflow verification of every PIM trace + mutation gate" ;;
     topology)    echo "multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS" ;;
     trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
-    compile)     echo "verify-gated pipeline compilation + reference executors vs the assign kernel" ;;
     benchmark)   echo "frozen benchmark/ harness builds and passes its --quick suite" ;;
     *)           echo "" ;;
   esac
@@ -69,6 +67,8 @@ stage_test() {
 
 stage_doc() {
   cargo test -q --doc --workspace
+  # A deleted item must not leave a dangling intra-doc link behind.
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 }
 
 stage_clippy() {
@@ -197,11 +197,6 @@ stage_topology() {
 stage_trace() {
   echo "--- flight_recorder: ring, causal span ids and alert latches survive kill/restore/replay"
   threads_matrix flight_recorder results/trace_report.json
-}
-
-stage_compile() {
-  echo "--- compile_report: shape matrix verifies clean, mutation corpus rejected, Vm + simulator == assign kernel"
-  threads_matrix compile_report results/compile_report.json
 }
 
 stage_benchmark() {

@@ -1,9 +1,7 @@
 //! Analytical GTX 1080 clustering model.
 
-use serde::{Deserialize, Serialize};
-
 /// Which clustering algorithm is being modeled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Agglomerative hierarchical clustering (nvGRAPH).
     Hierarchical,
@@ -32,7 +30,7 @@ impl Algorithm {
 }
 
 /// Hardware description of the baseline GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// CUDA cores.
     pub cores: u32,
@@ -63,7 +61,7 @@ impl GpuSpec {
 }
 
 /// Per-phase GPU execution estimate.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuCost {
     /// `(phase name, seconds)` in execution order.
     pub phases: Vec<(&'static str, f64)>,
@@ -115,7 +113,7 @@ impl GpuCost {
 /// the *ratios* at the MNIST-scale reference, and the absolute scale is
 /// set so the DUAL-vs-GPU speedups land at the paper's reported
 /// averages (§VIII-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// GPU hardware parameters.
     pub spec: GpuSpec,

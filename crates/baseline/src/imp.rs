@@ -8,10 +8,9 @@
 //! and, for k-means, both similarity and center update (92 %).
 
 use crate::gpu::{Algorithm, GpuCost, GpuModel};
-use serde::{Deserialize, Serialize};
 
 /// IMP modeled as phase-selective offload on top of the GPU cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpModel {
     /// Acceleration factor IMP achieves on offloaded (arithmetic)
     /// phases, calibrated so k-means — where 92 % offloads — reaches the

@@ -19,7 +19,6 @@
 //! `dual-stream`.
 
 use dual_hdc::{BitVec, Hypervector};
-use serde::{Deserialize, Serialize};
 
 /// Decayed per-dimension one-counts plus a decayed member weight for a
 /// single centroid.
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// let center = acc.majority().unwrap();
 /// assert_eq!(center.bits().count_ones(), 4); // 2 of 3 vote 1
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CentroidAccumulator {
     counts: Vec<f64>,
     weight: f64,

@@ -5,7 +5,6 @@
 
 use crate::ClusterError;
 use dual_obs::{Key, Obs};
-use serde::{Deserialize, Serialize};
 
 /// Label value assigned to noise points by [`Dbscan`].
 pub const NOISE: usize = usize::MAX;
@@ -20,14 +19,14 @@ pub const NOISE: usize = usize::MAX;
 /// assert_eq!(res.n_clusters, 2);
 /// assert_eq!(res.labels[6], dual_cluster::NOISE);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dbscan {
     eps: f64,
     min_pts: usize,
 }
 
 /// Outcome of a density-based clustering fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbscanResult {
     /// Cluster index per point; [`NOISE`] marks noise.
     pub labels: Vec<usize>,
@@ -238,7 +237,7 @@ impl Dbscan {
 /// assert_eq!(res.labels[0], res.labels[1]);
 /// assert_ne!(res.labels[0], res.labels[3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NnChainClustering {
     eps: f64,
 }

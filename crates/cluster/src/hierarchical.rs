@@ -10,12 +10,11 @@
 
 use crate::{CondensedMatrix, Linkage};
 use dual_obs::{Key, Obs};
-use serde::{Deserialize, Serialize};
 
 /// One merge step of the dendrogram, in scikit-learn/scipy convention:
 /// original points are clusters `0..n`, and the `t`-th merge creates
 /// cluster id `n + t`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Merge {
     /// First merged cluster id.
     pub left: usize,
@@ -28,7 +27,7 @@ pub struct Merge {
 }
 
 /// The full merge history of a hierarchical clustering run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     n: usize,
     merges: Vec<Merge>,
@@ -156,7 +155,7 @@ impl Dendrogram {
 /// See the crate-level example. Use [`AgglomerativeClustering::fit`] for
 /// point data or [`AgglomerativeClustering::fit_precomputed`] when the
 /// pairwise matrix was produced elsewhere (e.g. by the PIM simulator).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgglomerativeClustering {
     linkage: Linkage,
     dendrogram: Dendrogram,

@@ -7,11 +7,10 @@ use dual_obs::{Key, Obs};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Euclidean k-means (Lloyd's algorithm with k-means++ initialization) —
 /// the software baseline the paper's GPU comparison runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     k: usize,
     max_iters: usize,
@@ -21,7 +20,7 @@ pub struct KMeans {
 }
 
 /// Outcome of a [`KMeans::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansResult {
     /// Cluster index per input point.
     pub labels: Vec<usize>,
@@ -274,7 +273,7 @@ fn kmeans_pp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f6
 /// search, centers re-binarized each iteration (majority vote), and
 /// convergence declared when the number of center *bit flips* between
 /// consecutive iterations drops below a threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HammingKMeans {
     k: usize,
     max_iters: usize,
@@ -285,7 +284,7 @@ pub struct HammingKMeans {
 }
 
 /// Outcome of a [`HammingKMeans::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HammingKMeansResult {
     /// Cluster index per input point.
     pub labels: Vec<usize>,

@@ -1,14 +1,12 @@
 //! Linkage criteria and the Lance–Williams distance update (§II).
 
-use serde::{Deserialize, Serialize};
-
 /// How the distance between a freshly merged cluster `a_i ∪ a_j` and a
 /// bystander cluster `a_k` is recomputed after a merge.
 ///
 /// These are the four criteria the paper defines in §II. `Ward` is the
 /// one the state-of-the-art baselines use, and the one the DUAL distance
 /// update block (§V-D) implements with row-parallel arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Linkage {
     /// `min(d(a_i,a_k), d(a_j,a_k))`.
     Single,

@@ -1,7 +1,5 @@
 //! Condensed pairwise-distance matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// Symmetric pairwise-distance matrix stored in condensed
 /// (strict upper-triangular, row-major) form: `n·(n-1)/2` entries.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.get(0, 2), 3.0);
 /// assert_eq!(m.get(2, 0), 3.0); // symmetric access
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CondensedMatrix {
     n: usize,
     data: Vec<f64>,

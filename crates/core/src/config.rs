@@ -5,12 +5,11 @@ use dual_pim::cost::CostModel;
 use dual_pim::device::DeviceVariation;
 use dual_pim::interconnect::Interconnect;
 use dual_pim::tile::CounterMode;
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of a DUAL deployment: chip geometry, encoding
 /// dimensionality, arithmetic precisions, ablation switches and
 /// parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualConfig {
     /// Hypervector dimensionality `D` (paper default 4000).
     pub dim: usize,

@@ -1,10 +1,9 @@
 //! Parallelism and multi-chip scaling (Fig. 14, §VI-A, §VIII-F).
 
 use crate::{DualConfig, PerfModel};
-use serde::{Deserialize, Serialize};
 
 /// Which clustering algorithm a scaling sweep models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalingModel {
     /// Hierarchical clustering (the Fig. 14 subject).
     Hierarchical,

@@ -38,10 +38,9 @@ use crate::config::DualConfig;
 use dual_pim::cost::Op;
 use dual_pim::stats::EnergyStats;
 use dual_pim::tile::CounterMode;
-use serde::{Deserialize, Serialize};
 
 /// Execution phases reported by the model (Fig. 15b's categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// HD-Mapper encoding (§V-A).
     Encoding,
@@ -59,9 +58,9 @@ pub enum Phase {
 
 impl Phase {
     /// The phase's [`dual_obs::Stage`] — the shared label vocabulary
-    /// every layer exports metrics under. `Phase` stays a distinct
-    /// (serde-derived) type because it appears in persisted results
-    /// files, but its *names* are owned by `dual_obs` now.
+    /// every layer exports metrics under. `Phase` stays a distinct type
+    /// because it appears in persisted results files, but its *names*
+    /// are owned by `dual_obs` now.
     #[must_use]
     pub fn stage(self) -> dual_obs::Stage {
         match self {
@@ -83,7 +82,7 @@ impl Phase {
 }
 
 /// Per-phase cost report of one accelerated run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseReport {
     phases: Vec<(Phase, EnergyStats)>,
 }
@@ -157,7 +156,7 @@ impl PhaseReport {
 }
 
 /// The analytical model, parameterized by a [`DualConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     cfg: DualConfig,
 }

@@ -14,10 +14,9 @@
 use crate::config::DualConfig;
 use dual_pim::cost::Op;
 use dual_pim::tile::CounterMode;
-use serde::{Deserialize, Serialize};
 
 /// A linear pipeline described by its per-item stage service times.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagePipeline {
     /// Stage names (for reports).
     pub stages: Vec<&'static str>,
@@ -31,7 +30,7 @@ pub struct StagePipeline {
 }
 
 /// Result of simulating a [`StagePipeline`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineTrace {
     /// Total makespan for all items, nanoseconds.
     pub makespan_ns: f64,

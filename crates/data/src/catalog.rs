@@ -6,10 +6,9 @@
 //! paper's own generator description.
 
 use crate::{Dataset, SyntheticSpec};
-use serde::{Deserialize, Serialize};
 
 /// The ten workloads of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Handwritten digits (60 000 × 784, 10 clusters).
     Mnist,
@@ -84,7 +83,7 @@ impl Workload {
 }
 
 /// Static description of one workload (a Table IV row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Which workload this describes.
     pub workload: Workload,

@@ -1,9 +1,7 @@
 //! The in-memory dataset type.
 
-use serde::{Deserialize, Serialize};
-
 /// A labeled point set ready for clustering.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Human-readable name (Table IV row).
     pub name: String,

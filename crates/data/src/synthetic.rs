@@ -9,10 +9,9 @@ use crate::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Specification of one synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Dataset name.
     pub name: String,
@@ -77,7 +76,7 @@ impl SyntheticSpec {
             "label_noise in [0,1)"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let normal = Normal::new(0.0, 1.0).expect("unit normal");
+        let normal = unit_normal();
         let (r_lo, r_hi) = self.radius_range;
         // Box side grows with cluster count so density stays constant.
         let side = self.separation
@@ -148,7 +147,7 @@ impl SyntheticSpec {
 /// whose centers perform a slow seeded random walk while points are
 /// emitted — the workload the streaming engine (`dual-stream`) is
 /// built for, where batch re-clustering from disk is impossible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftSpec {
     /// Feature dimensionality.
     pub n_features: usize,
@@ -200,8 +199,7 @@ impl DriftSpec {
             "drift_rate must be finite and non-negative"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        // lint:allow(r1-panic): constant (0, 1) parameters are always valid
-        let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
+        let normal = unit_normal();
         let centers: Vec<Vec<f64>> = (0..self.n_clusters)
             .map(|_| {
                 (0..self.n_features)
@@ -278,6 +276,12 @@ impl Iterator for DriftingBlobs {
         self.emitted += 1;
         Some((point, cluster))
     }
+}
+
+/// The standard normal both generators draw their offsets from.
+fn unit_normal() -> Normal {
+    // lint:allow(r1-panic): constant (0, 1) parameters are always valid
+    Normal::new(0.0, 1.0).expect("unit normal is valid")
 }
 
 fn nearest_center(p: &[f64], centers: &[Vec<f64>]) -> usize {

@@ -14,11 +14,10 @@
 //! no wall time, no iteration-order dependence.
 
 use crate::plan::FaultPlan;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which self-healing mechanisms are active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealingPolicy {
     /// No healing: faults land as-is (the degradation baseline).
     Off,
@@ -88,7 +87,7 @@ impl HealingPolicy {
 /// stuck is skipped — the manufacture-test story of row redundancy).
 /// Once the pool is exhausted, [`SpareRowPool::remap`] returns `None`
 /// and the caller must degrade (quarantine, or serve the faulty row).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpareRowPool {
     base: usize,
     total: usize,

@@ -22,7 +22,6 @@
 //!   re-read at a different epoch redraws them (the property
 //!   majority-vote healing exploits).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Salt lanes separating the fault populations in the keyed hash.
@@ -56,7 +55,7 @@ fn unit(h: u64) -> f64 {
 }
 
 /// Geometry and fault rates of one [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlanSpec {
     /// RNG seed: all fault draws are keyed off this (and only this).
     pub seed: u64,
@@ -149,7 +148,7 @@ impl std::fmt::Display for FaultError {
 impl std::error::Error for FaultError {}
 
 /// The kind of a permanent fault at one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Cell permanently reads 0.
     StuckAt0,
@@ -160,7 +159,7 @@ pub enum FaultKind {
 }
 
 /// What an injection pass did to a piece of storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InjectionReport {
     /// Cells covered by a permanent fault in the touched region.
     pub cells_faulty: u64,
@@ -196,7 +195,7 @@ impl InjectionReport {
 /// // Point queries are pure functions of (seed, row, col):
 /// assert_eq!(plan.stuck_at(3, 7), plan.stuck_at(3, 7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     spec: FaultPlanSpec,
     /// Extra per-row stuck probability from endurance wear (empty when

@@ -7,10 +7,8 @@
 //! are pure functions of `(state, tick)` — no wall time — so the
 //! machine replays identically under any thread count.
 
-use serde::{Deserialize, Serialize};
-
 /// Health of one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Serving traffic.
     Healthy,
@@ -26,7 +24,7 @@ pub enum ShardHealth {
 }
 
 /// Retry/backoff budget for the quarantine machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantineConfig {
     /// Quarantine trips before a shard is declared dead.
     pub retry_budget: u32,

@@ -1,6 +1,5 @@
 //! Dense bit-packed vectors with fast Hamming distance.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
@@ -21,7 +20,7 @@ const WORD_BITS: usize = 64;
 /// let w = BitVec::zeros(100);
 /// assert_eq!(v.hamming(&w), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,

@@ -4,14 +4,13 @@ use crate::{project, Encoder, HdcError, Hypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// How the encoder evaluates the cosine non-linearity.
 ///
 /// The algorithmic definition uses an exact cosine; the in-memory
 /// implementation (§V-A) approximates it with the first three terms of
 /// the Taylor expansion, `1 - y²/2 + y⁴/24`, after range reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CosineMode {
     /// Library cosine (`f64::cos`) — the algorithmic reference.
     #[default]
@@ -51,7 +50,7 @@ pub enum CosineMode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HdMapper {
     /// Row-major `D × m` base matrix.
     base: Vec<f64>,

@@ -1,7 +1,6 @@
 //! The [`Hypervector`] newtype.
 
 use crate::{BitVec, HdcError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `D`-dimensional binary hypervector — one encoded data point.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(a.hamming(&b), 128);
 /// assert_eq!(a.normalized_hamming(&b), 1.0);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Hypervector {
     bits: BitVec,
 }

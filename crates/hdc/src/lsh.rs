@@ -5,7 +5,6 @@ use crate::{project, Encoder, HdcError, Hypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Locality-Sensitive Hashing encoder based on random hyperplanes:
 /// `h_i = sign(B_i · F)` with Gaussian `B_i`.
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LshEncoder {
     /// Row-major `D × m` hyperplane matrix.
     planes: Vec<f64>,

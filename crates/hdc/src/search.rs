@@ -307,6 +307,7 @@ pub fn assign_sharded(
 mod tests {
     use super::*;
     use crate::ops::random_hypervector;
+    use proptest::prelude::*;
 
     fn pool(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
         (0..n)
@@ -387,6 +388,47 @@ mod tests {
                         "n={n} shards={shards} threads={threads}"
                     );
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random shapes against an independent flat scan (strict `<`,
+        /// so ties go to the lowest index): dims straddle word
+        /// boundaries and the 1 024 edge, and shards may outnumber
+        /// slots.
+        #[test]
+        fn prop_assign_sharded_matches_flat_scan(
+            dim in 1usize..2200,
+            slots in 1usize..=12,
+            shards in 1usize..=16,
+            batch in 1usize..=8,
+            seed in any::<u64>(),
+        ) {
+            let queries = pool(batch, dim, seed);
+            let centroids = pool(slots, dim, seed ^ 0xD1B5_4A32_D192_ED03);
+            let flat: Vec<(usize, usize)> = queries
+                .iter()
+                .map(|q| {
+                    let mut best = (0, usize::MAX);
+                    for (i, c) in centroids.iter().enumerate() {
+                        let d = q.hamming(c);
+                        if d < best.1 {
+                            best = (i, d);
+                        }
+                    }
+                    best
+                })
+                .collect();
+            for threads in [0usize, 1, 3] {
+                prop_assert_eq!(
+                    assign_sharded(&queries, &centroids, shards, threads),
+                    flat.clone(),
+                    "threads={}",
+                    threads
+                );
             }
         }
     }

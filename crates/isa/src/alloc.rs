@@ -7,15 +7,14 @@
 //! arrays taller than one block's rows span multiple block *groups*.
 
 use crate::IsaError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Opaque identifier of one VLCA allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AllocId(pub(crate) u64);
 
 /// One allocation-table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Element bit-width.
     pub bits: usize,
@@ -64,7 +63,7 @@ impl Allocation {
 }
 
 /// The free-block list + allocation table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockAllocator {
     n_blocks: usize,
     rows: usize,

@@ -7,10 +7,8 @@
 //! `dual-isa-verify` — can re-derive bounds, dataflow and cost from the
 //! trace alone.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic instruction selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithKind {
     /// Row-parallel addition.
     Add,
@@ -29,7 +27,7 @@ pub enum ArithKind {
 /// `nc` row/column counts. Columns are block-local (already folded
 /// through the allocator's `locate`), so each operand is checkable
 /// against the block geometry without the allocation table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Instruction {
     /// Load the query register with `size` bits starting at `addr` of
@@ -195,7 +193,7 @@ impl Instruction {
 }
 
 /// The specialized registers PIM instructions read and write (§VII-C).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegisterFile {
     /// Query register: the bit pattern driven onto the bitlines.
     pub q: Vec<bool>,

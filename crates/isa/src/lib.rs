@@ -48,13 +48,11 @@
 mod alloc;
 mod error;
 mod inst;
-mod program;
 mod runtime;
 mod vlca;
 
 pub use alloc::{AllocId, Allocation, BlockAllocator};
 pub use error::IsaError;
 pub use inst::{ArithKind, Instruction, RegisterFile};
-pub use program::{Program, ProgramGeometry, ProgramIo, Region};
 pub use runtime::Runtime;
 pub use vlca::Vlca;

@@ -4,7 +4,6 @@
 
 use crate::alloc::{Allocation, BlockAllocator};
 use crate::inst::{ArithKind, Instruction, RegisterFile};
-use crate::program::{Program, ProgramIo};
 use crate::{IsaError, Vlca};
 use dual_pim::block::MemoryBlock;
 use dual_pim::cam;
@@ -955,406 +954,14 @@ impl Runtime {
         });
         Ok(())
     }
-
-    /// Execute a pre-compiled [`Program`] against this runtime's
-    /// blocks, consuming operands from (and latching results into)
-    /// `io`. Every instruction is charged per the canonical per-op
-    /// ledger (the same mapping `dual_isa_verify::trace_ledger`
-    /// re-derives statically) and appended to the runtime trace, so a
-    /// replayed program passes the downstream cost cross-check exactly
-    /// like the tree-walking builtins do.
-    ///
-    /// Semantics:
-    /// * `set_qinput` pops the next query from `io`, loads the `q`
-    ///   register, and clears the program's declared distance region
-    ///   (the §V-B distance-memory reset the driver performs between
-    ///   points; uncosted, like all host-side data movement).
-    /// * `hamm_7` compares the next window of `q` against the stored
-    ///   columns of every swept row and accumulates each row's
-    ///   mismatch count into the distance region — the 3-bit counter
-    ///   writeback the ledger prices as `Write{3}`.
-    /// * The exact in-place accumulator idiom (`add` whose destination
-    ///   aliases both operands precisely) is charged but has no
-    ///   functional effect, matching the builtins' treatment of the
-    ///   distance accumulation; any other `add/sub/mul/div` executes
-    ///   row-parallel over the program rows (`div` by a zero row
-    ///   yields zero — straight-line programs have no error channel).
-    /// * `near_search`/`exact_search` run the staged CAM semantics on
-    ///   the stored columns, latch `rst`/`idx`, and report through
-    ///   `io`.
-    /// * `write` pops one value per row from `io` (zero when
-    ///   exhausted); `row_mv` and `select` move/choose stored bits.
-    ///
-    /// # Errors
-    ///
-    /// [`IsaError::ShapeMismatch`] when the program's geometry does not
-    /// fit this runtime (fewer blocks/rows, or a different column
-    /// split), when `io` runs out of queries, when a query's width
-    /// disagrees with its `set_qinput`, or when an instruction
-    /// addresses cells outside the blocks.
-    pub fn run_program(&mut self, program: &Program, io: &mut ProgramIo) -> Result<(), IsaError> {
-        let g = program.geometry();
-        if g.blocks > self.blocks.len() || g.rows > self.rows || g.cols != self.cols {
-            return Err(IsaError::ShapeMismatch {
-                what: "program geometry",
-            });
-        }
-        let rows = g.rows;
-        let mut consumed = 0usize;
-        for inst in program.instructions() {
-            match *inst {
-                Instruction::SetQInput {
-                    b: _,
-                    addr: _,
-                    size,
-                } => {
-                    let q = io.pop_query().ok_or(IsaError::ShapeMismatch {
-                        what: "program query underflow",
-                    })?;
-                    if q.len() != size {
-                        return Err(IsaError::ShapeMismatch {
-                            what: "program query width",
-                        });
-                    }
-                    self.regs.q = q;
-                    consumed = 0;
-                    if let Some(region) = program.distance_region() {
-                        for r in 0..region.rows.min(rows) {
-                            self.store_cells(region.block, r, region.col, region.bits, 0)?;
-                        }
-                    }
-                }
-                Instruction::Hamm7 { b, c1, c2 } => {
-                    let width = c2.saturating_sub(c1);
-                    if consumed + width > self.regs.q.len() {
-                        return Err(IsaError::ShapeMismatch {
-                            what: "program query overrun",
-                        });
-                    }
-                    let region = program.distance_region().ok_or(IsaError::ShapeMismatch {
-                        what: "hamm_7 without a distance region",
-                    })?;
-                    for r in 0..rows {
-                        let mut count = 0u64;
-                        for k in 0..width {
-                            let stored = self.load_cell(b, r, c1 + k)?;
-                            if stored != self.regs.q[consumed + k] {
-                                count += 1;
-                            }
-                        }
-                        let cur = self.load_cells(region.block, r, region.col, region.bits)?;
-                        self.store_cells(
-                            region.block,
-                            r,
-                            region.col,
-                            region.bits,
-                            cur.wrapping_add(count),
-                        )?;
-                    }
-                    consumed += width;
-                    self.stats.record(&self.cost, Op::HammingWindow);
-                    self.stats.record(&self.cost, Op::Write { bits: 3 });
-                }
-                Instruction::Arith {
-                    kind,
-                    b1,
-                    c1,
-                    b2,
-                    c2,
-                    d,
-                    dc,
-                    c3: _,
-                    bits,
-                    dbits,
-                } => {
-                    let accumulator_idiom =
-                        b1 == b2 && b1 == d && c1 == c2 && c1 == dc && bits == dbits;
-                    if !accumulator_idiom {
-                        let mask = width_mask(dbits);
-                        for r in 0..rows {
-                            let x = self.load_cells(b1, r, c1, bits)?;
-                            let y = self.load_cells(b2, r, c2, bits)?;
-                            let v = match kind {
-                                ArithKind::Add => x.wrapping_add(y),
-                                ArithKind::Sub => x.wrapping_sub(y),
-                                ArithKind::Mul => x.wrapping_mul(y),
-                                ArithKind::Div => {
-                                    if y == 0 {
-                                        0
-                                    } else {
-                                        dual_pim::nor::div_approx(x, y)
-                                    }
-                                }
-                            } & mask;
-                            self.store_cells(d, r, dc, dbits, v)?;
-                        }
-                    }
-                    let op_bits = u32::try_from(bits).unwrap_or(u32::MAX);
-                    let op = match kind {
-                        ArithKind::Add => Op::Add { bits: op_bits },
-                        ArithKind::Sub => Op::Sub { bits: op_bits },
-                        ArithKind::Mul => Op::Mul { bits: op_bits },
-                        ArithKind::Div => Op::Div { bits: op_bits },
-                    };
-                    self.stats.record(&self.cost, op);
-                }
-                Instruction::NearSearch { b, nc, c, q } => {
-                    let mut values = Vec::with_capacity(rows);
-                    for r in 0..rows {
-                        values.push(self.load_cells(b, r, c, nc)?);
-                    }
-                    let active = vec![true; rows];
-                    let nc_bits = u32::try_from(nc).unwrap_or(u32::MAX);
-                    let (idx, val) = cam::nearest_search(&values, &active, q, nc_bits, 4).ok_or(
-                        IsaError::ShapeMismatch {
-                            what: "near_search over zero rows",
-                        },
-                    )?;
-                    self.regs.rst = val;
-                    self.regs.idx = u64::try_from(idx).unwrap_or(u64::MAX);
-                    io.results.push((idx, val));
-                    self.stats.record_serial(
-                        &self.cost,
-                        Op::NearestStage,
-                        u64::from(cam::nearest_search_stages(nc_bits, 4)),
-                    );
-                }
-                Instruction::ExactSearch { b, nc, c, q } => {
-                    let mut hits = Vec::new();
-                    for r in 0..rows {
-                        if self.load_cells(b, r, c, nc)? == q {
-                            hits.push(r);
-                        }
-                    }
-                    io.matches.push(hits);
-                    let nc_bits = u32::try_from(nc).unwrap_or(u32::MAX);
-                    self.stats.record_serial(
-                        &self.cost,
-                        Op::NearestStage,
-                        u64::from(cam::nearest_search_stages(nc_bits, 4)),
-                    );
-                }
-                Instruction::RowMv {
-                    b1,
-                    r1,
-                    c1,
-                    b2,
-                    r2,
-                    c2,
-                    nr,
-                    nc,
-                } => {
-                    for i in 0..nr {
-                        for k in 0..nc {
-                            let v = self.load_cell(b1, r1 + i, c1 + k)?;
-                            self.store_cell(b2, r2 + i, c2 + k, v)?;
-                        }
-                    }
-                    self.stats.record(
-                        &self.cost,
-                        Op::Transfer {
-                            bits: u32::try_from(nc).unwrap_or(u32::MAX),
-                        },
-                    );
-                }
-                Instruction::Write { b, r, c, nr, bits } => {
-                    for i in 0..nr {
-                        let v = io.pop_write();
-                        self.store_cells(b, r + i, c, bits, v)?;
-                    }
-                    self.stats.record(
-                        &self.cost,
-                        Op::Write {
-                            bits: u32::try_from(bits).unwrap_or(u32::MAX),
-                        },
-                    );
-                }
-                Instruction::Select {
-                    bf,
-                    cf,
-                    bx,
-                    cx,
-                    by,
-                    cy,
-                    bd,
-                    cd,
-                    bits,
-                } => {
-                    for r in 0..rows {
-                        let flag = self.load_cell(bf, r, cf)?;
-                        let v = if flag {
-                            self.load_cells(bx, r, cx, bits)?
-                        } else {
-                            self.load_cells(by, r, cy, bits)?
-                        };
-                        self.store_cells(bd, r, cd, bits, v)?;
-                    }
-                    self.stats.record(
-                        &self.cost,
-                        Op::Add {
-                            bits: u32::try_from(bits).unwrap_or(u32::MAX),
-                        },
-                    );
-                }
-            }
-            self.trace.push(inst.clone());
-        }
-        Ok(())
-    }
-
-    fn load_cell(&self, b: usize, r: usize, c: usize) -> Result<bool, IsaError> {
-        let block = self.blocks.get(b).ok_or(IsaError::ShapeMismatch {
-            what: "program block address",
-        })?;
-        Ok(block.nor_engine().get_bit(r, c)?)
-    }
-
-    fn store_cell(&mut self, b: usize, r: usize, c: usize, v: bool) -> Result<(), IsaError> {
-        let block = self.blocks.get_mut(b).ok_or(IsaError::ShapeMismatch {
-            what: "program block address",
-        })?;
-        block.nor_engine_mut().set_bit(r, c, v)?;
-        Ok(())
-    }
-
-    /// LSB-first load of a `bits`-wide value stored at columns
-    /// `c..c + bits` of row `r`.
-    fn load_cells(&self, b: usize, r: usize, c: usize, bits: usize) -> Result<u64, IsaError> {
-        if bits == 0 || bits > 64 {
-            return Err(IsaError::ShapeMismatch {
-                what: "program field width",
-            });
-        }
-        let mut v = 0u64;
-        for k in 0..bits {
-            if self.load_cell(b, r, c + k)? {
-                v |= 1u64 << k;
-            }
-        }
-        Ok(v)
-    }
-
-    fn store_cells(
-        &mut self,
-        b: usize,
-        r: usize,
-        c: usize,
-        bits: usize,
-        v: u64,
-    ) -> Result<(), IsaError> {
-        if bits == 0 || bits > 64 {
-            return Err(IsaError::ShapeMismatch {
-                what: "program field width",
-            });
-        }
-        for k in 0..bits {
-            self.store_cell(b, r, c + k, (v >> k) & 1 == 1)?;
-        }
-        Ok(())
-    }
-}
-
-/// All-ones mask for a field of `bits ≤ 64` columns.
-fn width_mask(bits: usize) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ProgramGeometry, Region};
 
     fn rt() -> Runtime {
         Runtime::with_block_geometry(32, 64).unwrap()
-    }
-
-    #[test]
-    fn run_program_executes_search_and_charges() {
-        let mut rt = Runtime::with_pool(4, 64, 2).unwrap();
-        let geometry = ProgramGeometry {
-            blocks: 2,
-            rows: 3,
-            cols: 64,
-        };
-        let mut p = Program::new("t", geometry);
-        p.set_distance_region(Region {
-            block: 1,
-            col: 0,
-            bits: 4,
-            rows: 3,
-        });
-        p.push(Instruction::Write {
-            b: 0,
-            r: 0,
-            c: 0,
-            nr: 3,
-            bits: 8,
-        });
-        p.push(Instruction::SetQInput {
-            b: 0,
-            addr: 0,
-            size: 8,
-        });
-        p.push(Instruction::Hamm7 { b: 0, c1: 0, c2: 7 });
-        p.push(Instruction::Hamm7 { b: 0, c1: 7, c2: 8 });
-        p.push(Instruction::NearSearch {
-            b: 1,
-            nc: 4,
-            c: 0,
-            q: 0,
-        });
-        let mut io = ProgramIo::new();
-        for v in [0b1010_1010u64, 0b1111_0000, 0b0000_0001] {
-            io.push_write(v);
-        }
-        let query: u64 = 0b0000_0011;
-        io.push_query((0..8).map(|k| (query >> k) & 1 == 1).collect());
-        rt.run_program(&p, &mut io).unwrap();
-        // Hamming distances to the three stored rows: 4, 6, 1 — row 2
-        // wins at distance 1 and the result latches in the registers.
-        assert_eq!(io.results, vec![(2, 1)]);
-        assert_eq!(rt.registers().idx, 2);
-        assert_eq!(rt.registers().rst, 1);
-        assert_eq!(rt.trace().len(), 5);
-        assert!(rt.stats().time_ns() > 0.0);
-        let counts: std::collections::BTreeMap<Op, u64> = rt.stats().counts().collect();
-        assert_eq!(counts.get(&Op::HammingWindow), Some(&2));
-        assert_eq!(counts.get(&Op::Write { bits: 3 }), Some(&2));
-        // 4-bit field → one 4-bit CAM stage.
-        assert_eq!(counts.get(&Op::NearestStage), Some(&1));
-    }
-
-    #[test]
-    fn run_program_rejects_bad_geometry_and_starved_queries() {
-        let mut rt = Runtime::with_pool(4, 64, 1).unwrap();
-        let too_many_blocks = Program::new(
-            "g",
-            ProgramGeometry {
-                blocks: 2,
-                rows: 3,
-                cols: 64,
-            },
-        );
-        let mut io = ProgramIo::new();
-        assert!(rt.run_program(&too_many_blocks, &mut io).is_err());
-        let mut starved = Program::new(
-            "q",
-            ProgramGeometry {
-                blocks: 1,
-                rows: 2,
-                cols: 64,
-            },
-        );
-        starved.push(Instruction::SetQInput {
-            b: 0,
-            addr: 0,
-            size: 4,
-        });
-        assert!(rt.run_program(&starved, &mut io).is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The Variable-Length Column Array descriptor (§VII-A).
 
 use crate::alloc::AllocId;
-use serde::{Deserialize, Serialize};
 
 /// A handle to a `vlca<D>[N]`: an array of `N` elements, each a `D`-bit
 /// value, stored column-wise in PIM memory so every DUAL operation can
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `vlca<D>[i:j][n:m]` syntax) is expressed with
 /// [`Vlca::slice_rows`] / [`Vlca::slice_bits`], which produce
 /// descriptors viewing a sub-range of the same allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Vlca {
     pub(crate) id: AllocId,
     pub(crate) bits: usize,

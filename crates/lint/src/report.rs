@@ -1,5 +1,5 @@
 //! Machine-readable `--json` report (hand-serialized: the workspace is
-//! offline and the serde stand-in is a marker, so the writer emits a
+//! offline and has no serialization framework, so the writer emits a
 //! small, stable JSON document directly).
 //!
 //! Key order is fixed and collections are sorted, so the report is

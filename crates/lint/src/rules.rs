@@ -134,7 +134,7 @@ impl Default for RuleConfig {
         Self {
             result_crates: [
                 "pim", "cluster", "core", "hdc", "stream", "obs", "fault", "snap", "verify",
-                "topology", "trace", "compile",
+                "topology", "trace",
             ]
             .iter()
             .map(ToString::to_string)

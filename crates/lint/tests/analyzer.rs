@@ -295,6 +295,25 @@ fn real_workspace_matches_checked_in_baseline() {
 }
 
 #[test]
+fn default_config_names_only_paths_that_exist() {
+    // A rule scoped to a deleted crate or file silently checks nothing.
+    let root = workspace_root();
+    let cfg = RuleConfig::default();
+    for name in &cfg.result_crates {
+        assert!(
+            root.join("crates").join(name).is_dir(),
+            "result_crates names missing crates/{name}"
+        );
+    }
+    for file in &cfg.cast_audited_files {
+        assert!(
+            root.join(file).is_file(),
+            "cast_audited_files names missing {file}"
+        );
+    }
+}
+
+#[test]
 fn pim_debt_is_burned_to_zero() {
     // PR acceptance: the pim entries must be strictly below the pre-PR
     // debt (14 r1-panic + 5 r2-hash-iter + 11 r3-lossy-cast findings).

@@ -1,9 +1,7 @@
 //! Chip structure and the Table II area/power model.
 
-use serde::{Deserialize, Serialize};
-
 /// Structural configuration of a DUAL chip (§VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChipConfig {
     /// Tiles per chip (paper: 64).
     pub tiles: usize,
@@ -84,7 +82,7 @@ impl Default for ChipConfig {
 }
 
 /// Area/power of one named component (a row of Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentBudget {
     /// Area in square micrometres.
     pub area_um2: f64,
@@ -130,7 +128,7 @@ impl ComponentBudget {
 /// assert!((chip.area_um2 * 1e-6 - 53.57).abs() / 53.57 < 0.02); // mm²
 /// assert!((chip.power_mw * 1e-3 - 113.51).abs() / 113.51 < 0.02); // W
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaPowerModel {
     /// 1 Mb crossbar array.
     pub crossbar: ComponentBudget,

@@ -8,7 +8,6 @@
 use crate::cam::{self, Detection, MlDischargeModel, SamplingSchedule};
 use crate::nor::NorEngine;
 use crate::PimError;
-use serde::{Deserialize, Serialize};
 
 /// A single crossbar memory block.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// See the crate-level example for the CAM search mode, and
 /// [`MemoryBlock::nor_engine_mut`] for arithmetic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryBlock {
     engine: NorEngine,
     schedule: SamplingSchedule,

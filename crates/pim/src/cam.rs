@@ -9,8 +9,6 @@
 //! Hamming distance of the window from the first sample at which the
 //! row reads as discharged.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyperbolic ML discharge-time model: `t(m) = τ / m` for `m ≥ 1`
 /// mismatches (each mismatching cell adds one pull-down path of equal
 /// conductance); a fully matching row never discharges.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// discharges at the paper's first sampling point, 200 ps — making the
 /// non-linear sample spacing come out at the documented 200 ps/100 ps
 /// cadence (Fig. 4c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlDischargeModel {
     /// Discharge time constant in picoseconds (`t(1) = τ`).
     pub tau_ps: f64,
@@ -51,7 +49,7 @@ impl Default for MlDischargeModel {
 }
 
 /// When the sense amplifier samples the match line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SamplingSchedule {
     /// Equally spaced samples — the conventional approach, which cannot
     /// distinguish high mismatch counts on long windows because the
@@ -165,7 +163,7 @@ impl SamplingSchedule {
 }
 
 /// Result of sensing one CAM row during Hamming computing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Detection {
     /// The mismatch count was uniquely determined.
     Exact(u8),

@@ -10,11 +10,10 @@ use crate::arch::ChipConfig;
 use crate::cost::{CostModel, Op};
 use crate::tile::Tile;
 use crate::PimError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One DUAL chip: a lazily materialized grid of tiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Chip {
     config: ChipConfig,
     // BTreeMap for deterministic tile iteration order (dual-lint r2).

@@ -22,11 +22,10 @@
 //! window sweep costs 800 ps.
 
 use crate::device::DeviceVariation;
-use serde::{Deserialize, Serialize};
 
 /// One row-parallel PIM operation on a block, the unit of cost
 /// accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Op {
     /// One 7-bit Hamming window search over all rows (§IV-A1).
@@ -120,7 +119,7 @@ mod anchor {
 
 /// Cost model for row-parallel block operations, optionally derated for
 /// device variation (§VIII-H).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     variation: DeviceVariation,
 }

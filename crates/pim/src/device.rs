@@ -7,10 +7,8 @@
 //! module captures those parameters plus the thermal/process-variation
 //! derating the paper analyzes in §VIII-H.
 
-use serde::{Deserialize, Serialize};
-
 /// Nominal electrical/timing parameters of one memristor device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// Switching (write) delay in nanoseconds — also the cycle time of
     /// one NOR operation (paper: 1 ns).
@@ -72,7 +70,7 @@ impl Default for DeviceParams {
 /// the search clock grows from 200 ps to 350 ps and the NOR cycle from
 /// 1 ns to 1.8 ns, which at architecture level costs 1.83× performance
 /// and 1.45× energy efficiency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceVariation {
     /// Fractional variation of the OFF/ON ratio, in `[0, 0.5]`.
     pub variation: f64,

@@ -9,8 +9,6 @@
 //! and 19.6 years respectively — hyperdimensional representations
 //! degrade gracefully because every dimension carries equal weight.
 
-use serde::{Deserialize, Serialize};
-
 /// Gaussian-endurance lifetime model.
 ///
 /// Calibrated so its three headline outputs match §VIII-H:
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((m.years_until_quality_loss(0.01) - 17.2).abs() < 0.6);
 /// assert!((m.years_until_quality_loss(0.02) - 19.6).abs() < 0.6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnduranceModel {
     /// Mean device lifetime under the sustained write rate, in years
     /// (`mean endurance ÷ writes-per-second`, wear-leveled).
@@ -116,7 +114,7 @@ impl Default for EnduranceModel {
 /// }
 /// assert!(w.imbalance() < 1.05); // near-perfect spread
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearLeveler {
     writes: Vec<u64>,
 }

@@ -9,10 +9,9 @@
 //! without it.
 
 use crate::cost::{CostModel, Op};
-use serde::{Deserialize, Serialize};
 
 /// Whether the dedicated row interconnect is present (ablation switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InterconnectMode {
     /// The paper's design: 1k-wire row bus.
     #[default]
@@ -23,7 +22,7 @@ pub enum InterconnectMode {
 
 /// Cost model of moving `bits` bit-columns (row-parallel) between two
 /// blocks in the same tile row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     mode: InterconnectMode,
     /// Wires per tile row (paper: 1k — one per block row, so a transfer

@@ -19,7 +19,6 @@
 //! [`crate::cost::CostModel`].
 
 use crate::PimError;
-use serde::{Deserialize, Serialize};
 
 /// Column-major bit matrix with NOR-sequence arithmetic.
 ///
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NorEngine {
     rows: usize,
     words: usize,

@@ -1,7 +1,6 @@
 //! Latency/energy accounting for simulated PIM executions.
 
 use crate::cost::{CostModel, Op};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulator of executed operations with derived latency and energy.
@@ -21,7 +20,7 @@ use std::collections::BTreeMap;
 /// assert!((stats.time_ns() - 0.8).abs() < 1e-9);          // one window sweep
 /// assert!((stats.energy_pj() - 256.0 * 1.632).abs() < 1e-6); // 256 blocks pay energy
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnergyStats {
     time_ns: f64,
     energy_pj: f64,

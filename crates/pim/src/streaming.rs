@@ -25,10 +25,9 @@
 
 use crate::cost::{CostModel, Op};
 use crate::stats::EnergyStats;
-use serde::{Deserialize, Serialize};
 
 /// Cost of one committed micro-batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamBatchCost {
     /// 1-based batch sequence number.
     pub batch: u64,
@@ -55,7 +54,7 @@ impl StreamBatchCost {
 
 /// Accumulates per-operation costs for the *open* micro-batch and
 /// running totals over all committed batches (see the module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamMeter {
     model: CostModel,
     open: EnergyStats,
@@ -210,7 +209,7 @@ impl StreamMeter {
 /// assert!(!b.over(10.5));
 /// assert!(!EnergyBudget::unlimited().over(f64::MAX));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBudget {
     per_tick_pj: f64,
     granted_pj: f64,

@@ -4,7 +4,6 @@
 use crate::arch::ChipConfig;
 use crate::block::MemoryBlock;
 use crate::PimError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Whether the per-block 3-bit counters are present (ablation switch for
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 /// every sampling step must serialize an NVM write (1 ns each), which
 /// slows Hamming computing by roughly the ratio of write latency to
 /// sampling period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CounterMode {
     /// The paper's design: one 3-bit counter + 7-bit register per block.
     #[default]
@@ -47,7 +46,7 @@ impl CounterMode {
 /// the *data block* and the rest as *distance blocks* (Fig. 8). The
 /// functional model materializes only blocks that are touched, so tests
 /// can instantiate the paper geometry without allocating 32 MB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tile {
     config: ChipConfig,
     blocks: BTreeMap<usize, MemoryBlock>,

@@ -13,10 +13,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one Monte-Carlo search-margin experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloConfig {
     /// Number of trials (paper: 5000).
     pub trials: u32,
@@ -42,7 +41,7 @@ impl MonteCarloConfig {
 }
 
 /// Outcome of a Monte-Carlo search-margin run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloResult {
     /// Trials where the noisy comparison preserved the correct ordering.
     pub correct: u32,

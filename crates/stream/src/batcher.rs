@@ -9,10 +9,8 @@
 //! counter and the buffered-point count. Rerunning a recorded schedule
 //! replays the exact same batch boundaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a micro-batch was cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum CutReason {
     /// Buffered points reached the configured batch size.
@@ -44,7 +42,7 @@ impl CutReason {
 /// The batcher never touches the points themselves — it only watches
 /// the buffered count and its own logical clock, which keeps the
 /// policy testable in isolation from the ring and the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batcher {
     max_batch: usize,
     max_ticks: u64,

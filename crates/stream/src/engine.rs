@@ -22,7 +22,6 @@ use dual_obs::{Key, Registry};
 use dual_pim::endurance::WearLeveler;
 use dual_pim::{CostModel, Op, StreamBatchCost, StreamMeter};
 use dual_trace::{AlertEngine, AlertRule, Cut, Event, Recorder, TraceError};
-use serde::{Deserialize, Serialize};
 
 /// Rows per crossbar block (the Table III anchor geometry): hypervector
 /// dimensions and stored sub-centroids spread over `ceil(x / 1024)`
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 const BLOCK_ROWS: usize = 1024;
 
 /// Tunables of a [`StreamEngine`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Ingest ring capacity in points.
     pub capacity: usize,
@@ -63,7 +62,6 @@ pub struct StreamConfig {
     /// Flight-recorder ring capacity in events (see
     /// [`StreamEngine::trace`]); `0` turns the recorder off and every
     /// trace site reduces to one branch.
-    #[serde(default)]
     pub trace_capacity: usize,
 }
 
@@ -135,7 +133,7 @@ impl StreamConfig {
 /// materializes this view on demand. The field set and semantics are
 /// unchanged from the bespoke-counter era, so serialized snapshots
 /// remain compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamCounters {
     /// Points accepted into the ring (all `Accepted*` outcomes).
     pub ingested: u64,
@@ -165,7 +163,7 @@ pub struct StreamCounters {
 }
 
 /// A consistent export of the engine's state between batches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSnapshot {
     /// Logical time at the snapshot.
     pub tick: u64,

@@ -8,7 +8,6 @@ use dual_fault::{
     SpareRowPool,
 };
 use dual_hdc::{BitVec, Hypervector};
-use serde::{Deserialize, Serialize};
 
 /// Fault-injection configuration of a [`crate::StreamEngine`]: the physical
 /// fault plan, the self-healing policy, and the shard quarantine
@@ -54,7 +53,7 @@ impl FaultConfig {
 
 /// A consistent export of the engine's fault/healing state (see
 /// [`crate::StreamEngine::fault_status`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultStatus {
     /// Healing policy label (`off` / `spare_rows` / `majority_reread`
     /// / `full`).

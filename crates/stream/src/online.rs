@@ -27,10 +27,9 @@
 use crate::error::StreamError;
 use dual_cluster::CentroidAccumulator;
 use dual_hdc::{search, Hypervector};
-use serde::{Deserialize, Serialize};
 
 /// What one observed micro-batch did to the model.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchUpdate {
     /// Per input point, in order: `(sub_centroid, hamming_distance)`.
     pub assignments: Vec<(usize, usize)>,
@@ -43,7 +42,7 @@ pub struct BatchUpdate {
 /// Online decayed mini-batch k-means state: `k × centroids_per_cluster`
 /// sub-centroid slots, one decayed accumulator per slot, and the
 /// centroid storage the assignment step searches `shards` ways.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineKMeans {
     dim: usize,
     k: usize,

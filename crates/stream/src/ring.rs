@@ -7,11 +7,9 @@
 //! ring is full ([`BackpressurePolicy`]) is chosen by the engine, so
 //! drop/reject/flush accounting lives in one place.
 
-use serde::{Deserialize, Serialize};
-
 /// What the ingest stage does when a point arrives and the ring is
 /// already at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackpressurePolicy {
     /// Apply backpressure to the producer: the engine synchronously
     /// cuts and processes one micro-batch (the producer "blocks" on

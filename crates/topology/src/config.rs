@@ -3,7 +3,6 @@
 
 use crate::error::TopologyError;
 use dual_stream::{BackpressurePolicy, StreamConfig};
-use serde::{Deserialize, Serialize};
 
 /// A tenant's ingest quota, priced in chip energy.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// * [`BackpressurePolicy::Reject`] — pushes are refused at the
 ///   admission gate before touching the engine (counted as
 ///   `topology.quota.rejected`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuotaSpec {
     /// Credit granted per topology tick, picojoules. `f64::INFINITY`
     /// disables quota enforcement for the tenant.
@@ -84,7 +83,7 @@ impl Default for QuotaSpec {
 /// isolated engine, and its admission quota. A `Vec<TenantSpec>` *is*
 /// the topology config — build a service from one with
 /// [`crate::Topology::build`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Unique tenant name: non-empty, `[A-Za-z0-9_-]` only.
     pub name: String,

@@ -1,9 +1,7 @@
 //! Diagnostics and the per-trace verification report.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a diagnostic fails the gate or merely annotates the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Gate-failing: the instruction cannot execute as addressed, or
     /// the trace's cost ledger disagrees with the executed statistics.
@@ -19,7 +17,7 @@ pub enum Severity {
 /// The variants mirror the verifier's four analysis families: geometry
 /// bounds, query-register dataflow, intra-instruction hazards, and the
 /// cost cross-check (see DESIGN.md §10 for the taxonomy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum VerifyError {
     /// A block operand addresses past the pool.
@@ -222,7 +220,7 @@ impl VerifyError {
 
 /// One finding anchored to its instruction (or to the whole trace for
 /// the cost cross-check, where `index` is `None`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Index into the verified trace; `None` for trace-level findings.
     pub index: Option<usize>,
@@ -246,7 +244,7 @@ impl Diagnostic {
 /// traces this equals the executed totals (the runtime issues
 /// serially); for a compiler's candidate stream it is the no-overlap
 /// upper bound.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBound {
     /// Total serial latency, nanoseconds.
     pub time_ns: f64,
@@ -258,7 +256,7 @@ pub struct CostBound {
 }
 
 /// Outcome of verifying one instruction stream.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VerifyReport {
     /// Instructions examined.
     pub instructions: usize,

@@ -5,7 +5,6 @@ use dual_isa::{ArithKind, Instruction, Runtime};
 use dual_pim::cam;
 use dual_pim::cost::{CostModel, Op};
 use dual_pim::stats::EnergyStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Relative tolerance for the latency/energy cross-check. The runtime
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 const COST_REL_TOL: f64 = 1e-9;
 
 /// Block geometry a trace is verified against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Blocks in the pool.
     pub blocks: usize,

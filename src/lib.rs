@@ -16,7 +16,6 @@
 //! | [`pim`] | `dual-pim` | crossbar blocks, CAM search, NOR arithmetic, cost models |
 //! | [`isa`] | `dual-isa` | VLCA arrays, Table I instructions, allocator, runtime |
 //! | [`verify`] | `dual-isa-verify` | static dataflow verifier for PIM instruction traces |
-//! | [`compile`] | `dual-compile` | register-allocating bytecode compiler + VM over the PIM ISA |
 //! | [`core`] | `dual-core` | the accelerator: functional path + performance model |
 //! | [`baseline`] | `dual-baseline` | calibrated GPU (GTX 1080) and IMP comparators |
 //! | [`data`] | `dual-data` | Table IV workload generators |
@@ -55,7 +54,6 @@
 
 pub use dual_baseline as baseline;
 pub use dual_cluster as cluster;
-pub use dual_compile as compile;
 pub use dual_core as core;
 pub use dual_data as data;
 pub use dual_fault as fault;
