@@ -163,6 +163,28 @@ fn bench_parallel_pairs(c: &mut Criterion) {
         bench.iter(|| std::hint::black_box(dual_hdc::search::nearest_parallel(&query, &cands, 0)))
     });
 
+    // One `stream_codebook` assignment (256 queries, D = 1024, 4 shards)
+    // against its 4 096-slot codebook, and at 128 and 256 candidates,
+    // either side of the bit-sliced threshold in `dual_hdc::search`.
+    let queries: Vec<dual_hdc::Hypervector> = (0..256)
+        .map(|i| dual_hdc::ops::random_hypervector(1024, u64::MAX - i))
+        .collect();
+    let codebook: Vec<dual_hdc::Hypervector> = (0..4096)
+        .map(|i| dual_hdc::ops::random_hypervector(1024, i))
+        .collect();
+    for n in [4096usize, 128, 256] {
+        c.bench_function(&format!("assign_sharded_256x{n}_d1024"), |bench| {
+            bench.iter(|| {
+                std::hint::black_box(dual_hdc::search::assign_sharded(
+                    &queries,
+                    &codebook[..n],
+                    4,
+                    1,
+                ))
+            })
+        });
+    }
+
     // One `topo_resilient` sense pass: 32 stored sub-centroids × 1024
     // cells read through a plan with that workload's rates, 3-read
     // majority, permanent-fault masks already cached.

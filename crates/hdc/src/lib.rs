@@ -44,6 +44,7 @@ mod lsh;
 pub mod ops;
 mod project;
 pub mod search;
+mod sliced;
 
 pub use bitvec::{BitVec, Windows};
 pub use encoder::{CosineMode, HdMapper, HdMapperBuilder};

@@ -2,10 +2,15 @@
 //! of DUAL's row-parallel nearest search (§V-C).
 //!
 //! The hardware compares a broadcast query row against every stored row
-//! at once and bit-serially selects the minimum; here the same queries
-//! are answered with word-level XOR + popcount over the packed `u64`
-//! storage (see [`crate::BitVec::hamming`]) and, optionally, chunked
-//! across scoped worker threads.
+//! at once and bit-serially selects the minimum. Here a query is scored
+//! against one candidate at a time by word-level XOR + popcount over the
+//! packed `u64` storage (see [`crate::BitVec::hamming`]), except in the
+//! batch assignment of [`assign_batch`] and [`assign_sharded`]: from 256
+//! centroids up, the codebook is transposed into bit planes once per
+//! call and every query scores 256 centroids per pass, narrowing to the
+//! minimum MSB-first as the CAM does (DESIGN §6, "Bit-sliced nearest
+//! search"). Queries are optionally chunked across scoped worker
+//! threads.
 //!
 //! # Determinism contract
 //!
@@ -19,12 +24,21 @@
 //!   scan does.
 //! * [`top_k_parallel`] merges per-chunk top-`k` lists by the same
 //!   `(distance, index)` total order [`top_k`] sorts by.
-//! * [`assign_sharded`] folds per-shard winners in shard order under
-//!   strict improvement, so it equals the flat [`assign_batch`] for
-//!   every shard count as well.
+//! * [`assign_batch`] and [`assign_sharded`] return each query's flat
+//!   scan result — lowest distance, ties to the lowest index — on
+//!   either side of the bit-sliced threshold, for every shard count.
 
+use crate::sliced::SlicedCodebook;
 use crate::Hypervector;
 use dual_obs::{Key, Obs};
+
+/// Candidates from which [`assign_batch`] and [`assign_sharded`] score
+/// queries against a bit-sliced codebook instead of one centroid at a
+/// time. Private and measured, not a knob: a 256-query batch at
+/// `D = 1024` (`assign_sharded_256x*_d1024` in the `kernels` bench) is
+/// slower sliced at 128 candidates and faster from 256, where one
+/// super-group of lanes is full.
+const SLICED_MIN_CANDIDATES: usize = 256;
 
 /// Record one batch of Hamming scans against the process-global
 /// recorder: `scans` scan starts (one per query and candidate slice
@@ -191,9 +205,11 @@ pub fn top_k_parallel(
 /// This is the shared per-point nearest loop of both the batch
 /// (`HammingKMeans`) and streaming (`dual-stream`) k-means assignment
 /// steps: queries are chunked across up to `threads` scoped workers
-/// (`0` = auto, honouring `DUAL_THREADS`), each query resolved by the
-/// serial [`nearest`] scan, so ties break toward the lowest centroid
-/// index and the output is **bit-identical for every thread count**.
+/// (`0` = auto, honouring `DUAL_THREADS`). Each query gets exactly what
+/// the serial [`nearest`] scan returns — below 256 centroids from that
+/// scan, from 256 up from a bit-sliced codebook built once per call —
+/// so ties break toward the lowest centroid index and the output is
+/// **bit-identical for every thread count**.
 ///
 /// # Panics
 ///
@@ -222,31 +238,24 @@ pub fn assign_batch(
     if let Some(first) = queries.first() {
         note_scan(queries.len(), queries.len() * centroids.len(), first.dim());
     }
-    let mut out = vec![(0usize, 0usize); queries.len()];
-    dual_pool::par_fill(&mut out, threads, |offset, slots| {
-        for (slot, q) in slots.iter_mut().zip(&queries[offset..]) {
-            // `centroids` is non-empty, so `scan_nearest` always finds
-            // one; the fallback keeps the closure total without
-            // panicking.
-            *slot = scan_nearest(q, centroids).unwrap_or((0, 0));
-        }
-    });
-    out
+    assign(queries, centroids, threads)
 }
 
 /// [`assign_batch`] with the centroid set split into at most `shards`
 /// contiguous slices, the software shape of DUAL's block-parallel
 /// search (§V-C): every crossbar block resolves its own rows and a
-/// bit-serial minimum across blocks picks the winner. Each query scans
-/// every shard serially and folds the per-shard winners in shard order
-/// under strict improvement, so ties break toward the lowest global
-/// index and the output is **bit-identical to the flat
-/// [`assign_batch`]** for every `(shards, threads)` combination.
+/// bit-serial minimum across blocks picks the winner. Folding per-shard
+/// winners in shard order under strict improvement is the flat minimum
+/// with ties to the lowest global index, so the search itself is the
+/// flat one and the output is **bit-identical to [`assign_batch`]** for
+/// every `(shards, threads)` combination; the shards are the layout the
+/// counters record.
 ///
 /// Shard boundaries are [`dual_pool::chunk_ranges`]`(centroids.len(),
 /// shards)`, a pure function of the two counts, and never outnumber
 /// the centroids. One call records `queries × shard_count` scan starts
-/// and `queries × candidates × ⌈D/64⌉` popcount words.
+/// and `queries × candidates × ⌈D/64⌉` popcount words — the logical
+/// comparisons, whichever kernel runs.
 ///
 /// # Panics
 ///
@@ -277,27 +286,43 @@ pub fn assign_sharded(
     // `chunk_ranges` reads 0 as "auto"; a shard layout must not depend
     // on the host or on `DUAL_THREADS`.
     assert!(shards > 0, "shard count must be positive");
-    let ranges = dual_pool::chunk_ranges(centroids.len(), shards);
     if let Some(first) = queries.first() {
         note_scan(
-            queries.len() * ranges.len(),
+            queries.len() * shards.min(centroids.len()),
             queries.len() * centroids.len(),
             first.dim(),
         );
     }
+    assign(queries, centroids, threads)
+}
+
+/// The search behind [`assign_batch`] and [`assign_sharded`]: every
+/// query's `(index, distance)` over the non-empty `centroids`, with
+/// queries chunked across `threads` workers. From
+/// [`SLICED_MIN_CANDIDATES`] up the codebook is sliced once, before the
+/// workers start, and each worker keeps its own scratch.
+fn assign(
+    queries: &[Hypervector],
+    centroids: &[Hypervector],
+    threads: usize,
+) -> Vec<(usize, usize)> {
+    let sliced = (!queries.is_empty() && centroids.len() >= SLICED_MIN_CANDIDATES)
+        .then(|| SlicedCodebook::new(centroids));
     let mut out = vec![(0usize, 0usize); queries.len()];
     dual_pool::par_fill(&mut out, threads, |offset, slots| {
-        for (slot, q) in slots.iter_mut().zip(&queries[offset..]) {
-            let mut best: Option<(usize, usize)> = None;
-            for r in &ranges {
-                if let Some((i, d)) = scan_nearest(q, &centroids[r.clone()]) {
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((r.start + i, d));
-                    }
-                }
+        let queries = &queries[offset..];
+        if let Some(codebook) = &sliced {
+            let mut scratch = codebook.scratch();
+            for (slot, q) in slots.iter_mut().zip(queries) {
+                *slot = codebook.nearest(q, &mut scratch);
             }
-            // Non-empty centroid set: some shard always has a winner.
-            *slot = best.unwrap_or((0, 0));
+        } else {
+            for (slot, q) in slots.iter_mut().zip(queries) {
+                // `centroids` is non-empty, so `scan_nearest` always
+                // finds one; the fallback keeps the closure total
+                // without panicking.
+                *slot = scan_nearest(q, centroids).unwrap_or((0, 0));
+            }
         }
     });
     out
@@ -372,16 +397,58 @@ mod tests {
         let _ = assign_batch(&[q], &[], 1);
     }
 
+    /// The serial scan, one query at a time: the reference every batch
+    /// kernel must reproduce.
+    fn flat(queries: &[Hypervector], centroids: &[Hypervector]) -> Vec<(usize, usize)> {
+        queries
+            .iter()
+            .map(|q| scan_nearest(q, centroids).unwrap())
+            .collect()
+    }
+
+    /// `pool(n, dim, seed)` with duplicated rows that tie inside a lane
+    /// (10, 11), across a 64-lane boundary (63, 64) and across a
+    /// 256-centroid super-group boundary (255, 256), where `n` allows.
+    fn pool_with_ties(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
+        let mut centroids = pool(n, dim, seed);
+        for (low, high) in [(10, 11), (63, 64), (255, 256)] {
+            if high < n {
+                centroids[high] = centroids[low].clone();
+            }
+        }
+        centroids
+    }
+
+    /// Queries for `centroids`: random points, the all-zero vector (the
+    /// zero rows padding a short last lane are nearest to it, so a lost
+    /// live-lane mask shows), and exact copies of the tied rows.
+    fn queries_for(centroids: &[Hypervector], dim: usize, seed: u64) -> Vec<Hypervector> {
+        let mut queries = pool(17, dim, seed);
+        queries.push(Hypervector::zeros(dim));
+        for tied in [10, 63, 255] {
+            if let Some(c) = centroids.get(tied) {
+                queries.push(c.clone());
+            }
+        }
+        queries
+    }
+
     #[test]
     fn assign_sharded_matches_flat_scan_for_all_shapes() {
         // 64 shards over 1..=65 candidates also covers `shards >
-        // candidates`, where every candidate is its own shard.
-        for n in [1usize, 2, 7, 13, 63, 64, 65] {
-            let centroids = pool(n, 300, 3);
-            let queries = pool(17, 300, 42);
-            let want = assign_batch(&queries, &centroids, 1);
-            for shards in [1usize, 2, 3, 8, 64] {
-                for threads in [0usize, 1, 2, 3, 8] {
+        // candidates`, where every candidate is its own shard; 255..=600
+        // straddle the bit-sliced threshold and a partial super-group.
+        for n in [1usize, 2, 7, 13, 63, 64, 65, 255, 256, 257, 600] {
+            let centroids = pool_with_ties(n, 300, 3);
+            let queries = queries_for(&centroids, 300, 42);
+            let want = flat(&queries, &centroids);
+            for threads in [0usize, 1, 2, 3, 8] {
+                assert_eq!(
+                    assign_batch(&queries, &centroids, threads),
+                    want,
+                    "n={n} threads={threads}"
+                );
+                for shards in [1usize, 2, 3, 8, 64] {
                     assert_eq!(
                         assign_sharded(&queries, &centroids, shards, threads),
                         want,
@@ -392,40 +459,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sliced_assign_matches_flat_scan_at_word_edges() {
+        // Dim 0 scores every centroid at distance 0; dims off a word
+        // boundary leave zero padding planes in every super-group.
+        for dim in [0usize, 1, 63, 64, 65, 1024, 4000] {
+            let centroids = pool_with_ties(300, dim, 5);
+            let queries = queries_for(&centroids, dim, 6);
+            let want = flat(&queries, &centroids);
+            if dim >= 63 {
+                // Wide enough that no random row matches a copy; the
+                // lower of each duplicated pair wins.
+                assert_eq!(want[18..], [(10, 0), (63, 0), (255, 0)], "dim={dim}");
+            }
+            for threads in [1usize, 3] {
+                assert_eq!(
+                    assign_sharded(&queries, &centroids, 4, threads),
+                    want,
+                    "dim={dim} threads={threads}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Random shapes against an independent flat scan (strict `<`,
-        /// so ties go to the lowest index): dims straddle word
-        /// boundaries and the 1 024 edge, and shards may outnumber
-        /// slots.
+        /// Random shapes against the serial scan (strict `<`, so ties
+        /// go to the lowest index): dims straddle word
+        /// boundaries and the 1 024 edge, slots straddle the bit-sliced
+        /// threshold, and shards may outnumber slots.
         #[test]
         fn prop_assign_sharded_matches_flat_scan(
             dim in 1usize..2200,
-            slots in 1usize..=12,
+            slots in 1usize..=600,
             shards in 1usize..=16,
             batch in 1usize..=8,
             seed in any::<u64>(),
         ) {
             let queries = pool(batch, dim, seed);
             let centroids = pool(slots, dim, seed ^ 0xD1B5_4A32_D192_ED03);
-            let flat: Vec<(usize, usize)> = queries
-                .iter()
-                .map(|q| {
-                    let mut best = (0, usize::MAX);
-                    for (i, c) in centroids.iter().enumerate() {
-                        let d = q.hamming(c);
-                        if d < best.1 {
-                            best = (i, d);
-                        }
-                    }
-                    best
-                })
-                .collect();
+            let want = flat(&queries, &centroids);
             for threads in [0usize, 1, 3] {
                 prop_assert_eq!(
                     assign_sharded(&queries, &centroids, shards, threads),
-                    flat.clone(),
+                    want.clone(),
                     "threads={}",
                     threads
                 );

@@ -18,8 +18,10 @@ fn one_record_per_call_of_scan_starts_and_popcount_words() {
     let reg = dual_obs::install_global();
     let dim = 300; // ⌈300 / 64⌉ = 5 packed words per comparison
     let queries = pool(17, dim, 42);
-    // (candidates, shards): even split, uneven split, shards > candidates.
-    for (candidates, shards) in [(12usize, 4usize), (13, 3), (5, 64)] {
+    // (candidates, shards): even split, uneven split, shards >
+    // candidates, and a bit-sliced codebook (≥ 256 candidates), which
+    // counts the same logical comparisons.
+    for (candidates, shards) in [(12usize, 4usize), (13, 3), (5, 64), (300, 7)] {
         let centroids = pool(candidates, dim, 3);
         for threads in [0usize, 1, 2, 8] {
             let scans = reg.counter(Key::HdcSearchQueries);

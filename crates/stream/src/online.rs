@@ -263,16 +263,20 @@ impl OnlineKMeans {
     /// 1. **Seed** — while unseeded slots remain, the batch's leading
     ///    points are copied into them (round-robin over clusters by the
     ///    slot layout).
-    /// 2. **Decay** — every accumulator fades by the forgetting factor
-    ///    (a no-op at `decay == 1.0`). Empty batches skip this: logical
-    ///    time advances with data, not with ticks.
-    /// 3. **Assign** — every point (seeds included) goes to its nearest
+    /// 2. **Assign** — every point (seeds included) goes to its nearest
     ///    sub-centroid via [`search::assign_sharded`]; `threads` workers
     ///    chunk the queries, bit-identically for every thread count.
-    /// 4. **Accumulate** — points fold into their winner's accumulator
-    ///    in point order.
-    /// 5. **Re-binarize** — every accumulator holding mass majority-votes
-    ///    its slot's new center.
+    /// 3. **Update** — one slot at a time, in slot order:
+    ///    - **decay** — the accumulator fades by the forgetting factor
+    ///      (a no-op at `decay == 1.0`). Empty batches skip this:
+    ///      logical time advances with data, not with ticks;
+    ///    - **accumulate** — the slot's assigned points fold in, in
+    ///      point order;
+    ///    - **re-binarize** — an accumulator holding mass majority-votes
+    ///      the slot's new center.
+    ///
+    ///    Assignment reads only the centers, so decaying each slot here
+    ///    rather than all of them before the search changes no bit.
     ///
     /// # Panics
     ///
@@ -333,7 +337,6 @@ impl OnlineKMeans {
         let mut update = BatchUpdate::default();
         let pre_seeded = self.seeded();
         self.seed_from(encoded, &mut update);
-        self.decay_all();
         let sensed = views.and_then(|views| self.compact_views(views, pre_seeded));
         update.assignments = match sensed {
             None => search::assign_sharded(encoded, &self.centroids, self.shards, threads),
@@ -387,20 +390,21 @@ impl OnlineKMeans {
         }
     }
 
-    /// Stage 2: fade every accumulator by the forgetting factor.
-    fn decay_all(&mut self) {
-        for acc in &mut self.accumulators {
-            acc.decay(self.decay);
-        }
-    }
-
-    /// Stages 4–5: fold assigned points into their winners'
-    /// accumulators and majority-rewrite every touched center.
+    /// Stage 3, one slot at a time while its counts are in cache: decay
+    /// the slot's accumulator, fold in its assigned points in point
+    /// order, and majority-rewrite its center.
     fn fold(&mut self, encoded: &[Hypervector], update: &mut BatchUpdate) {
+        // The batch bucketed by winning slot, point order kept within a
+        // slot.
+        let mut members: Vec<Vec<&Hypervector>> = vec![Vec::new(); self.accumulators.len()];
         for (p, &(slot, _)) in encoded.iter().zip(&update.assignments) {
-            self.accumulators[slot].add(p);
+            members[slot].push(p);
         }
-        for (slot, acc) in self.accumulators.iter().enumerate() {
+        for ((slot, acc), points) in self.accumulators.iter_mut().enumerate().zip(members) {
+            acc.decay(self.decay);
+            for p in points {
+                acc.add(p);
+            }
             if let Some(center) = acc.majority() {
                 self.centroids[slot] = center;
                 update.rebinarized += 1;
@@ -590,6 +594,105 @@ mod tests {
         // Both sensed slots look identical (all zeros); tie-break low.
         assert_eq!(up.assignments[0].0, 0);
         assert_eq!(m.centroids()[0], ones, "storage is not corrupted");
+    }
+
+    /// The update stage by stage, as `observe` ran it before the
+    /// per-slot fold: every accumulator decayed, the batch assigned,
+    /// every point added, then every slot voted. The oracle for `fold`.
+    fn reference_observe(
+        m: &mut OnlineKMeans,
+        encoded: &[Hypervector],
+        views: Option<Vec<Option<Hypervector>>>,
+    ) -> BatchUpdate {
+        let mut update = BatchUpdate::default();
+        let pre_seeded = m.seeded();
+        m.seed_from(encoded, &mut update);
+        for acc in &mut m.accumulators {
+            acc.decay(m.decay);
+        }
+        update.assignments = match views.and_then(|v| m.compact_views(v, pre_seeded)) {
+            None => search::assign_sharded(encoded, &m.centroids, m.shards, 1),
+            Some((sensed, map)) => search::assign_sharded(encoded, &sensed, m.shards, 1)
+                .into_iter()
+                .map(|(i, d)| (map[i], d))
+                .collect(),
+        };
+        for (p, &(slot, _)) in encoded.iter().zip(&update.assignments) {
+            m.accumulators[slot].add(p);
+        }
+        for (slot, acc) in m.accumulators.iter().enumerate() {
+            if let Some(center) = acc.majority() {
+                m.centroids[slot] = center;
+                update.rebinarized += 1;
+            }
+        }
+        m.batches_observed += 1;
+        update
+    }
+
+    /// A model's whole state with every `f64` as its bits, so −0.0 and
+    /// NaN counts compare exactly (derived `==` reads NaN ≠ NaN).
+    fn state_bits(m: &OnlineKMeans) -> (Vec<Hypervector>, Vec<Vec<u64>>, u64) {
+        let accumulators = m
+            .accumulators()
+            .iter()
+            .map(|a| {
+                let weight = std::iter::once(a.weight());
+                a.counts()
+                    .iter()
+                    .copied()
+                    .chain(weight)
+                    .map(f64::to_bits)
+                    .collect()
+            })
+            .collect();
+        (m.centroids().to_vec(), accumulators, m.batches_observed())
+    }
+
+    #[test]
+    fn fused_update_matches_the_stage_by_stage_reference() {
+        let dim = 70;
+        let points = pool(48, dim, 77);
+        let specials = [-0.0, 5e-324, f64::NAN, -2.2e-308, 1.5];
+        let weights = [2.0, -0.0, 5e-324, f64::NAN, 3.0, 0.5];
+        for decay in [0.3, 0.95, 1.0] {
+            // Fresh: the first batches seed only part of the 12 slots.
+            let fresh = OnlineKMeans::new(dim, 3, 4, decay, 2);
+            // Restored: six seeded slots whose accumulators hold −0.0,
+            // subnormal and NaN counts and weights.
+            let accumulators = (0..6)
+                .map(|s| {
+                    let counts = (0..dim).map(|i| specials[(i + s) % 5]).collect();
+                    CentroidAccumulator::from_parts(counts, weights[s])
+                })
+                .collect();
+            let restored =
+                OnlineKMeans::restore(dim, 3, 4, decay, 2, pool(6, dim, 5), accumulators, 9)
+                    .unwrap();
+            for (name, start) in [("fresh", fresh), ("restored", restored)] {
+                let (mut got, mut want) = (start.clone(), start);
+                let batches = [&points[..5], &points[5..9], &points[9..30], &points[30..]];
+                for (b, batch) in batches.into_iter().enumerate() {
+                    // Every other batch is sensed, with slot 0 masked out
+                    // and slot 1 read with a flipped bit.
+                    let views = (b % 2 == 1).then(|| {
+                        let mut views = pristine(&got);
+                        views[0] = None;
+                        if let Some(hv) = &mut views[1] {
+                            hv.bits_mut().flip(0);
+                        }
+                        views
+                    });
+                    let up = match views.clone() {
+                        None => got.observe_batch(batch, 2),
+                        Some(views) => got.observe_batch_sensed(batch, 2, views),
+                    };
+                    let tag = format!("{name} decay={decay} batch={b}");
+                    assert_eq!(up, reference_observe(&mut want, batch, views), "{tag}");
+                    assert_eq!(state_bits(&got), state_bits(&want), "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -238,22 +238,29 @@ fn stream_engine_snapshots_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn stream_assign_batch_matches_sharded_index_for_all_shapes() {
-    for &n in &SIZES {
-        let queries = hypervectors(n, 256, 51 + n as u64);
-        let centroids = hypervectors(6, 256, 77);
-        let want = search::assign_batch(&queries, &centroids, 1);
-        for &threads in &THREADS {
-            assert_eq!(
-                search::assign_batch(&queries, &centroids, threads),
-                want,
-                "assign_batch n={n} threads={threads}"
-            );
-            for shards in [1usize, 2, 6] {
+    // Six centroids take the per-centroid scan, 300 the bit-sliced
+    // codebook; both must return the serial `nearest` of every query.
+    for n_centroids in [6usize, 300] {
+        let centroids = hypervectors(n_centroids, 256, 77);
+        for &n in &SIZES {
+            let queries = hypervectors(n, 256, 51 + n as u64);
+            let want: Vec<(usize, usize)> = queries
+                .iter()
+                .map(|q| search::nearest(q, &centroids).expect("centroids are non-empty"))
+                .collect();
+            for &threads in &THREADS {
                 assert_eq!(
-                    search::assign_sharded(&queries, &centroids, shards, threads),
+                    search::assign_batch(&queries, &centroids, threads),
                     want,
-                    "sharded n={n} threads={threads} shards={shards}"
+                    "assign_batch centroids={n_centroids} n={n} threads={threads}"
                 );
+                for shards in [1usize, 2, 6] {
+                    assert_eq!(
+                        search::assign_sharded(&queries, &centroids, shards, threads),
+                        want,
+                        "sharded centroids={n_centroids} n={n} threads={threads} shards={shards}"
+                    );
+                }
             }
         }
     }
