@@ -120,8 +120,7 @@ stage_fault() {
 }
 
 stage_determinism() {
-  local tmp
-  tmp=$(mktemp -d)
+  local seed threads
   echo "--- parallel_consistency under DUAL_THREADS in {0, 2, 8}"
   for threads in 0 2 8; do
     DUAL_THREADS=$threads cargo test -q --release -p dual-integration \
@@ -130,52 +129,42 @@ stage_determinism() {
   done
   echo "--- fault_sweep seed x thread matrix (reports must be byte-identical)"
   for seed in 42 1337; do
-    for threads in 0 2 8; do
-      DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin fault_sweep -- \
-        --seed "$seed" --out "$tmp/fault_${seed}_${threads}.json" >/dev/null
-    done
-    for threads in 2 8; do
-      diff "$tmp/fault_${seed}_0.json" "$tmp/fault_${seed}_${threads}.json" \
-        || { echo "fault_sweep diverged: seed=$seed DUAL_THREADS=$threads"; return 1; }
-    done
-    echo "    seed=$seed byte-identical across DUAL_THREADS in {0, 2, 8}"
+    echo "    seed=$seed"
+    threads_matrix fault_sweep - --seed "$seed" --out @/report.json
   done
   echo "--- obs stable snapshots across DUAL_THREADS (reduced workload)"
-  for threads in 0 2 8; do
-    DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin stream_throughput -- \
-      24000 --report-out "$tmp/st_$threads.json" --metrics-out "$tmp/obs_$threads.json" >/dev/null
-  done
-  for threads in 2 8; do
-    diff "$tmp/obs_0.json" "$tmp/obs_$threads.json" \
-      || { echo "obs snapshot diverged at DUAL_THREADS=$threads"; return 1; }
-    diff "$tmp/st_0.json" "$tmp/st_$threads.json" \
-      || { echo "throughput report diverged at DUAL_THREADS=$threads"; return 1; }
-  done
-  echo "    snapshots byte-identical across DUAL_THREADS in {0, 2, 8}"
-  rm -rf "$tmp"
+  threads_matrix stream_throughput - \
+    24000 --report-out @/report.json --metrics-out @/obs_snapshot.json
 }
 
-# threads_matrix <bin> <committed-report>: run a dual-bench report bin
-# under DUAL_THREADS in {0, 2, 8} and require the three reports to be
-# byte-identical to each other and to the committed artifact. Each bin
-# asserts its own invariants before writing (and exits nonzero on a
-# violation); the matrix pins the report bytes across thread counts and
-# against the one-way ratchet in results/.
+# threads_matrix <bin> <committed|-> [args...]: run the dual-bench bin
+# <bin> with [args...] (default `--out @/report.json`) under DUAL_THREADS
+# in {0, 2, 8}, each run writing into its own directory: an argument's
+# leading `@` names that directory. The three directories must be
+# byte-identical, and unless <committed> is `-`, @/report.json must equal
+# that committed artifact. Each bin asserts its own invariants before
+# writing (and exits nonzero on a violation); the matrix pins the report
+# bytes across thread counts and against the one-way ratchet in results/.
 threads_matrix() {
   local bin="$1" committed="$2" tmp threads
+  shift 2
+  [[ $# -gt 0 ]] || set -- --out @/report.json
   tmp=$(mktemp -d)
   for threads in 0 2 8; do
+    mkdir "$tmp/$threads"
     DUAL_THREADS=$threads cargo run -q -p dual-bench --release --bin "$bin" -- \
-      --out "$tmp/$threads.json" >/dev/null
+      "${@/#@/$tmp/$threads}" >/dev/null
     echo "    DUAL_THREADS=$threads ok"
   done
   for threads in 2 8; do
-    diff "$tmp/0.json" "$tmp/$threads.json" \
-      || { echo "$bin report diverged at DUAL_THREADS=$threads"; return 1; }
+    diff -r "$tmp/0" "$tmp/$threads" \
+      || { echo "$bin $* diverged at DUAL_THREADS=$threads"; return 1; }
   done
-  diff "$tmp/0.json" "$committed" \
-    || { echo "$committed drifted: regenerate and commit it"; return 1; }
-  echo "    reports byte-identical across DUAL_THREADS in {0, 2, 8}"
+  if [[ "$committed" != - ]]; then
+    diff "$tmp/0/report.json" "$committed" \
+      || { echo "$committed drifted: regenerate and commit it"; return 1; }
+  fi
+  echo "    $bin reports byte-identical across DUAL_THREADS in {0, 2, 8}"
   rm -rf "$tmp"
 }
 

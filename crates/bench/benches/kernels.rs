@@ -159,13 +159,10 @@ fn bench_parallel_pairs(c: &mut Criterion) {
     c.bench_function("hamming_nearest_4096x2048_serial", |bench| {
         bench.iter(|| std::hint::black_box(dual_hdc::search::nearest(&query, &cands)))
     });
-    c.bench_function("hamming_nearest_4096x2048_parallel", |bench| {
-        bench.iter(|| std::hint::black_box(dual_hdc::search::nearest_parallel(&query, &cands, 0)))
-    });
 
-    // One `stream_codebook` assignment (256 queries, D = 1024, 4 shards)
-    // against its 4 096-slot codebook, and at 128 and 256 candidates,
-    // either side of the bit-sliced threshold in `dual_hdc::search`.
+    // One `stream_codebook` assignment (256 queries, D = 1024) against
+    // its 4 096-slot codebook, and at 128 and 256 candidates, either
+    // side of the bit-sliced threshold in `dual_hdc::search`.
     let queries: Vec<dual_hdc::Hypervector> = (0..256)
         .map(|i| dual_hdc::ops::random_hypervector(1024, u64::MAX - i))
         .collect();
@@ -173,14 +170,9 @@ fn bench_parallel_pairs(c: &mut Criterion) {
         .map(|i| dual_hdc::ops::random_hypervector(1024, i))
         .collect();
     for n in [4096usize, 128, 256] {
-        c.bench_function(&format!("assign_sharded_256x{n}_d1024"), |bench| {
+        c.bench_function(&format!("assign_batch_256x{n}_d1024"), |bench| {
             bench.iter(|| {
-                std::hint::black_box(dual_hdc::search::assign_sharded(
-                    &queries,
-                    &codebook[..n],
-                    4,
-                    1,
-                ))
+                std::hint::black_box(dual_hdc::search::assign_batch(&queries, &codebook[..n], 1))
             })
         });
     }

@@ -59,28 +59,7 @@ impl Dbscan {
     }
 
     /// Run DBSCAN with pairwise distances from `dist`.
-    pub fn fit<P, F>(&self, points: &[P], dist: F) -> DbscanResult
-    where
-        F: FnMut(&P, &P) -> f64,
-    {
-        self.fit_obs(points, dist, Obs::global())
-    }
-
-    /// [`Dbscan::fit`] recording its metrics (region queries, core
-    /// points, fit span) into a caller-owned registry.
-    pub fn fit_recorded<P, F>(
-        &self,
-        points: &[P],
-        dist: F,
-        registry: &dual_obs::Registry,
-    ) -> DbscanResult
-    where
-        F: FnMut(&P, &P) -> f64,
-    {
-        self.fit_obs(points, dist, Obs::local(registry))
-    }
-
-    fn fit_obs<P, F>(&self, points: &[P], mut dist: F, obs: Obs<'_>) -> DbscanResult
+    pub fn fit<P, F>(&self, points: &[P], mut dist: F) -> DbscanResult
     where
         F: FnMut(&P, &P) -> f64,
     {
@@ -93,7 +72,7 @@ impl Dbscan {
                     .filter(|&j| j != i && dist(&points[i], &points[j]) <= eps)
                     .collect()
             },
-            obs,
+            Obs::global(),
         )
     }
 
@@ -115,8 +94,9 @@ impl Dbscan {
         self.fit_parallel_obs(points, threads, dist, Obs::global())
     }
 
-    /// [`Dbscan::fit_parallel`] recording into a caller-owned registry.
-    pub fn fit_parallel_recorded<P, F>(
+    /// [`Dbscan::fit_parallel`] recording its metrics (region queries,
+    /// core points, fit span) into a caller-owned registry.
+    pub fn fit_recorded<P, F>(
         &self,
         points: &[P],
         threads: usize,

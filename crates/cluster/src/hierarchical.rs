@@ -181,19 +181,6 @@ impl AgglomerativeClustering {
         Self::fit_precomputed_weighted(matrix, None, linkage)
     }
 
-    /// [`AgglomerativeClustering::fit_precomputed`] recording metrics
-    /// (`cluster.hier.merge_steps`, the `span.hier_fit` histogram) into
-    /// an explicit [`dual_obs::Registry`] instead of the process-global
-    /// one — the deterministic-testing entry point.
-    #[must_use]
-    pub fn fit_precomputed_recorded(
-        matrix: &CondensedMatrix,
-        linkage: Linkage,
-        registry: &dual_obs::Registry,
-    ) -> Self {
-        Self::fit_weighted_obs(matrix, None, linkage, Obs::local(registry))
-    }
-
     /// Cluster from a precomputed pairwise matrix where item `i` stands
     /// for `weights[i]` original points — the second stage of a
     /// partitioned run, where each item is a representative of a local
@@ -203,6 +190,12 @@ impl AgglomerativeClustering {
     /// form `2·w_i·w_j/(w_i+w_j)·d_ij` (the identity map for unit
     /// weights), so a weighted run over representatives approximates the
     /// Ward merge order of the underlying full dataset.
+    ///
+    /// Every `fit_*` entry point runs here. Each accepted merge bumps
+    /// `cluster.hier.merge_steps` and advances the logical clock by one
+    /// tick; the whole run is timed (in ticks) into the `span.hier_fit`
+    /// histogram. The recording sites are outside the O(n) inner scans,
+    /// so instrumentation cost is one branch per merge.
     ///
     /// # Panics
     ///
@@ -214,21 +207,7 @@ impl AgglomerativeClustering {
         weights: Option<&[usize]>,
         linkage: Linkage,
     ) -> Self {
-        Self::fit_weighted_obs(matrix, weights, linkage, Obs::global())
-    }
-
-    /// Shared agglomeration loop behind every `fit_*` entry point,
-    /// parameterised over the metrics context. Each accepted merge bumps
-    /// `cluster.hier.merge_steps` and advances the logical clock by one
-    /// tick; the whole run is timed (in ticks) into the `span.hier_fit`
-    /// histogram. The recording sites are outside the O(n) inner scans,
-    /// so instrumentation cost is one branch per merge.
-    fn fit_weighted_obs(
-        matrix: &CondensedMatrix,
-        weights: Option<&[usize]>,
-        linkage: Linkage,
-        obs: Obs<'_>,
-    ) -> Self {
+        let obs = Obs::global();
         let _span = obs.span(Key::SpanHierFit);
         let n = matrix.n();
         let init_sizes: Vec<f64> = match weights {

@@ -1,65 +1,18 @@
-//! Hyperdimensional-computing algebra: binding, permutation, bundling
-//! and item memories.
+//! Random hypervectors.
 //!
 //! The DUAL paper builds on the HD-computing framework it cites
 //! (Kanerva 2009; Imani et al. HPCA'17): information is stored as a
 //! *holographic* distribution of patterns where every dimension carries
 //! equal weight — the property behind DUAL's graceful wear-out
-//! (§VIII-H). These are the standard operations of that algebra; the
-//! encoder and clustering layers use [`crate::majority_bundle`], and
-//! the rest are provided for downstream HD applications built on the
-//! same substrate.
+//! (§VIII-H). A uniformly random hypervector is that framework's basic
+//! item, and the deterministic fixture every test and bench draws from.
 
-use crate::{BitVec, HdcError, Hypervector};
+use crate::{BitVec, Hypervector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// XOR binding: associates two hypervectors into one that is
-/// quasi-orthogonal to both. Self-inverse: `bind(bind(a, b), b) == a`.
-///
-/// # Errors
-///
-/// Returns [`HdcError::DimensionMismatch`] when dimensionalities differ.
-///
-/// ```rust
-/// use dual_hdc::{ops, Hypervector};
-///
-/// # fn main() -> Result<(), dual_hdc::HdcError> {
-/// let a = ops::random_hypervector(256, 1);
-/// let b = ops::random_hypervector(256, 2);
-/// let bound = ops::bind(&a, &b)?;
-/// assert_eq!(ops::bind(&bound, &b)?, a); // unbinding recovers a
-/// # Ok(())
-/// # }
-/// ```
-pub fn bind(a: &Hypervector, b: &Hypervector) -> Result<Hypervector, HdcError> {
-    if a.dim() != b.dim() {
-        return Err(HdcError::DimensionMismatch {
-            left: a.dim(),
-            right: b.dim(),
-        });
-    }
-    let mut bits = a.bits().clone();
-    bits.xor_assign(b.bits());
-    Ok(Hypervector::from_bitvec(bits))
-}
-
-/// Cyclic permutation by `shift` positions — the sequence/position
-/// marker of HD computing. `permute(x, k)` is quasi-orthogonal to `x`
-/// for any `k ≠ 0 (mod D)` and invertible by `permute(·, D - k)`.
-#[must_use]
-pub fn permute(x: &Hypervector, shift: usize) -> Hypervector {
-    let d = x.dim();
-    if d == 0 {
-        return x.clone();
-    }
-    let shift = shift % d;
-    let bits: BitVec = (0..d).map(|i| x.bits().get((i + d - shift) % d)).collect();
-    Hypervector::from_bitvec(bits)
-}
-
 /// A uniformly random hypervector (each bit fair-coin), deterministic
-/// in `seed` — the "item" primitive of HD item memories.
+/// in `seed`.
 #[must_use]
 pub fn random_hypervector(dim: usize, seed: u64) -> Hypervector {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -67,131 +20,9 @@ pub fn random_hypervector(dim: usize, seed: u64) -> Hypervector {
     Hypervector::from_bitvec(bits)
 }
 
-/// An associative item memory: named random hypervectors with
-/// nearest-neighbor recall — the software analogue of the CAM-based
-/// associative memories DUAL's related work implements in NVM.
-#[derive(Debug, Clone)]
-pub struct ItemMemory {
-    dim: usize,
-    items: Vec<(String, Hypervector)>,
-}
-
-impl ItemMemory {
-    /// An empty memory for `dim`-bit items.
-    #[must_use]
-    pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            items: Vec::new(),
-        }
-    }
-
-    /// Dimensionality of stored items.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of stored items.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when nothing is stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Store an item under a name (replacing an existing entry with the
-    /// same name).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] for a wrong-sized item.
-    pub fn insert(&mut self, name: &str, item: Hypervector) -> Result<(), HdcError> {
-        if item.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: item.dim(),
-            });
-        }
-        if let Some(slot) = self.items.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = item;
-        } else {
-            self.items.push((name.to_owned(), item));
-        }
-        Ok(())
-    }
-
-    /// Generate-and-store a fresh random item under `name`, returning a
-    /// clone of it. The item is derived deterministically from the name
-    /// and the memory's dimensionality.
-    pub fn insert_random(&mut self, name: &str) -> Result<Hypervector, HdcError> {
-        let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        }) ^ self.dim as u64;
-        let item = random_hypervector(self.dim, seed);
-        self.insert(name, item.clone())?;
-        Ok(item)
-    }
-
-    /// Exact lookup by name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&Hypervector> {
-        self.items.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    /// Associative recall: the stored item nearest (Hamming) to the
-    /// query, with its distance. `None` when empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] for a wrong-sized query.
-    pub fn recall(&self, query: &Hypervector) -> Result<Option<(&str, usize)>, HdcError> {
-        if query.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: query.dim(),
-            });
-        }
-        Ok(self
-            .items
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.hamming(query)))
-            .min_by_key(|&(_, d)| d))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn bind_is_self_inverse_and_distancing() {
-        let a = random_hypervector(512, 1);
-        let b = random_hypervector(512, 2);
-        let bound = bind(&a, &b).unwrap();
-        assert_eq!(bind(&bound, &b).unwrap(), a);
-        assert_eq!(bind(&bound, &a).unwrap(), b);
-        // The bound vector is far from both inputs.
-        assert!(bound.hamming(&a) > 512 / 4);
-        assert!(bound.hamming(&b) > 512 / 4);
-        // Dimension mismatch is rejected.
-        assert!(bind(&a, &random_hypervector(256, 3)).is_err());
-    }
-
-    #[test]
-    fn permute_rotates_and_inverts() {
-        let a = random_hypervector(100, 9);
-        let p = permute(&a, 17);
-        assert_ne!(p, a);
-        assert_eq!(permute(&p, 100 - 17), a);
-        assert_eq!(permute(&a, 0), a);
-        assert_eq!(permute(&a, 100), a);
-    }
 
     #[test]
     fn random_hypervectors_are_quasi_orthogonal() {
@@ -199,63 +30,5 @@ mod tests {
         let b = random_hypervector(4096, 2);
         let d = a.hamming(&b);
         assert!((1700..2400).contains(&d), "distance {d}");
-    }
-
-    #[test]
-    fn item_memory_recall() {
-        let mut m = ItemMemory::new(512);
-        let apple = m.insert_random("apple").unwrap();
-        let _ = m.insert_random("pear").unwrap();
-        let _ = m.insert_random("plum").unwrap();
-        assert_eq!(m.len(), 3);
-        // Corrupt a third of the bits: recall still wins.
-        let mut noisy = apple.clone();
-        for i in (0..512).step_by(3) {
-            noisy.bits_mut().flip(i);
-        }
-        let (name, _) = m.recall(&noisy).unwrap().unwrap();
-        assert_eq!(name, "apple");
-        assert!(m.get("apple").is_some());
-        assert!(m.get("mango").is_none());
-        assert!(m.recall(&random_hypervector(256, 0)).is_err());
-    }
-
-    #[test]
-    fn item_memory_replaces_on_same_name() {
-        let mut m = ItemMemory::new(64);
-        let first = m.insert_random("x").unwrap();
-        let replacement = random_hypervector(64, 999);
-        m.insert("x", replacement.clone()).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get("x"), Some(&replacement));
-        assert_ne!(m.get("x"), Some(&first));
-    }
-
-    #[test]
-    fn empty_memory_recalls_none() {
-        let m = ItemMemory::new(32);
-        assert!(m.is_empty());
-        let q = random_hypervector(32, 1);
-        assert_eq!(m.recall(&q).unwrap(), None);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_bind_preserves_distances(seed_a in 0u64..500, seed_b in 500u64..1000, seed_k in 1000u64..1500) {
-            // Binding by a common key is an isometry of Hamming space.
-            let a = random_hypervector(256, seed_a);
-            let b = random_hypervector(256, seed_b);
-            let k = random_hypervector(256, seed_k);
-            let ak = bind(&a, &k).unwrap();
-            let bk = bind(&b, &k).unwrap();
-            prop_assert_eq!(ak.hamming(&bk), a.hamming(&b));
-        }
-
-        #[test]
-        fn prop_permute_preserves_weight(seed in 0u64..1000, shift in 0usize..300) {
-            let a = random_hypervector(128, seed);
-            let p = permute(&a, shift);
-            prop_assert_eq!(p.bits().count_ones(), a.bits().count_ones());
-        }
     }
 }

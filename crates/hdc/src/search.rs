@@ -2,47 +2,39 @@
 //! of DUAL's row-parallel nearest search (§V-C).
 //!
 //! The hardware compares a broadcast query row against every stored row
-//! at once and bit-serially selects the minimum. Here a query is scored
-//! against one candidate at a time by word-level XOR + popcount over the
-//! packed `u64` storage (see [`crate::BitVec::hamming`]), except in the
-//! batch assignment of [`assign_batch`] and [`assign_sharded`]: from 256
-//! centroids up, the codebook is transposed into bit planes once per
-//! call and every query scores 256 centroids per pass, narrowing to the
-//! minimum MSB-first as the CAM does (DESIGN §6, "Bit-sliced nearest
-//! search"). Queries are optionally chunked across scoped worker
-//! threads.
+//! at once and bit-serially selects the minimum. Two entry points model
+//! it: [`nearest`] scores one query against one candidate at a time by
+//! word-level XOR + popcount over the packed `u64` storage (see
+//! [`crate::BitVec::hamming`]), and [`assign_batch`] does the same for
+//! a batch of queries, chunked across scoped worker threads. From 256
+//! centroids up, [`assign_batch`] transposes the codebook into bit
+//! planes once per call and every query scores 256 centroids per pass,
+//! narrowing to the minimum MSB-first as the CAM does (DESIGN §6,
+//! "Bit-sliced nearest search").
 //!
 //! # Determinism contract
 //!
-//! Every `*_parallel` function is **bit-identical** to its serial
-//! counterpart for any thread count, including `0` ("auto", honouring
-//! the `DUAL_THREADS` environment override — see
-//! [`dual_pool::resolve_threads`]):
-//!
-//! * [`nearest_parallel`] folds per-chunk winners in chunk order, so
-//!   ties break toward the lowest candidate index exactly as the serial
-//!   scan does.
-//! * [`top_k_parallel`] merges per-chunk top-`k` lists by the same
-//!   `(distance, index)` total order [`top_k`] sorts by.
-//! * [`assign_batch`] and [`assign_sharded`] return each query's flat
-//!   scan result — lowest distance, ties to the lowest index — on
-//!   either side of the bit-sliced threshold, for every shard count.
+//! [`assign_batch`] returns each query's [`nearest`] result — lowest
+//! distance, ties to the lowest index — on either side of the
+//! bit-sliced threshold, **bit-identically for every thread count**,
+//! including `0` ("auto", honouring the `DUAL_THREADS` environment
+//! override — see [`dual_pool::resolve_threads`]).
 
 use crate::sliced::SlicedCodebook;
 use crate::Hypervector;
 use dual_obs::{Key, Obs};
 
-/// Candidates from which [`assign_batch`] and [`assign_sharded`] score
-/// queries against a bit-sliced codebook instead of one centroid at a
-/// time. Private and measured, not a knob: a 256-query batch at
-/// `D = 1024` (`assign_sharded_256x*_d1024` in the `kernels` bench) is
+/// Candidates from which [`assign_batch`] scores queries against a
+/// bit-sliced codebook instead of one centroid at a time. Private and
+/// measured, not a knob: a 256-query batch at `D = 1024`
+/// (`assign_batch_256x*_d1024` in the `kernels` bench) is
 /// slower sliced at 128 candidates and faster from 256, where one
 /// super-group of lanes is full.
 const SLICED_MIN_CANDIDATES: usize = 256;
 
 /// Record one batch of Hamming scans against the process-global
-/// recorder: `scans` scan starts (one per query and candidate slice
-/// swept) making `compares` query-candidate comparisons of `dim` bits
+/// recorder: `scans` scan starts (one per query) making `compares`
+/// query-candidate comparisons of `dim` bits
 /// in total (`⌈dim/64⌉` packed popcount words per comparison).
 /// Recorded once per *public* call — never per chunk — so the counters
 /// are invariant across thread counts.
@@ -58,9 +50,9 @@ fn note_scan(scans: usize, compares: usize, dim: usize) {
     );
 }
 
-/// The raw serial scan behind [`nearest`]: no instrumentation, so the
-/// parallel wrappers can reuse it per chunk without inflating the
-/// query counters.
+/// The raw serial scan behind [`nearest`]: no instrumentation, so
+/// [`assign_batch`] can run it per query without inflating the query
+/// counters.
 fn scan_nearest(query: &Hypervector, candidates: &[Hypervector]) -> Option<(usize, usize)> {
     let mut best: Option<(usize, usize)> = None;
     for (i, c) in candidates.iter().enumerate() {
@@ -70,42 +62,6 @@ fn scan_nearest(query: &Hypervector, candidates: &[Hypervector]) -> Option<(usiz
         }
     }
     best
-}
-
-/// The raw bounded top-`k` selection behind [`top_k`]: a sorted vector
-/// of the `k` smallest `(distance, index)` pairs maintained by binary
-/// insertion. Exactly equivalent to sorting the full ranking by
-/// `(distance, index)` and truncating to `k` — the bounded structure
-/// just does it in `O(n log k)` — and it counts its insertions into
-/// the (unstable) `hdc.search.topk_pushes` counter. `offset` shifts
-/// the reported indices so chunked scans report global positions.
-fn top_k_scan(
-    query: &Hypervector,
-    candidates: &[Hypervector],
-    k: usize,
-    offset: usize,
-) -> Vec<(usize, usize)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut best: Vec<(usize, usize)> = Vec::with_capacity(k.min(candidates.len()));
-    let mut pushes = 0u64;
-    for (i, c) in candidates.iter().enumerate() {
-        let entry = (query.hamming(c), offset + i);
-        if best.len() == k {
-            match best.last() {
-                Some(&worst) if entry < worst => {
-                    best.pop();
-                }
-                _ => continue,
-            }
-        }
-        let pos = best.partition_point(|&e| e < entry);
-        best.insert(pos, entry);
-        pushes += 1;
-    }
-    Obs::global().add(Key::HdcTopKPushes, pushes);
-    best.into_iter().map(|(d, i)| (i, d)).collect()
 }
 
 /// Index and Hamming distance of the candidate nearest to `query`,
@@ -131,74 +87,6 @@ pub fn nearest(query: &Hypervector, candidates: &[Hypervector]) -> Option<(usize
     scan_nearest(query, candidates)
 }
 
-/// Parallel [`nearest`]: candidates are scanned in contiguous chunks by
-/// `threads` workers and the per-chunk winners folded in chunk order.
-/// Bit-identical to the serial scan for every thread count.
-#[must_use]
-pub fn nearest_parallel(
-    query: &Hypervector,
-    candidates: &[Hypervector],
-    threads: usize,
-) -> Option<(usize, usize)> {
-    note_scan(1, candidates.len(), query.dim());
-    let chunk_best = dual_pool::par_map_chunks(candidates, threads, |offset, chunk| {
-        match scan_nearest(query, chunk) {
-            Some((i, d)) => vec![(offset + i, d)],
-            None => Vec::new(),
-        }
-    });
-    let mut best: Option<(usize, usize)> = None;
-    for (i, d) in chunk_best {
-        if best.is_none_or(|(_, bd)| d < bd) {
-            best = Some((i, d));
-        }
-    }
-    best
-}
-
-/// The `k` candidates nearest to `query`, sorted by `(distance, index)`
-/// ascending — the index component makes the order total, so equal
-/// distances resolve toward earlier candidates. Returns fewer than `k`
-/// entries when the candidate set is smaller.
-///
-/// ```rust
-/// use dual_hdc::{search, BitVec, Hypervector};
-///
-/// let q = Hypervector::from_bitvec(BitVec::zeros(8));
-/// let mk = |ones: &[usize]| {
-///     let mut b = BitVec::zeros(8);
-///     for &i in ones { b.set(i, true); }
-///     Hypervector::from_bitvec(b)
-/// };
-/// let pool = [mk(&[0, 1, 2]), mk(&[0]), mk(&[0, 1])];
-/// assert_eq!(search::top_k(&q, &pool, 2), vec![(1, 1), (2, 2)]);
-/// ```
-#[must_use]
-pub fn top_k(query: &Hypervector, candidates: &[Hypervector], k: usize) -> Vec<(usize, usize)> {
-    note_scan(1, candidates.len(), query.dim());
-    top_k_scan(query, candidates, k, 0)
-}
-
-/// Parallel [`top_k`]: per-chunk top-`k` lists merged under the same
-/// `(distance, index)` total order. Bit-identical to the serial result
-/// for every thread count.
-#[must_use]
-pub fn top_k_parallel(
-    query: &Hypervector,
-    candidates: &[Hypervector],
-    k: usize,
-    threads: usize,
-) -> Vec<(usize, usize)> {
-    note_scan(1, candidates.len(), query.dim());
-    let mut merged: Vec<(usize, usize)> =
-        dual_pool::par_map_chunks(candidates, threads, |offset, chunk| {
-            top_k_scan(query, chunk, k, offset)
-        });
-    merged.sort_by_key(|&(i, d)| (d, i));
-    merged.truncate(k);
-    merged
-}
-
 /// Assign every query to its nearest centroid in one call, returning
 /// one `(centroid_index, hamming_distance)` pair per query.
 ///
@@ -209,7 +97,9 @@ pub fn top_k_parallel(
 /// the serial [`nearest`] scan returns — below 256 centroids from that
 /// scan, from 256 up from a bit-sliced codebook built once per call —
 /// so ties break toward the lowest centroid index and the output is
-/// **bit-identical for every thread count**.
+/// **bit-identical for every thread count**. One call records one scan
+/// start per query and `queries × centroids × ⌈D/64⌉` popcount words —
+/// the logical comparisons, whichever kernel runs.
 ///
 /// # Panics
 ///
@@ -238,74 +128,8 @@ pub fn assign_batch(
     if let Some(first) = queries.first() {
         note_scan(queries.len(), queries.len() * centroids.len(), first.dim());
     }
-    assign(queries, centroids, threads)
-}
-
-/// [`assign_batch`] with the centroid set split into at most `shards`
-/// contiguous slices, the software shape of DUAL's block-parallel
-/// search (§V-C): every crossbar block resolves its own rows and a
-/// bit-serial minimum across blocks picks the winner. Folding per-shard
-/// winners in shard order under strict improvement is the flat minimum
-/// with ties to the lowest global index, so the search itself is the
-/// flat one and the output is **bit-identical to [`assign_batch`]** for
-/// every `(shards, threads)` combination; the shards are the layout the
-/// counters record.
-///
-/// Shard boundaries are [`dual_pool::chunk_ranges`]`(centroids.len(),
-/// shards)`, a pure function of the two counts, and never outnumber
-/// the centroids. One call records `queries × shard_count` scan starts
-/// and `queries × candidates × ⌈D/64⌉` popcount words — the logical
-/// comparisons, whichever kernel runs.
-///
-/// # Panics
-///
-/// Panics when `centroids` is empty, `shards == 0`, or
-/// dimensionalities differ (the [`Hypervector::hamming`] contract).
-///
-/// ```rust
-/// use dual_hdc::{search, BitVec, Hypervector};
-///
-/// let zeros = Hypervector::from_bitvec(BitVec::zeros(16));
-/// let ones = Hypervector::from_bitvec(BitVec::ones(16));
-/// let centroids = [zeros.clone(), ones.clone(), zeros.clone()];
-/// // Slots 0 and 2 tie; the lower index wins across the shard boundary.
-/// let assigned = search::assign_sharded(&[zeros, ones], &centroids, 2, 1);
-/// assert_eq!(assigned, vec![(0, 0), (1, 0)]);
-/// ```
-#[must_use]
-pub fn assign_sharded(
-    queries: &[Hypervector],
-    centroids: &[Hypervector],
-    shards: usize,
-    threads: usize,
-) -> Vec<(usize, usize)> {
-    assert!(
-        !centroids.is_empty(),
-        "assign_sharded requires at least one centroid"
-    );
-    // `chunk_ranges` reads 0 as "auto"; a shard layout must not depend
-    // on the host or on `DUAL_THREADS`.
-    assert!(shards > 0, "shard count must be positive");
-    if let Some(first) = queries.first() {
-        note_scan(
-            queries.len() * shards.min(centroids.len()),
-            queries.len() * centroids.len(),
-            first.dim(),
-        );
-    }
-    assign(queries, centroids, threads)
-}
-
-/// The search behind [`assign_batch`] and [`assign_sharded`]: every
-/// query's `(index, distance)` over the non-empty `centroids`, with
-/// queries chunked across `threads` workers. From
-/// [`SLICED_MIN_CANDIDATES`] up the codebook is sliced once, before the
-/// workers start, and each worker keeps its own scratch.
-fn assign(
-    queries: &[Hypervector],
-    centroids: &[Hypervector],
-    threads: usize,
-) -> Vec<(usize, usize)> {
+    // From `SLICED_MIN_CANDIDATES` up the codebook is sliced once,
+    // before the workers start, and each worker keeps its own scratch.
     let sliced = (!queries.is_empty() && centroids.len() >= SLICED_MIN_CANDIDATES)
         .then(|| SlicedCodebook::new(centroids));
     let mut out = vec![(0usize, 0usize); queries.len()];
@@ -344,7 +168,6 @@ mod tests {
     fn nearest_empty_is_none() {
         let q = Hypervector::zeros(32);
         assert_eq!(nearest(&q, &[]), None);
-        assert_eq!(nearest_parallel(&q, &[], 4), None);
     }
 
     #[test]
@@ -352,23 +175,6 @@ mod tests {
         let q = Hypervector::zeros(16);
         let cands = vec![q.clone(), q.clone(), q.clone()];
         assert_eq!(nearest(&q, &cands), Some((0, 0)));
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(nearest_parallel(&q, &cands, threads), Some((0, 0)));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_all_thread_counts() {
-        for n in [0usize, 1, 2, 63, 64, 65] {
-            let cands = pool(n, 256, 7);
-            let q = Hypervector::zeros(256);
-            let want_nearest = nearest(&q, &cands);
-            let want_top = top_k(&q, &cands, 5);
-            for threads in [0usize, 1, 2, 3, 8] {
-                assert_eq!(nearest_parallel(&q, &cands, threads), want_nearest);
-                assert_eq!(top_k_parallel(&q, &cands, 5, threads), want_top);
-            }
-        }
     }
 
     #[test]
@@ -434,10 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn assign_sharded_matches_flat_scan_for_all_shapes() {
-        // 64 shards over 1..=65 candidates also covers `shards >
-        // candidates`, where every candidate is its own shard; 255..=600
-        // straddle the bit-sliced threshold and a partial super-group.
+    fn assign_batch_matches_flat_scan_for_all_shapes() {
+        // 255..=600 straddle the bit-sliced threshold and a partial
+        // super-group.
         for n in [1usize, 2, 7, 13, 63, 64, 65, 255, 256, 257, 600] {
             let centroids = pool_with_ties(n, 300, 3);
             let queries = queries_for(&centroids, 300, 42);
@@ -448,13 +253,6 @@ mod tests {
                     want,
                     "n={n} threads={threads}"
                 );
-                for shards in [1usize, 2, 3, 8, 64] {
-                    assert_eq!(
-                        assign_sharded(&queries, &centroids, shards, threads),
-                        want,
-                        "n={n} shards={shards} threads={threads}"
-                    );
-                }
             }
         }
     }
@@ -474,7 +272,7 @@ mod tests {
             }
             for threads in [1usize, 3] {
                 assert_eq!(
-                    assign_sharded(&queries, &centroids, 4, threads),
+                    assign_batch(&queries, &centroids, threads),
                     want,
                     "dim={dim} threads={threads}"
                 );
@@ -487,13 +285,12 @@ mod tests {
 
         /// Random shapes against the serial scan (strict `<`, so ties
         /// go to the lowest index): dims straddle word
-        /// boundaries and the 1 024 edge, slots straddle the bit-sliced
-        /// threshold, and shards may outnumber slots.
+        /// boundaries and the 1 024 edge, and slots straddle the
+        /// bit-sliced threshold.
         #[test]
-        fn prop_assign_sharded_matches_flat_scan(
+        fn prop_assign_batch_matches_flat_scan(
             dim in 1usize..2200,
             slots in 1usize..=600,
-            shards in 1usize..=16,
             batch in 1usize..=8,
             seed in any::<u64>(),
         ) {
@@ -502,7 +299,7 @@ mod tests {
             let want = flat(&queries, &centroids);
             for threads in [0usize, 1, 3] {
                 prop_assert_eq!(
-                    assign_sharded(&queries, &centroids, shards, threads),
+                    assign_batch(&queries, &centroids, threads),
                     want.clone(),
                     "threads={}",
                     threads
@@ -512,45 +309,21 @@ mod tests {
     }
 
     #[test]
-    fn assign_sharded_ties_break_low_across_shard_boundaries() {
+    fn assign_batch_ties_break_low_index() {
         let q = Hypervector::zeros(16);
         let centroids = vec![q.clone(), q.clone(), q.clone(), q.clone()];
-        for shards in [1usize, 2, 4, 9] {
+        for threads in [0usize, 1, 2, 4] {
             assert_eq!(
-                assign_sharded(std::slice::from_ref(&q), &centroids, shards, 1),
+                assign_batch(std::slice::from_ref(&q), &centroids, threads),
                 vec![(0, 0)],
-                "shards={shards}"
+                "threads={threads}"
             );
         }
     }
 
     #[test]
-    fn assign_sharded_empty_batch_is_empty() {
+    fn assign_batch_empty_batch_is_empty() {
         let centroids = pool(5, 64, 9);
-        assert!(assign_sharded(&[], &centroids, 2, 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one centroid")]
-    fn assign_sharded_rejects_empty_centroids() {
-        let _ = assign_sharded(&[Hypervector::zeros(8)], &[], 2, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be positive")]
-    fn assign_sharded_rejects_zero_shards() {
-        let _ = assign_sharded(&[Hypervector::zeros(8)], &pool(2, 8, 1), 0, 1);
-    }
-
-    #[test]
-    fn top_k_is_sorted_prefix_of_full_ranking() {
-        let cands = pool(40, 128, 11);
-        let q = Hypervector::zeros(128);
-        let full = top_k(&q, &cands, cands.len());
-        assert_eq!(full.len(), 40);
-        for k in [0usize, 1, 3, 40, 100] {
-            let got = top_k(&q, &cands, k);
-            assert_eq!(got, full[..k.min(40)].to_vec());
-        }
+        assert!(assign_batch(&[], &centroids, 4).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! `Encoder::encode_batch` accounting against the process-global
 //! recorder: a good batch adds `rows.len()` to `hdc.encoded`, a batch
 //! with a bad row adds nothing. One test in its own binary, like
-//! `assign_sharded_counters.rs`: exact totals can only be pinned where
+//! `assign_batch_counters.rs`: exact totals can only be pinned where
 //! nothing else encodes concurrently.
 
 use dual_hdc::{Encoder, HdMapper, HdcError, LshEncoder};

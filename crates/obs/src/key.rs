@@ -147,17 +147,13 @@ pub enum Key {
     // ---- counters -------------------------------------------------------
     /// Hypervectors encoded by `dual_hdc` encoders.
     HdcEncoded,
-    /// Batch Hamming search scan starts (`nearest`/`top_k`/
-    /// `assign_batch`: one per query; `assign_sharded`: one per query
-    /// and shard), recorded once per public call.
+    /// Hamming search scan starts (`nearest` and `assign_batch`: one
+    /// per query), recorded once per public call.
     HdcSearchQueries,
     /// Packed 64-bit popcount words scanned by Hamming searches.
     HdcPopcountWords,
-    /// Bounded top-k heap insertions. **Unstable**: per-chunk selection
-    /// makes the push count depend on chunk boundaries (thread count).
-    /// Counts real `top_k`/`top_k_parallel` insertions only:
-    /// nearest-centroid assignment is a running minimum, not a top-k
-    /// selection, and does not touch it.
+    /// Bounded top-k heap insertions: no longer recorded; slot retired
+    /// in DSNP v3. **Unstable**, so it stays out of stable snapshots.
     HdcTopKPushes,
     /// Lloyd iterations executed by (Hamming) k-means fits.
     KmeansIterations,

@@ -48,7 +48,9 @@ pub struct StreamConfig {
     /// Forgetting factor in `(0, 1]` applied to every centroid
     /// accumulator between micro-batches; `1.0` never forgets.
     pub decay: f64,
-    /// Contiguous shards the sub-centroid index is split into.
+    /// Contiguous shards the sub-centroid index is split into for fault
+    /// sensing and quarantine. Assignment searches every slot flat, so
+    /// the shard count moves no fault-free bit.
     pub shards: usize,
     /// Worker threads for the encode/assign hot loops (`0` = auto,
     /// honouring `DUAL_THREADS`). Results are bit-identical for every

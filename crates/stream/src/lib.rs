@@ -26,9 +26,8 @@
 //! * **Clustering** — [`OnlineKMeans`]: decayed per-centroid
 //!   bit-count accumulators with majority re-binarization (the exact
 //!   vote of the batch solver) and MEMHD-style multi-centroid sets,
-//!   searched `shards` ways by `dual_hdc::search::assign_sharded` —
-//!   the one batch nearest-centroid kernel, pristine and fault-sensed
-//!   alike.
+//!   searched flat by `dual_hdc::search::assign_batch` — the one
+//!   batch nearest-centroid kernel, pristine and fault-sensed alike.
 //! * **Attribution** — every committed batch is priced on the paper's
 //!   chip cost model via `dual_pim::StreamMeter`.
 //! * **Durability** (opt-in) — [`StreamEngine::checkpoint`] captures

@@ -10,7 +10,7 @@
 //!
 //! Following MEMHD's multi-centroid memory, each of the `k` clusters
 //! may own several **sub-centroids**; assignment searches the flat
-//! sub-centroid set with [`search::assign_sharded`] and reports both
+//! sub-centroid set with [`search::assign_batch`] and reports both
 //! the winning sub-centroid and its cluster. Sub-centroid slot `s` belongs
 //! to cluster `s % k`, so seeding slots in order round-robins the
 //! clusters: every cluster receives its first center before any
@@ -41,7 +41,7 @@ pub struct BatchUpdate {
 
 /// Online decayed mini-batch k-means state: `k × centroids_per_cluster`
 /// sub-centroid slots, one decayed accumulator per slot, and the
-/// centroid storage the assignment step searches `shards` ways.
+/// centroid storage the assignment step searches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineKMeans {
     dim: usize,
@@ -51,17 +51,19 @@ pub struct OnlineKMeans {
     /// Seeded sub-centroids in slot order: the single source of truth
     /// for "what does the chip currently store".
     centroids: Vec<Hypervector>,
-    shards: usize,
     accumulators: Vec<CentroidAccumulator>,
     batches_observed: u64,
 }
 
 impl OnlineKMeans {
     /// A model for `dim`-bit hypervectors with `k` clusters of
-    /// `centroids_per_cluster` sub-centroids each, forgetting factor
-    /// `decay`, and assignment sharded `shards` ways. No slot is seeded
-    /// yet; the first observed batches (or [`OnlineKMeans::seed`]) fill
-    /// them.
+    /// `centroids_per_cluster` sub-centroids each and forgetting factor
+    /// `decay`. No slot is seeded yet; the first observed batches (or
+    /// [`OnlineKMeans::seed`]) fill them.
+    ///
+    /// `shards` is validated but unused: assignment is one flat search
+    /// over every slot, and the engine senses and quarantines per shard
+    /// from its own config.
     ///
     /// # Panics
     ///
@@ -92,7 +94,6 @@ impl OnlineKMeans {
             centroids_per_cluster,
             decay,
             centroids: Vec::new(),
-            shards,
             accumulators: Vec::new(),
             batches_observed: 0,
         }
@@ -166,20 +167,17 @@ impl OnlineKMeans {
     /// # Panics
     ///
     /// As [`OnlineKMeans::new`] for degenerate geometry parameters.
-    // Eight scalars of exported state, not a config soup: a builder or
-    // params struct would just re-spell `EngineSnapshot` here.
-    #[allow(clippy::too_many_arguments)]
     pub fn restore(
         dim: usize,
         k: usize,
         centroids_per_cluster: usize,
         decay: f64,
-        shards: usize,
         centroids: Vec<Hypervector>,
         accumulators: Vec<CentroidAccumulator>,
         batches_observed: u64,
     ) -> Result<Self, StreamError> {
-        let mut model = Self::new(dim, k, centroids_per_cluster, decay, shards);
+        // `new`'s shard count is validated but unused; any positive one.
+        let mut model = Self::new(dim, k, centroids_per_cluster, decay, 1);
         if centroids.len() != accumulators.len() {
             return Err(StreamError::CentroidShape {
                 reason: "restored centroid and accumulator counts differ",
@@ -264,7 +262,7 @@ impl OnlineKMeans {
     ///    points are copied into them (round-robin over clusters by the
     ///    slot layout).
     /// 2. **Assign** — every point (seeds included) goes to its nearest
-    ///    sub-centroid via [`search::assign_sharded`]; `threads` workers
+    ///    sub-centroid via [`search::assign_batch`]; `threads` workers
     ///    chunk the queries, bit-identically for every thread count.
     /// 3. **Update** — one slot at a time, in slot order:
     ///    - **decay** — the accumulator fades by the forgetting factor
@@ -339,8 +337,8 @@ impl OnlineKMeans {
         self.seed_from(encoded, &mut update);
         let sensed = views.and_then(|views| self.compact_views(views, pre_seeded));
         update.assignments = match sensed {
-            None => search::assign_sharded(encoded, &self.centroids, self.shards, threads),
-            Some((sensed, map)) => search::assign_sharded(encoded, &sensed, self.shards, threads)
+            None => search::assign_batch(encoded, &self.centroids, threads),
+            Some((sensed, map)) => search::assign_batch(encoded, &sensed, threads)
                 .into_iter()
                 .map(|(i, d)| (map[i], d))
                 .collect(),
@@ -559,9 +557,9 @@ mod tests {
 
     #[test]
     fn sensed_whole_shard_masked_with_more_shards_than_survivors() {
-        // 8 slots over 4 shards of 2; shards 0, 1 and 3 are dead, so 2
-        // survivors are searched 4 ways (one candidate per shard) and
-        // the winners map back to global slots 4 and 5.
+        // 8 slots over 4 shards of 2; shards 0, 1 and 3 are dead, so
+        // the 2 survivors are searched and the winners map back to
+        // global slots 4 and 5.
         let centers = pool(8, 64, 51);
         let mut m = OnlineKMeans::new(64, 8, 1, 1.0, 4);
         m.seed(&centers).unwrap();
@@ -611,8 +609,8 @@ mod tests {
             acc.decay(m.decay);
         }
         update.assignments = match views.and_then(|v| m.compact_views(v, pre_seeded)) {
-            None => search::assign_sharded(encoded, &m.centroids, m.shards, 1),
-            Some((sensed, map)) => search::assign_sharded(encoded, &sensed, m.shards, 1)
+            None => search::assign_batch(encoded, &m.centroids, 1),
+            Some((sensed, map)) => search::assign_batch(encoded, &sensed, 1)
                 .into_iter()
                 .map(|(i, d)| (map[i], d))
                 .collect(),
@@ -667,8 +665,7 @@ mod tests {
                 })
                 .collect();
             let restored =
-                OnlineKMeans::restore(dim, 3, 4, decay, 2, pool(6, dim, 5), accumulators, 9)
-                    .unwrap();
+                OnlineKMeans::restore(dim, 3, 4, decay, pool(6, dim, 5), accumulators, 9).unwrap();
             for (name, start) in [("fresh", fresh), ("restored", restored)] {
                 let (mut got, mut want) = (start.clone(), start);
                 let batches = [&points[..5], &points[5..9], &points[9..30], &points[30..]];

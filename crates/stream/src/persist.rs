@@ -651,7 +651,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             engine.config.k,
             engine.config.centroids_per_cluster,
             engine.config.decay,
-            engine.config.shards,
             centroids,
             accumulators,
             snap.model.batches_observed,

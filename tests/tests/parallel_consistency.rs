@@ -141,28 +141,6 @@ fn dbscan_parallel_is_identical() {
 }
 
 #[test]
-fn hamming_search_parallel_is_identical() {
-    for &n in &SIZES {
-        let cands = hypervectors(n, 512, 31 + n as u64);
-        let query = dual_hdc::ops::random_hypervector(512, 999);
-        let serial_nearest = search::nearest(&query, &cands);
-        let serial_top = search::top_k(&query, &cands, 7);
-        for &threads in &THREADS {
-            assert_eq!(
-                search::nearest_parallel(&query, &cands, threads),
-                serial_nearest,
-                "nearest n={n} threads={threads}"
-            );
-            assert_eq!(
-                search::top_k_parallel(&query, &cands, 7, threads),
-                serial_top,
-                "top_k n={n} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn encode_parallel_matches_encode_for_degenerate_thread_counts() {
     let acc = DualAccelerator::new(DualConfig::paper().with_dim(256), 4, 3).unwrap();
     for &n in &SIZES {
@@ -182,9 +160,11 @@ fn stream_engine_snapshots_are_bit_identical_across_thread_counts() {
     use dual_hdc::HdMapper;
     use dual_stream::{StreamConfig, StreamEngine};
 
-    // The full pipeline — ring, batcher, parallel encode, sharded
+    // The full pipeline — ring, batcher, parallel encode, flat
     // assignment, decayed accumulators, cost meter — must export the
-    // same snapshot for every thread count, including energy bits.
+    // same snapshot for every thread count, including energy bits. The
+    // shard count only sets fault-quarantine granularity, so sweeping it
+    // on a fault-free run must move no bit either.
     let run = |threads: usize, shards: usize, max_batch: usize| {
         let encoder = HdMapper::builder(256, 4)
             .seed(3)
@@ -237,7 +217,7 @@ fn stream_engine_snapshots_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn stream_assign_batch_matches_sharded_index_for_all_shapes() {
+fn assign_batch_matches_nearest_for_all_shapes() {
     // Six centroids take the per-centroid scan, 300 the bit-sliced
     // codebook; both must return the serial `nearest` of every query.
     for n_centroids in [6usize, 300] {
@@ -254,13 +234,6 @@ fn stream_assign_batch_matches_sharded_index_for_all_shapes() {
                     want,
                     "assign_batch centroids={n_centroids} n={n} threads={threads}"
                 );
-                for shards in [1usize, 2, 6] {
-                    assert_eq!(
-                        search::assign_sharded(&queries, &centroids, shards, threads),
-                        want,
-                        "sharded centroids={n_centroids} n={n} threads={threads} shards={shards}"
-                    );
-                }
             }
         }
     }
@@ -393,7 +366,7 @@ fn topology_sweep_is_bit_identical_across_thread_counts() {
 /// kernel records must be invariant under the thread count, so the
 /// byte-stable JSON export of a local registry is a fixed point across
 /// `DUAL_THREADS`-style sweeps. Counters that *are* allowed to vary
-/// (top-k heap pushes, pool task spawns, bench wall-clock) are excluded
+/// (pool task spawns, bench wall-clock) are excluded
 /// from `stable_snapshot` by construction — this test locks the whole
 /// stable surface at once.
 #[test]
@@ -422,15 +395,11 @@ fn obs_stable_snapshots_are_byte_identical_across_thread_counts() {
             .expect("n >= k");
         reg.stable_snapshot().to_json()
     };
-    // DBSCAN: lazy serial region queries vs precomputed parallel lists.
+    // DBSCAN: precomputed neighbor lists built by `threads` workers.
     let db = Dbscan::new(3.0, 4).expect("valid params");
     let dbscan_json = |threads: usize| {
         let reg = dual_obs::Registry::new();
-        if threads == 1 {
-            db.fit_recorded(&pts, dual_cluster::euclidean, &reg);
-        } else {
-            db.fit_parallel_recorded(&pts, threads, dual_cluster::euclidean, &reg);
-        }
+        db.fit_recorded(&pts, threads, dual_cluster::euclidean, &reg);
         reg.stable_snapshot().to_json()
     };
     // Streaming engine: full pipeline into its private registry.
