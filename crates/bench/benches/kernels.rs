@@ -286,6 +286,47 @@ fn bench_center_update(c: &mut Criterion) {
     std::hint::black_box(acc.majority());
 }
 
+/// One tick-end write-ahead capture of a `topo_resilient`-shaped tenant
+/// (D = 1024, 16 features, 8 clusters × 4 slots, a 128-point ring and a
+/// full 256-event trace ring, fault injection off): the snapshot tree
+/// encoded into a reused buffer, as `StreamEngine`'s periodic WAL does.
+fn bench_snapshot_encode(c: &mut Criterion) {
+    let mapper = HdMapper::builder(1024, 16)
+        .seed(7)
+        .sigma(4.0)
+        .build()
+        .expect("valid");
+    let mut cfg = dual_stream::StreamConfig::new(8);
+    cfg.centroids_per_cluster = 4;
+    cfg.max_batch = 32;
+    cfg.capacity = 128;
+    cfg.decay = 0.95;
+    cfg.threads = 1;
+    cfg.trace_capacity = 256;
+    let mut engine = dual_stream::StreamEngine::new(mapper, cfg).expect("valid config");
+    let seeds: Vec<dual_hdc::Hypervector> = (0..32)
+        .map(|i| dual_hdc::ops::random_hypervector(1024, i))
+        .collect();
+    engine.seed_centroids(&seeds).expect("32 slots");
+    for i in 0..1600 {
+        let p: Vec<f64> = (0..16)
+            .map(|j| ((i * 16 + j) as f64 * 0.13).sin())
+            .collect();
+        engine.push(&p).expect("ring has room");
+        if i % 32 == 31 {
+            engine.tick().expect("tick");
+        }
+    }
+    let snap = dual_snap::EngineSnapshot::decode(&engine.checkpoint()).expect("own blob");
+    let mut buf = Vec::new();
+    c.bench_function("snapshot_encode_into_32x1024", |bench| {
+        bench.iter(|| {
+            snap.encode_into(&mut buf);
+            std::hint::black_box(buf.len())
+        })
+    });
+}
+
 /// No-op-vs-live `dual-obs` pair: the same k-means fit once with the
 /// global registry uninstalled (every metrics site is a branch-on-null
 /// no-op) and once recording into a live local [`dual_obs::Registry`].
@@ -318,6 +359,7 @@ criterion_group!(
     bench_linkage,
     bench_parallel_pairs,
     bench_center_update,
+    bench_snapshot_encode,
     bench_obs_pair
 );
 criterion_main!(benches);

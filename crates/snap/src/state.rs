@@ -1,5 +1,7 @@
 //! The snapshot state tree: plain-data mirrors of every mutable piece
-//! of a `StreamEngine`, plus their wire encodings.
+//! of a `StreamEngine`. Each is declared through `wire_struct!`, so its
+//! field list is its wire encoding: fields travel in declaration order,
+//! nested structs depth-first.
 //!
 //! These structs carry **bit representations**, not live objects:
 //! `f64`s travel as `to_bits()` words so a snapshot→restore→replay run
@@ -8,590 +10,297 @@
 //! other crate's layout. `dual-stream` owns the mapping between live
 //! engine types and this tree.
 
-use crate::codec::{len_u64, Reader, Writer};
-use crate::error::SnapError;
+use crate::codec::wire_struct;
 
-/// Engine configuration, recorded so a restore can rebuild the exact
-/// `StreamConfig` and validate the caller-supplied encoder geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigState {
-    /// Hypervector dimensionality of the encoder.
-    pub dim: u64,
-    /// Input feature count of the encoder.
-    pub n_features: u64,
-    /// Ring capacity.
-    pub capacity: u64,
-    /// Backpressure policy tag: 0 = Block, 1 = DropOldest, 2 = Reject.
-    pub policy: u8,
-    /// Batch size threshold.
-    pub max_batch: u64,
-    /// Deadline in logical ticks.
-    pub max_ticks: u64,
-    /// Number of clusters.
-    pub k: u64,
-    /// Sub-centroid slots per cluster.
-    pub centroids_per_cluster: u64,
-    /// Accumulator decay factor, as `f64::to_bits`.
-    pub decay_bits: u64,
-    /// Index shard count.
-    pub shards: u64,
-    /// Configured worker thread count (0 = auto).
-    pub threads: u64,
-    /// Periodic write-ahead snapshot interval in ticks (0 = off).
-    pub snapshot_every: u64,
-    /// Flight-recorder ring capacity (0 = recorder off). New in
-    /// format version 2.
-    pub trace_capacity: u64,
-}
-
-impl ConfigState {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.dim);
-        w.put_u64(self.n_features);
-        w.put_u64(self.capacity);
-        w.put_u8(self.policy);
-        w.put_u64(self.max_batch);
-        w.put_u64(self.max_ticks);
-        w.put_u64(self.k);
-        w.put_u64(self.centroids_per_cluster);
-        w.put_u64(self.decay_bits);
-        w.put_u64(self.shards);
-        w.put_u64(self.threads);
-        w.put_u64(self.snapshot_every);
-        w.put_u64(self.trace_capacity);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            dim: r.u64()?,
-            n_features: r.u64()?,
-            capacity: r.u64()?,
-            policy: r.u8()?,
-            max_batch: r.u64()?,
-            max_ticks: r.u64()?,
-            k: r.u64()?,
-            centroids_per_cluster: r.u64()?,
-            decay_bits: r.u64()?,
-            shards: r.u64()?,
-            threads: r.u64()?,
-            snapshot_every: r.u64()?,
-            trace_capacity: r.u64()?,
-        })
+wire_struct! {
+    /// Engine configuration, recorded so a restore can rebuild the exact
+    /// `StreamConfig` and validate the caller-supplied encoder geometry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ConfigState {
+        /// Hypervector dimensionality of the encoder.
+        pub dim: u64,
+        /// Input feature count of the encoder.
+        pub n_features: u64,
+        /// Ring capacity.
+        pub capacity: u64,
+        /// Backpressure policy tag: 0 = Block, 1 = DropOldest, 2 = Reject.
+        pub policy: u8,
+        /// Batch size threshold.
+        pub max_batch: u64,
+        /// Deadline in logical ticks.
+        pub max_ticks: u64,
+        /// Number of clusters.
+        pub k: u64,
+        /// Sub-centroid slots per cluster.
+        pub centroids_per_cluster: u64,
+        /// Accumulator decay factor, as `f64::to_bits`.
+        pub decay_bits: u64,
+        /// Index shard count.
+        pub shards: u64,
+        /// Configured worker thread count (0 = auto).
+        pub threads: u64,
+        /// Periodic write-ahead snapshot interval in ticks (0 = off).
+        pub snapshot_every: u64,
+        /// Flight-recorder ring capacity (0 = recorder off). New in
+        /// format version 2.
+        pub trace_capacity: u64,
     }
 }
 
-/// Online k-means learning state: seeded slots and their decayed
-/// accumulators.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelState {
-    /// Batches the model has observed (drives seeding behaviour).
-    pub batches_observed: u64,
-    /// Bit-packed hypervector words of each seeded sub-centroid slot,
-    /// in slot order.
-    pub centroids: Vec<Vec<u64>>,
-    /// Per-slot accumulator bit counts, each entry `f64::to_bits`.
-    pub acc_counts: Vec<Vec<u64>>,
-    /// Per-slot accumulator weights, as `f64::to_bits`.
-    pub acc_weights: Vec<u64>,
-}
-
-impl ModelState {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.batches_observed);
-        w.put_u64(len_u64(self.centroids.len()));
-        for c in &self.centroids {
-            w.put_u64_vec(c);
-        }
-        w.put_u64(len_u64(self.acc_counts.len()));
-        for c in &self.acc_counts {
-            w.put_u64_vec(c);
-        }
-        w.put_u64_vec(&self.acc_weights);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let batches_observed = r.u64()?;
-        // Each element is itself length-prefixed: 8 bytes minimum.
-        let n = r.count(8)?;
-        let mut centroids = Vec::with_capacity(n);
-        for _ in 0..n {
-            centroids.push(r.u64_vec()?);
-        }
-        let n = r.count(8)?;
-        let mut acc_counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            acc_counts.push(r.u64_vec()?);
-        }
-        let acc_weights = r.u64_vec()?;
-        Ok(Self {
-            batches_observed,
-            centroids,
-            acc_counts,
-            acc_weights,
-        })
+wire_struct! {
+    /// Online k-means learning state: seeded slots and their decayed
+    /// accumulators.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ModelState {
+        /// Batches the model has observed (drives seeding behaviour).
+        pub batches_observed: u64,
+        /// Bit-packed hypervector words of each seeded sub-centroid slot,
+        /// in slot order.
+        pub centroids: Vec<Vec<u64>>,
+        /// Per-slot accumulator bit counts, each entry `f64::to_bits`.
+        pub acc_counts: Vec<Vec<u64>>,
+        /// Per-slot accumulator weights, as `f64::to_bits`.
+        pub acc_weights: Vec<u64>,
     }
 }
 
-/// One priced-operation ledger entry: a `dual_pim::Op` flattened to a
-/// `(tag, bits)` pair plus its issue count.
-///
-/// Tags: 0 HammingWindow, 1 NearestStage, 2 Add, 3 Sub, 4 Mul, 5 Div,
-/// 6 Transfer, 7 Write. `bits` is 0 for the un-parameterised ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpCount {
-    /// Operation tag (see type docs).
-    pub tag: u8,
-    /// Bit-width parameter of the op, 0 when not applicable.
-    pub bits: u32,
-    /// Times the op was issued.
-    pub count: u64,
-}
-
-/// A committed batch cost, bit-preserved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchCostState {
-    /// 1-based batch sequence number.
-    pub batch: u64,
-    /// Points the batch carried.
-    pub points: u64,
-    /// Modeled latency, as `f64::to_bits`.
-    pub time_ns_bits: u64,
-    /// Modeled energy, as `f64::to_bits`.
-    pub energy_pj_bits: u64,
-}
-
-/// The stream meter's committed energy ledger.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MeterState {
-    /// Total modeled latency, as `f64::to_bits`.
-    pub time_ns_bits: u64,
-    /// Total modeled energy, as `f64::to_bits`.
-    pub energy_pj_bits: u64,
-    /// Per-op issue counts, in the meter's (ordered) iteration order.
-    pub ops: Vec<OpCount>,
-    /// Committed batches.
-    pub batches: u64,
-    /// Committed points.
-    pub points: u64,
-    /// The most recent committed batch cost, if any.
-    pub last: Option<BatchCostState>,
-}
-
-impl MeterState {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.time_ns_bits);
-        w.put_u64(self.energy_pj_bits);
-        w.put_u64(len_u64(self.ops.len()));
-        for op in &self.ops {
-            w.put_u8(op.tag);
-            w.put_u32(op.bits);
-            w.put_u64(op.count);
-        }
-        w.put_u64(self.batches);
-        w.put_u64(self.points);
-        match self.last {
-            None => w.put_u8(0),
-            Some(c) => {
-                w.put_u8(1);
-                w.put_u64(c.batch);
-                w.put_u64(c.points);
-                w.put_u64(c.time_ns_bits);
-                w.put_u64(c.energy_pj_bits);
-            }
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let time_ns_bits = r.u64()?;
-        let energy_pj_bits = r.u64()?;
-        let n = r.count(13)?; // 1 + 4 + 8 bytes per entry
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            ops.push(OpCount {
-                tag: r.u8()?,
-                bits: r.u32()?,
-                count: r.u64()?,
-            });
-        }
-        let batches = r.u64()?;
-        let points = r.u64()?;
-        let last = match r.u8()? {
-            0 => None,
-            1 => Some(BatchCostState {
-                batch: r.u64()?,
-                points: r.u64()?,
-                time_ns_bits: r.u64()?,
-                energy_pj_bits: r.u64()?,
-            }),
-            _ => {
-                return Err(SnapError::Corrupt {
-                    reason: "meter last-batch tag",
-                })
-            }
-        };
-        Ok(Self {
-            time_ns_bits,
-            energy_pj_bits,
-            ops,
-            batches,
-            points,
-            last,
-        })
+wire_struct! {
+    /// One priced-operation ledger entry: a `dual_pim::Op` flattened to a
+    /// `(tag, bits)` pair plus its issue count.
+    ///
+    /// Tags: 0 HammingWindow, 1 NearestStage, 2 Add, 3 Sub, 4 Mul, 5 Div,
+    /// 6 Transfer, 7 Write. `bits` is 0 for the un-parameterised ops.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct OpCount {
+        /// Operation tag (see type docs).
+        pub tag: u8,
+        /// Bit-width parameter of the op, 0 when not applicable.
+        pub bits: u32,
+        /// Times the op was issued.
+        pub count: u64,
     }
 }
 
-/// One histogram's buckets and moments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistState {
-    /// Bucket hit counts (fixed bucket layout of the obs registry).
-    pub buckets: Vec<u64>,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-/// The observability registry: logical clock, counters, gauges (as
-/// `f64::to_bits`), and histograms, each in metric slot order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsState {
-    /// Logical clock ticks.
-    pub clock: u64,
-    /// Counter values by counter slot.
-    pub counters: Vec<u64>,
-    /// Gauge values by gauge slot, as `f64::to_bits`.
-    pub gauges: Vec<u64>,
-    /// Histograms by histogram slot.
-    pub hists: Vec<HistState>,
-}
-
-impl ObsState {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.clock);
-        w.put_u64_vec(&self.counters);
-        w.put_u64_vec(&self.gauges);
-        w.put_u64(len_u64(self.hists.len()));
-        for h in &self.hists {
-            w.put_u64_vec(&h.buckets);
-            w.put_u64(h.sum);
-            w.put_u64(h.count);
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let clock = r.u64()?;
-        let counters = r.u64_vec()?;
-        let gauges = r.u64_vec()?;
-        // Each histogram is at least its three length/moment words.
-        let n = r.count(24)?;
-        let mut hists = Vec::with_capacity(n);
-        for _ in 0..n {
-            hists.push(HistState {
-                buckets: r.u64_vec()?,
-                sum: r.u64()?,
-                count: r.u64()?,
-            });
-        }
-        Ok(Self {
-            clock,
-            counters,
-            gauges,
-            hists,
-        })
+wire_struct! {
+    /// A committed batch cost, bit-preserved.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BatchCostState {
+        /// 1-based batch sequence number.
+        pub batch: u64,
+        /// Points the batch carried.
+        pub points: u64,
+        /// Modeled latency, as `f64::to_bits`.
+        pub time_ns_bits: u64,
+        /// Modeled energy, as `f64::to_bits`.
+        pub energy_pj_bits: u64,
     }
 }
 
-/// Identity of the fault-injection setup the snapshot was taken under.
-///
-/// A restore re-supplies the live `FaultPlan`/policy (they are pure
-/// seeded configuration, not state); this fingerprint lets the restore
-/// path reject a mismatched re-supply with a typed error instead of
-/// silently diverging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultFingerprint {
-    /// Healing policy tag: 0 Off, 1 SpareRows, 2 MajorityReread, 3 Full.
-    pub policy_tag: u8,
-    /// Spare rows of the policy (0 when not applicable).
-    pub spares: u64,
-    /// Re-read count of the policy (0 when not applicable).
-    pub reads: u64,
-    /// Quarantine retry budget.
-    pub retry_budget: u64,
-    /// Quarantine base backoff in ticks.
-    pub base_backoff_ticks: u64,
-    /// Quarantine backoff multiplier.
-    pub backoff_factor: u64,
-    /// Quarantine corruption threshold, as `f64::to_bits`.
-    pub threshold_bits: u64,
-    /// Fault plan RNG seed.
-    pub plan_seed: u64,
-    /// Fault plan rows.
-    pub plan_rows: u64,
-    /// Fault plan columns.
-    pub plan_cols: u64,
-    /// Stuck-cell rate, as `f64::to_bits`.
-    pub stuck_rate_bits: u64,
-    /// Dead-row rate, as `f64::to_bits`.
-    pub dead_row_rate_bits: u64,
-    /// Transient flip rate, as `f64::to_bits`.
-    pub flip_rate_bits: u64,
-}
-
-impl FaultFingerprint {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u8(self.policy_tag);
-        w.put_u64(self.spares);
-        w.put_u64(self.reads);
-        w.put_u64(self.retry_budget);
-        w.put_u64(self.base_backoff_ticks);
-        w.put_u64(self.backoff_factor);
-        w.put_u64(self.threshold_bits);
-        w.put_u64(self.plan_seed);
-        w.put_u64(self.plan_rows);
-        w.put_u64(self.plan_cols);
-        w.put_u64(self.stuck_rate_bits);
-        w.put_u64(self.dead_row_rate_bits);
-        w.put_u64(self.flip_rate_bits);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            policy_tag: r.u8()?,
-            spares: r.u64()?,
-            reads: r.u64()?,
-            retry_budget: r.u64()?,
-            base_backoff_ticks: r.u64()?,
-            backoff_factor: r.u64()?,
-            threshold_bits: r.u64()?,
-            plan_seed: r.u64()?,
-            plan_rows: r.u64()?,
-            plan_cols: r.u64()?,
-            stuck_rate_bits: r.u64()?,
-            dead_row_rate_bits: r.u64()?,
-            flip_rate_bits: r.u64()?,
-        })
+wire_struct! {
+    /// The stream meter's committed energy ledger.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MeterState {
+        /// Total modeled latency, as `f64::to_bits`.
+        pub time_ns_bits: u64,
+        /// Total modeled energy, as `f64::to_bits`.
+        pub energy_pj_bits: u64,
+        /// Per-op issue counts, in the meter's (ordered) iteration order.
+        pub ops: Vec<OpCount>,
+        /// Committed batches.
+        pub batches: u64,
+        /// Committed points.
+        pub points: u64,
+        /// The most recent committed batch cost, if any.
+        pub last: Option<BatchCostState>,
     }
 }
 
-/// One shard's quarantine machine state. Tags: 0 Healthy,
-/// 1 Quarantined, 2 Dead. `until_tick`/`retries_used` are zero unless
-/// the tag is 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardState {
-    /// Health tag (see type docs).
-    pub tag: u8,
-    /// Logical tick at which a quarantined shard requeues.
-    pub until_tick: u64,
-    /// Retries consumed by a quarantined shard.
-    pub retries_used: u64,
-}
-
-/// Fault-tolerance machine state: the spare-row pool and the per-shard
-/// quarantine clocks, plus the fingerprint of the configuration they
-/// were built under.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultState {
-    /// Configuration identity, validated on restore.
-    pub fingerprint: FaultFingerprint,
-    /// Spare pool: first spare row index.
-    pub pool_base: u64,
-    /// Spare pool: capacity (number of provisioned spare rows).
-    pub pool_total: u64,
-    /// Spare pool: next unassigned spare cursor.
-    pub pool_next: u64,
-    /// Spare pool: live (logical row → physical spare row) remaps.
-    pub pool_map: Vec<(u64, u64)>,
-    /// Per-shard health machines.
-    pub shards: Vec<ShardState>,
-    /// Per-shard quarantine trip counts (drives the backoff exponent).
-    pub trips: Vec<u64>,
-    /// Lifetime quarantine entries.
-    pub stats_quarantined: u64,
-    /// Lifetime requeues after backoff.
-    pub stats_requeued: u64,
-    /// Shards retired for good.
-    pub stats_dead: u64,
-}
-
-impl FaultState {
-    fn encode_into(&self, w: &mut Writer) {
-        self.fingerprint.encode_into(w);
-        w.put_u64(self.pool_base);
-        w.put_u64(self.pool_total);
-        w.put_u64(self.pool_next);
-        w.put_u64(len_u64(self.pool_map.len()));
-        for &(from, to) in &self.pool_map {
-            w.put_u64(from);
-            w.put_u64(to);
-        }
-        w.put_u64(len_u64(self.shards.len()));
-        for s in &self.shards {
-            w.put_u8(s.tag);
-            w.put_u64(s.until_tick);
-            w.put_u64(s.retries_used);
-        }
-        w.put_u64_vec(&self.trips);
-        w.put_u64(self.stats_quarantined);
-        w.put_u64(self.stats_requeued);
-        w.put_u64(self.stats_dead);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let fingerprint = FaultFingerprint::decode_from(r)?;
-        let pool_base = r.u64()?;
-        let pool_total = r.u64()?;
-        let pool_next = r.u64()?;
-        let n = r.count(16)?;
-        let mut pool_map = Vec::with_capacity(n);
-        for _ in 0..n {
-            pool_map.push((r.u64()?, r.u64()?));
-        }
-        let n = r.count(17)?; // 1 + 8 + 8 bytes per shard
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(ShardState {
-                tag: r.u8()?,
-                until_tick: r.u64()?,
-                retries_used: r.u64()?,
-            });
-        }
-        let trips = r.u64_vec()?;
-        Ok(Self {
-            fingerprint,
-            pool_base,
-            pool_total,
-            pool_next,
-            pool_map,
-            shards,
-            trips,
-            stats_quarantined: r.u64()?,
-            stats_requeued: r.u64()?,
-            stats_dead: r.u64()?,
-        })
+wire_struct! {
+    /// One histogram's buckets and moments.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct HistState {
+        /// Bucket hit counts (fixed bucket layout of the obs registry).
+        pub buckets: Vec<u64>,
+        /// Sum of observed values.
+        pub sum: u64,
+        /// Number of observations.
+        pub count: u64,
     }
 }
 
-/// One flight-recorder event, flattened to the trace crate's stable
-/// wire tuple: a variant tag, three numeric words (`f64`s as
-/// `to_bits`), and an optional label (tenant or rule name). The
-/// mapping is owned by `dual_trace::Event::wire` / `from_wire`;
-/// unknown tags fail closed at restore time, not here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEventState {
-    /// Monotone emission ordinal.
-    pub seq: u64,
-    /// Logical tick the event was recorded at.
-    pub tick: u64,
-    /// Span id (0 for instantaneous events).
-    pub span: u64,
-    /// Enclosing span id at record time (0 at top level).
-    pub parent: u64,
-    /// Event variant tag.
-    pub tag: u8,
-    /// First payload word.
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
-    /// Third payload word.
-    pub c: u64,
-    /// Label payload ("" when the variant carries none).
-    pub name: String,
-}
-
-impl TraceEventState {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.seq);
-        w.put_u64(self.tick);
-        w.put_u64(self.span);
-        w.put_u64(self.parent);
-        w.put_u8(self.tag);
-        w.put_u64(self.a);
-        w.put_u64(self.b);
-        w.put_u64(self.c);
-        w.put_str(&self.name);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            seq: r.u64()?,
-            tick: r.u64()?,
-            span: r.u64()?,
-            parent: r.u64()?,
-            tag: r.u8()?,
-            a: r.u64()?,
-            b: r.u64()?,
-            c: r.u64()?,
-            name: r.str_utf8()?,
-        })
+wire_struct! {
+    /// The observability registry: logical clock, counters, gauges (as
+    /// `f64::to_bits`), and histograms, each in metric slot order.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ObsState {
+        /// Logical clock ticks.
+        pub clock: u64,
+        /// Counter values by counter slot.
+        pub counters: Vec<u64>,
+        /// Gauge values by gauge slot, as `f64::to_bits`.
+        pub gauges: Vec<u64>,
+        /// Histograms by histogram slot.
+        pub hists: Vec<HistState>,
     }
 }
 
-/// One alert rule plus its evaluation state, fully self-contained so a
-/// restore needs no re-supplied rule list. The watched key travels as
-/// its `dual_obs::Key::wire_id` (pinned by obs' `key_wire_golden`
-/// test); signal tags: 0 counter, 1 per-eval delta, 2 gauge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertRuleWire {
-    /// Rule name.
-    pub name: String,
-    /// Signal shape tag (see type docs).
-    pub signal_tag: u8,
-    /// Watched obs key, as its stable wire id.
-    pub key_wire: u64,
-    /// Raise threshold, as `f64::to_bits`.
-    pub threshold_bits: u64,
-    /// Re-arm level, as `f64::to_bits`.
-    pub clear_bits: u64,
-    /// 1 while raised, 0 while armed.
-    pub latched: u8,
-    /// Previous sample (delta baseline), as `f64::to_bits`.
-    pub last_bits: u64,
-}
-
-impl AlertRuleWire {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_str(&self.name);
-        w.put_u8(self.signal_tag);
-        w.put_u64(self.key_wire);
-        w.put_u64(self.threshold_bits);
-        w.put_u64(self.clear_bits);
-        w.put_u8(self.latched);
-        w.put_u64(self.last_bits);
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            name: r.str_utf8()?,
-            signal_tag: r.u8()?,
-            key_wire: r.u64()?,
-            threshold_bits: r.u64()?,
-            clear_bits: r.u64()?,
-            latched: r.u8()?,
-            last_bits: r.u64()?,
-        })
+wire_struct! {
+    /// Identity of the fault-injection setup the snapshot was taken under.
+    ///
+    /// A restore re-supplies the live `FaultPlan`/policy (they are pure
+    /// seeded configuration, not state); this fingerprint lets the restore
+    /// path reject a mismatched re-supply with a typed error instead of
+    /// silently diverging.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FaultFingerprint {
+        /// Healing policy tag: 0 Off, 1 SpareRows, 2 MajorityReread, 3 Full.
+        pub policy_tag: u8,
+        /// Spare rows of the policy (0 when not applicable).
+        pub spares: u64,
+        /// Re-read count of the policy (0 when not applicable).
+        pub reads: u64,
+        /// Quarantine retry budget.
+        pub retry_budget: u64,
+        /// Quarantine base backoff in ticks.
+        pub base_backoff_ticks: u64,
+        /// Quarantine backoff multiplier.
+        pub backoff_factor: u64,
+        /// Quarantine corruption threshold, as `f64::to_bits`.
+        pub threshold_bits: u64,
+        /// Fault plan RNG seed.
+        pub plan_seed: u64,
+        /// Fault plan rows.
+        pub plan_rows: u64,
+        /// Fault plan columns.
+        pub plan_cols: u64,
+        /// Stuck-cell rate, as `f64::to_bits`.
+        pub stuck_rate_bits: u64,
+        /// Dead-row rate, as `f64::to_bits`.
+        pub dead_row_rate_bits: u64,
+        /// Transient flip rate, as `f64::to_bits`.
+        pub flip_rate_bits: u64,
     }
 }
 
-/// Flight-recorder ring plus alert-engine state (new in format
-/// version 2): everything needed to replay the exact event history —
-/// retained records, ring counters, the open-span stack (a checkpoint
-/// may land mid-span), and per-rule alert latches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceState {
-    /// Ring capacity (0 = recorder disabled).
-    pub capacity: u64,
-    /// Events ever emitted.
-    pub emitted: u64,
-    /// Next span id to allocate.
-    pub next_span: u64,
-    /// Events evicted so far.
-    pub evicted: u64,
-    /// Open-span stack, outermost first.
-    pub open: Vec<u64>,
-    /// Retained events, oldest first.
-    pub events: Vec<TraceEventState>,
-    /// Alert rules and their latches, in evaluation order.
-    pub alerts: Vec<AlertRuleWire>,
+wire_struct! {
+    /// One shard's quarantine machine state. Tags: 0 Healthy,
+    /// 1 Quarantined, 2 Dead. `until_tick`/`retries_used` are zero unless
+    /// the tag is 1.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ShardState {
+        /// Health tag (see type docs).
+        pub tag: u8,
+        /// Logical tick at which a quarantined shard requeues.
+        pub until_tick: u64,
+        /// Retries consumed by a quarantined shard.
+        pub retries_used: u64,
+    }
+}
+
+wire_struct! {
+    /// Fault-tolerance machine state: the spare-row pool and the per-shard
+    /// quarantine clocks, plus the fingerprint of the configuration they
+    /// were built under.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FaultState {
+        /// Configuration identity, validated on restore.
+        pub fingerprint: FaultFingerprint,
+        /// Spare pool: first spare row index.
+        pub pool_base: u64,
+        /// Spare pool: capacity (number of provisioned spare rows).
+        pub pool_total: u64,
+        /// Spare pool: next unassigned spare cursor.
+        pub pool_next: u64,
+        /// Spare pool: live (logical row → physical spare row) remaps.
+        pub pool_map: Vec<(u64, u64)>,
+        /// Per-shard health machines.
+        pub shards: Vec<ShardState>,
+        /// Per-shard quarantine trip counts (drives the backoff exponent).
+        pub trips: Vec<u64>,
+        /// Lifetime quarantine entries.
+        pub stats_quarantined: u64,
+        /// Lifetime requeues after backoff.
+        pub stats_requeued: u64,
+        /// Shards retired for good.
+        pub stats_dead: u64,
+    }
+}
+
+wire_struct! {
+    /// One flight-recorder event, flattened to the trace crate's stable
+    /// wire tuple: a variant tag, three numeric words (`f64`s as
+    /// `to_bits`), and an optional label (tenant or rule name). The
+    /// mapping is owned by `dual_trace::Event::wire` / `from_wire`;
+    /// unknown tags fail closed at restore time, not here.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TraceEventState {
+        /// Monotone emission ordinal.
+        pub seq: u64,
+        /// Logical tick the event was recorded at.
+        pub tick: u64,
+        /// Span id (0 for instantaneous events).
+        pub span: u64,
+        /// Enclosing span id at record time (0 at top level).
+        pub parent: u64,
+        /// Event variant tag.
+        pub tag: u8,
+        /// First payload word.
+        pub a: u64,
+        /// Second payload word.
+        pub b: u64,
+        /// Third payload word.
+        pub c: u64,
+        /// Label payload ("" when the variant carries none).
+        pub name: String,
+    }
+}
+
+wire_struct! {
+    /// One alert rule plus its evaluation state, fully self-contained so a
+    /// restore needs no re-supplied rule list. The watched key travels as
+    /// its `dual_obs::Key::wire_id` (pinned by obs' `key_wire_golden`
+    /// test); signal tags: 0 counter, 1 per-eval delta, 2 gauge.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AlertRuleWire {
+        /// Rule name.
+        pub name: String,
+        /// Signal shape tag (see type docs).
+        pub signal_tag: u8,
+        /// Watched obs key, as its stable wire id.
+        pub key_wire: u64,
+        /// Raise threshold, as `f64::to_bits`.
+        pub threshold_bits: u64,
+        /// Re-arm level, as `f64::to_bits`.
+        pub clear_bits: u64,
+        /// 1 while raised, 0 while armed.
+        pub latched: u8,
+        /// Previous sample (delta baseline), as `f64::to_bits`.
+        pub last_bits: u64,
+    }
+}
+
+wire_struct! {
+    /// Flight-recorder ring plus alert-engine state (new in format
+    /// version 2): everything needed to replay the exact event history —
+    /// retained records, ring counters, the open-span stack (a checkpoint
+    /// may land mid-span), and per-rule alert latches.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TraceState {
+        /// Ring capacity (0 = recorder disabled).
+        pub capacity: u64,
+        /// Events ever emitted.
+        pub emitted: u64,
+        /// Next span id to allocate.
+        pub next_span: u64,
+        /// Events evicted so far.
+        pub evicted: u64,
+        /// Open-span stack, outermost first.
+        pub open: Vec<u64>,
+        /// Retained events, oldest first.
+        pub events: Vec<TraceEventState>,
+        /// Alert rules and their latches, in evaluation order.
+        pub alerts: Vec<AlertRuleWire>,
+    }
 }
 
 impl TraceState {
@@ -609,79 +318,36 @@ impl TraceState {
             alerts: Vec::new(),
         }
     }
-
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.capacity);
-        w.put_u64(self.emitted);
-        w.put_u64(self.next_span);
-        w.put_u64(self.evicted);
-        w.put_u64_vec(&self.open);
-        w.put_u64(len_u64(self.events.len()));
-        for e in &self.events {
-            e.encode_into(w);
-        }
-        w.put_u64(len_u64(self.alerts.len()));
-        for a in &self.alerts {
-            a.encode_into(w);
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let capacity = r.u64()?;
-        let emitted = r.u64()?;
-        let next_span = r.u64()?;
-        let evicted = r.u64()?;
-        let open = r.u64_vec()?;
-        // 4 ordinal words + tag + 3 payload words + name length.
-        let n = r.count(65)?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(TraceEventState::decode_from(r)?);
-        }
-        // name length + tag + latched + 4 words.
-        let n = r.count(42)?;
-        let mut alerts = Vec::with_capacity(n);
-        for _ in 0..n {
-            alerts.push(AlertRuleWire::decode_from(r)?);
-        }
-        Ok(Self {
-            capacity,
-            emitted,
-            next_span,
-            evicted,
-            open,
-            events,
-            alerts,
-        })
-    }
 }
 
-/// The complete engine snapshot: everything a `StreamEngine::restore`
-/// needs (beyond the re-supplied encoder, cost model, and fault plan)
-/// to continue a run bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineSnapshot {
-    /// Configuration the engine was running under.
-    pub config: ConfigState,
-    /// Batcher logical clock at capture time.
-    pub now: u64,
-    /// Batcher tick of the last cut.
-    pub last_cut: u64,
-    /// Buffered ring points in FIFO order; each point is its features
-    /// as `f64::to_bits` words.
-    pub pending: Vec<Vec<u64>>,
-    /// Learning state.
-    pub model: ModelState,
-    /// Energy ledger.
-    pub meter: MeterState,
-    /// Observability registry.
-    pub obs: ObsState,
-    /// Fault-tolerance machines, present iff fault injection was on.
-    pub fault: Option<FaultState>,
-    /// Endurance wear-leveler per-block write counts.
-    pub wear: Vec<u64>,
-    /// Flight-recorder ring and alert-engine state (format v2).
-    pub trace: TraceState,
+wire_struct! {
+    /// The complete engine snapshot: everything a `StreamEngine::restore`
+    /// needs (beyond the re-supplied encoder, cost model, and fault plan)
+    /// to continue a run bit-for-bit.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EngineSnapshot {
+        /// Configuration the engine was running under.
+        pub config: ConfigState,
+        /// Batcher logical clock at capture time.
+        pub now: u64,
+        /// Batcher tick of the last cut.
+        pub last_cut: u64,
+        /// Buffered ring points in FIFO order; each point is its features
+        /// as `f64::to_bits` words.
+        pub pending: Vec<Vec<u64>>,
+        /// Learning state.
+        pub model: ModelState,
+        /// Energy ledger.
+        pub meter: MeterState,
+        /// Observability registry.
+        pub obs: ObsState,
+        /// Fault-tolerance machines, present iff fault injection was on.
+        pub fault: Option<FaultState>,
+        /// Endurance wear-leveler per-block write counts.
+        pub wear: Vec<u64>,
+        /// Flight-recorder ring and alert-engine state (format v2).
+        pub trace: TraceState,
+    }
 }
 
 impl EngineSnapshot {
@@ -691,64 +357,5 @@ impl EngineSnapshot {
     #[must_use]
     pub fn tick(&self) -> u64 {
         self.now
-    }
-
-    pub(crate) fn encode_payload(&self, w: &mut Writer) {
-        self.config.encode_into(w);
-        w.put_u64(self.now);
-        w.put_u64(self.last_cut);
-        w.put_u64(len_u64(self.pending.len()));
-        for p in &self.pending {
-            w.put_u64_vec(p);
-        }
-        self.model.encode_into(w);
-        self.meter.encode_into(w);
-        self.obs.encode_into(w);
-        match &self.fault {
-            None => w.put_u8(0),
-            Some(f) => {
-                w.put_u8(1);
-                f.encode_into(w);
-            }
-        }
-        w.put_u64_vec(&self.wear);
-        self.trace.encode_into(w);
-    }
-
-    pub(crate) fn decode_payload(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let config = ConfigState::decode_from(r)?;
-        let now = r.u64()?;
-        let last_cut = r.u64()?;
-        let n = r.count(8)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(r.u64_vec()?);
-        }
-        let model = ModelState::decode_from(r)?;
-        let meter = MeterState::decode_from(r)?;
-        let obs = ObsState::decode_from(r)?;
-        let fault = match r.u8()? {
-            0 => None,
-            1 => Some(FaultState::decode_from(r)?),
-            _ => {
-                return Err(SnapError::Corrupt {
-                    reason: "fault presence tag",
-                })
-            }
-        };
-        let wear = r.u64_vec()?;
-        let trace = TraceState::decode_from(r)?;
-        Ok(Self {
-            config,
-            now,
-            last_cut,
-            pending,
-            model,
-            meter,
-            obs,
-            fault,
-            wear,
-            trace,
-        })
     }
 }
