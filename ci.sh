@@ -26,10 +26,11 @@
 #   topology     multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS
 #   trace        flight-recorder kill/restore/replay identity, byte-diffed
 #   benchmark    frozen benchmark/ harness builds and passes its --quick suite
+#   figures      every table/figure bin regenerates results/*.txt and *.csv byte-identically
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace benchmark)
+ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace benchmark figures)
 
 describe_stage() {
   case "$1" in
@@ -48,6 +49,7 @@ describe_stage() {
     topology)    echo "multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS" ;;
     trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
     benchmark)   echo "frozen benchmark/ harness builds and passes its --quick suite" ;;
+    figures)     echo "every table/figure bin regenerates results/*.txt and *.csv byte-identically" ;;
     *)           echo "" ;;
   esac
 }
@@ -200,6 +202,14 @@ stage_benchmark() {
   bash benchmark/run.sh --quick || rc=$?
   mv "$lock" benchmark/Cargo.lock
   return "$rc"
+}
+
+stage_figures() {
+  # `all` runs its sibling bins from its own directory, so build them all.
+  cargo build -q --release -p dual-bench --bins
+  cargo run -q --release -p dual-bench --bin all
+  git diff --exit-code -- 'results/*.txt' 'results/*.csv' \
+    || { echo "a table/figure artifact drifted: regenerate and commit it"; return 1; }
 }
 
 # ---------------------------------------------------------------- driver

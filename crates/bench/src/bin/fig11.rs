@@ -2,8 +2,8 @@
 //! (a) the original 561-dimensional space, (b) DUAL's D=4000 HD space
 //! and (c) D=1000.
 //!
-//! The binary writes the three 2-D embeddings as CSV files next to the
-//! working directory and prints the quantitative readout: the
+//! The binary writes the three 2-D embeddings as CSV files under
+//! `results/` and prints the quantitative readout: the
 //! nearest-neighbor label agreement of each embedding. Paper
 //! expectation: D=4000 is at least as clustering-friendly as the
 //! original space; D=1000 is visibly worse (the paper quotes a 5.7 %
@@ -14,8 +14,11 @@ use dual_data::Workload;
 use dual_hdc::{Encoder, HdMapper};
 use dual_tsne::{neighbor_agreement, Tsne};
 use std::fs;
+use std::path::Path;
 
 fn main() {
+    let out_dir = Path::new("results");
+    fs::create_dir_all(out_dir).expect("can create results/");
     let ds = quality_dataset(Workload::Ucihar, 240);
     let sigma = auto_sigma(&ds.points) * 0.5;
     let mut outputs: Vec<(String, f64)> = Vec::new();
@@ -51,14 +54,14 @@ fn main() {
         for (p, &l) in emb.iter().zip(&ds.labels) {
             csv.push_str(&format!("{:.4},{:.4},{}\n", p[0], p[1], l));
         }
-        let path = format!("fig11_{name}.csv");
-        fs::write(&path, csv).expect("writable cwd");
-        outputs.push((path, score));
+        let file = format!("fig11_{name}.csv");
+        fs::write(out_dir.join(&file), csv).expect("writable results/");
+        outputs.push((file, score));
         println!("{name:12} 1-NN label agreement = {score:.3}");
     }
     println!("\nembeddings written to:");
-    for (path, _) in &outputs {
-        println!("  {path}");
+    for (file, _) in &outputs {
+        println!("  {file}");
     }
     println!("paper expectation: dual_d4000 >= original > dual_d1000 in clustering friendliness");
 }

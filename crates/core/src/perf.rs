@@ -39,6 +39,15 @@ use dual_pim::cost::Op;
 use dual_pim::stats::EnergyStats;
 use dual_pim::tile::CounterMode;
 
+/// A geometry size or count (rows, columns, dims, windows, blocks,
+/// points, copies, iterations) as `f64`, the model's one integer-to-float
+/// conversion.
+fn count_f64(n: impl TryInto<u64>) -> f64 {
+    let n: u64 = n.try_into().unwrap_or(u64::MAX);
+    // lint:allow(r3-lossy-cast): model sizes and counts are far below 2^53, exact in f64
+    n as f64
+}
+
 /// Execution phases reported by the model (Fig. 15b's categories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -177,7 +186,7 @@ impl PerfModel {
     /// Fold the average active-chip power (`DualConfig::active_power_w`)
     /// into every phase's energy: `E = op energy + P_active × t`.
     fn add_background(&self, mut report: PhaseReport) -> PhaseReport {
-        let pj_per_ns = self.cfg.active_power_w * 1000.0 * self.cfg.chips as f64;
+        let pj_per_ns = self.cfg.active_power_w * 1000.0 * count_f64(self.cfg.chips);
         for (_, s) in &mut report.phases {
             s.record_raw(0.0, s.time_ns() * pj_per_ns);
         }
@@ -261,22 +270,22 @@ impl PerfModel {
     /// points (row-parallel over rows, block-parallel over row/column
     /// blocks).
     fn per_query_hamming_ns(&self) -> f64 {
-        self.cfg.windows() as f64 * self.window_eff_ns()
+        count_f64(self.cfg.windows()) * self.window_eff_ns()
     }
 
     /// Data blocks a query activates (energy side).
     fn data_blocks(&self, n: usize) -> f64 {
-        let r = self.cfg.chip.rows as f64;
-        let c = self.cfg.chip.cols as f64;
-        (n as f64 / r).ceil() * (self.cfg.dim as f64 / c).ceil()
+        let r = count_f64(self.cfg.chip.rows);
+        let c = count_f64(self.cfg.chip.cols);
+        (count_f64(n) / r).ceil() * (count_f64(self.cfg.dim) / c).ceil()
     }
 
     /// One query's partial-distance accumulation: local add trees spread
     /// over the tile row's distance blocks plus a cross-block reduction.
     fn accumulate_ns(&self) -> f64 {
         let c = &self.cfg.cost;
-        let spread = (self.cfg.chip.blocks_per_tile_row() - 1).max(1) as f64;
-        let w = self.cfg.windows() as f64;
+        let spread = count_f64((self.cfg.chip.blocks_per_tile_row() - 1).max(1));
+        let w = count_f64(self.cfg.windows());
         let b = self.cfg.distance_bits();
         let local = (w / spread).ceil() * c.latency_ns(Op::Add { bits: 8 });
         let cross = spread.log2().ceil()
@@ -286,7 +295,7 @@ impl PerfModel {
 
     fn accumulate_energy_pj(&self) -> f64 {
         let c = &self.cfg.cost;
-        let w = self.cfg.windows() as f64;
+        let w = count_f64(self.cfg.windows());
         let b = self.cfg.distance_bits();
         w * c.energy_pj(Op::Add { bits: 8 })
             + 8.0
@@ -298,13 +307,15 @@ impl PerfModel {
     fn nearest_ns(&self, n_values: f64) -> f64 {
         let c = &self.cfg.cost;
         let b = self.cfg.distance_bits();
-        let stages = b.div_ceil(4) as f64;
+        let stages = f64::from(b.div_ceil(4));
         let stage = c.latency_ns(Op::NearestStage);
-        let groups = (self.cfg.chip.cols as f64 / f64::from(b)).floor().max(1.0);
+        let groups = (count_f64(self.cfg.chip.cols) / f64::from(b))
+            .floor()
+            .max(1.0);
         let in_block = groups * stages * stage;
-        let block_bits = self.cfg.chip.block_bits() as f64;
+        let block_bits = count_f64(self.cfg.chip.block_bits());
         let nb = (n_values * f64::from(b) / block_bits).ceil().max(1.0);
-        let fan_in = self.cfg.chip.rows as f64;
+        let fan_in = count_f64(self.cfg.chip.rows);
         let levels = if nb <= 1.0 {
             0.0
         } else {
@@ -317,8 +328,8 @@ impl PerfModel {
     fn nearest_energy_pj(&self, n_values: f64) -> f64 {
         let c = &self.cfg.cost;
         let b = self.cfg.distance_bits();
-        let stages = b.div_ceil(4) as f64;
-        let block_bits = self.cfg.chip.block_bits() as f64;
+        let stages = f64::from(b.div_ceil(4));
+        let block_bits = count_f64(self.cfg.chip.block_bits());
         let nb = (n_values * f64::from(b) / block_bits).ceil().max(1.0);
         nb * stages * c.energy_pj(Op::NearestStage)
     }
@@ -327,11 +338,11 @@ impl PerfModel {
     /// distance results back into one distance memory grows with the
     /// square of the dataset's row-block footprint.
     fn replication_agg_ns(&self, n: usize) -> f64 {
-        let p = self.cfg.copies as f64;
+        let p = count_f64(self.cfg.copies);
         if p <= 1.0 {
             return 0.0;
         }
-        let row_blocks = n as f64 / self.cfg.chip.rows as f64;
+        let row_blocks = count_f64(n) / count_f64(self.cfg.chip.rows);
         let b = self.cfg.distance_bits();
         4.0 * (p - 1.0)
             * row_blocks
@@ -351,18 +362,23 @@ impl PerfModel {
         let mul8 = c.latency_ns(Op::Mul { bits: 8 });
         let add16 = c.latency_ns(Op::Add { bits: 16 });
         let mul16 = c.latency_ns(Op::Mul { bits: 16 });
-        let per_point =
-            m as f64 * mul8 + (m.max(2) as f64).log2().ceil() * add16 + 4.0 * mul16 + 3.0 * add16;
-        let blocks_per_point = 2.0 * (self.cfg.dim as f64 / self.cfg.chip.rows as f64).ceil();
-        let pipelines = (self.cfg.total_blocks() as f64 / blocks_per_point)
+        let per_point = count_f64(m) * mul8
+            + count_f64(m.max(2)).log2().ceil() * add16
+            + 4.0 * mul16
+            + 3.0 * add16;
+        let blocks_per_point =
+            2.0 * (count_f64(self.cfg.dim) / count_f64(self.cfg.chip.rows)).ceil();
+        let pipelines = (count_f64(self.cfg.total_blocks()) / blocks_per_point)
             .floor()
             .max(1.0);
-        let time = (n as f64 / pipelines).ceil() * per_point;
-        let e_point = m as f64 * c.energy_pj(Op::Mul { bits: 8 })
-            + (m.max(2) as f64).log2().ceil() * c.energy_pj(Op::Add { bits: 16 })
+        let time = (count_f64(n) / pipelines).ceil() * per_point;
+        let e_point = count_f64(m) * c.energy_pj(Op::Mul { bits: 8 })
+            + count_f64(m.max(2)).log2().ceil() * c.energy_pj(Op::Add { bits: 16 })
             + 4.0 * c.energy_pj(Op::Mul { bits: 16 })
             + 3.0 * c.energy_pj(Op::Add { bits: 16 });
-        let energy = n as f64 * e_point * (self.cfg.dim as f64 / self.cfg.chip.rows as f64).ceil();
+        let energy = count_f64(n)
+            * e_point
+            * (count_f64(self.cfg.dim) / count_f64(self.cfg.chip.rows)).ceil();
         let mut report = PhaseReport::default();
         let mut s = EnergyStats::new();
         s.record_raw(time, energy);
@@ -379,8 +395,8 @@ impl PerfModel {
     pub fn hierarchical(&self, n: usize) -> PhaseReport {
         let cfg = &self.cfg;
         let c = &cfg.cost;
-        let nf = n as f64;
-        let p = (cfg.copies * cfg.chips) as f64;
+        let nf = count_f64(n);
+        let p = count_f64(cfg.copies * cfg.chips);
         let mut report = PhaseReport::default();
 
         // Phase 1: all-pairs Hamming. Queries split across data copies;
@@ -388,7 +404,7 @@ impl PerfModel {
         let mut hamming = EnergyStats::new();
         hamming.record_raw(
             nf / p * self.per_query_hamming_ns() + self.replication_agg_ns(n),
-            nf * cfg.windows() as f64 * self.window_energy_pj() * self.data_blocks(n),
+            nf * count_f64(cfg.windows()) * self.window_energy_pj() * self.data_blocks(n),
         );
         report.push(Phase::Hamming, hamming);
         let mut accum = EnergyStats::new();
@@ -423,7 +439,7 @@ impl PerfModel {
                 + 2.0 * c.energy_pj(Op::Write { bits: b });
         // The update arithmetic is row-parallel but every row block of
         // the matrix participates: energy scales with the row blocks.
-        let row_blocks = (nf / cfg.chip.rows as f64).ceil();
+        let row_blocks = (nf / count_f64(cfg.chip.rows)).ceil();
         let mut update = EnergyStats::new();
         update.record_raw(iters * update_ns / p, iters * update_e * row_blocks);
         report.push(Phase::Update, update);
@@ -446,10 +462,10 @@ impl PerfModel {
     pub fn kmeans(&self, n: usize, k: usize) -> PhaseReport {
         let cfg = &self.cfg;
         let c = &cfg.cost;
-        let nf = n as f64;
-        let kf = k.max(1) as f64;
-        let iters = cfg.kmeans_iters.max(1) as f64;
-        let p = (cfg.copies * cfg.chips) as f64;
+        let nf = count_f64(n);
+        let kf = count_f64(k.max(1));
+        let iters = count_f64(cfg.kmeans_iters.max(1));
+        let p = count_f64(cfg.copies * cfg.chips);
         let b = cfg.distance_bits();
         // The k distance columns occupy a few nearby blocks.
         let near = self.with_relay_hops(4);
@@ -459,7 +475,7 @@ impl PerfModel {
         let mut hamming = EnergyStats::new();
         hamming.record_raw(
             iters * (kf / p).ceil() * near.per_query_hamming_ns(),
-            iters * kf * cfg.windows() as f64 * near.window_energy_pj() * self.data_blocks(n),
+            iters * kf * count_f64(cfg.windows()) * near.window_energy_pj() * self.data_blocks(n),
         );
         report.push(Phase::Hamming, hamming);
         // Accumulation across centers overlaps; one residual per iter.
@@ -474,7 +490,7 @@ impl PerfModel {
         // row-parallel subtractions (§VI-C).
         let mut nearest = EnergyStats::new();
         let cmp_ns = (kf - 1.0).max(0.0) * c.latency_ns(Op::Sub { bits: b });
-        let row_blocks = (nf / cfg.chip.rows as f64).ceil();
+        let row_blocks = (nf / count_f64(cfg.chip.rows)).ceil();
         nearest.record_raw(
             iters * cmp_ns,
             iters * (kf - 1.0).max(0.0) * c.energy_pj(Op::Sub { bits: b }) * row_blocks,
@@ -487,16 +503,16 @@ impl PerfModel {
         // first shuffle the surviving rows into column alignment, a
         // bit-serial transfer of all `D` bit-columns over the 1k-wire
         // bus, and only then add.
-        let col_blocks = (cfg.dim as f64 / cfg.chip.cols as f64).ceil();
-        let count_bits = (cfg.chip.rows as f64).log2().ceil() as u32 + 1;
-        let levels = (cfg.chip.rows as f64).log2().ceil();
-        let row_move = cfg.dim as f64 * cfg.interconnect.transfer_latency_ns(c, 1);
+        let col_blocks = (count_f64(cfg.dim) / count_f64(cfg.chip.cols)).ceil();
+        let count_bits = cfg.chip.rows.next_power_of_two().trailing_zeros() + 1;
+        let levels = count_f64(cfg.chip.rows).log2().ceil();
+        let row_move = count_f64(cfg.dim) * cfg.interconnect.transfer_latency_ns(c, 1);
         let per_level = col_blocks * c.latency_ns(Op::Add { bits: count_bits }) + row_move;
         let update_ns = (row_blocks / p).ceil() * levels * per_level;
         let update_e = row_blocks
             * levels
             * (col_blocks * c.energy_pj(Op::Add { bits: count_bits })
-                + cfg.dim as f64 * cfg.interconnect.transfer_energy_pj(c, 1));
+                + count_f64(cfg.dim) * cfg.interconnect.transfer_energy_pj(c, 1));
         let mut update = EnergyStats::new();
         update.record_raw(iters * update_ns, iters * update_e);
         report.push(Phase::Update, update);
@@ -517,8 +533,8 @@ impl PerfModel {
     #[must_use]
     pub fn dbscan(&self, n: usize) -> PhaseReport {
         let cfg = &self.cfg;
-        let nf = n as f64;
-        let p = (cfg.copies * cfg.chips) as f64;
+        let nf = count_f64(n);
+        let p = count_f64(cfg.copies * cfg.chips);
         // The single distance vector lands in the neighbor block.
         let near = self.with_relay_hops(2);
         let mut report = PhaseReport::default();
@@ -527,7 +543,7 @@ impl PerfModel {
         let mut hamming = EnergyStats::new();
         hamming.record_raw(
             nf / p * near.per_query_hamming_ns(),
-            nf * cfg.windows() as f64 * near.window_energy_pj() * self.data_blocks(n),
+            nf * count_f64(cfg.windows()) * near.window_energy_pj() * self.data_blocks(n),
         );
         report.push(Phase::Hamming, hamming);
         let mut accum = EnergyStats::new();

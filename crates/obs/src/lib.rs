@@ -48,8 +48,8 @@ pub mod wall;
 
 pub use key::{Key, Kind, OpFamily, Stage};
 pub use registry::{
-    bucket_bound, bucket_index, to_prometheus_merged, HistogramSnapshot, Registry, Snapshot,
-    HIST_BUCKETS,
+    bucket_bound, bucket_index, json_f64, to_prometheus_merged, HistogramSnapshot, Registry,
+    Snapshot, HIST_BUCKETS,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -522,10 +522,12 @@ impl Snapshot {
     }
 }
 
-/// JSON-safe float rendering: finite values use shortest-roundtrip
-/// `Display` (with a `.0` suffix for integral values so the token stays
-/// a float), non-finite values become `null`.
-fn json_f64(v: f64) -> String {
+/// JSON-safe float rendering, shared by every byte-stable exporter:
+/// finite values use shortest-roundtrip `Display` (with a `.0` suffix
+/// for integral values so the token stays a float), non-finite values
+/// become `null`.
+#[must_use]
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
         if s.contains('.') || s.contains('e') || s.contains('E') {
@@ -655,6 +657,15 @@ mod tests {
         assert!(json.contains("\"pim.time_ns\":2.0"));
         assert!(json.contains("\"pim.energy_pj\":0.125"));
         assert!(json.ends_with("}}"));
+    }
+
+    #[test]
+    fn json_f64_keeps_floats_floats_and_nulls_non_finite() {
+        assert_eq!(json_f64(2.0), "2.0");
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(json_f64(0.25), "0.25");
     }
 
     #[test]

@@ -11,24 +11,8 @@
 
 use crate::event::{Event, EventRecord};
 use crate::recorder::Recorder;
+use dual_obs::json_f64;
 use std::fmt::Write as _;
-
-/// Deterministic float rendering (same rules as dual-obs JSON export):
-/// shortest round-trip form, with a forced `.0` for integral values and
-/// `null` for non-finite.
-#[must_use]
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// Minimal JSON string escaping for the controlled label vocabulary
 /// (tenant and rule names may still contain anything).
@@ -353,14 +337,5 @@ mod tests {
         );
         let doc = report_json(&[("s", &r)]);
         assert!(doc.contains("a\\\"b\\\\c\\nd"));
-    }
-
-    #[test]
-    fn json_f64_matches_obs_rules() {
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(0.25), "0.25");
     }
 }
