@@ -12,7 +12,7 @@
 #
 # Stages (./ci.sh --list prints the same table):
 #   build        cargo build --release
-#   test         tier-1 root-package tests, then the full workspace
+#   test         tier-1 `cargo test -q`: every workspace member
 #   doc          doctests incl. README/DESIGN fences, then rustdoc with -D warnings
 #   clippy       cargo clippy --workspace --all-targets -D warnings
 #   fmt          cargo fmt --all --check
@@ -35,7 +35,7 @@ ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery 
 describe_stage() {
   case "$1" in
     build)       echo "cargo build --release" ;;
-    test)        echo "tier-1 root-package tests, then the full workspace" ;;
+    test)        echo "tier-1 cargo test -q: every workspace member" ;;
     doc)         echo "doctests incl. README/DESIGN fences, then rustdoc with -D warnings" ;;
     clippy)      echo "cargo clippy --workspace --all-targets -D warnings" ;;
     fmt)         echo "cargo fmt --all --check" ;;
@@ -61,10 +61,10 @@ stage_build() {
 }
 
 stage_test() {
-  echo "--- cargo test -q (tier-1: root package)"
+  # The root `default-members` list names every workspace member, so the
+  # tier-1 command tests the whole workspace.
+  echo "--- cargo test -q (tier-1: every workspace member)"
   cargo test -q
-  echo "--- cargo test -q --workspace"
-  cargo test -q --workspace
 }
 
 stage_doc() {

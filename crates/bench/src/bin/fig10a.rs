@@ -6,10 +6,10 @@
 //! (hierarchical +1.2 %, DBSCAN +0.4 %, k-means −1.3 %).
 
 use dual_baseline::Algorithm;
-use dual_bench::{quality, quality_dataset, render_table, Representation, BENCH_SEED};
+use dual_bench::{quality, quality_dataset, render_table, BenchError, Representation, BENCH_SEED};
 use dual_data::Workload;
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let dim = 4000;
     // O(n²)-friendly evaluation subsample (relative quality is
     // size-stable; see EXPERIMENTS.md).
@@ -20,8 +20,8 @@ fn main() {
         let ds = quality_dataset(w, cap);
         let mut row = vec![w.name().to_string()];
         for alg in Algorithm::all() {
-            let base = quality(&ds, alg, Representation::Baseline, BENCH_SEED);
-            let dual = quality(&ds, alg, Representation::HdMapper { dim }, BENCH_SEED);
+            let base = quality(&ds, alg, Representation::Baseline, BENCH_SEED)?;
+            let dual = quality(&ds, alg, Representation::HdMapper { dim }, BENCH_SEED)?;
             deltas.push((alg, dual - base));
             row.push(format!("{base:.3}"));
             row.push(format!("{dual:.3}"));
@@ -62,4 +62,5 @@ fn main() {
             }
         );
     }
+    Ok(())
 }

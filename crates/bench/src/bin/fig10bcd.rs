@@ -7,16 +7,12 @@
 //! robust down to D≈2000 while k-means degrades fastest.
 
 use dual_baseline::Algorithm;
-use dual_bench::{quality, quality_dataset, render_table, Representation, BENCH_SEED};
+use dual_bench::{quality, quality_dataset, render_table, BenchError, Representation, BENCH_SEED};
 use dual_data::Workload;
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let dims = [500usize, 1000, 2000, 4000, 8000];
     let ds = quality_dataset(Workload::Mnist, 400);
-    let base: Vec<(Algorithm, f64)> = Algorithm::all()
-        .into_iter()
-        .map(|alg| (alg, quality(&ds, alg, Representation::Baseline, BENCH_SEED)))
-        .collect();
     for (panel, alg) in [
         ("b: hierarchical", Algorithm::Hierarchical),
         ("c: k-means", Algorithm::KMeans),
@@ -24,8 +20,8 @@ fn main() {
     ] {
         let mut rows = Vec::new();
         for &dim in &dims {
-            let dual = quality(&ds, alg, Representation::HdMapper { dim }, BENCH_SEED);
-            let lsh = quality(&ds, alg, Representation::Lsh { dim }, BENCH_SEED);
+            let dual = quality(&ds, alg, Representation::HdMapper { dim }, BENCH_SEED)?;
+            let lsh = quality(&ds, alg, Representation::Lsh { dim }, BENCH_SEED)?;
             rows.push(vec![
                 dim.to_string(),
                 format!("{dual:.3}"),
@@ -33,7 +29,7 @@ fn main() {
                 format!("{:+.3}", dual - lsh),
             ]);
         }
-        let baseline = base.iter().find(|(a, _)| *a == alg).expect("present").1;
+        let baseline = quality(&ds, alg, Representation::Baseline, BENCH_SEED)?;
         rows.push(vec![
             "baseline".into(),
             format!("{baseline:.3}"),
@@ -49,4 +45,5 @@ fn main() {
             )
         );
     }
+    Ok(())
 }

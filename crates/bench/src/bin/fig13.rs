@@ -8,7 +8,7 @@
 
 use dual_baseline::Algorithm;
 use dual_bench::{
-    quality, quality_dataset, render_table, speedup_energy, Representation, BENCH_SEED,
+    quality, quality_dataset, render_table, speedup_energy, BenchError, Representation, BENCH_SEED,
 };
 use dual_core::DualConfig;
 use dual_data::Workload;
@@ -16,7 +16,7 @@ use dual_data::Workload;
 /// The candidate dimensionalities swept, descending.
 const DIMS: [usize; 9] = [4000, 3000, 2500, 2000, 1500, 1000, 750, 500, 250];
 
-fn minimal_dim_for_loss(alg: Algorithm, budget: f64) -> usize {
+fn minimal_dim_for_loss(alg: Algorithm, budget: f64) -> Result<usize, BenchError> {
     // The smallest D that keeps EVERY dataset within `budget` of its own
     // D=4000 reference — the paper's "less than x% quality loss on all
     // tested datasets".
@@ -24,15 +24,15 @@ fn minimal_dim_for_loss(alg: Algorithm, budget: f64) -> usize {
         .into_iter()
         .map(|w| quality_dataset(w, 300))
         .collect();
-    let per_set = |dim: usize| -> Vec<f64> {
+    let per_set = |dim: usize| -> Result<Vec<f64>, BenchError> {
         sets.iter()
             .map(|ds| quality(ds, alg, Representation::HdMapper { dim }, BENCH_SEED))
             .collect()
     };
-    let reference = per_set(4000);
+    let reference = per_set(4000)?;
     let mut best = 4000;
     for &dim in &DIMS {
-        let q = per_set(dim);
+        let q = per_set(dim)?;
         let ok = q.iter().zip(&reference).all(|(&qi, &ri)| qi >= ri - budget);
         if ok {
             best = dim;
@@ -40,14 +40,14 @@ fn minimal_dim_for_loss(alg: Algorithm, budget: f64) -> usize {
             break;
         }
     }
-    best
+    Ok(best)
 }
 
-fn main() {
+fn main() -> Result<(), BenchError> {
     let mut rows = Vec::new();
     for alg in Algorithm::all() {
         for (label, budget) in [("1%", 0.01), ("2%", 0.02)] {
-            let dim = minimal_dim_for_loss(alg, budget);
+            let dim = minimal_dim_for_loss(alg, budget)?;
             let cfg = DualConfig::paper().with_dim(dim);
             let mut speedups = Vec::new();
             let mut energies = Vec::new();
@@ -79,4 +79,5 @@ fn main() {
             &rows,
         )
     );
+    Ok(())
 }

@@ -13,15 +13,51 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::fmt;
 
 use dual_baseline::{Algorithm, GpuModel};
 use dual_cluster::{
     cluster_accuracy, euclidean, hamming, normalized_mutual_information, AgglomerativeClustering,
-    Dbscan, HammingKMeans, KMeans, Linkage, NnChainClustering,
+    ClusterError, Dbscan, HammingKMeans, KMeans, Linkage, NnChainClustering,
 };
 use dual_core::{DualConfig, PerfModel, PhaseReport};
 use dual_data::{catalog, Dataset, Workload};
-use dual_hdc::{Encoder, HdMapper, Hypervector, LshEncoder};
+use dual_hdc::{Encoder, HdMapper, HdcError, Hypervector, LshEncoder};
+
+/// Why a quality experiment could not run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BenchError {
+    /// The encoder rejected its shape or the dataset's points.
+    Hdc(HdcError),
+    /// A clustering constructor or fit rejected its parameters or the
+    /// dataset (e.g. fewer points than clusters).
+    Cluster(ClusterError),
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Hdc(e) => write!(f, "encoding failed: {e}"),
+            Self::Cluster(e) => write!(f, "clustering failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+impl From<HdcError> for BenchError {
+    fn from(e: HdcError) -> Self {
+        Self::Hdc(e)
+    }
+}
+
+impl From<ClusterError> for BenchError {
+    fn from(e: ClusterError) -> Self {
+        Self::Cluster(e)
+    }
+}
 
 /// Which data representation a quality run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +92,7 @@ pub fn auto_sigma(points: &[Vec<f64>]) -> f64 {
             dists.push(euclidean(sample[i], sample[j]));
         }
     }
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    dists.sort_by(f64::total_cmp);
     dists[dists.len() / 2].max(1e-9)
 }
 
@@ -82,35 +118,43 @@ pub const SIGMA_GRID: [f64; 6] = [0.1, 0.15, 0.2, 0.25, 0.35, 0.5];
 /// Encode a dataset under the chosen representation (`None` for the
 /// baseline, which keeps the raw features). For the HD-Mapper, `sigma`
 /// overrides the bandwidth; `None` uses the mid-grid default.
-#[must_use]
-pub fn encode_dataset(ds: &Dataset, repr: Representation, seed: u64) -> Option<Vec<Hypervector>> {
+///
+/// # Errors
+///
+/// [`HdcError`] if the encoder rejects `dim` or the dataset's points.
+pub fn encode_dataset(
+    ds: &Dataset,
+    repr: Representation,
+    seed: u64,
+) -> Result<Option<Vec<Hypervector>>, HdcError> {
     encode_dataset_with_sigma(ds, repr, seed, None)
 }
 
 /// As [`encode_dataset`] with an explicit HD-Mapper bandwidth.
-#[must_use]
+///
+/// # Errors
+///
+/// As [`encode_dataset`].
 pub fn encode_dataset_with_sigma(
     ds: &Dataset,
     repr: Representation,
     seed: u64,
     sigma: Option<f64>,
-) -> Option<Vec<Hypervector>> {
-    match repr {
+) -> Result<Option<Vec<Hypervector>>, HdcError> {
+    Ok(match repr {
         Representation::Baseline => None,
         Representation::HdMapper { dim } => {
             let sigma = sigma.unwrap_or_else(|| auto_sigma(&ds.points) * SIGMA_GRID[1]);
             let mapper = HdMapper::builder(dim, ds.n_features())
                 .seed(seed)
                 .sigma(sigma)
-                .build()
-                .expect("valid encoder shape");
-            Some(mapper.encode_batch(&ds.points).expect("shapes match"))
+                .build()?;
+            Some(mapper.encode_batch(&ds.points)?)
         }
         Representation::Lsh { dim } => {
-            let lsh = LshEncoder::new(dim, ds.n_features(), seed).expect("valid encoder shape");
-            Some(lsh.encode_batch(&ds.points).expect("shapes match"))
+            Some(LshEncoder::new(dim, ds.n_features(), seed)?.encode_batch(&ds.points)?)
         }
-    }
+    })
 }
 
 /// Pick a DBSCAN ε as a multiple of the median nearest-neighbor
@@ -133,27 +177,46 @@ where
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();
-    nn.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    nn.sort_by(f64::total_cmp);
     (nn[nn.len() / 2] * factor).max(1e-9)
 }
 
 /// Run one (algorithm × representation) quality experiment and return
 /// the majority-label cluster accuracy. For the HD-Mapper the kernel
 /// bandwidth is cross-validated over [`SIGMA_GRID`].
-#[must_use]
-pub fn quality(ds: &Dataset, alg: Algorithm, repr: Representation, seed: u64) -> f64 {
+///
+/// # Errors
+///
+/// [`BenchError`] if encoding fails, or a clustering run rejects the
+/// dataset (k-means needs at least as many points as clusters).
+pub fn quality(
+    ds: &Dataset,
+    alg: Algorithm,
+    repr: Representation,
+    seed: u64,
+) -> Result<f64, BenchError> {
     if let Representation::HdMapper { .. } = repr {
         let base = auto_sigma(&ds.points);
-        return SIGMA_GRID
-            .iter()
-            .map(|mult| {
-                let enc = encode_dataset_with_sigma(ds, repr, seed, Some(base * mult));
-                quality_fixed(ds, alg, enc, seed)
-            })
-            .fold(0.0, f64::max);
+        return SIGMA_GRID.iter().try_fold(0.0, |best: f64, mult| {
+            let enc = encode_dataset_with_sigma(ds, repr, seed, Some(base * mult))?;
+            Ok(best.max(quality_fixed(ds, alg, enc, seed)?))
+        });
     }
-    let enc = encode_dataset(ds, repr, seed);
+    let enc = encode_dataset(ds, repr, seed)?;
     quality_fixed(ds, alg, enc, seed)
+}
+
+/// The restart with the lowest cost, the first one on ties (as
+/// `Iterator::min_by` picks), over `restarts ≥ 1` seeded fits.
+fn best_restart<T>(
+    restarts: u64,
+    mut fit: impl FnMut(u64) -> Result<T, ClusterError>,
+    lower: impl Fn(&T, &T) -> bool,
+) -> Result<T, ClusterError> {
+    (1..restarts).try_fold(fit(0)?, |best, r| {
+        let res = fit(r)?;
+        Ok(if lower(&res, &best) { res } else { best })
+    })
 }
 
 fn quality_fixed(
@@ -161,7 +224,7 @@ fn quality_fixed(
     alg: Algorithm,
     encoded: Option<Vec<Hypervector>>,
     seed: u64,
-) -> f64 {
+) -> Result<f64, BenchError> {
     let k = ds.n_clusters.max(1);
     let labels: Vec<usize> = match encoded {
         None => match alg {
@@ -174,17 +237,12 @@ fn quality_fixed(
             Algorithm::KMeans => {
                 // n_init-style restarts, best inertia wins (as
                 // scikit-learn's baseline does).
-                (0..5)
-                    .map(|r| {
-                        KMeans::new(k)
-                            .expect("k > 0")
-                            .seed(seed + r)
-                            .fit(&ds.points)
-                            .expect("enough points")
-                    })
-                    .min_by(|a, b| a.inertia.partial_cmp(&b.inertia).expect("finite"))
-                    .expect("non-empty restarts")
-                    .labels
+                best_restart(
+                    5,
+                    |r| KMeans::new(k)?.seed(seed + r).fit(&ds.points),
+                    |a, b| a.inertia.total_cmp(&b.inertia).is_lt(),
+                )?
+                .labels
             }
             Algorithm::Dbscan => {
                 // Strong tuned baseline: sweep ε/min_pts for classic
@@ -202,18 +260,14 @@ fn quality_fixed(
                 let mut best_score = -1.0;
                 for factor in EPS_GRID {
                     for min_pts in [4usize, 8] {
-                        let res = Dbscan::new(nn * factor, min_pts)
-                            .expect("eps > 0")
-                            .fit(&ds.points, euclidean);
+                        let res = Dbscan::new(nn * factor, min_pts)?.fit(&ds.points, euclidean);
                         let score = normalized_mutual_information(&res.labels, &ds.labels);
                         if score > best_score {
                             best_score = score;
                             best = res.labels;
                         }
                     }
-                    let res = NnChainClustering::new(nn * factor)
-                        .expect("eps > 0")
-                        .fit(&ds.points, euclidean);
+                    let res = NnChainClustering::new(nn * factor)?.fit(&ds.points, euclidean);
                     // Guard against purity-inflating fragmentation.
                     if res.n_clusters > 3 * k {
                         continue;
@@ -232,17 +286,12 @@ fn quality_fixed(
                 AgglomerativeClustering::fit(&encoded, Linkage::Ward, hamming).cut(k)
             }
             Algorithm::KMeans => {
-                (0..8)
-                    .map(|r| {
-                        HammingKMeans::new(k)
-                            .expect("k > 0")
-                            .seed(seed + r)
-                            .fit(&encoded)
-                            .expect("enough points")
-                    })
-                    .min_by_key(|res| res.inertia)
-                    .expect("non-empty restarts")
-                    .labels
+                best_restart(
+                    8,
+                    |r| HammingKMeans::new(k)?.seed(seed + r).fit(&encoded),
+                    |a, b| a.inertia < b.inertia,
+                )?
+                .labels
             }
             Algorithm::Dbscan => {
                 // DUAL's ε is tuned the same way the baseline's is
@@ -252,9 +301,7 @@ fn quality_fixed(
                 let mut best = Vec::new();
                 let mut best_score = -1.0;
                 for factor in HD_EPS_GRID {
-                    let res = NnChainClustering::new(nn * factor)
-                        .expect("eps > 0")
-                        .fit(&encoded, hamming);
+                    let res = NnChainClustering::new(nn * factor)?.fit(&encoded, hamming);
                     // Same fragmentation guard as the baseline sweep.
                     if res.n_clusters > 3 * k {
                         continue;
@@ -268,8 +315,7 @@ fn quality_fixed(
                 if best.is_empty() {
                     // No configuration stayed under the fragmentation
                     // cap: fall back to the tightest ε.
-                    best = NnChainClustering::new(nn * HD_EPS_GRID[0])
-                        .expect("eps > 0")
+                    best = NnChainClustering::new(nn * HD_EPS_GRID[0])?
                         .fit(&encoded, hamming)
                         .labels;
                 }
@@ -277,7 +323,7 @@ fn quality_fixed(
             }
         },
     };
-    cluster_accuracy(&labels, &ds.labels)
+    Ok(cluster_accuracy(&labels, &ds.labels))
 }
 
 /// DUAL execution report (encoding + clustering) for one workload under
@@ -400,20 +446,21 @@ mod tests {
     #[test]
     fn quality_baseline_beats_chance_on_easy_workload() {
         let ds = quality_dataset(Workload::Gesture, 250);
-        let q = quality(&ds, Algorithm::KMeans, Representation::Baseline, 3);
+        let q = quality(&ds, Algorithm::KMeans, Representation::Baseline, 3).unwrap();
         assert!(q > 0.5, "baseline k-means quality {q}");
     }
 
     #[test]
     fn quality_hd_tracks_baseline() {
         let ds = quality_dataset(Workload::Gesture, 250);
-        let base = quality(&ds, Algorithm::Hierarchical, Representation::Baseline, 3);
+        let base = quality(&ds, Algorithm::Hierarchical, Representation::Baseline, 3).unwrap();
         let hd = quality(
             &ds,
             Algorithm::Hierarchical,
             Representation::HdMapper { dim: 2000 },
             3,
-        );
+        )
+        .unwrap();
         assert!(hd > base - 0.12, "hd {hd} vs baseline {base}");
     }
 

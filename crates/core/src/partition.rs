@@ -14,7 +14,7 @@
 
 use crate::{DualConfig, PerfModel, PhaseReport};
 use dual_cluster::{cluster_accuracy, hamming, AgglomerativeClustering, CondensedMatrix, Linkage};
-use dual_hdc::{majority_bundle, Hypervector};
+use dual_hdc::{majority_bundle, HdcError, Hypervector};
 
 /// The largest point count whose full `n × n` distance matrix fits the
 /// configuration's chips.
@@ -79,23 +79,28 @@ pub fn partitioned_cost(cfg: &DualConfig, n: usize, k: usize) -> PhaseReport {
 /// (software Hamming path — the PIM equivalence of each stage is
 /// covered by the accelerator tests). Returns labels in `0..k`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `k == 0` while points exist.
-#[must_use]
+/// [`HdcError::InvalidParameter`] if `k == 0` while points exist, or
+/// the [`HdcError`] of a local cluster's majority bundle.
 pub fn partitioned_hierarchical(
     encoded: &[Hypervector],
     k: usize,
     partition_size: usize,
-) -> Vec<usize> {
+) -> Result<Vec<usize>, HdcError> {
     let n = encoded.len();
     if n == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    assert!(k > 0, "need at least one cluster");
+    if k == 0 {
+        return Err(HdcError::InvalidParameter {
+            name: "k",
+            reason: "need at least one cluster",
+        });
+    }
     let psize = partition_size.max(k.max(2) * 2).min(n);
     if psize >= n {
-        return AgglomerativeClustering::fit(encoded, Linkage::Ward, hamming).cut(k);
+        return Ok(AgglomerativeClustering::fit(encoded, Linkage::Ward, hamming).cut(k));
     }
     let local_k = (k * 4).max(2);
     // Stage 1: local clustering per partition; representatives are the
@@ -116,7 +121,7 @@ pub fn partitioned_hierarchical(
                 .map(|(h, _)| h)
                 .collect();
             rep_weight.push(members.len());
-            reps.push(majority_bundle(&members).expect("non-empty local cluster"));
+            reps.push(majority_bundle(&members)?);
         }
         for (off, &l) in local.iter().enumerate() {
             member_rep[pi * psize + off] = base + l;
@@ -131,24 +136,27 @@ pub fn partitioned_hierarchical(
         Linkage::Ward,
     )
     .cut(k.min(reps.len()));
-    member_rep.iter().map(|&r| global[r]).collect()
+    Ok(member_rep.iter().map(|&r| global[r]).collect())
 }
 
 /// Quality retention of the partitioned scheme vs the monolithic run on
 /// the same encoded points (diagnostic used by tests and benches).
-#[must_use]
+///
+/// # Errors
+///
+/// As [`partitioned_hierarchical`].
 pub fn partition_quality_retention(
     encoded: &[Hypervector],
     truth: &[usize],
     k: usize,
     partition_size: usize,
-) -> (f64, f64) {
+) -> Result<(f64, f64), HdcError> {
     let mono = AgglomerativeClustering::fit(encoded, Linkage::Ward, hamming).cut(k);
-    let part = partitioned_hierarchical(encoded, k, partition_size);
-    (
+    let part = partitioned_hierarchical(encoded, k, partition_size)?;
+    Ok((
         cluster_accuracy(&mono, truth),
         cluster_accuracy(&part, truth),
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -216,17 +224,21 @@ mod tests {
     #[test]
     fn partitioned_run_preserves_quality_on_separated_blobs() {
         let (encoded, truth) = encoded_blobs();
-        let (mono, part) = partition_quality_retention(&encoded, &truth, 3, 20);
+        let (mono, part) = partition_quality_retention(&encoded, &truth, 3, 20).unwrap();
         assert!(mono > 0.95, "monolithic {mono}");
         assert!(part > 0.9, "partitioned {part}");
     }
 
     #[test]
     fn partitioned_degenerate_inputs() {
-        assert!(partitioned_hierarchical(&[], 3, 10).is_empty());
+        assert!(partitioned_hierarchical(&[], 3, 10).unwrap().is_empty());
         let (encoded, _) = encoded_blobs();
+        assert!(matches!(
+            partitioned_hierarchical(&encoded, 0, 10),
+            Err(HdcError::InvalidParameter { name: "k", .. })
+        ));
         // Partition size ≥ n falls back to the monolithic path.
-        let a = partitioned_hierarchical(&encoded, 3, 10_000);
+        let a = partitioned_hierarchical(&encoded, 3, 10_000).unwrap();
         let b = AgglomerativeClustering::fit(&encoded, Linkage::Ward, hamming).cut(3);
         assert_eq!(a, b);
     }

@@ -281,6 +281,7 @@ impl Iterator for DriftingBlobs {
 /// The standard normal both generators draw their offsets from.
 fn unit_normal() -> Normal {
     // lint:allow(r1-panic): constant (0, 1) parameters are always valid
+    #[allow(clippy::expect_used)]
     Normal::new(0.0, 1.0).expect("unit normal is valid")
 }
 

@@ -13,9 +13,8 @@
 //!   comments required in `shims/`.
 //!
 //! Findings are silenced at the site with
-//! `// lint:allow(<rule-id>): <reason>` or carried in the checked-in
-//! [`baseline::Baseline`] (`lint-baseline.toml`), which only ratchets
-//! down. See `DESIGN.md` § "Static-analysis gate".
+//! `// lint:allow(<rule-id>): <reason>`; any unsuppressed finding fails
+//! the gate. See `DESIGN.md` § "Static-analysis gate".
 //!
 //! ```
 //! use dual_lint::rules::{analyze_source, RuleConfig, RuleId};
@@ -30,15 +29,13 @@
 // (Test code is exempt via .clippy.toml allow-*-in-tests keys.)
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-use baseline::Counts;
-use rules::{analyze_source, RuleConfig, RuleId, Violation};
+use rules::{analyze_source, RuleConfig, Violation};
 
 /// Result of scanning a workspace tree.
 #[derive(Debug, Default)]
@@ -63,30 +60,6 @@ impl ScanReport {
             .iter()
             .filter(|v| v.suppressed.is_some())
             .count()
-    }
-
-    /// Unsuppressed, baselinable findings as per-rule/per-file counts
-    /// (the shape the baseline compares against).
-    #[must_use]
-    pub fn counts(&self) -> Counts {
-        let mut counts: Counts = Counts::new();
-        for v in self.active() {
-            if !v.rule.baselinable() {
-                continue;
-            }
-            *counts
-                .entry(v.rule.id().to_string())
-                .or_default()
-                .entry(v.file.clone())
-                .or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Unsuppressed config errors (malformed/unused suppressions) —
-    /// these are never baselinable and always fail the gate.
-    pub fn config_errors(&self) -> impl Iterator<Item = &Violation> {
-        self.active().filter(|v| v.rule == RuleId::Config)
     }
 }
 

@@ -1,52 +1,42 @@
 //! `dual-lint` — the workspace's static-analysis gate.
 //!
 //! ```text
-//! dual-lint check [--root DIR] [--baseline FILE] [--json [PATH]] [--write-baseline]
+//! dual-lint check [--root DIR] [--json [PATH]]
 //! dual-lint rules
 //! ```
 //!
-//! `check` exits 0 when the tree matches the baseline exactly, 1 on new
-//! debt / over-stated baseline / config errors, 2 on usage or I/O
-//! errors. `ci.sh` runs it as a hard gate.
+//! `check` exits 0 when no finding is active, 1 on any unsuppressed
+//! finding (config errors included), 2 on usage or I/O errors. `ci.sh`
+//! runs it as a hard gate.
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dual_lint::baseline::Baseline;
 use dual_lint::report::to_json;
 use dual_lint::rules::{RuleConfig, ALL_RULES};
 use dual_lint::scan_workspace;
 
-const USAGE: &str = "usage: dual-lint <check|rules> \
-[--root DIR] [--baseline FILE] [--json [PATH]] [--write-baseline]";
+const USAGE: &str = "usage: dual-lint <check|rules> [--root DIR] [--json [PATH]]";
 
-const DEFAULT_BASELINE: &str = "lint-baseline.toml";
 const DEFAULT_JSON: &str = "results/lint-report.json";
 
 struct Options {
     root: PathBuf,
-    baseline: PathBuf,
     json: Option<PathBuf>,
-    write_baseline: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let mut cmd = None;
     let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
     let mut json = None;
-    let mut write_baseline = false;
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "check" | "rules" if cmd.is_none() => cmd = Some(a.clone()),
             "--root" => {
                 root = PathBuf::from(it.next().ok_or("--root needs a value")?);
-            }
-            "--baseline" => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?));
             }
             "--json" => {
                 let path = match it.peek() {
@@ -57,22 +47,12 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 };
                 json = Some(path);
             }
-            "--write-baseline" => write_baseline = true,
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
     let cmd = cmd.ok_or(USAGE.to_string())?;
-    let baseline = baseline.unwrap_or_else(|| root.join(DEFAULT_BASELINE));
     let json = json.map(|j| if j.is_absolute() { j } else { root.join(j) });
-    Ok((
-        cmd,
-        Options {
-            root,
-            baseline,
-            json,
-            write_baseline,
-        },
-    ))
+    Ok((cmd, Options { root, json }))
 }
 
 fn main() -> ExitCode {
@@ -90,20 +70,12 @@ fn main() -> ExitCode {
             for rule in ALL_RULES {
                 println!("  {:14} {}", rule.id(), rule.describe());
             }
-            println!(
-                "\nSuppress at a site with `// lint:allow(<rule-id>): <reason>`; carry\n\
-                 pre-existing debt in {DEFAULT_BASELINE} (regenerate with --write-baseline)."
-            );
+            println!("\nSuppress at a site with `// lint:allow(<rule-id>): <reason>`.");
             ExitCode::SUCCESS
         }
         "check" => match run_check(&opts) {
-            Ok(clean) => {
-                if clean {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
             Err(e) => {
                 eprintln!("dual-lint: {e}");
                 ExitCode::from(2)
@@ -119,24 +91,6 @@ fn main() -> ExitCode {
 fn run_check(opts: &Options) -> Result<bool, String> {
     let report = scan_workspace(&opts.root, &RuleConfig::default())
         .map_err(|e| format!("scan failed: {e}"))?;
-    let counts = report.counts();
-
-    if opts.write_baseline {
-        let baseline = Baseline::from_counts(&counts);
-        std::fs::write(&opts.baseline, baseline.serialize())
-            .map_err(|e| format!("writing {}: {e}", opts.baseline.display()))?;
-        let total: u64 = counts.values().flat_map(|m| m.values()).sum();
-        println!(
-            "dual-lint: wrote {} ({} file(s) scanned, {total} baselined violation(s))",
-            opts.baseline.display(),
-            report.files.len()
-        );
-        return Ok(true);
-    }
-
-    let baseline = load_baseline(&opts.baseline)?;
-    let drifts = baseline.compare(&counts);
-    let config_errors: Vec<_> = report.config_errors().cloned().collect();
 
     if let Some(json_path) = &opts.json {
         if let Some(parent) = json_path.parent() {
@@ -145,51 +99,24 @@ fn run_check(opts: &Options) -> Result<bool, String> {
                     .map_err(|e| format!("creating {}: {e}", parent.display()))?;
             }
         }
-        std::fs::write(json_path, to_json(&report, &drifts))
+        std::fs::write(json_path, to_json(&report))
             .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
     }
 
-    // Human diagnostics: config errors first, then per-file new debt,
-    // then ratchet messages.
-    let mut clean = true;
-    for v in &config_errors {
-        clean = false;
+    let mut active = 0usize;
+    for v in report.active() {
+        active += 1;
         eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule.id(), v.message);
     }
-    for d in &drifts {
-        clean = false;
-        if let dual_lint::baseline::Drift::NewDebt { rule, file, .. } = d {
-            // Point at the individual findings in the offending file.
-            for v in report.active() {
-                if v.rule.id() == rule && &v.file == file {
-                    eprintln!("{}:{}: [{}] {}", v.file, v.line, rule, v.message);
-                }
-            }
-        }
-        eprintln!("error: {d}");
-    }
-
-    let active_total: u64 = counts.values().flat_map(|m| m.values()).sum();
     println!(
-        "dual-lint: {} file(s) scanned, {} suppressed, {} baselined violation(s), {} drift(s)",
+        "dual-lint: {} file(s) scanned, {} suppressed, {active} active finding(s)",
         report.files.len(),
         report.suppressed_count(),
-        active_total,
-        drifts.len()
     );
-    if clean {
+    if active == 0 {
         println!("dual-lint: OK");
     } else {
         eprintln!("dual-lint: FAILED (see diagnostics above)");
     }
-    Ok(clean)
-}
-
-fn load_baseline(path: &Path) -> Result<Baseline, String> {
-    if !path.exists() {
-        return Ok(Baseline::default());
-    }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    Ok(active == 0)
 }

@@ -8,7 +8,6 @@
 
 use std::fmt::Write as _;
 
-use crate::baseline::Drift;
 use crate::rules::ALL_RULES;
 use crate::ScanReport;
 
@@ -34,23 +33,24 @@ pub fn escape(s: &str) -> String {
 
 /// Render the full machine report.
 ///
-/// Shape (stable, `version` bumps on change):
+/// Shape (stable, `version` bumps on change). `ok` is the gate's
+/// verdict: true exactly when no finding is active.
 ///
 /// ```json
 /// {
-///   "version": 1,
+///   "version": 2,
 ///   "files_scanned": 64,
 ///   "summary": {"r1-panic": 12, "r2-hash-iter": 0, ...},
 ///   "suppressed": 3,
 ///   "violations": [{"file": "...", "line": 7, "rule": "r1-panic", "message": "..."}],
-///   "baseline": {"new_debt": 0, "overstated": 0, "ok": true}
+///   "ok": false
 /// }
 /// ```
 #[must_use]
-pub fn to_json(report: &ScanReport, drifts: &[Drift]) -> String {
+pub fn to_json(report: &ScanReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
+    out.push_str("  \"version\": 2,\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files.len());
 
     // Per-rule active counts, every rule always present.
@@ -87,14 +87,7 @@ pub fn to_json(report: &ScanReport, drifts: &[Drift]) -> String {
         out.push_str("\n  ],\n");
     }
 
-    let new_debt = drifts.iter().filter(|d| d.is_new_debt()).count();
-    let overstated = drifts.len() - new_debt;
-    let config_errors = report.config_errors().count();
-    let ok = drifts.is_empty() && config_errors == 0;
-    let _ = writeln!(
-        out,
-        "  \"baseline\": {{\"new_debt\": {new_debt}, \"overstated\": {overstated}, \"ok\": {ok}}}"
-    );
+    let _ = writeln!(out, "  \"ok\": {}", active.is_empty());
     out.push_str("}\n");
     out
 }

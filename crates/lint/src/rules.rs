@@ -34,7 +34,7 @@ pub enum RuleId {
     R3LossyCast,
     /// `unsafe` audit.
     R4Unsafe,
-    /// Malformed `lint:allow` suppressions (never baselinable).
+    /// Malformed or unused `lint:allow` suppressions (never suppressible).
     Config,
 }
 
@@ -49,8 +49,8 @@ pub const ALL_RULES: [RuleId; 6] = [
 ];
 
 impl RuleId {
-    /// The stable string id used in diagnostics, suppressions, and the
-    /// baseline file.
+    /// The stable string id used in diagnostics, suppressions and the
+    /// JSON report.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
@@ -94,13 +94,6 @@ impl RuleId {
             }
             Self::Config => "malformed lint:allow suppression (requires a rule id and a reason)",
         }
-    }
-
-    /// Whether pre-existing violations of this rule may be carried in
-    /// the burn-down baseline (config errors never are).
-    #[must_use]
-    pub fn baselinable(self) -> bool {
-        self != Self::Config
     }
 }
 
@@ -420,7 +413,7 @@ fn parse_allow(rest: &str) -> Result<(RuleId, String), String> {
     let Some(rule) = RuleId::from_id(id) else {
         return Err(format!("unknown rule id `{id}`"));
     };
-    if !rule.baselinable() {
+    if rule == RuleId::Config {
         return Err(format!("rule `{id}` cannot be suppressed"));
     }
     let after = stripped[close + 1..].trim_start();

@@ -1,12 +1,9 @@
 //! Integration tests for the `dual-lint` analyzer: every rule fires on
-//! its fixture, suppressions parse (and rot loudly), the baseline
-//! ratchet fails in BOTH directions, the JSON report is byte-stable —
-//! and the real workspace is clean against the checked-in baseline,
-//! with the pim burn-down locked at zero.
+//! its fixture, suppressions parse (and rot loudly), the JSON report is
+//! byte-stable — and the real workspace has no active finding at all.
 
 use std::path::Path;
 
-use dual_lint::baseline::{Baseline, Counts, Drift};
 use dual_lint::report::to_json;
 use dual_lint::rules::{analyze_source, RuleConfig, RuleId};
 use dual_lint::{scan_workspace, ScanReport};
@@ -153,90 +150,26 @@ fn suppressions_silence_cover_and_rot() {
 }
 
 #[test]
-fn suppressed_findings_do_not_enter_baseline_counts() {
+fn suppressed_findings_stay_out_of_active() {
     let src = fixture("suppressions.rs");
     let violations = analyze_source("crates/pim/src/fixture.rs", &src, &RuleConfig::default());
-    let files = vec!["crates/pim/src/fixture.rs".to_string()];
-    let report = ScanReport { files, violations };
-    let counts = report.counts();
-    // Only the one active unwrap counts; config errors never baseline.
+    let report = ScanReport {
+        files: vec!["crates/pim/src/fixture.rs".to_string()],
+        violations,
+    };
+    // The two suppressed unwraps leave only the third one active; the
+    // three config errors stay active too, since nothing suppresses them.
+    let active: Vec<_> = report.active().collect();
+    assert_eq!(report.suppressed_count(), 2);
     assert_eq!(
-        counts.get("r1-panic").and_then(|m| m.values().next()),
-        Some(&1)
+        active.iter().filter(|v| v.rule == RuleId::R1Panic).count(),
+        1
     );
-    assert!(!counts.contains_key("lint-config"));
-}
-
-// ------------------------------------------------------------ ratchet
-
-fn counts_of(rule: &str, file: &str, n: u64) -> Counts {
-    let mut c = Counts::new();
-    c.entry(rule.to_string())
-        .or_default()
-        .insert(file.to_string(), n);
-    c
-}
-
-#[test]
-fn ratchet_fails_on_new_debt() {
-    let baseline = Baseline::parse("[r1-panic]\n\"crates/x/src/lib.rs\" = 2\n").expect("parses");
-    let drifts = baseline.compare(&counts_of("r1-panic", "crates/x/src/lib.rs", 3));
-    assert_eq!(drifts.len(), 1);
-    assert!(drifts[0].is_new_debt(), "{drifts:#?}");
-    assert!(drifts[0].to_string().contains("baseline allows 2"));
-}
-
-#[test]
-fn ratchet_fails_on_overstated_baseline() {
-    let baseline = Baseline::parse("[r1-panic]\n\"crates/x/src/lib.rs\" = 2\n").expect("parses");
-    // Debt was paid down: the stale baseline must also fail the gate.
-    let drifts = baseline.compare(&counts_of("r1-panic", "crates/x/src/lib.rs", 1));
-    assert_eq!(drifts.len(), 1);
-    assert!(!drifts[0].is_new_debt(), "{drifts:#?}");
-    assert!(drifts[0].to_string().contains("--write-baseline"));
-
-    // …including when the file is now completely clean.
-    let drifts = baseline.compare(&Counts::new());
-    assert_eq!(drifts.len(), 1);
-    assert!(matches!(drifts[0], Drift::Overstated { .. }));
-}
-
-#[test]
-fn ratchet_passes_on_exact_match() {
-    let baseline = Baseline::parse("[r1-panic]\n\"crates/x/src/lib.rs\" = 2\n").expect("parses");
-    let drifts = baseline.compare(&counts_of("r1-panic", "crates/x/src/lib.rs", 2));
-    assert!(drifts.is_empty(), "{drifts:#?}");
-}
-
-#[test]
-fn baseline_serialize_parse_roundtrip() {
-    let mut counts = counts_of("r1-panic", "crates/x/src/lib.rs", 2);
-    counts
-        .entry("r3-lossy-cast".to_string())
-        .or_default()
-        .insert("crates/y/src/cost.rs".to_string(), 7);
-    let b = Baseline::from_counts(&counts);
-    let text = b.serialize();
-    let reparsed = Baseline::parse(&text).expect("own output parses");
-    assert!(reparsed.compare(&counts).is_empty());
-    // Canonical form is stable.
-    assert_eq!(text, Baseline::from_counts(&counts).serialize());
-}
-
-#[test]
-fn baseline_rejects_bad_input() {
-    for (bad, why) in [
-        ("\"crates/x.rs\" = 1\n", "entry before any section"),
-        ("[no-such-rule]\n", "unknown rule"),
-        ("[lint-config]\n", "unbaselinable rule"),
-        ("[r1-panic]\n\"crates/x.rs\" = 0\n", "zero count"),
-        (
-            "[r1-panic]\n\"crates/x.rs\" = 1\n\"crates/x.rs\" = 2\n",
-            "duplicate",
-        ),
-    ] {
-        assert!(Baseline::parse(bad).is_err(), "should reject: {why}");
-    }
+    assert_eq!(
+        active.iter().filter(|v| v.rule == RuleId::Config).count(),
+        3
+    );
+    assert!(active.iter().all(|v| v.suppressed.is_none()));
 }
 
 // --------------------------------------------------------------- JSON
@@ -249,23 +182,21 @@ fn json_report_is_byte_stable_and_well_formed() {
         files: vec!["crates/pim/src/fixture.rs".to_string()],
         violations,
     };
-    let baseline = Baseline::default();
-    let drifts = baseline.compare(&report.counts());
-
-    let a = to_json(&report, &drifts);
-    let b = to_json(&report, &drifts);
+    let a = to_json(&report);
+    let b = to_json(&report);
     assert_eq!(a, b, "report must be deterministic");
 
-    // Fixed shape: version header, every rule in the summary, baseline
-    // verdict last.
-    assert!(a.starts_with("{\n  \"version\": 1,\n"));
+    // Fixed shape: version header, every rule in the summary, verdict
+    // last.
+    assert!(a.starts_with("{\n  \"version\": 2,\n"));
     for rule in dual_lint::rules::ALL_RULES {
         assert!(a.contains(&format!("\"{}\":", rule.id())), "{a}");
     }
     assert!(a.contains("\"files_scanned\": 1,"));
     assert!(a.contains("\"suppressed\": 2,"));
-    assert!(a.contains("\"new_debt\": 1")); // the one active unwrap
-    assert!(a.trim_end().ends_with('}'));
+    assert!(a.contains("\"r1-panic\": 1,")); // the one active unwrap
+    assert!(a.contains("\"lint-config\": 3}"));
+    assert!(a.trim_end().ends_with("  \"ok\": false\n}"));
 }
 
 // ----------------------------------------------------- real workspace
@@ -278,20 +209,15 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn real_workspace_matches_checked_in_baseline() {
-    let root = workspace_root();
-    let report = scan_workspace(root, &RuleConfig::default()).expect("scan");
+fn real_workspace_is_clean() {
+    // No baseline: every finding in the tree is either fixed or carries
+    // a justified site suppression, and an unused or malformed
+    // suppression is itself an active finding.
+    let report = scan_workspace(workspace_root(), &RuleConfig::default()).expect("scan");
     assert!(report.files.len() > 50, "scan looks truncated");
-    assert_eq!(
-        report.config_errors().count(),
-        0,
-        "malformed/unused suppressions in tree: {:#?}",
-        report.config_errors().collect::<Vec<_>>()
-    );
-    let text = std::fs::read_to_string(root.join("lint-baseline.toml")).expect("baseline exists");
-    let baseline = Baseline::parse(&text).expect("baseline parses");
-    let drifts = baseline.compare(&report.counts());
-    assert!(drifts.is_empty(), "workspace drifted: {drifts:#?}");
+    let active: Vec<_> = report.active().collect();
+    assert!(active.is_empty(), "active findings in tree: {active:#?}");
+    assert!(to_json(&report).ends_with("  \"ok\": true\n}\n"));
 }
 
 #[test]
@@ -310,32 +236,5 @@ fn default_config_names_only_paths_that_exist() {
             root.join(file).is_file(),
             "cast_audited_files names missing {file}"
         );
-    }
-}
-
-#[test]
-fn pim_debt_is_burned_to_zero() {
-    // PR acceptance: the pim entries must be strictly below the pre-PR
-    // debt (14 r1-panic + 5 r2-hash-iter + 11 r3-lossy-cast findings).
-    // This PR burns them to zero — lock that in.
-    let root = workspace_root();
-    let report = scan_workspace(root, &RuleConfig::default()).expect("scan");
-    let pim_active: Vec<_> = report
-        .active()
-        .filter(|v| v.file.starts_with("crates/pim/"))
-        .collect();
-    assert!(
-        pim_active.is_empty(),
-        "crates/pim regressed: {pim_active:#?}"
-    );
-    let text = std::fs::read_to_string(root.join("lint-baseline.toml")).expect("baseline exists");
-    let baseline = Baseline::parse(&text).expect("baseline parses");
-    assert_eq!(baseline.debt_under("crates/pim"), 0);
-
-    // Determinism rules hold tree-wide, not just in pim.
-    let counts = report.counts();
-    for rule in ["r2-hash-iter", "r2-time", "r4-unsafe"] {
-        let total: u64 = counts.get(rule).map(|m| m.values().sum()).unwrap_or(0);
-        assert_eq!(total, 0, "{rule} must stay at zero tree-wide");
     }
 }

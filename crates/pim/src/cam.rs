@@ -264,56 +264,6 @@ pub fn nearest_search_stages(bits: u32, stage_bits: u32) -> u32 {
     bits.div_ceil(stage_bits)
 }
 
-/// Fault-aware staged nearest search: the sense amplifiers see each
-/// row's field bits *through* `plan` — row `i` of the search occupies
-/// physical row `base_row + i`, bit `k` of the value lives in column
-/// `k`, and every bit is read at `epoch` (majority-voted over `reads`
-/// re-reads when `reads > 1`). The winner's index is selected on the
-/// noisy values, exactly like the hardware's match lines would, and
-/// the *observed* (possibly corrupted) value is returned.
-///
-/// With a fault-free plan this is exactly [`nearest_search`].
-///
-/// # Panics
-///
-/// As [`nearest_search`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn nearest_search_faulty(
-    values: &[u64],
-    active: &[bool],
-    query: u64,
-    bits: u32,
-    stage_bits: u32,
-    plan: &dual_fault::FaultPlan,
-    base_row: usize,
-    epoch: u64,
-    reads: u32,
-) -> Option<(usize, u64)> {
-    let noisy: Vec<u64> = values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let row = base_row + i;
-            let mut seen = 0u64;
-            for k in 0..bits.min(64) {
-                let stored = (v >> k) & 1 == 1;
-                let col = k as usize;
-                let bit = if reads > 1 {
-                    dual_fault::majority_read_bit(plan, row, col, stored, epoch, reads)
-                } else {
-                    plan.read_bit(row, col, stored, epoch)
-                };
-                if bit {
-                    seen |= 1u64 << k;
-                }
-            }
-            seen
-        })
-        .collect();
-    nearest_search(&noisy, active, query, bits, stage_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,17 +69,6 @@ impl MonteCarloResult {
     }
 }
 
-/// Transient bit-flip rate implied by Gaussian device variation: runs
-/// the §VIII-G Monte-Carlo margin experiment and reports the fraction
-/// of corrupted comparisons. This is the calibrated bridge from the
-/// analytic variation model to `dual_fault::FaultPlanSpec::flip_rate`
-/// — at the paper's 10 % / 4-bit operating point it is ≈ 0 (exact),
-/// and grows once stages widen or variation exceeds the margin.
-#[must_use]
-pub fn variation_flip_rate(config: MonteCarloConfig) -> f64 {
-    run_monte_carlo(config).flip_rate()
-}
-
 /// Voltage ladder for a stage of `bits` bits, MSB first
 /// (0.8 V halving downward, §IV-A2 / Fig. 4d).
 #[must_use]

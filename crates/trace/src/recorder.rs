@@ -33,14 +33,6 @@ impl SpanId {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// Rebuild a span handle from its raw id — for callers resuming
-    /// spans across a checkpoint/restore boundary (the open stack
-    /// itself travels inside [`RecorderState::open`]).
-    #[must_use]
-    pub fn from_raw(raw: u64) -> Self {
-        Self(raw)
-    }
 }
 
 /// Plain-data image of a recorder, for checkpointing. Field meanings

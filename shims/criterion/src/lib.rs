@@ -162,8 +162,7 @@ impl Bencher {
             println!("{id:<44} time: [no samples]");
             return;
         }
-        self.samples_ns
-            .sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+        self.samples_ns.sort_by(f64::total_cmp);
         let median = self.samples_ns[self.samples_ns.len() / 2];
         println!(
             "{id:<44} time: [{} /iter] ({} samples)",

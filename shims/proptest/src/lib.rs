@@ -385,6 +385,8 @@ macro_rules! __proptest_items {
                         __rejected += 1;
                     }
                     ::core::result::Result::Err($crate::test_runner::TestCaseError::Fail(__msg)) => {
+                        // lint:allow(r1-panic): this macro expands into the caller's
+                        // #[test]; the panic is how a failed property fails that test.
                         panic!(
                             "proptest '{}' failed at case {}:\n  {}\n  inputs: {}",
                             stringify!($name),

@@ -50,7 +50,7 @@ fn partitioned_functional_path_matches_monolithic_on_clean_data() {
         }
     }
     let encoded = mapper.encode_batch(&pts).unwrap();
-    let labels = partitioned_hierarchical(&encoded, 3, 16);
+    let labels = partitioned_hierarchical(&encoded, 3, 16).unwrap();
     let acc = dual_cluster::cluster_accuracy(&labels, &truth);
     assert!(acc > 0.95, "partitioned accuracy {acc}");
 }
