@@ -27,10 +27,11 @@
 #   trace        flight-recorder kill/restore/replay identity, byte-diffed
 #   benchmark    frozen benchmark/ harness builds and passes its --quick suite
 #   figures      every table/figure bin regenerates results/*.txt and *.csv byte-identically
+#   portable     default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace benchmark figures)
+ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace benchmark figures portable)
 
 describe_stage() {
   case "$1" in
@@ -50,6 +51,7 @@ describe_stage() {
     trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
     benchmark)   echo "frozen benchmark/ harness builds and passes its --quick suite" ;;
     figures)     echo "every table/figure bin regenerates results/*.txt and *.csv byte-identically" ;;
+    portable)    echo "default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical" ;;
     *)           echo "" ;;
   esac
 }
@@ -210,6 +212,30 @@ stage_figures() {
   cargo run -q --release -p dual-bench --bin all
   git diff --exit-code -- 'results/*.txt' 'results/*.csv' \
     || { echo "a table/figure artifact drifted: regenerate and commit it"; return 1; }
+}
+
+stage_portable() {
+  # `.cargo/config.toml` builds for x86-64-v3; RUSTFLAGS overrides it.
+  # No float path may depend on the target, so the baseline build must
+  # reproduce every golden and committed report to the byte.
+  export RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable
+  local tmp
+  tmp=$(mktemp -d)
+  echo "--- dual-snap goldens and dual-hdc kernel oracles"
+  cargo test -q --release -p dual-snap -p dual-hdc >/dev/null
+  echo "--- parallel_consistency"
+  cargo test -q --release -p dual-integration --test parallel_consistency >/dev/null
+  echo "--- stream_throughput, fault_sweep, recovery_harness vs committed results/"
+  cargo run -q -p dual-bench --release --bin stream_throughput -- \
+    --report-out "$tmp/stream.json" --metrics-out "$tmp/obs.json" >/dev/null
+  cargo run -q -p dual-bench --release --bin fault_sweep -- --out "$tmp/fault.json" >/dev/null
+  cargo run -q -p dual-bench --release --bin recovery_harness -- --out "$tmp/recovery.json" >/dev/null
+  diff "$tmp/stream.json" results/stream_throughput.json
+  diff "$tmp/obs.json" results/obs_snapshot.json
+  diff "$tmp/fault.json" results/fault_degradation.json
+  diff "$tmp/recovery.json" results/recovery_report.json
+  echo "    every report byte-identical to the x86-64-v3 build's"
+  rm -rf "$tmp"
 }
 
 # ---------------------------------------------------------------- driver

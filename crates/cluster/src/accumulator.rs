@@ -98,8 +98,11 @@ impl CentroidAccumulator {
             factor > 0.0 && factor <= 1.0,
             "decay factor must be in (0, 1], got {factor}"
         );
-        if (factor - 1.0).abs() < f64::EPSILON {
-            return; // keep integer counts bit-exact in the batch case
+        // Exactly 1.0 (the assert bounds it above): keep integer counts
+        // bit-exact in the batch case. The largest double below 1.0
+        // still fades.
+        if factor >= 1.0 {
+            return;
         }
         for c in &mut self.counts {
             *c *= factor;
@@ -202,6 +205,15 @@ mod tests {
         // Fresh weight 1.0 vs decayed ones-count 0.2 each: zeros win.
         let m = acc.majority().unwrap();
         assert_eq!(m.bits().count_ones(), 0);
+    }
+
+    #[test]
+    fn decay_just_below_one_still_fades() {
+        let mut acc = CentroidAccumulator::new(1);
+        acc.add(&hv(&[true]));
+        acc.decay(1.0 - f64::EPSILON / 2.0);
+        assert_eq!(acc.counts(), &[0.999_999_999_999_999_9]);
+        assert_eq!(acc.weight(), 0.999_999_999_999_999_9);
     }
 
     #[test]

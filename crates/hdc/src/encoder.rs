@@ -256,8 +256,10 @@ const MAX_ANGLE: f64 = (1u64 << 20) as f64;
 /// ±∞, the Taylor modes) takes `eval_cosine`. Outside the guard band
 /// `|cos x| ≥ sin(10⁻⁶·π) > 3·10⁻⁶`, far above libm's error, so the
 /// parity is libm's sign too and no bit differs from `x.cos() > 0.0`.
-/// Plain adds and multiplies only: the default x86-64 target has no
-/// rounding instruction, so `f64::round` would be a libm call again.
+/// Plain adds and multiplies only. The shipped x86-64-v3 build has a
+/// rounding instruction, but the portable x86-64 build does not, and
+/// there `f64::round` would be a libm call again; the parity is
+/// bit-identical on both.
 fn cosine_positive(x: f64, mode: CosineMode) -> bool {
     const SHIFT: f64 = 1.5 * (1u64 << 52) as f64;
     const GUARD: f64 = 0.5 - 1e-6;

@@ -18,10 +18,21 @@ use crate::{BitVec, HdcError, Hypervector};
 
 /// Points per tile. Private and measured, not a knob: one 64 × 784
 /// batch at `D = 4000` (`encode_batch_64x784_d4000` in the `kernels`
-/// bench, 2.1 GHz Xeon, SSE2 code) takes 41 ms at width 4, 35 at 8,
-/// 32 at 16, 34 at 24 and 37 at 32, against 144 one point at a time.
-/// Sixteen accumulators are eight independent two-lane add chains,
-/// enough to cover the add latency; 32 no longer fit the registers.
+/// bench, 2-vCPU 2.1 GHz Xeon, x86-64-v3 code, three runs each) takes,
+/// by base rows per pass × points per tile:
+///
+/// | rows \ points | 8 | 16 | 24 | 32 |
+/// |---|---|---|---|---|
+/// | 1 | – | 40–42 ms | 39–55 | 27–40 |
+/// | 2 | 39–47 | **27–29** | 27–33 | 33–41 |
+/// | 3 | 30–37 | 27–31 | 41–57 | – |
+///
+/// against 54 ms for the one-row kernel on the portable x86-64 target.
+/// Two rows × sixteen points keep 32 accumulators in eight 4-lane
+/// registers, enough independent add chains to cover the add latency,
+/// with the tightest spread and the cheapest tile for a short batch.
+/// (An x86-64-v4 build runs 2 × 32 at 20–23 ms, but most client CPUs
+/// lack AVX-512.)
 const TILE: usize = 16;
 
 /// Reject a feature vector that is not `n_features` long.
@@ -41,6 +52,14 @@ pub(crate) fn check_len(features: &[f64], n_features: usize) -> Result<(), HdcEr
 /// each of the `P` points of `tile`. `tile` is feature-major
 /// (`n_features × P`: feature `j` of point `p` at `j * P + p`), which
 /// for `P = 1` is the feature vector itself.
+///
+/// Rows go two at a time: one load of feature `j`'s `P` lanes feeds
+/// both rows' accumulators, so a pair keeps `2P` independent add
+/// chains in flight. An odd last row runs alone.
+///
+/// The pair's accumulators are two arrays zipped side by side. One
+/// `[[f64; P]; 2]` destructured into its rows computes the same bits,
+/// but LLVM scalarised it and the 64 × 784 batch took 110 ms.
 pub(crate) fn tile_dots<const P: usize>(
     matrix: &[f64],
     n_features: usize,
@@ -49,9 +68,25 @@ pub(crate) fn tile_dots<const P: usize>(
 ) {
     debug_assert_eq!(tile.len(), n_features * P);
     let (lanes, _) = tile.as_chunks::<P>();
-    for (i, row) in matrix.chunks_exact(n_features).enumerate() {
+    let mut pairs = matrix.chunks_exact(2 * n_features);
+    let mut i = 0;
+    for pair in pairs.by_ref() {
+        let (first, second) = pair.split_at(n_features);
+        let (mut a0, mut a1) = ([-0.0f64; P], [-0.0f64; P]);
+        for ((b0, b1), x) in first.iter().zip(second).zip(lanes) {
+            for ((a0, a1), x) in a0.iter_mut().zip(&mut a1).zip(x) {
+                *a0 += b0 * x;
+                *a1 += b1 * x;
+            }
+        }
+        sink(i, &a0);
+        sink(i + 1, &a1);
+        i += 2;
+    }
+    let last = pairs.remainder();
+    if !last.is_empty() {
         let mut acc = [-0.0f64; P];
-        for (b, x) in row.iter().zip(lanes) {
+        for (b, x) in last.iter().zip(lanes) {
             for (a, x) in acc.iter_mut().zip(x) {
                 *a += b * x;
             }
@@ -108,13 +143,11 @@ pub(crate) fn sign_batch(
     let mut out = Vec::with_capacity(rows.len());
     let mut tile = vec![0.0; n_features * TILE];
     for points in rows.chunks(TILE) {
-        // A tile costs the same whatever it holds (7.6–8.1 ms at
-        // D = 4000 × 784, where one point alone is 2.3 ms), so up to
-        // three stragglers are cheaper one at a time.
-        if points.len() * 4 < TILE {
-            for point in points {
-                out.extend(sign_tile::<1>(matrix, n_features, point, 1, positive));
-            }
+        // A tile costs the same whatever it holds (5.3–7.5 ms at
+        // D = 4000 × 784, where one point alone is 3.6–4.3 ms and two
+        // are 7.5–9.4), so only a lone straggler goes on its own.
+        if let [point] = points {
+            out.extend(sign_tile::<1>(matrix, n_features, point, 1, positive));
             continue;
         }
         // A short tile keeps zeros in its unused lanes.
@@ -166,6 +199,13 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// `n` values in `[-1, 1)`.
+    fn uniform(n: usize, state: &mut u64) -> Vec<f64> {
+        (0..n)
+            .map(|_| (splitmix(state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
+            .collect()
+    }
+
     /// `n` points of `n_features`: mostly values in `[-4, 4)`, with
     /// NaN, ±∞, −0.0 and subnormals mixed in so roughly one point in
     /// three carries a special somewhere.
@@ -200,8 +240,8 @@ mod tests {
     }
 
     /// Batch sizes straddling the tile width, its multiples and the
-    /// short-tail cut-over.
-    const SIZES: [usize; 11] = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+    /// lone-straggler cut-over.
+    const SIZES: [usize; 13] = [0, 1, 2, 7, 8, 9, 15, 16, 17, 18, 63, 64, 65];
 
     /// `encode_batch(&rows[..n]) == map(encode)` for every size in
     /// [`SIZES`], on features {1, 2, 16, 784} × D {1, 63, 64, 65, 1000}.
@@ -307,10 +347,7 @@ mod tests {
         // The kernel takes the matrix directly, so the oracle does not
         // need `LshEncoder`'s private planes.
         let n_features = 16;
-        let mut state = 5u64;
-        let matrix: Vec<f64> = (0..65 * n_features)
-            .map(|_| (splitmix(&mut state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
-            .collect();
+        let matrix = uniform(65 * n_features, &mut 5);
         let rows = points(65, n_features, 77);
         let batch = sign_batch(&matrix, n_features, &rows, |dot| dot > 0.0).unwrap();
         for (row, hv) in rows.iter().zip(&batch) {
@@ -324,24 +361,56 @@ mod tests {
 
     #[test]
     fn project_is_the_cosine_of_the_sum_loop() {
-        for mode in MODES {
-            let mapper = HdMapper::builder(65, 16)
-                .seed(3)
-                .sigma(2.5)
-                .cosine_mode(mode)
-                .build()
-                .unwrap();
-            for row in points(9, 16, 21) {
-                let got = mapper.project(&row).unwrap();
-                for (i, h) in got.iter().enumerate() {
-                    let dot: f64 = mapper
-                        .base_vector(i)
+        // Odd and even D: rows in pairs, and a last row alone.
+        for dim in [1usize, 2, 3, 64, 65] {
+            for mode in MODES {
+                let mapper = HdMapper::builder(dim, 16)
+                    .seed(3)
+                    .sigma(2.5)
+                    .cosine_mode(mode)
+                    .build()
+                    .unwrap();
+                for row in points(9, 16, 21) {
+                    let got = mapper.project(&row).unwrap();
+                    assert_eq!(got.len(), dim);
+                    for (i, h) in got.iter().enumerate() {
+                        let dot: f64 = mapper
+                            .base_vector(i)
+                            .iter()
+                            .zip(&row)
+                            .map(|(b, f)| b * f)
+                            .sum();
+                        let want = eval_cosine(dot * (1.0 / 2.5), mode);
+                        assert_eq!(h.to_bits(), want.to_bits(), "{mode:?} D={dim} row {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_dots_sinks_every_row_once_in_order() {
+        let n_features = 5;
+        let mut state = 9u64;
+        let tile = uniform(n_features * TILE, &mut state);
+        for dim in [0usize, 1, 2, 3, 4, 7] {
+            let matrix = uniform(dim * n_features, &mut state);
+            let mut seen = Vec::new();
+            tile_dots::<TILE>(&matrix, n_features, &tile, |i, dots| seen.push((i, *dots)));
+            assert_eq!(
+                seen.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                (0..dim).collect::<Vec<_>>(),
+                "D={dim}"
+            );
+            for (i, dots) in &seen {
+                let row = &matrix[i * n_features..][..n_features];
+                for (p, dot) in dots.iter().enumerate() {
+                    let want: f64 = row
                         .iter()
-                        .zip(&row)
-                        .map(|(b, f)| b * f)
+                        .enumerate()
+                        .map(|(j, b)| b * tile[j * TILE + p])
                         .sum();
-                    let want = eval_cosine(dot * (1.0 / 2.5), mode);
-                    assert_eq!(h.to_bits(), want.to_bits(), "{mode:?} row {i}");
+                    assert_eq!(dot.to_bits(), want.to_bits(), "D={dim} row {i} lane {p}");
                 }
             }
         }
