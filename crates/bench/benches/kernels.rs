@@ -293,6 +293,35 @@ fn bench_center_update(c: &mut Criterion) {
     std::hint::black_box(acc.majority());
 }
 
+/// One `stream_codebook` online update: a 256-point batch observed into
+/// a warm 128 × 32-slot model at D = 1024 with decay 0.95, assignment
+/// included. The batches cycle through 16 fixed ones, so most slots go
+/// untouched for several batches between their points.
+fn bench_observe_batch(c: &mut Criterion) {
+    let batches: Vec<Vec<dual_hdc::Hypervector>> = (0..16u64)
+        .map(|b| {
+            (0..256u64)
+                .map(|i| dual_hdc::ops::random_hypervector(1024, (b << 32) | i))
+                .collect()
+        })
+        .collect();
+    let seeds: Vec<dual_hdc::Hypervector> = (0..4096)
+        .map(|i| dual_hdc::ops::random_hypervector(1024, u64::MAX - i))
+        .collect();
+    let mut model = dual_stream::OnlineKMeans::new(1024, 128, 32, 0.95, 1);
+    model.seed(&seeds).expect("4096 slots");
+    let mut next = batches.iter().cycle();
+    for _ in 0..batches.len() {
+        model.observe_batch(next.next().expect("cycle"), 1);
+    }
+    c.bench_function("observe_batch_256_into_4096x1024", |bench| {
+        bench.iter(|| {
+            let batch = next.next().expect("cycle");
+            std::hint::black_box(model.observe_batch(batch, 1).rebinarized)
+        })
+    });
+}
+
 /// One tick-end write-ahead capture of a `topo_resilient`-shaped tenant
 /// (D = 1024, 16 features, 8 clusters × 4 slots, a 128-point ring and a
 /// full 256-event trace ring, fault injection off): the snapshot tree
@@ -366,6 +395,7 @@ criterion_group!(
     bench_linkage,
     bench_parallel_pairs,
     bench_center_update,
+    bench_observe_batch,
     bench_snapshot_encode,
     bench_obs_pair
 );

@@ -23,6 +23,19 @@
 //! computes exactly one `dual_cluster::hamming_lloyd_step`: same
 //! labels, same majority votes, bit for bit (integer counts are exact
 //! in `f64`). The property suite pins this.
+//!
+//! # Lazy decay
+//!
+//! A batch hands points to few of the slots, yet every slot decays.
+//! A slot that gets no points keeps its counts and owes the decay
+//! instead, as long as an exact vote certificate proves that its vote
+//! cannot change; a slot that gets points, or whose certificate fails,
+//! first pays every decay it owes, so its counts are bit for bit the
+//! eagerly decayed ones. The counts are never read while they owe:
+//! [`OnlineKMeans::accumulators`] settles on read and the engine
+//! settles in place before it captures a checkpoint.
+
+use std::borrow::Cow;
 
 use crate::error::StreamError;
 use dual_cluster::CentroidAccumulator;
@@ -35,14 +48,139 @@ pub struct BatchUpdate {
     pub assignments: Vec<(usize, usize)>,
     /// Sub-centroid slots seeded from this batch's points.
     pub seeded: usize,
-    /// Sub-centroids re-binarized by majority vote.
+    /// Non-empty slots whose majority vote stands after this batch:
+    /// the centers the chip rewrites, and what the engine's
+    /// `charge_update` prices. A slot whose vote provably did not move
+    /// counts here without a host rewrite, so this is not the number
+    /// of centers the host recomputed.
     pub rebinarized: usize,
+}
+
+/// Proof that a slot's majority vote survives decays it has not yet
+/// applied, taken right after the slot voted.
+///
+/// For a fixed `γ > 0` the rounded product `x·γ` is monotone in `x`
+/// (subnormals, ±0 and ±∞ included), and doubling is exact or
+/// overflows, which is monotone too. So while `lo_one`, `hi_zero` and
+/// `weight` take the very multiplies the counts owe, every count that
+/// voted 1 stays `≥ lo_one` and every non-NaN count that voted 0 stays
+/// `≤ hi_zero` (a NaN count votes 0 for good), and the vote `2·c > w`
+/// of every count is unchanged while `2·lo_one > w` and
+/// `!(2·hi_zero > w)` both hold.
+#[derive(Debug, Clone, Copy)]
+struct Certificate {
+    /// The lowest count that voted 1 (`+∞` when none did).
+    lo_one: f64,
+    /// The highest non-NaN count that voted 0 (`−∞` when none did).
+    hi_zero: f64,
+    /// The slot's weight.
+    weight: f64,
+}
+
+impl Certificate {
+    /// The certificate of `acc`'s current vote.
+    fn of(acc: &CentroidAccumulator) -> Self {
+        let weight = acc.weight();
+        let (lo_one, hi_zero) = vote_bounds(acc.counts(), weight);
+        Self {
+            lo_one,
+            hi_zero,
+            weight,
+        }
+    }
+
+    /// Apply one decay by `factor`: `Some(voted)` while the slot's vote
+    /// provably stands, `voted` telling whether the slot still holds
+    /// mass (`!(w <= 0)`, the vote `majority` casts); `None` when the
+    /// slot must settle and vote again.
+    fn fade(&mut self, factor: f64) -> Option<bool> {
+        self.lo_one *= factor;
+        self.hi_zero *= factor;
+        self.weight *= factor;
+        // An empty slot stays empty: `w ≤ 0` survives any positive
+        // factor, whatever its bounds say.
+        if self.weight <= 0.0 {
+            Some(false)
+        } else {
+            // `hi_zero` is never NaN, and a NaN weight already fails the
+            // first compare, so `<=` here is `!(2·hi_zero > w)`.
+            (2.0 * self.lo_one > self.weight && 2.0 * self.hi_zero <= self.weight).then_some(true)
+        }
+    }
+}
+
+/// `(lowest count voting 1, highest non-NaN count voting 0)` under the
+/// vote `2·c > weight`, with `+∞`/`−∞` when no count votes that way.
+/// A NaN count fails both `2·c > weight` and `c > hi`, so it drops out
+/// of both bounds.
+///
+/// Each bound is its own pass of eight independent lanes of branch-free
+/// selects, so each compiles to packed compares, blends and min/max: a
+/// branchy scan costs about as much as the decays it lets a slot skip.
+/// One pass updating both bounds reads the counts once, but LLVM
+/// shuffled its sixteen lanes between scalar registers and it ran
+/// four times slower.
+fn vote_bounds(counts: &[f64], weight: f64) -> (f64, f64) {
+    const LANES: usize = 8;
+    let (chunks, tail) = counts.as_chunks::<LANES>();
+    let mut lo = [f64::INFINITY; LANES];
+    for chunk in chunks {
+        for (l, &c) in lo.iter_mut().zip(chunk) {
+            let one = if 2.0 * c > weight { c } else { f64::INFINITY };
+            *l = if one < *l { one } else { *l };
+        }
+    }
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    for chunk in chunks {
+        for (h, &c) in hi.iter_mut().zip(chunk) {
+            let zero = if 2.0 * c > weight {
+                f64::NEG_INFINITY
+            } else {
+                c
+            };
+            *h = if zero > *h { zero } else { *h };
+        }
+    }
+    let mut lo_one = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let mut hi_zero = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    for &c in tail {
+        if 2.0 * c > weight {
+            lo_one = lo_one.min(c);
+        } else if c > hi_zero {
+            hi_zero = c;
+        }
+    }
+    (lo_one, hi_zero)
+}
+
+/// A slot's laziness: the decays it owes and, once it has voted, the
+/// certificate of that vote.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lazy {
+    /// Decays owed; `u64` so it cannot wrap. Stays 0 at `decay == 1.0`,
+    /// where a decay is a no-op.
+    pending: u64,
+    /// `None` for a slot that has not voted since it was seeded or
+    /// restored: a restored center need not be its accumulator's vote.
+    cert: Option<Certificate>,
+}
+
+/// Apply `pending` decays to `acc`, one pass each, so the counts carry
+/// exactly the bits of that many [`CentroidAccumulator::decay`] calls.
+fn settle_slot(acc: &mut CentroidAccumulator, pending: u64, decay: f64) {
+    for _ in 0..pending {
+        acc.decay(decay);
+    }
 }
 
 /// Online decayed mini-batch k-means state: `k × centroids_per_cluster`
 /// sub-centroid slots, one decayed accumulator per slot, and the
 /// centroid storage the assignment step searches.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the settled state: two models whose counts agree
+/// once every owed decay is applied are equal, however many decays
+/// each still owes.
+#[derive(Debug, Clone)]
 pub struct OnlineKMeans {
     dim: usize,
     k: usize,
@@ -51,8 +189,23 @@ pub struct OnlineKMeans {
     /// Seeded sub-centroids in slot order: the single source of truth
     /// for "what does the chip currently store".
     centroids: Vec<Hypervector>,
+    /// Accumulators in slot order; slot `s` still owes
+    /// `lazy[s].pending` decays.
     accumulators: Vec<CentroidAccumulator>,
+    lazy: Vec<Lazy>,
     batches_observed: u64,
+}
+
+impl PartialEq for OnlineKMeans {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.k == other.k
+            && self.centroids_per_cluster == other.centroids_per_cluster
+            && self.decay == other.decay
+            && self.centroids == other.centroids
+            && self.batches_observed == other.batches_observed
+            && self.accumulators() == other.accumulators()
+    }
 }
 
 impl OnlineKMeans {
@@ -95,6 +248,7 @@ impl OnlineKMeans {
             decay,
             centroids: Vec::new(),
             accumulators: Vec::new(),
+            lazy: Vec::new(),
             batches_observed: 0,
         }
     }
@@ -147,10 +301,29 @@ impl OnlineKMeans {
         self.batches_observed
     }
 
-    /// Per-slot accumulators in slot order, for snapshotting.
+    /// Per-slot accumulators in slot order, for snapshotting, with
+    /// every owed decay applied: borrowed when no slot owes one, else
+    /// a settled copy.
     #[must_use]
-    pub fn accumulators(&self) -> &[CentroidAccumulator] {
-        &self.accumulators
+    pub fn accumulators(&self) -> Cow<'_, [CentroidAccumulator]> {
+        if self.lazy.iter().all(|l| l.pending == 0) {
+            return Cow::Borrowed(&self.accumulators);
+        }
+        let mut settled = self.accumulators.clone();
+        for (acc, lazy) in settled.iter_mut().zip(&self.lazy) {
+            settle_slot(acc, lazy.pending, self.decay);
+        }
+        Cow::Owned(settled)
+    }
+
+    /// Apply every owed decay in place, so the next
+    /// [`OnlineKMeans::accumulators`] borrows instead of copying.
+    /// Certificates stay valid: they took the same decays.
+    pub(crate) fn settle(&mut self) {
+        for (acc, lazy) in self.accumulators.iter_mut().zip(&mut self.lazy) {
+            settle_slot(acc, lazy.pending, self.decay);
+            lazy.pending = 0;
+        }
     }
 
     /// Rebuild a model from previously exported state — the
@@ -160,13 +333,11 @@ impl OnlineKMeans {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::CentroidShape`] when the centroid and
+    /// Returns [`StreamError::InvalidConfig`] when `dim`, `k` or
+    /// `centroids_per_cluster` is zero or `decay` is outside `(0, 1]`,
+    /// and [`StreamError::CentroidShape`] when the centroid and
     /// accumulator lists disagree in length, exceed the slot count, or
     /// carry a dimensionality other than `dim`.
-    ///
-    /// # Panics
-    ///
-    /// As [`OnlineKMeans::new`] for degenerate geometry parameters.
     pub fn restore(
         dim: usize,
         k: usize,
@@ -176,6 +347,24 @@ impl OnlineKMeans {
         accumulators: Vec<CentroidAccumulator>,
         batches_observed: u64,
     ) -> Result<Self, StreamError> {
+        for (name, value) in [
+            ("dim", dim),
+            ("k", k),
+            ("centroids_per_cluster", centroids_per_cluster),
+        ] {
+            if value == 0 {
+                return Err(StreamError::InvalidConfig {
+                    name,
+                    reason: "must be positive",
+                });
+            }
+        }
+        if !(decay > 0.0 && decay <= 1.0) {
+            return Err(StreamError::InvalidConfig {
+                name: "decay",
+                reason: "must be in (0, 1]",
+            });
+        }
         // `new`'s shard count is validated but unused; any positive one.
         let mut model = Self::new(dim, k, centroids_per_cluster, decay, 1);
         if centroids.len() != accumulators.len() {
@@ -198,6 +387,7 @@ impl OnlineKMeans {
                 reason: "restored accumulator dimensionality differs from engine dim",
             });
         }
+        model.lazy = vec![Lazy::default(); centroids.len()];
         model.centroids = centroids;
         model.accumulators = accumulators;
         model.batches_observed = batches_observed;
@@ -250,6 +440,7 @@ impl OnlineKMeans {
         for c in centers {
             self.centroids.push(c.clone());
             self.accumulators.push(CentroidAccumulator::new(self.dim));
+            self.lazy.push(Lazy::default());
         }
         Ok(())
     }
@@ -274,7 +465,11 @@ impl OnlineKMeans {
     ///      the slot's new center.
     ///
     ///    Assignment reads only the centers, so decaying each slot here
-    ///    rather than all of them before the search changes no bit.
+    ///    rather than all of them before the search changes no bit. A
+    ///    slot with no points whose vote certificate holds skips all
+    ///    three and owes the decay instead (see the module docs); its
+    ///    center and its count in [`BatchUpdate::rebinarized`] are the
+    ///    ones the eager update would give.
     ///
     /// # Panics
     ///
@@ -384,13 +579,16 @@ impl OnlineKMeans {
             }
             self.centroids.push(p.clone());
             self.accumulators.push(CentroidAccumulator::new(self.dim));
+            self.lazy.push(Lazy::default());
             update.seeded += 1;
         }
     }
 
-    /// Stage 3, one slot at a time while its counts are in cache: decay
-    /// the slot's accumulator, fold in its assigned points in point
-    /// order, and majority-rewrite its center.
+    /// Stage 3, one slot at a time while its counts are in cache: a
+    /// slot with no points whose certificate holds only owes the
+    /// decay; any other slot pays every decay it owes, folds in its
+    /// assigned points in point order, majority-rewrites its center
+    /// and certifies the new vote.
     fn fold(&mut self, encoded: &[Hypervector], update: &mut BatchUpdate) {
         // The batch bucketed by winning slot, point order kept within a
         // slot.
@@ -398,11 +596,22 @@ impl OnlineKMeans {
         for (p, &(slot, _)) in encoded.iter().zip(&update.assignments) {
             members[slot].push(p);
         }
-        for ((slot, acc), points) in self.accumulators.iter_mut().enumerate().zip(members) {
-            acc.decay(self.decay);
+        let owed = u64::from(self.decay < 1.0);
+        let slots = self.accumulators.iter_mut().zip(&mut self.lazy);
+        for ((slot, (acc, lazy)), points) in slots.enumerate().zip(members) {
+            lazy.pending += owed;
+            if points.is_empty() {
+                if let Some(voted) = lazy.cert.as_mut().and_then(|c| c.fade(self.decay)) {
+                    update.rebinarized += usize::from(voted);
+                    continue;
+                }
+            }
+            settle_slot(acc, lazy.pending, self.decay);
+            lazy.pending = 0;
             for p in points {
                 acc.add(p);
             }
+            lazy.cert = Some(Certificate::of(acc));
             if let Some(center) = acc.majority() {
                 self.centroids[slot] = center;
                 update.rebinarized += 1;
@@ -690,6 +899,190 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `restore` with one degenerate parameter must fail closed.
+    fn restore_geometry(dim: usize, k: usize, per: usize, decay: f64) -> Result<(), &'static str> {
+        match OnlineKMeans::restore(dim, k, per, decay, Vec::new(), Vec::new(), 0) {
+            Ok(_) => Ok(()),
+            Err(StreamError::InvalidConfig { name, .. }) => Err(name),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_zero_dim() {
+        assert_eq!(restore_geometry(0, 2, 1, 0.9), Err("dim"));
+    }
+
+    #[test]
+    fn restore_rejects_zero_k() {
+        assert_eq!(restore_geometry(16, 0, 1, 0.9), Err("k"));
+    }
+
+    #[test]
+    fn restore_rejects_zero_centroids_per_cluster() {
+        assert_eq!(
+            restore_geometry(16, 2, 0, 0.9),
+            Err("centroids_per_cluster")
+        );
+    }
+
+    #[test]
+    fn restore_rejects_decay_outside_the_unit_interval() {
+        for decay in [0.0, -0.0, -0.5, 1.0 + f64::EPSILON, f64::INFINITY] {
+            assert_eq!(restore_geometry(16, 2, 1, decay), Err("decay"), "{decay}");
+        }
+        assert_eq!(restore_geometry(16, 2, 1, 1.0), Ok(()));
+    }
+
+    #[test]
+    fn restore_rejects_nan_decay() {
+        assert_eq!(restore_geometry(16, 2, 1, f64::NAN), Err("decay"));
+    }
+
+    /// The `x` whose product with `decay` rounds to `y` (one exists
+    /// when both sit in one binade, as `x·decay` then steps by less
+    /// than an ulp).
+    fn preimage(y: f64, decay: f64) -> f64 {
+        let mut x = y / decay;
+        while x * decay < y {
+            x = x.next_up();
+        }
+        while x * decay > y {
+            x = x.next_down();
+        }
+        assert_eq!((x * decay).to_bits(), y.to_bits(), "no preimage of {y}");
+        x
+    }
+
+    #[test]
+    fn untouched_near_tie_slot_revotes_like_the_reference() {
+        // After its first (eager) vote slot 0 holds `c` and `w`, which
+        // vote 1 (`2c` is one ulp above `w`); one more decay rounds the
+        // two to a tie, which votes 0. Slot 0 gets no points in the
+        // second batch, so only a failed certificate can flip it.
+        let decay = 0.95;
+        let c = f64::from_bits(0x4004_2e3a_f51e_de45); // 0x1.42e3af51ede45p+1
+        let w = f64::from_bits(0x4014_2e3a_f51e_de44); // 0x1.42e3af51ede44p+2
+        assert!(2.0 * c > w);
+        assert_eq!((2.0 * (c * decay)).to_bits(), (w * decay).to_bits());
+
+        let dim = 64;
+        let mut counts = vec![0.0; dim];
+        counts[5] = preimage(c, decay);
+        let ones = Hypervector::from_bitvec(dual_hdc::BitVec::ones(dim));
+        let accumulators = vec![
+            CentroidAccumulator::from_parts(counts, preimage(w, decay)),
+            CentroidAccumulator::new(dim),
+        ];
+        let centers = vec![Hypervector::zeros(dim), ones.clone()];
+        let start = OnlineKMeans::restore(dim, 2, 1, decay, centers, accumulators, 0).unwrap();
+        let (mut got, mut want) = (start.clone(), start);
+        for b in 0..2 {
+            // Every point lands on slot 1: slot 0 is untouched.
+            let batch = [ones.clone(), ones.clone()];
+            let up = got.observe_batch(&batch, 1);
+            assert_eq!(up, reference_observe(&mut want, &batch, None), "batch {b}");
+            assert_eq!(state_bits(&got), state_bits(&want), "batch {b}");
+            assert_eq!(got.centroids()[0].bits().get(5), b == 0, "batch {b}");
+        }
+    }
+
+    #[test]
+    fn lazy_long_run_matches_the_reference() {
+        // 64 slots and 2–5-point batches: most slots sit untouched for
+        // many batches while they owe decays.
+        let dim = 70; // not a multiple of the 8-lane certificate scan
+        let (k, per) = (16, 4);
+        let points = pool(160, dim, 404);
+        let tiny = 1e-320; // subnormal: underflows to empty under decay 0.3
+        let accumulator = |s: usize| {
+            let (counts, weight): (Vec<f64>, f64) = match s % 8 {
+                // Votes from restored special weights.
+                0 => ((0..dim).map(|i| i as f64 * 0.1).collect(), f64::NAN),
+                1 => {
+                    let c = [f64::INFINITY, 1e308, 0.5, -0.0];
+                    ((0..dim).map(|i| c[i % 4]).collect(), f64::INFINITY)
+                }
+                // Subnormal mass whose vote flips as it rounds away.
+                2 => (
+                    (0..dim).map(|i| tiny * (i % 7) as f64 / 6.0).collect(),
+                    tiny,
+                ),
+                // Exact ties (`2c == w`) beside clear votes and −0.0.
+                3 => {
+                    let c = [2.0, 3.0, 1.0, -0.0];
+                    ((0..dim).map(|i| c[(i + s) % 4]).collect(), 4.0)
+                }
+                // An empty slot of −0.0s.
+                4 => (vec![-0.0; dim], -0.0),
+                // Counts one ulp either side of half the weight.
+                5 => {
+                    let half: f64 = 1.85;
+                    let c = [half.next_up(), half, half.next_down()];
+                    ((0..dim).map(|i| c[i % 3]).collect(), 3.7)
+                }
+                _ => (
+                    (0..dim).map(|i| ((i * 7 + s) % 10) as f64 * 0.3).collect(),
+                    2.9,
+                ),
+            };
+            CentroidAccumulator::from_parts(counts, weight)
+        };
+        let accumulators: Vec<_> = (0..k * per).map(accumulator).collect();
+        let centers = pool(k * per, dim, 505);
+        for decay in [0.3, 0.95, 1.0, 1.0 - f64::EPSILON / 2.0] {
+            let start =
+                OnlineKMeans::restore(dim, k, per, decay, centers.clone(), accumulators.clone(), 0)
+                    .unwrap();
+            let (mut got, mut want) = (start.clone(), start);
+            let mut owed = 0;
+            let mut rest = &points[..];
+            for b in 0..40 {
+                let (batch, tail) = rest.split_at(2 + b % 4);
+                rest = tail;
+                let tag = format!("decay={decay} batch={b}");
+                let up = got.observe_batch(batch, 1);
+                assert_eq!(up, reference_observe(&mut want, batch, None), "{tag}");
+                assert_eq!(state_bits(&got), state_bits(&want), "{tag}");
+                owed += got.lazy.iter().filter(|l| l.pending > 0).count();
+            }
+            assert_eq!(
+                owed > 0,
+                decay < 1.0,
+                "decay={decay}: {owed} owed slot-batches"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_mid_stream_continues_like_the_uninterrupted_run() {
+        let dim = 96;
+        let points = pool(120, dim, 606);
+        let mut gold = OnlineKMeans::new(dim, 8, 4, 0.9, 1);
+        for batch in points[..60].chunks(3) {
+            gold.observe_batch(batch, 1);
+        }
+        assert!(gold.lazy.iter().any(|l| l.pending > 0));
+        let mut resumed = OnlineKMeans::restore(
+            dim,
+            8,
+            4,
+            0.9,
+            gold.centroids().to_vec(),
+            gold.accumulators().into_owned(),
+            gold.batches_observed(),
+        )
+        .unwrap();
+        assert_eq!(resumed, gold, "equality reads the settled state");
+        for batch in points[60..].chunks(3) {
+            assert_eq!(
+                resumed.observe_batch(batch, 1),
+                gold.observe_batch(batch, 1)
+            );
+        }
+        assert_eq!(state_bits(&resumed), state_bits(&gold));
     }
 
     #[test]

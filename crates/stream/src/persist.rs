@@ -410,6 +410,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 tick: self.batcher.now(),
             },
         );
+        // Pay every owed decay in place, so both captures below borrow
+        // the accumulators instead of settling a copy each.
+        self.model.settle();
         self.capture().encode_into(out);
         let probe = out.len();
         self.obs.gauge(Key::SnapBytes, as_f64(as_u64(probe)));
@@ -443,21 +446,16 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             .iter()
             .map(|p| p.iter().map(|x| x.to_bits()).collect())
             .collect();
+        // Settled on read: a copy unless `checkpoint_into` settled first.
+        let accumulators = self.model.accumulators();
         let model = ModelState {
             batches_observed: self.model.batches_observed(),
             centroids: self.model.centroids().iter().map(hv_words).collect(),
-            acc_counts: self
-                .model
-                .accumulators()
+            acc_counts: accumulators
                 .iter()
                 .map(|a| a.counts().iter().map(|c| c.to_bits()).collect())
                 .collect(),
-            acc_weights: self
-                .model
-                .accumulators()
-                .iter()
-                .map(|a| a.weight().to_bits())
-                .collect(),
+            acc_weights: accumulators.iter().map(|a| a.weight().to_bits()).collect(),
         };
         let total = self.meter.total();
         let meter = MeterState {
@@ -815,6 +813,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
 mod tests {
     use super::*;
     use dual_hdc::HdMapper;
+    use std::borrow::Cow;
 
     fn engine(k: usize) -> StreamEngine<HdMapper> {
         let mapper = HdMapper::new(64, 2, 7).unwrap();
@@ -837,6 +836,23 @@ mod tests {
                 e.tick().unwrap();
             }
         }
+    }
+
+    #[test]
+    fn capture_with_owed_decays_matches_the_settled_capture() {
+        // 32 slots fed 4 points a tick: most slots owe decays.
+        let mapper = HdMapper::new(64, 2, 7).unwrap();
+        let mut cfg = StreamConfig::new(4);
+        cfg.centroids_per_cluster = 8;
+        cfg.max_batch = 4;
+        cfg.decay = 0.9;
+        let mut e = StreamEngine::new(mapper, cfg).unwrap();
+        drive(&mut e, 0..120);
+        let lazy = e.capture().encode();
+        assert!(matches!(e.model.accumulators(), Cow::Owned(_)));
+        e.model.settle();
+        assert!(matches!(e.model.accumulators(), Cow::Borrowed(_)));
+        assert_eq!(lazy, e.capture().encode());
     }
 
     #[test]
