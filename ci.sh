@@ -6,55 +6,33 @@
 #   ./ci.sh                      # run every stage, summary at the end
 #   ./ci.sh --stage bench        # run one stage
 #   ./ci.sh --stage fmt,clippy   # run a comma-separated subset
-#   ./ci.sh --list               # list the stages
+#   ./ci.sh --list               # list the stages with their descriptions
 #   DUAL_THREADS=4 ./ci.sh       # same, with a pinned pool thread count
 #   DUAL_BENCH_TOL=0.2 ./ci.sh --stage bench   # loosen the perf ratchet
-#
-# Stages (./ci.sh --list prints the same table):
-#   build        cargo build --release
-#   test         tier-1 `cargo test -q`: every workspace member
-#   doc          doctests incl. README/DESIGN fences, then rustdoc with -D warnings
-#   clippy       cargo clippy --workspace --all-targets -D warnings
-#   fmt          cargo fmt --all --check
-#   lint         dual-lint static-analysis gate (see DESIGN.md)
-#   bench        perf ratchet: timing ratios vs results/bench_summary.json
-#   obs          dual-obs overhead smoke + byte-stable obs snapshot diff
-#   fault        fault-degradation sweep, diffed against the committed report
-#   determinism  seed x DUAL_THREADS matrix: reports must be byte-identical
-#   recovery     crash/restore/replay harness across DUAL_THREADS, byte-diffed
-#   verify-isa   static dataflow verification of every PIM trace + mutation gate
-#   topology     multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS
-#   trace        flight-recorder kill/restore/replay identity, byte-diffed
-#   benchmark    frozen benchmark/ harness builds and passes its --quick suite
-#   figures      every table/figure bin regenerates results/*.txt and *.csv byte-identically
-#   portable     default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test doc clippy fmt lint bench obs fault determinism recovery verify-isa topology trace benchmark figures portable)
-
-describe_stage() {
-  case "$1" in
-    build)       echo "cargo build --release" ;;
-    test)        echo "tier-1 cargo test -q: every workspace member" ;;
-    doc)         echo "doctests incl. README/DESIGN fences, then rustdoc with -D warnings" ;;
-    clippy)      echo "cargo clippy --workspace --all-targets -D warnings" ;;
-    fmt)         echo "cargo fmt --all --check" ;;
-    lint)        echo "dual-lint static-analysis gate (see DESIGN.md)" ;;
-    bench)       echo "perf ratchet: timing ratios vs results/bench_summary.json" ;;
-    obs)         echo "dual-obs overhead smoke + byte-stable obs snapshot diff" ;;
-    fault)       echo "fault-degradation sweep, diffed against the committed report" ;;
-    determinism) echo "seed x DUAL_THREADS matrix: reports must be byte-identical" ;;
-    recovery)    echo "crash/restore/replay harness across DUAL_THREADS, byte-diffed" ;;
-    verify-isa)  echo "static dataflow verification of every PIM trace + mutation gate" ;;
-    topology)    echo "multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS" ;;
-    trace)       echo "flight-recorder kill/restore/replay identity, byte-diffed" ;;
-    benchmark)   echo "frozen benchmark/ harness builds and passes its --quick suite" ;;
-    figures)     echo "every table/figure bin regenerates results/*.txt and *.csv byte-identically" ;;
-    portable)    echo "default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical" ;;
-    *)           echo "" ;;
-  esac
-}
+# One row per stage, in run order: `name|description`. Stage `foo-bar`
+# runs the function `stage_foo_bar`.
+STAGES=(
+  "build|cargo build --release"
+  "test|tier-1 cargo test -q: every workspace member"
+  "doc|doctests incl. README/DESIGN fences, then rustdoc with -D warnings"
+  "clippy|cargo clippy --workspace --all-targets -D warnings (the lint wall, DESIGN.md §5)"
+  "fmt|cargo fmt --all --check"
+  "bench|perf ratchet: timing ratios vs results/bench_summary.json"
+  "obs|dual-obs overhead smoke + byte-stable obs snapshot diff"
+  "fault|fault-degradation sweep, diffed against the committed report"
+  "determinism|seed x DUAL_THREADS matrix: reports must be byte-identical"
+  "recovery|crash/restore/replay harness across DUAL_THREADS, byte-diffed"
+  "verify-isa|static dataflow verification of every PIM trace + mutation gate"
+  "topology|multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS"
+  "trace|flight-recorder kill/restore/replay identity, byte-diffed"
+  "benchmark|frozen benchmark/ harness builds and passes its --quick suite"
+  "figures|every table/figure bin regenerates results/*.txt and *.csv byte-identically"
+  "portable|default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical"
+)
+ALL_STAGES=("${STAGES[@]%%|*}")
 
 # ---------------------------------------------------------------- stages
 
@@ -81,12 +59,6 @@ stage_clippy() {
 
 stage_fmt() {
   cargo fmt --all --check
-}
-
-stage_lint() {
-  cargo run -q -p dual-lint --release -- check --json
-  git diff --exit-code -- results/lint-report.json \
-    || { echo "lint-report.json drifted: regenerate and commit it"; return 1; }
 }
 
 stage_bench() {
@@ -247,9 +219,9 @@ list_stages() {
 }
 
 print_stage_table() {
-  local s
-  for s in "${ALL_STAGES[@]}"; do
-    printf '  %-12s %s\n' "$s" "$(describe_stage "$s")"
+  local row
+  for row in "${STAGES[@]}"; do
+    printf '  %-12s %s\n' "${row%%|*}" "${row#*|}"
   done
 }
 

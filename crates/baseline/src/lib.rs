@@ -23,7 +23,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 mod gpu;
 mod imp;

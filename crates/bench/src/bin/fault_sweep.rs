@@ -22,12 +22,14 @@
 //! seeds — byte-stable across machines, reruns, and `DUAL_THREADS`
 //! (wall-clock timing goes to stdout only).
 
+#![deny(clippy::as_conversions)]
+
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
+use dual_obs::wall::WallClock;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 
 const FEATURES: usize = 16;
@@ -67,12 +69,12 @@ struct Cell {
 }
 
 /// Exact ratio of small counts (`≪ 2^53`).
+#[expect(
+    clippy::as_conversions,
+    reason = "eval counts are ≤ 512 ≪ 2^53, exact in f64"
+)]
 fn ratio(num: usize, den: usize) -> f64 {
-    // lint:allow(r3-lossy-cast): eval counts are ≤ 512 ≪ 2^53, exact in f64
-    let n = num as f64;
-    // lint:allow(r3-lossy-cast): eval counts are ≤ 512 ≪ 2^53, exact in f64
-    let d = den.max(1) as f64;
-    n / d
+    num as f64 / den.max(1) as f64
 }
 
 fn encoder(dim: usize) -> HdMapper {
@@ -236,7 +238,7 @@ fn main() {
 
     let mut cells = Vec::new();
     for dim in DIMS {
-        let t0 = Instant::now();
+        let t0 = WallClock::start();
         let (reference, mut base_cell) = run(dim, seed, None);
         base_cell.agreement = 1.0;
         println!(
@@ -252,7 +254,7 @@ fn main() {
             0,
             base_cell.dropped,
             1.0,
-            t0.elapsed().as_secs_f64()
+            t0.elapsed_s()
         );
         cells.push(base_cell);
         for rate in RATES {
@@ -263,7 +265,7 @@ fn main() {
                     reads: 3,
                 },
             ] {
-                let t = Instant::now();
+                let t = WallClock::start();
                 let (labels, mut cell) = run(dim, seed, Some((rate, policy)));
                 let matches = labels
                     .iter()
@@ -284,7 +286,7 @@ fn main() {
                     cell.spares_used,
                     cell.dropped,
                     cell.agreement,
-                    t.elapsed().as_secs_f64()
+                    t.elapsed_s()
                 );
                 cells.push(cell);
             }

@@ -18,11 +18,11 @@
 //! (`ci.sh --stage trace` pins all of it).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::HdMapper;
+use dual_obs::wall::WallClock;
 use dual_obs::Key;
 use dual_pim::CostModel;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
@@ -229,16 +229,16 @@ fn main() {
     );
 
     // Uninterrupted gold run.
-    let t0 = Instant::now();
+    let t0 = WallClock::start();
     let mut gold = engine();
     feed(&mut gold, &points, 0, points.len());
     gold.drain().expect("drain");
-    println!("  gold run      ({:.2}s)", t0.elapsed().as_secs_f64());
+    println!("  gold run      ({:.2}s)", t0.elapsed_s());
 
     // Crash, restore, replay — the recorder must survive bit-for-bit.
-    let t1 = Instant::now();
+    let t1 = WallClock::start();
     let recovered = kill_restore_replay(&points);
-    println!("  kill/replay   ({:.2}s)", t1.elapsed().as_secs_f64());
+    println!("  kill/replay   ({:.2}s)", t1.elapsed_s());
     assert_eq!(
         recovered.trace().state(),
         gold.trace().state(),
@@ -262,9 +262,9 @@ fn main() {
     println!("  recorder + alert latches bit-identical across kill/restore/replay");
 
     // Topology phase: admission + scheduling events, merged exporters.
-    let t2 = Instant::now();
+    let t2 = WallClock::start();
     let topo = topology_phase(&points);
-    println!("  topology run  ({:.2}s)", t2.elapsed().as_secs_f64());
+    println!("  topology run  ({:.2}s)", t2.elapsed_s());
 
     let trace = gold.trace();
     assert!(trace.evicted() > 0, "ring must wrap at this capacity");

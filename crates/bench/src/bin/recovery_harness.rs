@@ -19,10 +19,10 @@
 //! function of `--seed` — no wall-clock leaks into the report.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
+use dual_obs::wall::WallClock;
 use dual_snap::EngineSnapshot;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 
@@ -356,7 +356,7 @@ fn main() {
         drop(gold_engine);
 
         for &kill_tick in &kills {
-            let t0 = Instant::now();
+            let t0 = WallClock::start();
             let cell = run_cell(scenario, &points, kill_tick, &gold);
             println!(
                 "  {:<7} {:>9} {:>13} {:>10} {:>15} {:>18} {:>7.2}",
@@ -366,7 +366,7 @@ fn main() {
                 cell.blob_bytes,
                 cell.replayed_points,
                 format!("{:016x}", cell.stable_digest),
-                t0.elapsed().as_secs_f64()
+                t0.elapsed_s()
             );
             cells.push(cell);
         }

@@ -22,10 +22,10 @@
 //! committed `results/bench_summary.json`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use dual_data::DriftSpec;
 use dual_hdc::{Encoder, HdMapper};
+use dual_obs::wall::WallClock;
 use dual_pim::StreamBatchCost;
 use dual_stream::{BackpressurePolicy, StreamConfig, StreamEngine, StreamSnapshot};
 
@@ -75,7 +75,7 @@ fn run_policy(policy: BackpressurePolicy, points: usize) -> PolicyRun {
     let stream: Vec<(Vec<f64>, usize)> = spec.stream(42).take(points).collect();
 
     let mut costs = Vec::new();
-    let start = Instant::now();
+    let start = WallClock::start();
     for (i, (point, _regime)) in stream.iter().enumerate() {
         engine.push(point).expect("well-shaped point");
         if (i + 1) % TICK_EVERY == 0 {
@@ -83,7 +83,7 @@ fn run_policy(policy: BackpressurePolicy, points: usize) -> PolicyRun {
         }
     }
     costs.extend(engine.drain().expect("drain"));
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = start.elapsed_s();
 
     PolicyRun {
         policy,
@@ -146,11 +146,11 @@ fn ratchet_ratio() -> f64 {
     for _ in 0..RATCHET_REPS {
         // Denominator: bare serial encode of every batch.
         let enc = make_encoder();
-        let t0 = Instant::now();
+        let t0 = WallClock::start();
         for batch in stream.chunks(RATCHET_BATCH) {
             std::hint::black_box(enc.encode_batch(batch).expect("well-shaped points"));
         }
-        let t_encode = t0.elapsed().as_secs_f64();
+        let t_encode = t0.elapsed_s();
 
         // Numerator: the full pipeline (ring -> batch -> encode ->
         // assign -> update -> meter) over the same points, serial.
@@ -162,7 +162,7 @@ fn ratchet_ratio() -> f64 {
         cfg.decay = 0.95;
         cfg.threads = 1;
         let mut engine = StreamEngine::new(make_encoder(), cfg).expect("valid stream config");
-        let t0 = Instant::now();
+        let t0 = WallClock::start();
         for (i, p) in stream.iter().enumerate() {
             engine.push(p).expect("well-shaped point");
             if (i + 1) % TICK_EVERY == 0 {
@@ -170,7 +170,7 @@ fn ratchet_ratio() -> f64 {
             }
         }
         engine.drain().expect("drain");
-        let t_pipeline = t0.elapsed().as_secs_f64();
+        let t_pipeline = t0.elapsed_s();
         ratios.push(t_pipeline / t_encode.max(1e-9));
     }
     median(ratios)

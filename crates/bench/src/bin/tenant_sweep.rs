@@ -22,11 +22,11 @@
 //! report across thread counts and against the committed artifact.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
+use dual_obs::wall::WallClock;
 use dual_obs::Key;
 use dual_pim::CostModel;
 use dual_stream::{BackpressurePolicy, FaultConfig, StreamConfig};
@@ -221,7 +221,6 @@ fn run(storm: bool, seed: u64) -> RunResult {
         .collect();
     // The index drives all four streams in lockstep plus the tick
     // cadence — an iterator rewrite would obscure the interleave.
-    #[allow(clippy::needless_range_loop)]
     for step in 0..TRAIN_POINTS {
         for (def, stream) in TENANTS.iter().zip(&streams) {
             topo.push(def.name, &stream[step])
@@ -385,12 +384,12 @@ fn main() {
         TENANTS.len()
     );
 
-    let t0 = Instant::now();
+    let t0 = WallClock::start();
     let calm = run(false, seed);
-    println!("  calm run  ({:.2}s)", t0.elapsed().as_secs_f64());
-    let t1 = Instant::now();
+    println!("  calm run  ({:.2}s)", t0.elapsed_s());
+    let t1 = WallClock::start();
     let storm = run(true, seed);
-    println!("  storm run ({:.2}s)\n", t1.elapsed().as_secs_f64());
+    println!("  storm run ({:.2}s)\n", t1.elapsed_s());
 
     // Isolation: delta's fault storm must leave every other tenant
     // bit-identical — same metrics, same learned centroid bits, same

@@ -33,9 +33,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// This crate's unwrap/expect debt is burned to zero: deny outright.
+// Library code must not panic: this crate's debt is burned to zero.
 // (Test code is exempt via .clippy.toml allow-*-in-tests keys.)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod accumulator;
@@ -65,8 +70,8 @@ use dual_hdc::Hypervector;
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
+// `&Vec` so it is callable as `FnMut(&Vec<f64>, &Vec<f64>)`.
 #[must_use]
-#[allow(clippy::ptr_arg)] // must be callable as FnMut(&Vec<f64>, &Vec<f64>)
 pub fn euclidean(a: &Vec<f64>, b: &Vec<f64>) -> f64 {
     squared_euclidean(a, b).sqrt()
 }
@@ -78,7 +83,10 @@ pub fn euclidean(a: &Vec<f64>, b: &Vec<f64>) -> f64 {
 ///
 /// Panics if the slice lengths differ.
 #[must_use]
-#[allow(clippy::ptr_arg)] // must be callable as FnMut(&Vec<f64>, &Vec<f64>)
+#[expect(
+    clippy::ptr_arg,
+    reason = "must be callable as FnMut(&Vec<f64>, &Vec<f64>)"
+)]
 pub fn squared_euclidean(a: &Vec<f64>, b: &Vec<f64>) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()

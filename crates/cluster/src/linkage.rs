@@ -29,7 +29,6 @@ impl Linkage {
     /// For `Ward` the inputs must be *squared* distances (which Hamming
     /// distances on binary vectors already are).
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn update(self, d_ik: f64, d_jk: f64, d_ij: f64, s_i: f64, s_j: f64, s_k: f64) -> f64 {
         match self {
             Self::Single => d_ik.min(d_jk),

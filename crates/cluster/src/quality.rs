@@ -68,7 +68,7 @@ pub fn normalized_mutual_information(a: &[usize], b: &[usize]) -> f64 {
     }
     let nf = n as f64;
     // BTreeMaps so the f64 entropy/MI folds below visit keys in a fixed
-    // order — the sums are then bit-identical across runs (dual-lint r2).
+    // order — the sums are then bit-identical across runs.
     let mut joint: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut ca: BTreeMap<usize, usize> = BTreeMap::new();
     let mut cb: BTreeMap<usize, usize> = BTreeMap::new();

@@ -34,6 +34,8 @@
 //!   blocks (the "slow arithmetic" that caps k-means at the paper's
 //!   37.5×).
 
+#![deny(clippy::as_conversions)]
+
 use crate::config::DualConfig;
 use dual_pim::cost::Op;
 use dual_pim::stats::EnergyStats;
@@ -42,9 +44,12 @@ use dual_pim::tile::CounterMode;
 /// A geometry size or count (rows, columns, dims, windows, blocks,
 /// points, copies, iterations) as `f64`, the model's one integer-to-float
 /// conversion.
+#[expect(
+    clippy::as_conversions,
+    reason = "model sizes and counts are far below 2^53, exact in f64"
+)]
 fn count_f64(n: impl TryInto<u64>) -> f64 {
     let n: u64 = n.try_into().unwrap_or(u64::MAX);
-    // lint:allow(r3-lossy-cast): model sizes and counts are far below 2^53, exact in f64
     n as f64
 }
 

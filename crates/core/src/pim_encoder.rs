@@ -208,7 +208,10 @@ impl PimEncoder {
         let feat_col = rt.alloc(W, d)?;
         let prod = rt.alloc(W, d)?;
         let next = rt.alloc(W, d)?;
-        #[allow(clippy::needless_range_loop)] // j indexes qf and strides base_q
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "j indexes qf and strides base_q"
+        )]
         for j in 0..self.n_features {
             // Base column for feature j (two's complement in W bits).
             let col: Vec<u64> = (0..d)

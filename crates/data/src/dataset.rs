@@ -141,24 +141,6 @@ impl Dataset {
         }
         self.take(&self.stratified_indices(n))
     }
-
-    /// Deterministic split into `(first, second)` with `first`
-    /// receiving `fraction` of the points (stratified, preserving class
-    /// balance in both halves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `(0, 1)`.
-    #[must_use]
-    pub fn split(&self, fraction: f64) -> (Self, Self) {
-        assert!(fraction > 0.0 && fraction < 1.0, "fraction in (0,1)");
-        let n_first = (((self.len() as f64) * fraction).round() as usize)
-            .clamp(1, self.len().saturating_sub(1));
-        let picked = self.stratified_indices(n_first);
-        let taken: std::collections::HashSet<usize> = picked.iter().copied().collect();
-        let rest: Vec<usize> = (0..self.len()).filter(|i| !taken.contains(i)).collect();
-        (self.take(&picked), self.take(&rest))
-    }
 }
 
 #[cfg(test)]
@@ -232,30 +214,6 @@ mod tests {
             n_clusters: 4,
         };
         assert_eq!(ds.stratified_sample(6).labels, [0, 0, 1, 1, 2, 3]);
-        let (first, rest) = ds.split(0.3);
-        assert_eq!(first.labels, [0, 0, 1, 1, 2, 3]);
-        assert_eq!(rest.len(), 14);
-    }
-
-    #[test]
-    fn split_partitions_without_overlap() {
-        let ds = imbalanced();
-        let (a, b) = ds.split(0.4);
-        assert_eq!(a.len() + b.len(), ds.len());
-        // Both halves see both classes.
-        for half in [&a, &b] {
-            assert!(half.labels.contains(&0) && half.labels.contains(&1));
-        }
-        // No point duplicated: total per-class counts match.
-        let count = |d: &Dataset, l: usize| d.labels.iter().filter(|&&x| x == l).count();
-        assert_eq!(count(&a, 0) + count(&b, 0), 24);
-        assert_eq!(count(&a, 1) + count(&b, 1), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn split_rejects_bad_fraction() {
-        let _ = imbalanced().split(1.5);
     }
 
     #[test]

@@ -223,7 +223,7 @@ mod tests {
         #[test]
         fn prop_alloc_never_double_books(shapes in proptest::collection::vec((1usize..64, 1usize..40), 1..10)) {
             let mut a = BlockAllocator::new(32, 16, 16);
-            let mut used = std::collections::HashSet::new();
+            let mut used = std::collections::BTreeSet::new();
             for (bits, len) in shapes {
                 if let Ok(id) = a.alloc(bits, len) {
                     for b in &a.get(id).unwrap().blocks {

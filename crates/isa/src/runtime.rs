@@ -342,7 +342,10 @@ impl Runtime {
         let mut dists = Vec::with_capacity(refs.len());
         for row in 0..refs.len() {
             let mut d = 0u64;
-            #[allow(clippy::needless_range_loop)] // bit indexes both query and the stored row
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "bit indexes both query and the stored row"
+            )]
             for bit in 0..refs.bits() {
                 if self.get_bit(&al, refs, row, bit)? != query[bit] {
                     d += 1;
@@ -609,7 +612,10 @@ impl Runtime {
                 let start = w * 7;
                 let end = (start + 7).min(refs.bits());
                 let mut count = 0u64;
-                #[allow(clippy::needless_range_loop)] // bit indexes both query and the stored row
+                #[expect(
+                    clippy::needless_range_loop,
+                    reason = "bit indexes both query and the stored row"
+                )]
                 for bit in start..end {
                     if self.get_bit(&al, refs, row, bit)? != query[bit] {
                         count += 1;
@@ -631,8 +637,10 @@ impl Runtime {
                     let start = w * 7;
                     let end = (start + 7).min(refs.bits());
                     let mut count = 0u64;
-                    #[allow(clippy::needless_range_loop)]
-                    // bit indexes both query and the stored row
+                    #[expect(
+                        clippy::needless_range_loop,
+                        reason = "bit indexes both query and the stored row"
+                    )]
                     for bit in start..end {
                         if self.get_bit(&al, refs, row, bit)? != query[bit] {
                             count += 1;

@@ -10,7 +10,7 @@
 //! 1. **No wall clock in library code.** Spans and phase attribution
 //!    run on a logical `u64` tick clock advanced by the instrumented
 //!    algorithms themselves. The only wall-clock source lives in
-//!    [`wall`], is audited for the dual-lint `r2-time` rule, and is
+//!    [`wall`], behind this crate's one `clippy::disallowed_types` exemption, and is
 //!    only ever constructed by bench binaries.
 //! 2. **Deterministic merges.** Counters are sharded per thread and
 //!    summed in fixed order; snapshots serialize through `BTreeMap`s
@@ -39,7 +39,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod key;

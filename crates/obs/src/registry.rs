@@ -416,10 +416,11 @@ impl HistogramSnapshot {
     /// fully deterministic, `0` for an empty histogram, and
     /// `u64::MAX` when the rank lands in the overflow bucket.
     #[must_use]
-    #[allow(
+    #[expect(
         clippy::cast_precision_loss,
         clippy::cast_sign_loss,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "q is clamped to [0, 1], so the rank is a non-negative count no larger than `self.count`"
     )]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {

@@ -2,11 +2,17 @@
 //!
 //! Library code runs purely on the logical tick clock; benchmarks,
 //! however, exist to measure real time. Rather than scatter timer reads
-//! through bench code (and trip the dual-lint `r2-time` determinism
-//! rule tree-wide), this module confines every wall-clock read to a
-//! single adapter whose suppressions are individually justified. Bench
-//! binaries construct a [`WallClock`], measure, and feed the result
-//! into the (unstable, never-diffed) `bench.wall_ns` histogram.
+//! through bench code (and trip the workspace's `disallowed-types`
+//! determinism wall tree-wide), this module confines every wall-clock
+//! read to a single adapter behind one justified `#[expect]`. Bench
+//! binaries construct a [`WallClock`], measure, and print the result or
+//! feed it into the (unstable, never-diffed) `bench.wall_ns` histogram.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "bench-only adapter: the single audited wall-clock source; its readings feed stdout \
+              and the unstable bench.wall_ns histogram, never a diffed artifact"
+)]
 
 use crate::{Key, Obs};
 
@@ -15,9 +21,6 @@ use crate::{Key, Obs};
 /// breaks the byte-stability contract.
 #[derive(Debug)]
 pub struct WallClock {
-    // lint:allow(r2-time): bench-only adapter — the single audited
-    // wall-clock source; results feed the unstable bench.wall_ns
-    // histogram which is excluded from every diffed artifact.
     start: std::time::Instant,
 }
 
@@ -26,9 +29,6 @@ impl WallClock {
     #[must_use]
     pub fn start() -> Self {
         Self {
-            // lint:allow(r2-time): bench-only adapter — see the field
-            // justification above; this is the only read point and it
-            // never reaches library code or stable snapshots.
             start: std::time::Instant::now(),
         }
     }
@@ -38,6 +38,12 @@ impl WallClock {
     #[must_use]
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Seconds elapsed since [`WallClock::start`].
+    #[must_use]
+    pub fn elapsed_s(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
     }
 
     /// Record the elapsed nanoseconds into the unstable

@@ -1,5 +1,7 @@
 //! Chip structure and the Table II area/power model.
 
+#![deny(clippy::as_conversions)]
+
 /// Structural configuration of a DUAL chip (§VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChipConfig {
@@ -62,9 +64,11 @@ impl ChipConfig {
     /// row holds `sqrt(blocks_per_tile)` of them (16 in the paper), one
     /// data block plus 15 distance blocks (Fig. 8).
     #[must_use]
+    #[expect(
+        clippy::as_conversions,
+        reason = "block counts ≪ 2^53; rounded sqrt of a non-negative count fits usize"
+    )]
     pub fn blocks_per_tile_row(&self) -> usize {
-        // lint:allow(r3-lossy-cast): block counts ≪ 2^53; rounded sqrt
-        // of a non-negative count fits usize
         (self.blocks_per_tile as f64).sqrt().round() as usize
     }
 
@@ -95,9 +99,9 @@ impl ComponentBudget {
     #[must_use]
     pub fn times(self, n: usize) -> Self {
         Self {
-            // lint:allow(r3-lossy-cast): replication counts ≪ 2^53
+            #[expect(clippy::as_conversions, reason = "replication counts ≪ 2^53")]
             area_um2: self.area_um2 * n as f64,
-            // lint:allow(r3-lossy-cast): replication counts ≪ 2^53
+            #[expect(clippy::as_conversions, reason = "replication counts ≪ 2^53")]
             power_mw: self.power_mw * n as f64,
         }
     }

@@ -33,10 +33,11 @@ impl MemoryBlock {
     #[must_use]
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "block geometry must be non-zero");
-        #[allow(clippy::expect_used)]
-        let engine = NorEngine::new(rows, cols)
-            // lint:allow(r1-panic): NorEngine::new only fails on zero dimensions, asserted above
-            .expect("unreachable: dimensions asserted non-zero");
+        #[expect(
+            clippy::expect_used,
+            reason = "NorEngine::new only fails on zero dimensions, asserted above"
+        )]
+        let engine = NorEngine::new(rows, cols).expect("unreachable: dimensions asserted non-zero");
         Self {
             engine,
             schedule: SamplingSchedule::paper(),

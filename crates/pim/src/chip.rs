@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct Chip {
     config: ChipConfig,
-    // BTreeMap for deterministic tile iteration order (dual-lint r2).
+    // BTreeMap for deterministic tile iteration order.
     tiles: BTreeMap<usize, Tile>,
 }
 
@@ -72,7 +72,10 @@ impl Chip {
     ///
     /// Propagates tile/block/column range errors; source and
     /// destination must name different tiles.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a transfer names source and destination tile, block and column"
+    )]
     pub fn transfer_between_tiles(
         &mut self,
         cost: &CostModel,

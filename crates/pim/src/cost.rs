@@ -21,6 +21,8 @@
 //! 200 ps and the remaining six at 100 ps spacing, so one full 7-bit
 //! window sweep costs 800 ps.
 
+#![deny(clippy::as_conversions)]
+
 use crate::device::DeviceVariation;
 
 /// One row-parallel PIM operation on a block, the unit of cost
@@ -190,14 +192,22 @@ impl CostModel {
         match op {
             Op::HammingWindow => 3,
             Op::NearestStage | Op::Transfer { .. } => 1,
+            #[expect(
+                clippy::as_conversions,
+                reason = "ceil of a small positive column count, always well inside u32 range"
+            )]
             Op::Add { bits } | Op::Sub { bits } => {
-                // lint:allow(r3-lossy-cast): ceil of a small positive
-                // column count, always well inside u32 range
                 (anchor::ADD8.2 * f64::from(bits) / 8.0).ceil() as u32
             }
-            // lint:allow(r3-lossy-cast): ceil of a small positive column count
+            #[expect(
+                clippy::as_conversions,
+                reason = "ceil of a small positive column count"
+            )]
             Op::Mul { bits } => (anchor::MUL8.2 * (f64::from(bits) / 8.0).powi(2)).ceil() as u32,
-            // lint:allow(r3-lossy-cast): ceil of a small positive column count
+            #[expect(
+                clippy::as_conversions,
+                reason = "ceil of a small positive column count"
+            )]
             Op::Div { bits } => (anchor::DIV8.2 * (f64::from(bits) / 8.0).powi(2)).ceil() as u32,
             Op::Write { .. } => 0,
         }

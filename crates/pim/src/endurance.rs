@@ -9,6 +9,8 @@
 //! and 19.6 years respectively — hyperdimensional representations
 //! degrade gracefully because every dimension carries equal weight.
 
+#![deny(clippy::as_conversions)]
+
 /// Gaussian-endurance lifetime model.
 ///
 /// Calibrated so its three headline outputs match §VIII-H:
@@ -188,14 +190,13 @@ impl WearLeveler {
     /// Imbalance factor: max wear over mean wear (1.0 = perfect
     /// leveling). Returns 1.0 before any writes.
     #[must_use]
+    #[expect(clippy::as_conversions, reason = "wear counts ≪ 2^53, exact in f64")]
     pub fn imbalance(&self) -> f64 {
         let total = self.total_writes();
         if total == 0 {
             return 1.0;
         }
-        // lint:allow(r3-lossy-cast): wear counts ≪ 2^53, exact in f64
         let mean = total as f64 / self.writes.len() as f64;
-        // lint:allow(r3-lossy-cast): wear counts ≪ 2^53, exact in f64
         self.max_wear() as f64 / mean
     }
 
@@ -208,7 +209,7 @@ impl WearLeveler {
     #[must_use]
     pub fn projected_lifetime_years(&self, endurance: f64, elapsed_seconds: f64) -> f64 {
         assert!(elapsed_seconds > 0.0, "need an observation window");
-        // lint:allow(r3-lossy-cast): wear counts ≪ 2^53, exact in f64
+        #[expect(clippy::as_conversions, reason = "wear counts ≪ 2^53, exact in f64")]
         let rate = self.max_wear() as f64 / elapsed_seconds; // writes/s on the hot block
         if rate <= 0.0 {
             return f64::INFINITY;
@@ -238,7 +239,7 @@ impl WearLeveler {
         self.writes
             .iter()
             .map(|&w| {
-                // lint:allow(r3-lossy-cast): wear counts ≪ 2^53, exact in f64
+                #[expect(clippy::as_conversions, reason = "wear counts ≪ 2^53, exact in f64")]
                 let z = (w as f64 / endurance - 1.0) / sigma_frac;
                 normal_cdf(z)
             })
@@ -357,7 +358,7 @@ mod tests {
             // Feeding equal-size writes through next_data_block visits
             // every block before revisiting any (classic wear rotation).
             let mut w = WearLeveler::new(8);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for _ in 0..8 {
                 let b = w.next_data_block();
                 prop_assert!(seen.insert(b), "revisited block {b} early");

@@ -8,6 +8,8 @@
 //! writes/reads, which is what makes hierarchical clustering 3.9× slower
 //! without it.
 
+#![deny(clippy::as_conversions)]
+
 use crate::cost::{CostModel, Op};
 
 /// Whether the dedicated row interconnect is present (ablation switch).

@@ -39,9 +39,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// This crate's unwrap/expect debt is burned to zero: deny outright.
+// Library code must not panic: this crate's debt is burned to zero.
 // (Test code is exempt via .clippy.toml allow-*-in-tests keys.)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 pub mod arch;

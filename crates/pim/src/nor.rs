@@ -354,7 +354,6 @@ impl NorEngine {
     /// # Errors
     ///
     /// Propagates column-range errors from [`NorEngine::nor`].
-    #[allow(clippy::many_single_char_names)]
     pub fn full_adder(
         &mut self,
         a: usize,

@@ -1,5 +1,7 @@
 //! Latency/energy accounting for simulated PIM executions.
 
+#![deny(clippy::as_conversions)]
+
 use crate::cost::{CostModel, Op};
 use std::collections::BTreeMap;
 
@@ -26,7 +28,7 @@ pub struct EnergyStats {
     energy_pj: f64,
     // BTreeMap (not HashMap) so iteration during merges is key-ordered:
     // f64 accumulation over the counts is then fold-order stable across
-    // runs, a determinism invariant enforced by dual-lint rule r2.
+    // runs, a determinism invariant `.clippy.toml` enforces.
     counts: BTreeMap<Op, u64>,
 }
 
@@ -83,24 +85,23 @@ impl EnergyStats {
 
     /// Record `blocks` simultaneous issues of `op`: latency once, energy
     /// `blocks` times.
+    #[expect(clippy::as_conversions, reason = "issue counts ≪ 2^53, exact in f64")]
     pub fn record_parallel(&mut self, model: &CostModel, op: Op, blocks: u64) {
         if blocks == 0 {
             return;
         }
         self.time_ns += model.latency_ns(op);
-        // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
         self.energy_pj += model.energy_pj(op) * blocks as f64;
         *self.counts.entry(op).or_default() += blocks;
     }
 
     /// Record `times` back-to-back serial issues of `op`.
+    #[expect(clippy::as_conversions, reason = "issue counts ≪ 2^53, exact in f64")]
     pub fn record_serial(&mut self, model: &CostModel, op: Op, times: u64) {
         if times == 0 {
             return;
         }
-        // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
         self.time_ns += model.latency_ns(op) * times as f64;
-        // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
         self.energy_pj += model.energy_pj(op) * times as f64;
         *self.counts.entry(op).or_default() += times;
     }
@@ -110,13 +111,12 @@ impl EnergyStats {
     /// adds `serial` times, energy `serial × blocks` times — the shape
     /// of a windowed search (serial window sweeps, block-parallel rows)
     /// folded into one call.
+    #[expect(clippy::as_conversions, reason = "issue counts ≪ 2^53, exact in f64")]
     pub fn record_grid(&mut self, model: &CostModel, op: Op, serial: u64, blocks: u64) {
         if serial == 0 || blocks == 0 {
             return;
         }
-        // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
         self.time_ns += model.latency_ns(op) * serial as f64;
-        // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
         self.energy_pj += model.energy_pj(op) * (serial * blocks) as f64;
         *self.counts.entry(op).or_default() += serial * blocks;
     }

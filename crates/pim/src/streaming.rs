@@ -23,6 +23,8 @@
 //! assert_eq!(meter.total().count(Op::HammingWindow), 4);
 //! ```
 
+#![deny(clippy::as_conversions)]
+
 use crate::cost::{CostModel, Op};
 use crate::stats::EnergyStats;
 
@@ -42,11 +44,11 @@ pub struct StreamBatchCost {
 impl StreamBatchCost {
     /// Energy per point in picojoules (0 for an empty batch).
     #[must_use]
+    #[expect(clippy::as_conversions, reason = "point counts ≪ 2^53, exact in f64")]
     pub fn energy_pj_per_point(&self) -> f64 {
         if self.points == 0 {
             0.0
         } else {
-            // lint:allow(r3-lossy-cast): point counts ≪ 2^53, exact in f64
             self.energy_pj / self.points as f64
         }
     }

@@ -10,6 +10,8 @@
 //! and that wider stages (up to 8 bits are *electrically* possible at
 //! nominal conditions) do not.
 
+#![deny(clippy::as_conversions)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
@@ -86,9 +88,10 @@ pub fn run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult {
     let ladder = voltage_ladder(config.stage_bits);
     let sigma_per_bit = config.variation / 5.0;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    // lint:allow(r1-panic): Normal::new(0.0, 1.0) only fails on a
-    // non-finite/negative sigma; the literal 1.0 cannot fail.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "Normal::new(0.0, 1.0) only fails on a non-finite/negative sigma; the literal 1.0 cannot fail"
+    )]
     let normal = Normal::new(0.0, 1.0).expect("unit normal");
     let mut correct = 0u32;
     for _ in 0..config.trials {

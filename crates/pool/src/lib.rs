@@ -47,9 +47,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// This crate's unwrap/expect debt is burned to zero: deny outright.
+// Library code must not panic: this crate's debt is burned to zero.
 // (Test code is exempt via .clippy.toml allow-*-in-tests keys.)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 use dual_obs::{Key, Obs};
@@ -266,9 +271,10 @@ where
 
 /// Run `f` over `ranges` on one scoped worker per range, collecting
 /// results in range order. Panics in workers propagate to the caller.
-// Worker panics are propagated to the caller by design: swallowing one
-// would silently drop a chunk of the result vector.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "re-raising a worker panic is the only sound option; swallowing it would drop a chunk of the result vector"
+)]
 fn run_ordered<R, F>(ranges: Vec<Range<usize>>, f: &F) -> Vec<R>
 where
     R: Send,
@@ -285,8 +291,6 @@ where
                 .collect();
             handles
                 .into_iter()
-                // lint:allow(r1-panic): re-raising a worker panic is the
-                // only sound option; swallowing it would drop results
                 .map(|h| h.join().expect("dual-pool worker panicked"))
                 .collect()
         }),
@@ -351,7 +355,7 @@ mod tests {
             assert!(out.iter().enumerate().all(|(i, &v)| v == i), "threads={t}");
         }
         let mut empty: Vec<usize> = Vec::new();
-        par_fill(&mut empty, 4, |_, _| unreachable!());
+        par_fill(&mut empty, 4, |_, _| panic!("an empty slice has no chunks"));
     }
 
     #[test]

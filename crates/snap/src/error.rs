@@ -1,5 +1,5 @@
 //! Typed decode failures. Corrupt input must surface here — never as a
-//! panic (dual-lint R1 applies to this crate at zero debt).
+//! panic (the crate root denies the panic lints at zero debt).
 
 use std::fmt;
 

@@ -50,9 +50,14 @@
 
 #![forbid(unsafe_code)]
 // Corrupt snapshots must surface as typed errors, not aborts:
-// unwrap/expect are denied outright in lib code (tests are exempt via
+// the panic lints are denied outright in lib code (tests are exempt via
 // .clippy.toml).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod codec;

@@ -1003,7 +1003,10 @@ pub(crate) fn as_u64(x: usize) -> u64 {
 
 /// `u64 → f64` for gauge export; exact below `2^53`, far beyond any
 /// realistic op-issue count.
-#[allow(clippy::cast_precision_loss)]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53, far beyond any realistic op-issue count"
+)]
 pub(crate) fn as_f64(x: u64) -> f64 {
     x as f64
 }

@@ -82,9 +82,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Streaming engines must degrade, not abort: unwrap/expect are denied
+// Streaming engines must degrade, not abort: the panic lints are denied
 // outright in lib code (tests are exempt via .clippy.toml).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod batcher;

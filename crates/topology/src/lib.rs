@@ -69,9 +69,14 @@
 
 #![forbid(unsafe_code)]
 // Operator errors must surface as typed `TopologyError`s, never
-// aborts: unwrap/expect are denied outright in lib code (tests are
+// aborts: the panic lints are denied outright in lib code (tests are
 // exempt via .clippy.toml).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod config;

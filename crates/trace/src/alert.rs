@@ -196,7 +196,10 @@ impl AlertEngine {
 
     /// `u64 → f64` for threshold comparison; exact below `2^53`, far
     /// beyond any realistic event count.
-    #[allow(clippy::cast_precision_loss)]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "exact below 2^53, far beyond any realistic event count"
+    )]
     fn counter_f64(reg: &Registry, key: Key) -> f64 {
         reg.counter(key) as f64
     }

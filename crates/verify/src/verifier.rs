@@ -1,5 +1,7 @@
 //! The abstract interpreter over PIM instruction traces.
 
+#![deny(clippy::as_conversions)]
+
 use crate::report::{CostBound, Diagnostic, VerifyError, VerifyReport};
 use dual_isa::{ArithKind, Instruction, Runtime};
 use dual_pim::cam;
@@ -140,10 +142,9 @@ impl Verifier {
             }
         }
         let (mut time_ns, mut energy_pj) = (0.0_f64, 0.0_f64);
+        #[expect(clippy::as_conversions, reason = "issue counts ≪ 2^53, exact in f64")]
         for (&op, &n) in &traced {
-            // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
             time_ns += self.cost.latency_ns(op) * n as f64;
-            // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
             energy_pj += self.cost.energy_pj(op) * n as f64;
         }
         let diverges =
@@ -171,10 +172,9 @@ impl Verifier {
     fn cost_bound(&self, trace: &[Instruction]) -> CostBound {
         let ledger = trace_ledger(trace);
         let mut bound = CostBound::default();
+        #[expect(clippy::as_conversions, reason = "issue counts ≪ 2^53, exact in f64")]
         for (&op, &n) in &ledger {
-            // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
             bound.time_ns += self.cost.latency_ns(op) * n as f64;
-            // lint:allow(r3-lossy-cast): issue counts ≪ 2^53, exact in f64
             bound.energy_pj += self.cost.energy_pj(op) * n as f64;
             bound.ops += n;
         }
@@ -330,7 +330,10 @@ impl Verifier {
                     }
                 }
                 let op = arith_op(kind, bits);
-                // lint:allow(r3-lossy-cast): Table III reservations ≤ 168, exact in usize
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "Table III reservations ≤ 168, exact in usize"
+                )]
                 let reserved = self.cost.reserved_bits_per_row(op) as usize;
                 if c3 < g.data_cols {
                     // Below the boundary the scratch tramples data; if
@@ -492,20 +495,20 @@ pub fn trace_ledger(trace: &[Instruction]) -> BTreeMap<Op, u64> {
                 bump(arith_op(kind, bits), 1);
             }
             Instruction::NearSearch { nc, .. } | Instruction::ExactSearch { nc, .. } => {
-                // lint:allow(r3-lossy-cast): column counts ≤ 64, exact in u32
+                #[expect(clippy::as_conversions, reason = "column counts ≤ 64, exact in u32")]
                 let stages = cam::nearest_search_stages(nc as u32, 4);
                 bump(Op::NearestStage, u64::from(stages));
             }
             Instruction::RowMv { nc, .. } => {
-                // lint:allow(r3-lossy-cast): column counts fit u32
+                #[expect(clippy::as_conversions, reason = "column counts fit u32")]
                 bump(Op::Transfer { bits: nc as u32 }, 1);
             }
             Instruction::Write { bits, .. } => {
-                // lint:allow(r3-lossy-cast): widths ≤ 64, exact in u32
+                #[expect(clippy::as_conversions, reason = "widths ≤ 64, exact in u32")]
                 bump(Op::Write { bits: bits as u32 }, 1);
             }
             Instruction::Select { bits, .. } => {
-                // lint:allow(r3-lossy-cast): widths ≤ 64, exact in u32
+                #[expect(clippy::as_conversions, reason = "widths ≤ 64, exact in u32")]
                 bump(Op::Add { bits: bits as u32 }, 1);
             }
             _ => {}
@@ -515,7 +518,7 @@ pub fn trace_ledger(trace: &[Instruction]) -> BTreeMap<Op, u64> {
 }
 
 fn arith_op(kind: ArithKind, bits: usize) -> Op {
-    // lint:allow(r3-lossy-cast): widths ≤ 64, exact in u32
+    #[expect(clippy::as_conversions, reason = "widths ≤ 64, exact in u32")]
     let bits = bits as u32;
     match kind {
         ArithKind::Add => Op::Add { bits },

@@ -13,6 +13,17 @@
 //! bench targets) every benchmark body runs exactly once as a smoke
 //! test, mirroring upstream criterion's behavior.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark harness exists to read the wall clock; its timings go to stdout only"
+)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

@@ -23,6 +23,13 @@
 //!   runs are reproducible across machines and invocations — which is
 //!   exactly what a differential test suite wants from CI.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod test_runner {
     //! Runner configuration, case errors and the per-case RNG.
 
@@ -328,7 +335,10 @@ pub mod prelude {
 ///     }
 /// }
 /// ```
-#[allow(clippy::test_attr_in_doctest)] // the example necessarily shows #[test]
+#[expect(
+    clippy::test_attr_in_doctest,
+    reason = "the example necessarily shows #[test]"
+)]
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -385,8 +395,8 @@ macro_rules! __proptest_items {
                         __rejected += 1;
                     }
                     ::core::result::Result::Err($crate::test_runner::TestCaseError::Fail(__msg)) => {
-                        // lint:allow(r1-panic): this macro expands into the caller's
-                        // #[test]; the panic is how a failed property fails that test.
+                        // This macro expands into the caller's #[test]; the
+                        // panic is how a failed property fails that test.
                         panic!(
                             "proptest '{}' failed at case {}:\n  {}\n  inputs: {}",
                             stringify!($name),

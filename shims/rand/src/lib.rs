@@ -13,6 +13,13 @@
 //! in-repo consumers only rely on determinism and statistical quality,
 //! not on exact upstream streams.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 /// Low-level entropy source: everything reduces to `next_u64`.
 pub trait RngCore {
     /// The next 64 uniformly random bits.

@@ -6,6 +6,13 @@
 //! generator stream and accurate to full `f64` precision, which is all
 //! the synthetic-data and variation models in this repo require.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use rand::{Rng, RngCore};
 use std::fmt;
 
