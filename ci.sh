@@ -29,7 +29,7 @@ STAGES=(
   "topology|multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS"
   "trace|flight-recorder kill/restore/replay identity, byte-diffed"
   "benchmark|frozen benchmark/ harness builds and passes its --quick suite"
-  "figures|every table/figure bin regenerates results/*.txt and *.csv byte-identically"
+  "figures|the all bin regenerates every results/*.txt and *.csv byte-identically"
   "portable|default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical"
 )
 ALL_STAGES=("${STAGES[@]%%|*}")
@@ -179,8 +179,6 @@ stage_benchmark() {
 }
 
 stage_figures() {
-  # `all` runs its sibling bins from its own directory, so build them all.
-  cargo build -q --release -p dual-bench --bins
   cargo run -q --release -p dual-bench --bin all
   git diff --exit-code -- 'results/*.txt' 'results/*.csv' \
     || { echo "a table/figure artifact drifted: regenerate and commit it"; return 1; }

@@ -4,7 +4,7 @@
 //! run guards the PIM path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dual_baseline::{Algorithm, GpuModel};
+use dual_core::baseline::{Algorithm, GpuModel};
 use dual_core::{DualAccelerator, DualConfig, PerfModel};
 
 fn bench_perf_model(c: &mut Criterion) {

@@ -25,6 +25,8 @@
 //! `--update` rewrites the baseline from the measured values (sorted
 //! keys, fixed `{:.4}` formatting) instead of checking.
 
+use dual_bench::report::JsonObject;
+
 const STALE_FRACTION: f64 = 0.25;
 
 fn tolerance() -> f64 {
@@ -66,13 +68,13 @@ fn read_metrics(path: &str) -> Vec<(String, f64)> {
 }
 
 fn to_json(metrics: &[(String, f64)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"version\": 1");
-    for (name, value) in metrics {
-        let _ = write!(out, ",\n  \"{name}\": {value:.4}");
-    }
-    out.push_str("\n}\n");
-    out
+    metrics
+        .iter()
+        .fold(
+            JsonObject::new().field("version", 1),
+            |json, (name, value)| json.field(name, format_args!("{value:.4}")),
+        )
+        .pretty()
 }
 
 fn main() {

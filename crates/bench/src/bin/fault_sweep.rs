@@ -24,8 +24,7 @@
 
 #![deny(clippy::as_conversions)]
 
-use std::fmt::Write as _;
-
+use dual_bench::report::{exit_usage, out_seed_args, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
@@ -160,62 +159,50 @@ fn run(dim: usize, seed: u64, fault: Option<(f64, HealingPolicy)>) -> (Vec<usize
     (labels, cell)
 }
 
-/// Hand-serialized report in the workspace's byte-stable JSON idiom:
-/// fixed key order, fixed float formatting, no wall-clock fields.
+/// The report in the workspace's byte-stable JSON idiom: fixed key
+/// order, fixed float formatting, no wall-clock fields.
 fn to_json(seed: u64, cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": 1,\n");
-    let _ = writeln!(out, "  \"train_points\": {TRAIN_POINTS},");
-    let _ = writeln!(out, "  \"eval_points\": {EVAL_POINTS},");
-    let _ = writeln!(out, "  \"clusters\": {CLUSTERS},");
-    let _ = writeln!(out, "  \"centroids_per_cluster\": {CENTROIDS_PER_CLUSTER},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"spares\": {SPARES},");
-    let _ = writeln!(out, "  \"plan_seed\": {PLAN_SEED},");
-    let _ = writeln!(out, "  \"stream_seed\": {seed},");
-    out.push_str("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, "\"dim\": {}, ", c.dim);
-        let _ = write!(out, "\"fault_rate\": {:.4}, ", c.rate);
-        let _ = write!(out, "\"policy\": \"{}\", ", c.policy);
-        let _ = write!(out, "\"stuck_cells\": {}, ", c.stuck_cells);
-        let _ = write!(out, "\"dead_rows\": {}, ", c.dead_rows);
-        let _ = write!(out, "\"injected\": {}, ", c.injected);
-        let _ = write!(out, "\"healed\": {}, ", c.healed);
-        let _ = write!(out, "\"quarantine_trips\": {}, ", c.quarantine_trips);
-        let _ = write!(out, "\"requeues\": {}, ", c.requeues);
-        let _ = write!(out, "\"dead_shards\": {}, ", c.dead_shards);
-        let _ = write!(out, "\"spares_used\": {}, ", c.spares_used);
-        let _ = write!(out, "\"clustered\": {}, ", c.clustered);
-        let _ = write!(out, "\"dropped\": {}, ", c.dropped);
-        let _ = write!(out, "\"agreement\": {:.4}", c.agreement);
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    JsonObject::new()
+        .field("version", 1)
+        .field("train_points", TRAIN_POINTS)
+        .field("eval_points", EVAL_POINTS)
+        .field("clusters", CLUSTERS)
+        .field("centroids_per_cluster", CENTROIDS_PER_CLUSTER)
+        .field("shards", SHARDS)
+        .field("spares", SPARES)
+        .field("plan_seed", PLAN_SEED)
+        .field("stream_seed", seed)
+        .records(
+            "cells",
+            cells.iter().map(|c| {
+                JsonObject::new()
+                    .field("dim", c.dim)
+                    .field("fault_rate", format_args!("{:.4}", c.rate))
+                    .str("policy", c.policy)
+                    .field("stuck_cells", c.stuck_cells)
+                    .field("dead_rows", c.dead_rows)
+                    .field("injected", c.injected)
+                    .field("healed", c.healed)
+                    .field("quarantine_trips", c.quarantine_trips)
+                    .field("requeues", c.requeues)
+                    .field("dead_shards", c.dead_shards)
+                    .field("spares_used", c.spares_used)
+                    .field("clustered", c.clustered)
+                    .field("dropped", c.dropped)
+                    .field("agreement", format_args!("{:.4}", c.agreement))
+            }),
+        )
+        .pretty()
 }
 
 fn main() {
-    let mut out_path = String::from("results/fault_degradation.json");
-    let mut seed = STREAM_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().expect("--out requires a path");
-        } else if arg == "--seed" {
-            seed = args
-                .next()
-                .expect("--seed requires a value")
-                .parse()
-                .expect("--seed must be an unsigned integer");
-        } else {
-            panic!("unknown argument `{arg}` (usage: fault_sweep [--out PATH] [--seed N])");
-        }
-    }
+    let (out_path, seed) = out_seed_args(
+        "fault_sweep",
+        std::env::args().skip(1),
+        "results/fault_degradation.json",
+        STREAM_SEED,
+    )
+    .unwrap_or_else(exit_usage);
 
     println!(
         "fault_sweep: {TRAIN_POINTS} train / {EVAL_POINTS} eval points, k={CLUSTERS}x{CENTROIDS_PER_CLUSTER}, D in {DIMS:?}, rates {RATES:?}, stream seed {seed}\n"

@@ -17,8 +17,7 @@
 //! machines, reruns, `DUAL_THREADS` values, and kill/restore/replay
 //! (`ci.sh --stage trace` pins all of it).
 
-use std::fmt::Write as _;
-
+use dual_bench::report::{exit_usage, out_seed_args, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::HdMapper;
@@ -190,36 +189,23 @@ fn topology_phase(points: &[Vec<f64>]) -> Topology<HdMapper> {
 }
 
 /// Per-recorder accounting line for the report.
-fn recorder_json(out: &mut String, label: &str, rec: &Recorder) {
-    let _ = writeln!(
-        out,
-        "  \"{label}\": {{\"emitted\": {}, \"evicted\": {}, \"retained\": {}, \
-         \"open_depth\": {}, \"alerts_raised\": {}}},",
-        rec.emitted(),
-        rec.evicted(),
-        rec.retained(),
-        rec.open_depth(),
-        rec.alerts_raised()
-    );
+fn recorder_json(rec: &Recorder) -> JsonObject {
+    JsonObject::new()
+        .field("emitted", rec.emitted())
+        .field("evicted", rec.evicted())
+        .field("retained", rec.retained())
+        .field("open_depth", rec.open_depth())
+        .field("alerts_raised", rec.alerts_raised())
 }
 
 fn main() {
-    let mut out_path = String::from("results/trace_report.json");
-    let mut seed = STREAM_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().expect("--out requires a path");
-        } else if arg == "--seed" {
-            seed = args
-                .next()
-                .expect("--seed requires a value")
-                .parse()
-                .expect("--seed must be an unsigned integer");
-        } else {
-            panic!("unknown argument `{arg}` (usage: flight_recorder [--out PATH] [--seed N])");
-        }
-    }
+    let (out_path, seed) = out_seed_args(
+        "flight_recorder",
+        std::env::args().skip(1),
+        "results/trace_report.json",
+        STREAM_SEED,
+    )
+    .unwrap_or_else(exit_usage);
 
     let points = workload(seed);
     println!(
@@ -292,31 +278,35 @@ fn main() {
 
     let alpha = topo.engine("alpha").expect("registered tenant");
     let beta = topo.engine("beta").expect("registered tenant");
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": 1,\n");
-    let _ = writeln!(out, "  \"dim\": {DIM},");
-    let _ = writeln!(out, "  \"clusters\": {CLUSTERS},");
-    let _ = writeln!(out, "  \"tick_every\": {TICK_EVERY},");
-    let _ = writeln!(out, "  \"total_ticks\": {TOTAL_TICKS},");
-    let _ = writeln!(out, "  \"snapshot_every\": {SNAPSHOT_EVERY},");
-    let _ = writeln!(out, "  \"kill_tick\": {KILL_TICK},");
-    let _ = writeln!(out, "  \"trace_capacity\": {TRACE_CAPACITY},");
-    let _ = writeln!(out, "  \"plan_seed\": {PLAN_SEED},");
-    let _ = writeln!(out, "  \"stream_seed\": {seed},");
-    out.push_str("  \"replay_identical\": true,\n");
-    let _ = writeln!(
-        out,
-        "  \"batch_points\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}},"
-    );
-    recorder_json(&mut out, "engine", trace);
-    recorder_json(&mut out, "topology", topo.trace());
     let streams = report_json(&[
         ("engine", trace),
         ("topology", topo.trace()),
         ("tenant.alpha", alpha.trace()),
         ("tenant.beta", beta.trace()),
     ]);
-    let _ = write!(out, "  \"trace\": {streams}\n}}\n");
+    let out = JsonObject::new()
+        .field("version", 1)
+        .field("dim", DIM)
+        .field("clusters", CLUSTERS)
+        .field("tick_every", TICK_EVERY)
+        .field("total_ticks", TOTAL_TICKS)
+        .field("snapshot_every", SNAPSHOT_EVERY)
+        .field("kill_tick", KILL_TICK)
+        .field("trace_capacity", TRACE_CAPACITY)
+        .field("plan_seed", PLAN_SEED)
+        .field("stream_seed", seed)
+        .field("replay_identical", true)
+        .field(
+            "batch_points",
+            JsonObject::new()
+                .field("p50", p50)
+                .field("p95", p95)
+                .field("p99", p99),
+        )
+        .field("engine", recorder_json(trace))
+        .field("topology", recorder_json(topo.trace()))
+        .field("trace", streams)
+        .pretty();
 
     std::fs::create_dir_all("results").expect("can create results/");
     std::fs::write(&out_path, &out).expect("writable output path");

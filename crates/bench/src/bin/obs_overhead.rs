@@ -35,6 +35,7 @@
 //! `bench_ratchet` compares against the committed
 //! `results/bench_summary.json`.
 
+use dual_bench::report::JsonObject;
 use dual_cluster::KMeans;
 use dual_hdc::{Encoder, HdMapper};
 use dual_obs::wall::WallClock;
@@ -253,9 +254,11 @@ fn main() {
     );
 
     if let Some(path) = summary_out {
-        let payload = format!(
-            "{{\n  \"version\": 1,\n  \"obs_encode_overhead\": {enc_median:.4},\n  \"obs_kmeans_overhead\": {km_median:.4}\n}}\n"
-        );
+        let payload = JsonObject::new()
+            .field("version", 1)
+            .field("obs_encode_overhead", format_args!("{enc_median:.4}"))
+            .field("obs_kmeans_overhead", format_args!("{km_median:.4}"))
+            .pretty();
         std::fs::write(&path, payload).expect("writable --summary-out path");
         println!(
             "ratchet metrics written to {path}: obs_encode_overhead = {enc_median:.4}, obs_kmeans_overhead = {km_median:.4} (medians of {REPS})"

@@ -18,8 +18,7 @@
 //! byte-diffs the reports. Every JSON field is a deterministic
 //! function of `--seed` — no wall-clock leaks into the report.
 
-use std::fmt::Write as _;
-
+use dual_bench::report::{exit_usage, fnv1a64, out_seed_args, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_obs::wall::WallClock;
@@ -56,16 +55,6 @@ struct Cell {
     /// FNV-1a 64 of the final stable obs JSON (identical between the
     /// uninterrupted and the recovered run — asserted before writing).
     stable_digest: u64,
-}
-
-/// FNV-1a 64 over bytes (the same digest `dual-snap` frames with).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The three swept recovery scenarios.
@@ -274,55 +263,46 @@ fn kill_schedule(seed: u64) -> Vec<u64> {
     ticks
 }
 
-/// Hand-serialized report in the workspace's byte-stable JSON idiom:
-/// fixed key order, integer-only fields, no wall-clock values.
+/// The report in the workspace's byte-stable JSON idiom: fixed key
+/// order, integer-only fields, no wall-clock values.
 fn to_json(seed: u64, cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": 1,\n");
-    let _ = writeln!(out, "  \"dim\": {DIM},");
-    let _ = writeln!(out, "  \"clusters\": {CLUSTERS},");
-    let _ = writeln!(out, "  \"centroids_per_cluster\": {CENTROIDS_PER_CLUSTER},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"tick_every\": {TICK_EVERY},");
-    let _ = writeln!(out, "  \"total_ticks\": {TOTAL_TICKS},");
-    let _ = writeln!(out, "  \"snapshot_every\": {SNAPSHOT_EVERY},");
-    let _ = writeln!(out, "  \"plan_seed\": {PLAN_SEED},");
-    let _ = writeln!(out, "  \"stream_seed\": {seed},");
-    out.push_str("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, "\"policy\": \"{}\", ", c.policy);
-        let _ = write!(out, "\"kill_tick\": {}, ", c.kill_tick);
-        let _ = write!(out, "\"snapshot_tick\": {}, ", c.snapshot_tick);
-        let _ = write!(out, "\"blob_bytes\": {}, ", c.blob_bytes);
-        let _ = write!(out, "\"replayed_points\": {}, ", c.replayed_points);
-        let _ = write!(out, "\"stable_digest\": \"{:016x}\"", c.stable_digest);
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    JsonObject::new()
+        .field("version", 1)
+        .field("dim", DIM)
+        .field("clusters", CLUSTERS)
+        .field("centroids_per_cluster", CENTROIDS_PER_CLUSTER)
+        .field("shards", SHARDS)
+        .field("tick_every", TICK_EVERY)
+        .field("total_ticks", TOTAL_TICKS)
+        .field("snapshot_every", SNAPSHOT_EVERY)
+        .field("plan_seed", PLAN_SEED)
+        .field("stream_seed", seed)
+        .records(
+            "cells",
+            cells.iter().map(|c| {
+                JsonObject::new()
+                    .str("policy", c.policy)
+                    .field("kill_tick", c.kill_tick)
+                    .field("snapshot_tick", c.snapshot_tick)
+                    .field("blob_bytes", c.blob_bytes)
+                    .field("replayed_points", c.replayed_points)
+                    .field(
+                        "stable_digest",
+                        format_args!("\"{:016x}\"", c.stable_digest),
+                    )
+            }),
+        )
+        .pretty()
 }
 
 fn main() {
-    let mut out_path = String::from("results/recovery_report.json");
-    let mut seed = STREAM_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().expect("--out requires a path");
-        } else if arg == "--seed" {
-            seed = args
-                .next()
-                .expect("--seed requires a value")
-                .parse()
-                .expect("--seed must be an unsigned integer");
-        } else {
-            panic!("unknown argument `{arg}` (usage: recovery_harness [--out PATH] [--seed N])");
-        }
-    }
+    let (out_path, seed) = out_seed_args(
+        "recovery_harness",
+        std::env::args().skip(1),
+        "results/recovery_report.json",
+        STREAM_SEED,
+    )
+    .unwrap_or_else(exit_usage);
 
     let points = workload(seed);
     let kills = kill_schedule(seed);

@@ -21,8 +21,7 @@
 //! machine-normalized; `bench_ratchet` compares it against the
 //! committed `results/bench_summary.json`.
 
-use std::fmt::Write as _;
-
+use dual_bench::report::JsonObject;
 use dual_data::DriftSpec;
 use dual_hdc::{Encoder, HdMapper};
 use dual_obs::wall::WallClock;
@@ -101,14 +100,11 @@ fn run_policy(policy: BackpressurePolicy, points: usize) -> PolicyRun {
 /// `DUAL_THREADS` settings — CI diffs it against the committed
 /// `results/obs_snapshot.json`.
 fn metrics_json(runs: &[PolicyRun]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"version\": 1,");
-    for (i, run) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(out, "  \"{}\": {}{comma}", run.policy.name(), run.obs_json);
-    }
-    out.push_str("}\n");
-    out
+    runs.iter()
+        .fold(JsonObject::new().field("version", 1), |json, run| {
+            json.field(run.policy.name(), &run.obs_json)
+        })
+        .pretty()
 }
 
 /// Median of an odd number of samples.
@@ -176,52 +172,47 @@ fn ratchet_ratio() -> f64 {
     median(ratios)
 }
 
-/// Hand-serialized report in the workspace's byte-stable JSON idiom:
-/// fixed key order, fixed float formatting, no wall-clock fields.
+/// The report in the workspace's byte-stable JSON idiom: fixed key
+/// order, fixed float formatting, no wall-clock fields.
 fn to_json(points: usize, runs: &[PolicyRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
-    let _ = writeln!(out, "  \"points_offered\": {points},");
-    let _ = writeln!(out, "  \"features\": {FEATURES},");
-    let _ = writeln!(out, "  \"dimension\": {DIM},");
-    let _ = writeln!(out, "  \"clusters\": {CLUSTERS},");
-    let _ = writeln!(out, "  \"tick_every\": {TICK_EVERY},");
-    out.push_str("  \"policies\": [");
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let policies = runs.iter().map(|run| {
         let s = &run.snapshot;
         let batches = s.batches.max(1) as f64;
-        out.push_str("\n    {");
-        let _ = write!(out, "\"policy\": \"{}\", ", run.policy.name());
-        let _ = write!(out, "\"ingested\": {}, ", s.counters.ingested);
-        let _ = write!(out, "\"clustered\": {}, ", s.points);
-        let _ = write!(out, "\"dropped\": {}, ", s.counters.dropped);
-        let _ = write!(out, "\"rejected\": {}, ", s.counters.rejected);
-        let _ = write!(out, "\"batches\": {}, ", s.batches);
-        let _ = write!(out, "\"size_cuts\": {}, ", s.counters.size_cuts);
-        let _ = write!(out, "\"deadline_cuts\": {}, ", s.counters.deadline_cuts);
-        let _ = write!(out, "\"drain_cuts\": {}, ", s.counters.drain_cuts);
-        let _ = write!(out, "\"inline_flushes\": {}, ", s.counters.inline_flushes);
-        let _ = write!(out, "\"energy_pj_total\": {:.3}, ", s.energy_pj);
-        let _ = write!(out, "\"time_ns_total\": {:.3}, ", s.time_ns);
-        let _ = write!(
-            out,
-            "\"energy_pj_per_batch\": {:.3}, ",
-            s.energy_pj / batches
-        );
-        let _ = write!(out, "\"time_ns_per_batch\": {:.3}, ", s.time_ns / batches);
-        let _ = write!(
-            out,
-            "\"energy_pj_per_point\": {:.3}",
-            s.energy_pj / (s.points.max(1) as f64)
-        );
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+        JsonObject::new()
+            .str("policy", run.policy.name())
+            .field("ingested", s.counters.ingested)
+            .field("clustered", s.points)
+            .field("dropped", s.counters.dropped)
+            .field("rejected", s.counters.rejected)
+            .field("batches", s.batches)
+            .field("size_cuts", s.counters.size_cuts)
+            .field("deadline_cuts", s.counters.deadline_cuts)
+            .field("drain_cuts", s.counters.drain_cuts)
+            .field("inline_flushes", s.counters.inline_flushes)
+            .field("energy_pj_total", format_args!("{:.3}", s.energy_pj))
+            .field("time_ns_total", format_args!("{:.3}", s.time_ns))
+            .field(
+                "energy_pj_per_batch",
+                format_args!("{:.3}", s.energy_pj / batches),
+            )
+            .field(
+                "time_ns_per_batch",
+                format_args!("{:.3}", s.time_ns / batches),
+            )
+            .field(
+                "energy_pj_per_point",
+                format_args!("{:.3}", s.energy_pj / (s.points.max(1) as f64)),
+            )
+    });
+    JsonObject::new()
+        .field("version", 1)
+        .field("points_offered", points)
+        .field("features", FEATURES)
+        .field("dimension", DIM)
+        .field("clusters", CLUSTERS)
+        .field("tick_every", TICK_EVERY)
+        .records("policies", policies)
+        .pretty()
 }
 
 fn main() {
@@ -310,8 +301,10 @@ fn main() {
 
     if let Some(path) = summary_out {
         let ratio = ratchet_ratio();
-        let payload =
-            format!("{{\n  \"version\": 1,\n  \"stream_pipeline_over_encode\": {ratio:.4}\n}}\n");
+        let payload = JsonObject::new()
+            .field("version", 1)
+            .field("stream_pipeline_over_encode", format_args!("{ratio:.4}"))
+            .pretty();
         std::fs::write(&path, payload).expect("writable --summary-out path");
         println!(
             "ratchet metric written to {path}: stream_pipeline_over_encode = {ratio:.4} (median of {RATCHET_REPS})"

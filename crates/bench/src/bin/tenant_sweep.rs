@@ -21,8 +21,7 @@
 //! timing goes to stdout only). `ci.sh --stage topology` diffs the
 //! report across thread counts and against the committed artifact.
 
-use std::fmt::Write as _;
-
+use dual_bench::report::{exit_usage, fnv1a64, out_seed_args, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
@@ -149,16 +148,6 @@ fn storm_fault(def: &TenantDef) -> FaultConfig {
         spares: SPARES,
         reads: 3,
     })
-}
-
-/// FNV-1a 64 over bytes (the same digest `dual-snap` frames with).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Everything one run observed about one tenant.
@@ -301,83 +290,72 @@ fn run(storm: bool, seed: u64) -> RunResult {
     }
 }
 
-/// Hand-serialized report in the workspace's byte-stable JSON idiom:
-/// fixed key order, fixed float formatting, no wall-clock fields.
+/// The report in the workspace's byte-stable JSON idiom: fixed key
+/// order, fixed float formatting, no wall-clock fields.
 fn to_json(seed: u64, storm: &RunResult, agreements: &[f64]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": 2,\n");
-    let _ = writeln!(out, "  \"train_points\": {TRAIN_POINTS},");
-    let _ = writeln!(out, "  \"eval_points\": {EVAL_POINTS},");
-    let _ = writeln!(out, "  \"dim\": {DIM},");
-    let _ = writeln!(out, "  \"stream_seed\": {seed},");
-    let _ = writeln!(out, "  \"plan_seed\": {PLAN_SEED},");
-    let _ = writeln!(out, "  \"storm_rate\": {STORM_RATE},");
-    let _ = writeln!(out, "  \"topology_ticks\": {},", storm.topo_ticks);
-    let _ = writeln!(out, "  \"total_energy_pj\": {:.4},", storm.total_energy_pj);
-    let _ = writeln!(out, "  \"total_energy_bits\": {},", storm.total_energy_bits);
-    out.push_str("  \"ledger_sum_exact\": true,\n");
-    out.push_str("  \"tenants\": [");
-    for (i, (def, t)) in TENANTS.iter().zip(&storm.tenants).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, "\"name\": \"{}\", ", def.name);
-        let _ = write!(out, "\"clusters\": {}, ", def.k);
-        let _ = write!(out, "\"drift_rate\": {}, ", def.drift_rate);
-        match def.budget_pj_per_tick {
-            None => out.push_str("\"budget_pj_per_tick\": null, "),
-            Some(pj) => {
-                let _ = write!(out, "\"budget_pj_per_tick\": {pj:.1}, ");
-            }
-        }
-        let _ = write!(out, "\"escalation\": \"{}\", ", def.escalation.name());
-        let _ = write!(out, "\"ingested\": {}, ", t.ingested);
-        let _ = write!(out, "\"dropped\": {}, ", t.dropped);
-        let _ = write!(out, "\"quota_rejected\": {}, ", t.quota_rejected);
-        let _ = write!(out, "\"quota_shed\": {}, ", t.quota_shed);
-        let _ = write!(out, "\"deferred_ticks\": {}, ", t.deferred_ticks);
-        let _ = write!(out, "\"batches\": {}, ", t.batches);
-        let _ = write!(out, "\"points\": {}, ", t.points);
-        let (p50, p95, p99) = t.batch_points_q;
-        let _ = write!(
-            out,
-            "\"batch_points\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}, "
-        );
-        let _ = write!(out, "\"energy_pj\": {:.4}, ", t.energy_pj);
-        let _ = write!(out, "\"energy_bits\": {}, ", t.energy_bits);
-        let _ = write!(out, "\"time_bits\": {}, ", t.time_bits);
-        let _ = write!(out, "\"injected\": {}, ", t.injected);
-        let _ = write!(out, "\"healed\": {}, ", t.healed);
-        let _ = write!(
-            out,
-            "\"stable_digest\": {}, ",
-            fnv1a64(t.stable_json.as_bytes())
-        );
-        let _ = write!(out, "\"storm_agreement\": {:.4}", agreements[i]);
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let tenants = TENANTS.iter().zip(&storm.tenants).zip(agreements);
+    JsonObject::new()
+        .field("version", 2)
+        .field("train_points", TRAIN_POINTS)
+        .field("eval_points", EVAL_POINTS)
+        .field("dim", DIM)
+        .field("stream_seed", seed)
+        .field("plan_seed", PLAN_SEED)
+        .field("storm_rate", STORM_RATE)
+        .field("topology_ticks", storm.topo_ticks)
+        .field(
+            "total_energy_pj",
+            format_args!("{:.4}", storm.total_energy_pj),
+        )
+        .field("total_energy_bits", storm.total_energy_bits)
+        .field("ledger_sum_exact", true)
+        .records(
+            "tenants",
+            tenants.map(|((def, t), agreement)| {
+                let budget = def
+                    .budget_pj_per_tick
+                    .map_or_else(|| "null".to_string(), |pj| format!("{pj:.1}"));
+                let (p50, p95, p99) = t.batch_points_q;
+                JsonObject::new()
+                    .str("name", def.name)
+                    .field("clusters", def.k)
+                    .field("drift_rate", def.drift_rate)
+                    .field("budget_pj_per_tick", budget)
+                    .str("escalation", def.escalation.name())
+                    .field("ingested", t.ingested)
+                    .field("dropped", t.dropped)
+                    .field("quota_rejected", t.quota_rejected)
+                    .field("quota_shed", t.quota_shed)
+                    .field("deferred_ticks", t.deferred_ticks)
+                    .field("batches", t.batches)
+                    .field("points", t.points)
+                    .field(
+                        "batch_points",
+                        JsonObject::new()
+                            .field("p50", p50)
+                            .field("p95", p95)
+                            .field("p99", p99),
+                    )
+                    .field("energy_pj", format_args!("{:.4}", t.energy_pj))
+                    .field("energy_bits", t.energy_bits)
+                    .field("time_bits", t.time_bits)
+                    .field("injected", t.injected)
+                    .field("healed", t.healed)
+                    .field("stable_digest", fnv1a64(t.stable_json.as_bytes()))
+                    .field("storm_agreement", format_args!("{agreement:.4}"))
+            }),
+        )
+        .pretty()
 }
 
 fn main() {
-    let mut out_path = String::from("results/topology_report.json");
-    let mut seed = STREAM_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().expect("--out requires a path");
-        } else if arg == "--seed" {
-            seed = args
-                .next()
-                .expect("--seed requires a value")
-                .parse()
-                .expect("--seed must be an unsigned integer");
-        } else {
-            panic!("unknown argument `{arg}` (usage: tenant_sweep [--out PATH] [--seed N])");
-        }
-    }
+    let (out_path, seed) = out_seed_args(
+        "tenant_sweep",
+        std::env::args().skip(1),
+        "results/topology_report.json",
+        STREAM_SEED,
+    )
+    .unwrap_or_else(exit_usage);
 
     println!(
         "tenant_sweep: {} tenants x {TRAIN_POINTS} points, D={DIM}, storm rate {STORM_RATE} on \"delta\", stream seed {seed}\n",

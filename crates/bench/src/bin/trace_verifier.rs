@@ -1,7 +1,7 @@
 //! Static ISA verification sweep: run every in-tree PIM workload —
 //! built-in micro programs, the Fig. 6 Ward chain, the on-PIM encoder,
 //! and the three accelerator clustering paths — then verify each
-//! instruction trace with `dual-isa-verify` (geometry, def-before-use
+//! instruction trace with `dual_isa::verify` (geometry, def-before-use
 //! query dataflow, hazards, and the exact cost cross-check against the
 //! executed [`dual_pim::EnergyStats`]).
 //!
@@ -16,12 +16,11 @@
 //! stable across machines, reruns, and `DUAL_THREADS` (the report is
 //! the `ci.sh --stage verify-isa` ratchet artifact).
 
-use std::fmt::Write as _;
-
+use dual_bench::report::{exit_usage, out_seed_args, JsonObject};
 use dual_core::{DualAccelerator, DualConfig, PimEncoder};
 use dual_hdc::HdMapper;
+use dual_isa::verify::{Geometry, RuntimeVerify, Verifier, VerifyReport};
 use dual_isa::{Instruction, Runtime};
-use dual_isa_verify::{Geometry, RuntimeVerify, Verifier, VerifyReport};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -302,65 +301,48 @@ fn mutation_corpus(trace: &[Instruction], geom: Geometry, rng: &mut StdRng) -> V
 }
 
 fn to_json(seed: u64, rows: &[Row], mutations: &[Mutation]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": 1,\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    out.push_str("  \"workloads\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, "\"name\": \"{}\", ", r.name);
-        let _ = write!(out, "\"instructions\": {}, ", r.report.instructions);
-        let _ = write!(out, "\"errors\": {}, ", r.report.error_count());
-        let _ = write!(out, "\"advisories\": {}, ", r.report.advisory_count());
-        let _ = write!(out, "\"ops\": {}, ", r.report.cost.ops);
-        let _ = write!(out, "\"time_ns\": {:.3}, ", r.report.cost.time_ns);
-        let _ = write!(out, "\"energy_pj\": {:.3}", r.report.cost.energy_pj);
-        out.push('}');
-    }
-    out.push_str("\n  ],\n");
-    out.push_str("  \"mutations\": [");
-    for (i, m) in mutations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(out, "\"name\": \"{}\", ", m.name);
-        let _ = write!(out, "\"expected\": \"{}\", ", m.expected);
-        let _ = write!(out, "\"rejected\": {}", m.rejected);
-        out.push('}');
-    }
-    out.push_str("\n  ],\n");
-    let clean = rows.iter().all(|r| r.report.is_clean());
-    let rejected = mutations.iter().filter(|m| m.rejected).count();
-    let total: usize = rows.iter().map(|r| r.report.instructions).sum();
-    let _ = writeln!(out, "  \"total_instructions\": {total},");
-    let _ = writeln!(out, "  \"workloads_clean\": {clean},");
-    let _ = writeln!(out, "  \"mutations_total\": {},", mutations.len());
-    let _ = writeln!(out, "  \"mutations_rejected\": {rejected}");
-    out.push_str("}\n");
-    out
+    let workloads = rows.iter().map(|r| {
+        JsonObject::new()
+            .str("name", r.name)
+            .field("instructions", r.report.instructions)
+            .field("errors", r.report.error_count())
+            .field("advisories", r.report.advisory_count())
+            .field("ops", r.report.cost.ops)
+            .field("time_ns", format_args!("{:.3}", r.report.cost.time_ns))
+            .field("energy_pj", format_args!("{:.3}", r.report.cost.energy_pj))
+    });
+    let corpus = mutations.iter().map(|m| {
+        JsonObject::new()
+            .str("name", m.name)
+            .str("expected", m.expected)
+            .field("rejected", m.rejected)
+    });
+    JsonObject::new()
+        .field("version", 1)
+        .field("seed", seed)
+        .records("workloads", workloads)
+        .records("mutations", corpus)
+        .field(
+            "total_instructions",
+            rows.iter().map(|r| r.report.instructions).sum::<usize>(),
+        )
+        .field("workloads_clean", rows.iter().all(|r| r.report.is_clean()))
+        .field("mutations_total", mutations.len())
+        .field(
+            "mutations_rejected",
+            mutations.iter().filter(|m| m.rejected).count(),
+        )
+        .pretty()
 }
 
 fn main() {
-    let mut out_path = String::from("results/isa_verify.json");
-    let mut seed = DEFAULT_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().expect("--out requires a path");
-        } else if arg == "--seed" {
-            seed = args
-                .next()
-                .expect("--seed requires a value")
-                .parse()
-                .expect("--seed must be an unsigned integer");
-        } else {
-            panic!("unknown argument `{arg}` (usage: trace_verifier [--out PATH] [--seed N])");
-        }
-    }
+    let (out_path, seed) = out_seed_args(
+        "trace_verifier",
+        std::env::args().skip(1),
+        "results/isa_verify.json",
+        DEFAULT_SEED,
+    )
+    .unwrap_or_else(exit_usage);
 
     let mut rows = Vec::new();
     for (rt, name) in [

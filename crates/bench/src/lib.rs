@@ -1,13 +1,17 @@
 //! # dual-bench — shared harness for regenerating the paper's tables
 //! and figures
 //!
-//! Each table/figure has a dedicated binary (`src/bin/*.rs`); this
-//! library holds the common machinery: quality evaluation across the
-//! three encoders (none/HD-Mapper/LSH) and three algorithms, the
-//! DUAL-vs-GPU speedup/energy pipeline, and plain-text table printing.
+//! The `all` binary regenerates every table and figure (`all <name>`
+//! prints one); the other binaries are the streaming, fault, recovery,
+//! topology, trace and ISA report harnesses. This library holds the
+//! common machinery: quality evaluation across the three encoders
+//! (none/HD-Mapper/LSH) and three algorithms, the DUAL-vs-GPU
+//! speedup/energy pipeline, plain-text table printing, the [`tsne`]
+//! embedding behind Fig. 11, and the [`report`] layout the JSON reports
+//! share.
 //!
 //! Absolute GPU-side numbers come from the calibrated analytical model
-//! (see `dual-baseline`); all DUAL-side numbers are derived from the
+//! (see `dual_core::baseline`); all DUAL-side numbers are derived from the
 //! Table II/III cost anchors. EXPERIMENTS.md records paper-vs-measured
 //! for every artifact.
 
@@ -20,13 +24,16 @@
     clippy::unreachable
 )]
 
+pub mod report;
+pub mod tsne;
+
 use std::fmt;
 
-use dual_baseline::{Algorithm, GpuModel};
 use dual_cluster::{
     cluster_accuracy, euclidean, hamming, normalized_mutual_information, AgglomerativeClustering,
     ClusterError, Dbscan, HammingKMeans, KMeans, Linkage, NnChainClustering,
 };
+use dual_core::baseline::{Algorithm, GpuModel};
 use dual_core::{DualConfig, PerfModel, PhaseReport};
 use dual_data::{catalog, Dataset, Workload};
 use dual_hdc::{Encoder, HdMapper, HdcError, Hypervector, LshEncoder};
@@ -356,6 +363,15 @@ pub fn speedup_energy(cfg: DualConfig, alg: Algorithm, w: Workload) -> (f64, f64
     (gpu.time_s() / dual.time_s(), gpu.energy_j / dual.energy_j())
 }
 
+/// Arithmetic mean; 0 for no values.
+#[must_use]
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
 /// Geometric mean (the right average for ratios).
 #[must_use]
 pub fn geomean(values: &[f64]) -> f64 {
@@ -426,6 +442,8 @@ pub fn quality_dataset(w: Workload, cap: usize) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tsne::{neighbor_agreement, Tsne};
+    use proptest::prelude::*;
 
     #[test]
     fn geomean_of_ratios() {
@@ -475,6 +493,82 @@ mod tests {
             let (s, e) = speedup_energy(DualConfig::paper(), alg, Workload::Gesture);
             assert!(s > 1.0, "{alg:?} speedup {s}");
             assert!(e > 1.0, "{alg:?} energy {e}");
+        }
+    }
+
+    // ---- t-SNE (`crate::tsne`) ----
+
+    fn blobs(n_per: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+        let mut pts = Vec::new();
+        let mut labels = Vec::new();
+        let centers = [[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]];
+        for (c, center) in centers.iter().enumerate() {
+            for k in 0..n_per {
+                pts.push(vec![
+                    center[0] + 0.1 * (k % 5) as f64,
+                    center[1] + 0.1 * (k / 5) as f64,
+                ]);
+                labels.push(c);
+            }
+        }
+        (pts, labels)
+    }
+
+    #[test]
+    fn empty_and_singleton() {
+        assert!(Tsne::new().embed(&[]).is_empty());
+        assert_eq!(Tsne::new().embed(&[vec![1.0, 2.0]]), vec![[0.0, 0.0]]);
+    }
+
+    #[test]
+    fn embedding_is_deterministic() {
+        let (pts, _) = blobs(5);
+        let t = Tsne::new().perplexity(5.0).iterations(50).seed(9);
+        assert_eq!(t.embed(&pts), t.embed(&pts));
+    }
+
+    #[test]
+    fn blobs_remain_separated() {
+        let (pts, labels) = blobs(10);
+        let emb = Tsne::new()
+            .perplexity(8.0)
+            .iterations(300)
+            .seed(4)
+            .embed(&pts);
+        let score = neighbor_agreement(&emb, &labels);
+        assert!(score > 0.9, "neighbor agreement {score}");
+    }
+
+    #[test]
+    fn embedding_is_centered_and_finite() {
+        let (pts, _) = blobs(8);
+        let emb = Tsne::new()
+            .perplexity(6.0)
+            .iterations(120)
+            .seed(2)
+            .embed(&pts);
+        let mx: f64 = emb.iter().map(|p| p[0]).sum::<f64>() / emb.len() as f64;
+        let my: f64 = emb.iter().map(|p| p[1]).sum::<f64>() / emb.len() as f64;
+        assert!(mx.abs() < 1e-6 && my.abs() < 1e-6);
+        assert!(emb.iter().flatten().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn neighbor_agreement_bounds() {
+        assert_eq!(neighbor_agreement(&[], &[]), 1.0);
+        let emb = [[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]];
+        assert_eq!(neighbor_agreement(&emb, &[0, 0, 1, 1]), 1.0);
+        assert_eq!(neighbor_agreement(&emb, &[0, 1, 0, 1]), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn prop_output_shape_matches_input(n in 2usize..12) {
+            let pts: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, (i * i) as f64]).collect();
+            let emb = Tsne::new().perplexity(2.0).iterations(20).embed(&pts);
+            prop_assert_eq!(emb.len(), n);
+            prop_assert!(emb.iter().flatten().all(|v| v.is_finite()));
         }
     }
 }

@@ -13,8 +13,8 @@
 use crate::DualConfig;
 use dual_cluster::{AgglomerativeClustering, CondensedMatrix, Linkage};
 use dual_hdc::{majority_bundle, Encoder, HdMapper, Hypervector};
+use dual_isa::verify::Geometry;
 use dual_isa::{Instruction, IsaError, Runtime, Vlca};
-use dual_isa_verify::Geometry;
 use dual_pim::stats::EnergyStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -30,10 +30,10 @@ pub struct DualClusteringOutcome {
     /// Number of PIM instructions issued.
     pub instructions: usize,
     /// The full instruction stream the run issued, for static
-    /// verification (`dual_isa_verify`) or offline inspection.
+    /// verification (`dual_isa::verify`) or offline inspection.
     pub trace: Vec<Instruction>,
     /// Geometry of the runtime the trace executed on — what a
-    /// [`dual_isa_verify::Verifier`] must be built against.
+    /// [`dual_isa::verify::Verifier`] must be built against.
     pub geometry: Geometry,
 }
 
@@ -59,10 +59,10 @@ impl DualClusteringOutcome {
     }
 
     /// Statically re-verify the run's instruction stream against its
-    /// executed statistics (see [`dual_isa_verify`]).
+    /// executed statistics (see [`dual_isa::verify`]).
     #[must_use]
-    pub fn verify(&self) -> dual_isa_verify::VerifyReport {
-        dual_isa_verify::Verifier::new(self.geometry).check_against(&self.trace, &self.stats)
+    pub fn verify(&self) -> dual_isa::verify::VerifyReport {
+        dual_isa::verify::Verifier::new(self.geometry).check_against(&self.trace, &self.stats)
     }
 }
 

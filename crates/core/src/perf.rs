@@ -578,7 +578,7 @@ impl PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dual_baseline::{Algorithm, GpuModel};
+    use crate::baseline::{Algorithm, GpuModel};
 
     fn model() -> PerfModel {
         PerfModel::new(DualConfig::paper())

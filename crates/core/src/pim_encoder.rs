@@ -331,7 +331,7 @@ mod tests {
         }
         // The encoder's instruction stream passes static verification,
         // including the exact cost cross-check.
-        use dual_isa_verify::RuntimeVerify;
+        use dual_isa::verify::RuntimeVerify;
         let report = rt.verify_trace();
         assert!(report.is_clean(), "diagnostics: {:?}", report.diagnostics);
     }

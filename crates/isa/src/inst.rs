@@ -4,8 +4,10 @@
 //! every device operation the runtime charges against the Table III
 //! cost model appears as exactly one trace entry, with fully resolved
 //! physical addressing (block / row / column), so a static pass —
-//! `dual-isa-verify` — can re-derive bounds, dataflow and cost from the
+//! [`crate::verify`] — can re-derive bounds, dataflow and cost from the
 //! trace alone.
+
+use dual_pim::cost::Op;
 
 /// Arithmetic instruction selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,6 +20,20 @@ pub enum ArithKind {
     Mul,
     /// Row-parallel (approximate) division.
     Div,
+}
+
+impl ArithKind {
+    /// The Table III operation this instruction is priced as at `bits`
+    /// wide: the one mapping the runtime charges and the verifier
+    /// re-derives.
+    pub(crate) fn op(self, bits: u32) -> Op {
+        match self {
+            Self::Add => Op::Add { bits },
+            Self::Sub => Op::Sub { bits },
+            Self::Mul => Op::Mul { bits },
+            Self::Div => Op::Div { bits },
+        }
+    }
 }
 
 /// One PIM instruction as issued through the device driver (Table I).

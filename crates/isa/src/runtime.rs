@@ -442,13 +442,7 @@ impl Runtime {
             .collect();
         let res = res?;
         self.write_values_uncosted(out, &res)?;
-        let bits = a.bits().max(b.bits()) as u32;
-        let op = match kind {
-            ArithKind::Add => Op::Add { bits },
-            ArithKind::Sub => Op::Sub { bits },
-            ArithKind::Mul => Op::Mul { bits },
-            ArithKind::Div => Op::Div { bits },
-        };
+        let op = kind.op(a.bits().max(b.bits()) as u32);
         self.stats.record(&self.cost, op);
         let al_a = self.allocation(a)?;
         let al_b = self.allocation(b)?;

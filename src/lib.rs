@@ -15,9 +15,9 @@
 //! | [`cluster`] | `dual-cluster` | hierarchical / k-means / DBSCAN over any metric |
 //! | [`pim`] | `dual-pim` | crossbar blocks, CAM search, NOR arithmetic, cost models |
 //! | [`isa`] | `dual-isa` | VLCA arrays, Table I instructions, allocator, runtime |
-//! | [`verify`] | `dual-isa-verify` | static dataflow verifier for PIM instruction traces |
+//! | [`verify`] | `dual-isa` | static dataflow verifier for PIM instruction traces |
 //! | [`core`] | `dual-core` | the accelerator: functional path + performance model |
-//! | [`baseline`] | `dual-baseline` | calibrated GPU (GTX 1080) and IMP comparators |
+//! | [`baseline`] | `dual-core` | calibrated GPU (GTX 1080) and IMP comparators |
 //! | [`data`] | `dual-data` | Table IV workload generators |
 //! | [`stream`] | `dual-stream` | backpressured streaming-clustering engine |
 //! | [`fault`] | `dual-fault` | deterministic fault injection + self-healing policies |
@@ -25,7 +25,6 @@
 //! | [`snap`] | `dual-snap` | versioned write-ahead snapshot format + replay recovery |
 //! | [`topology`] | `dual-topology` | multi-tenant topology service: quotas, fair-share scheduling, lifecycle |
 //! | [`trace`] | `dual-trace` | deterministic flight recorder, causal spans, tick-clock alerting |
-//! | [`tsne`] | `dual-tsne` | exact t-SNE for the Fig. 11 visualization |
 //!
 //! ## Quickstart
 //!
@@ -52,21 +51,20 @@
 
 #![warn(missing_docs)]
 
-pub use dual_baseline as baseline;
 pub use dual_cluster as cluster;
 pub use dual_core as core;
+pub use dual_core::baseline;
 pub use dual_data as data;
 pub use dual_fault as fault;
 pub use dual_hdc as hdc;
 pub use dual_isa as isa;
-pub use dual_isa_verify as verify;
+pub use dual_isa::verify;
 pub use dual_obs as obs;
 pub use dual_pim as pim;
 pub use dual_snap as snap;
 pub use dual_stream as stream;
 pub use dual_topology as topology;
 pub use dual_trace as trace;
-pub use dual_tsne as tsne;
 
 // Compile the README / DESIGN code fences as doctests through the
 // facade (they use the `dual::` re-export paths). The modules only

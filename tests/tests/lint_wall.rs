@@ -18,7 +18,7 @@ const CAST_AUDITED: [&str; 10] = [
     "crates/pim/src/streaming.rs",
     "crates/pim/src/variation.rs",
     "crates/core/src/perf.rs",
-    "crates/verify/src/verifier.rs",
+    "crates/isa/src/verifier.rs",
     "crates/bench/src/bin/fault_sweep.rs",
 ];
 
@@ -51,7 +51,7 @@ fn every_lib_root_denies_the_panic_lints() {
             roots += 1;
         }
     }
-    assert!(roots >= 21, "found only {roots} lib roots");
+    assert!(roots >= 18, "found only {roots} lib roots");
 }
 
 #[test]

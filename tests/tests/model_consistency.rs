@@ -2,7 +2,7 @@
 //! op-count accounting, the analytical performance model, and the
 //! ablation/scaling behaviours must agree in their overlapping regimes.
 
-use dual_baseline::{Algorithm, GpuModel, ImpModel};
+use dual_core::baseline::{Algorithm, GpuModel, ImpModel};
 use dual_core::{chip_scaling_speedup, DualConfig, PerfModel, Phase, ScalingModel};
 use dual_isa::Runtime;
 use dual_pim::{CostModel, Op};

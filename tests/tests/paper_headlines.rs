@@ -2,8 +2,8 @@
 //! (tolerances reflect that our GPU side is a calibrated analytical
 //! model — see EXPERIMENTS.md).
 
-use dual_baseline::Algorithm;
 use dual_bench::speedup_energy;
+use dual_core::baseline::Algorithm;
 use dual_core::DualConfig;
 use dual_data::Workload;
 use dual_pim::endurance::EnduranceModel;

@@ -332,7 +332,7 @@ proptest! {
     fn prop_verify_random_valid_programs_are_clean(
         ops in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..160),
     ) {
-        use dual_isa_verify::RuntimeVerify;
+        use dual_isa::verify::RuntimeVerify;
         let rt = random_valid_program(&ops);
         let report = rt.verify_trace();
         prop_assert!(
@@ -353,7 +353,7 @@ proptest! {
         kind in 0u8..5,
     ) {
         use dual_isa::Instruction;
-        use dual_isa_verify::{Geometry, Verifier};
+        use dual_isa::verify::{Geometry, Verifier};
         let rt = random_valid_program(&ops);
         let geom = Geometry::of_runtime(&rt);
         let mut trace = rt.trace().to_vec();

@@ -1,9 +1,9 @@
 //! Quality pipeline across crates: encoders × algorithms on the
 //! workload surrogates (small scales so the suite stays fast).
 
-use dual_baseline::Algorithm;
 use dual_bench::{quality, quality_dataset, BenchError, Representation, BENCH_SEED};
 use dual_cluster::ClusterError;
+use dual_core::baseline::Algorithm;
 use dual_data::Workload;
 
 #[test]
