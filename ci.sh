@@ -191,10 +191,11 @@ stage_portable() {
   export RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable
   local tmp
   tmp=$(mktemp -d)
-  echo "--- dual-snap goldens, dual-hdc kernel oracles, lazy-decay and accumulator oracles"
+  echo "--- dual-snap goldens, dual-hdc and dual-fault sense kernel oracles, lazy-decay and accumulator oracles"
   # The lazy decay's vote certificate rests on IEEE round-to-nearest
   # being monotone; dual-stream's reference tests check it on SSE2 too.
-  cargo test -q --release -p dual-snap -p dual-hdc -p dual-stream -p dual-cluster >/dev/null
+  # dual-fault's tests hold `sense_row` to the per-bit read definition.
+  cargo test -q --release -p dual-snap -p dual-hdc -p dual-fault -p dual-stream -p dual-cluster >/dev/null
   echo "--- parallel_consistency"
   cargo test -q --release -p dual-integration --test parallel_consistency >/dev/null
   echo "--- stream_throughput, fault_sweep, recovery_harness vs committed results/"

@@ -25,7 +25,7 @@
 //! `--update` rewrites the baseline from the measured values (sorted
 //! keys, fixed `{:.4}` formatting) instead of checking.
 
-use dual_bench::report::JsonObject;
+use dual_bench::report::{exit_usage, write_out, JsonObject};
 
 const STALE_FRACTION: f64 = 0.25;
 
@@ -77,31 +77,49 @@ fn to_json(metrics: &[(String, f64)]) -> String {
         .pretty()
 }
 
-fn main() {
-    let mut baseline_path: Option<String> = None;
-    let mut measured_paths: Vec<String> = Vec::new();
-    let mut update = false;
-    let mut args = std::env::args().skip(1);
+const SYNOPSIS: &str = "--baseline PATH --measured PATH... [--update]";
+
+/// The command line, its options in any order.
+#[derive(Debug, PartialEq)]
+struct Args {
+    baseline: String,
+    measured: Vec<String>,
+    update: bool,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let bad = |problem: &str| format!("bench_ratchet: {problem}\nusage: bench_ratchet {SYNOPSIS}");
+    let (mut baseline, mut measured, mut update) = (None, Vec::new(), false);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut path = || {
+            args.next()
+                .ok_or_else(|| bad(&format!("{arg} requires a path")))
+        };
         match arg.as_str() {
-            "--baseline" => baseline_path = Some(args.next().expect("--baseline requires a path")),
-            "--measured" => measured_paths.push(args.next().expect("--measured requires a path")),
+            "--baseline" => baseline = Some(path()?),
+            "--measured" => measured.push(path()?),
             "--update" => update = true,
-            other => panic!(
-                "unknown argument `{other}` (usage: bench_ratchet --baseline PATH --measured PATH... [--update])"
-            ),
+            _ => return Err(bad(&format!("unknown argument `{arg}`"))),
         }
     }
-    let baseline_path = baseline_path.expect("--baseline is required");
-    assert!(
-        !measured_paths.is_empty(),
-        "at least one --measured input is required"
-    );
+    let baseline = baseline.ok_or_else(|| bad("--baseline is required"))?;
+    if measured.is_empty() {
+        return Err(bad("at least one --measured input is required"));
+    }
+    Ok(Args {
+        baseline,
+        measured,
+        update,
+    })
+}
 
-    let mut measured: Vec<(String, f64)> = measured_paths
-        .iter()
-        .flat_map(|p| read_metrics(p))
-        .collect();
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(exit_usage);
+    let baseline_path = args.baseline;
+
+    let mut measured: Vec<(String, f64)> =
+        args.measured.iter().flat_map(|p| read_metrics(p)).collect();
     measured.sort_by(|a, b| a.0.cmp(&b.0));
     for pair in measured.windows(2) {
         assert!(
@@ -111,8 +129,8 @@ fn main() {
         );
     }
 
-    if update {
-        std::fs::write(&baseline_path, to_json(&measured)).expect("writable baseline path");
+    if args.update {
+        write_out(&baseline_path, to_json(&measured)).expect("writable baseline path");
         println!(
             "bench_ratchet: baseline {baseline_path} rewritten with {} metric(s)",
             measured.len()
@@ -177,4 +195,38 @@ fn main() {
         "\nbench_ratchet OK ({} metric(s) within the ratchet)",
         baseline.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Args, String> {
+        parse_args(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn args_take_defaults_overrides_and_reject_with_usage() {
+        let args = |measured: &[&str], update| Args {
+            baseline: "b".into(),
+            measured: measured.iter().map(|m| m.to_string()).collect(),
+            update,
+        };
+        assert_eq!(parse("--baseline b --measured m"), Ok(args(&["m"], false)));
+        let all = parse("--measured m1 --update --baseline b --measured m2");
+        assert_eq!(all, Ok(args(&["m1", "m2"], true)));
+        for bad in [
+            "",
+            "--measured m",
+            "--baseline b",
+            "--baseline",
+            "--baseline b --measured m -v",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.ends_with(&format!("usage: bench_ratchet {SYNOPSIS}")),
+                "{err}"
+            );
+        }
+    }
 }

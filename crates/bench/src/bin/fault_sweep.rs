@@ -24,7 +24,7 @@
 
 #![deny(clippy::as_conversions)]
 
-use dual_bench::report::{exit_usage, out_seed_args, JsonObject};
+use dual_bench::report::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
@@ -297,7 +297,6 @@ fn main() {
         "self-healing must not degrade mean agreement: {full} vs {off}"
     );
 
-    std::fs::create_dir_all("results").expect("can create results/");
-    std::fs::write(&out_path, to_json(seed, &cells)).expect("writable output path");
+    write_out(&out_path, to_json(seed, &cells)).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");
 }

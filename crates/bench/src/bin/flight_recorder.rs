@@ -17,7 +17,7 @@
 //! machines, reruns, `DUAL_THREADS` values, and kill/restore/replay
 //! (`ci.sh --stage trace` pins all of it).
 
-use dual_bench::report::{exit_usage, out_seed_args, JsonObject};
+use dual_bench::report::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::HdMapper;
@@ -308,7 +308,6 @@ fn main() {
         .field("trace", streams)
         .pretty();
 
-    std::fs::create_dir_all("results").expect("can create results/");
-    std::fs::write(&out_path, &out).expect("writable output path");
+    write_out(&out_path, &out).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");
 }

@@ -35,7 +35,7 @@
 //! `bench_ratchet` compares against the committed
 //! `results/bench_summary.json`.
 
-use dual_bench::report::JsonObject;
+use dual_bench::report::{exit_usage, write_out, JsonObject};
 use dual_cluster::KMeans;
 use dual_hdc::{Encoder, HdMapper};
 use dual_obs::wall::WallClock;
@@ -90,16 +90,27 @@ fn report(name: &str, base: u64, instr: u64, tol: f64) {
     );
 }
 
-fn main() {
-    let mut summary_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+/// Parse `[--summary-out PATH]` into the summary path, if any.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
+    let bad = |problem: &str| {
+        format!("obs_overhead: {problem}\nusage: obs_overhead [--summary-out PATH]")
+    };
+    let mut summary_out = None;
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if arg == "--summary-out" {
-            summary_out = Some(args.next().expect("--summary-out requires a path"));
-        } else {
-            panic!("unknown argument `{arg}` (usage: obs_overhead [--summary-out PATH])");
+        if arg != "--summary-out" {
+            return Err(bad(&format!("unknown argument `{arg}`")));
         }
+        summary_out = Some(
+            args.next()
+                .ok_or_else(|| bad("--summary-out requires a path"))?,
+        );
     }
+    Ok(summary_out)
+}
+
+fn main() {
+    let summary_out = parse_args(std::env::args().skip(1)).unwrap_or_else(exit_usage);
 
     let tol = tolerance();
     println!("obs_overhead: instrumented kernels must stay within {tol:.2} of baseline\n");
@@ -259,10 +270,29 @@ fn main() {
             .field("obs_encode_overhead", format_args!("{enc_median:.4}"))
             .field("obs_kmeans_overhead", format_args!("{km_median:.4}"))
             .pretty();
-        std::fs::write(&path, payload).expect("writable --summary-out path");
+        write_out(&path, payload).expect("writable --summary-out path");
         println!(
             "ratchet metrics written to {path}: obs_encode_overhead = {enc_median:.4}, obs_kmeans_overhead = {km_median:.4} (medians of {REPS})"
         );
     }
     println!("\nobs_overhead OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn args_take_defaults_overrides_and_reject_with_usage() {
+        let parse = |a: &str| parse_args(a.split_whitespace().map(String::from));
+        assert_eq!(parse(""), Ok(None));
+        assert_eq!(parse("--summary-out s"), Ok(Some("s".into())));
+        for bad in ["--summary-out", "--bogus", "s"] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.ends_with("usage: obs_overhead [--summary-out PATH]"),
+                "{err}"
+            );
+        }
+    }
 }

@@ -18,7 +18,7 @@
 //! byte-diffs the reports. Every JSON field is a deterministic
 //! function of `--seed` — no wall-clock leaks into the report.
 
-use dual_bench::report::{exit_usage, fnv1a64, out_seed_args, JsonObject};
+use dual_bench::report::{exit_usage, fnv1a64, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_obs::wall::WallClock;
@@ -356,7 +356,6 @@ fn main() {
         "\nall {} recovery cells reproduced their gold runs bit-for-bit",
         cells.len()
     );
-    std::fs::create_dir_all("results").expect("can create results/");
-    std::fs::write(&out_path, to_json(seed, &cells)).expect("writable output path");
+    write_out(&out_path, to_json(seed, &cells)).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");
 }

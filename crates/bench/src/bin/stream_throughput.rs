@@ -4,7 +4,8 @@
 //! -> decayed centroid update) under each backpressure policy.
 //!
 //! ```text
-//! cargo run --release -p dual-bench --bin stream_throughput [POINTS]
+//! cargo run --release -p dual-bench --bin stream_throughput -- \
+//!     [POINTS] [--report-out PATH] [--metrics-out PATH] [--summary-out PATH]
 //! ```
 //!
 //! Wall-clock throughput (points/sec) is printed to stdout only. The
@@ -21,7 +22,7 @@
 //! machine-normalized; `bench_ratchet` compares it against the
 //! committed `results/bench_summary.json`.
 
-use dual_bench::report::JsonObject;
+use dual_bench::report::{exit_usage, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_hdc::{Encoder, HdMapper};
 use dual_obs::wall::WallClock;
@@ -215,26 +216,53 @@ fn to_json(points: usize, runs: &[PolicyRun]) -> String {
         .pretty()
 }
 
-fn main() {
-    // CLI: [POINTS] [--metrics-out <path>] [--summary-out <path>]
-    // [--report-out <path>] in any order.
-    let mut points = DEFAULT_POINTS;
-    let mut metrics_out: Option<String> = None;
-    let mut summary_out: Option<String> = None;
-    let mut report_out = String::from("results/stream_throughput.json");
-    let mut args = std::env::args().skip(1);
+const SYNOPSIS: &str = "[POINTS] [--report-out PATH] [--metrics-out PATH] [--summary-out PATH]";
+
+/// The command line, its options in any order.
+#[derive(Debug, PartialEq)]
+struct Args {
+    points: usize,
+    report_out: String,
+    metrics_out: Option<String>,
+    summary_out: Option<String>,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let bad = |problem: &str| {
+        format!("stream_throughput: {problem}\nusage: stream_throughput {SYNOPSIS}")
+    };
+    let mut parsed = Args {
+        points: DEFAULT_POINTS,
+        report_out: String::from("results/stream_throughput.json"),
+        metrics_out: None,
+        summary_out: None,
+    };
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if arg == "--metrics-out" {
-            metrics_out = Some(args.next().expect("--metrics-out requires a path"));
-        } else if arg == "--summary-out" {
-            summary_out = Some(args.next().expect("--summary-out requires a path"));
-        } else if arg == "--report-out" {
-            report_out = args.next().expect("--report-out requires a path");
-        } else {
-            points = arg.parse().expect("POINTS must be a positive integer");
+        let mut path = || {
+            args.next()
+                .ok_or_else(|| bad(&format!("{arg} requires a path")))
+        };
+        match arg.as_str() {
+            "--report-out" => parsed.report_out = path()?,
+            "--metrics-out" => parsed.metrics_out = Some(path()?),
+            "--summary-out" => parsed.summary_out = Some(path()?),
+            _ => {
+                let positive = arg.parse().ok().filter(|&n| n > 0);
+                parsed.points = positive.ok_or_else(|| bad(&format!("bad POINTS `{arg}`")))?;
+            }
         }
     }
-    assert!(points > 0, "POINTS must be positive");
+    Ok(parsed)
+}
+
+fn main() {
+    let Args {
+        points,
+        report_out,
+        metrics_out,
+        summary_out,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(exit_usage);
 
     println!(
         "stream_throughput: {points} drifting {FEATURES}-feature points, dim={DIM}, k={CLUSTERS}, tick every {TICK_EVERY}\n"
@@ -289,13 +317,11 @@ fn main() {
         runs.push(run);
     }
 
-    std::fs::create_dir_all("results").expect("can create results/");
-    let json = to_json(points, &runs);
-    std::fs::write(&report_out, &json).expect("writable --report-out path");
+    write_out(&report_out, to_json(points, &runs)).expect("writable --report-out path");
     println!("\nreport written to {report_out} (deterministic fields only)");
 
     if let Some(path) = metrics_out {
-        std::fs::write(&path, metrics_json(&runs)).expect("writable --metrics-out path");
+        write_out(&path, metrics_json(&runs)).expect("writable --metrics-out path");
         println!("obs snapshot written to {path} (stable keys only)");
     }
 
@@ -305,9 +331,39 @@ fn main() {
             .field("version", 1)
             .field("stream_pipeline_over_encode", format_args!("{ratio:.4}"))
             .pretty();
-        std::fs::write(&path, payload).expect("writable --summary-out path");
+        write_out(&path, payload).expect("writable --summary-out path");
         println!(
             "ratchet metric written to {path}: stream_pipeline_over_encode = {ratio:.4} (median of {RATCHET_REPS})"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Args, String> {
+        parse_args(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn args_take_defaults_overrides_and_reject_with_usage() {
+        let defaults = parse("").unwrap();
+        assert_eq!(defaults.points, DEFAULT_POINTS);
+        assert_eq!(defaults.report_out, "results/stream_throughput.json");
+        assert_eq!((defaults.metrics_out, defaults.summary_out), (None, None));
+        let set = parse("--summary-out s 900 --metrics-out m --report-out r").unwrap();
+        assert_eq!((set.points, set.report_out.as_str()), (900, "r"));
+        assert_eq!(
+            (set.metrics_out, set.summary_out),
+            (Some("m".into()), Some("s".into()))
+        );
+        for bad in ["0", "-5", "--bogus", "--report-out", "--summary-out"] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.ends_with(&format!("usage: stream_throughput {SYNOPSIS}")),
+                "{err}"
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! timing goes to stdout only). `ci.sh --stage topology` diffs the
 //! report across thread counts and against the committed artifact.
 
-use dual_bench::report::{exit_usage, fnv1a64, out_seed_args, JsonObject};
+use dual_bench::report::{exit_usage, fnv1a64, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
@@ -466,7 +466,6 @@ fn main() {
         format_args!("{:.1}", storm.total_energy_pj)
     );
 
-    std::fs::create_dir_all("results").expect("can create results/");
-    std::fs::write(&out_path, to_json(seed, &storm, &agreements)).expect("writable output path");
+    write_out(&out_path, to_json(seed, &storm, &agreements)).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");
 }

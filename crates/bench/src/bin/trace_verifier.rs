@@ -16,7 +16,7 @@
 //! stable across machines, reruns, and `DUAL_THREADS` (the report is
 //! the `ci.sh --stage verify-isa` ratchet artifact).
 
-use dual_bench::report::{exit_usage, out_seed_args, JsonObject};
+use dual_bench::report::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_core::{DualAccelerator, DualConfig, PimEncoder};
 use dual_hdc::HdMapper;
 use dual_isa::verify::{Geometry, RuntimeVerify, Verifier, VerifyReport};
@@ -422,8 +422,7 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all("results").expect("can create results/");
-    std::fs::write(&out_path, to_json(seed, &rows, &mutations)).expect("writable output path");
+    write_out(&out_path, to_json(seed, &rows, &mutations)).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");
     assert!(
         !failed,

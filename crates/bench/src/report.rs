@@ -1,12 +1,14 @@
-//! The byte-stable JSON layout the report bins share, and their common
-//! `--out PATH --seed N` command line.
+//! The byte-stable JSON layout the report bins share, their common
+//! `--out PATH --seed N` command line, and the one way a bin writes an
+//! output file.
 //!
 //! A report is one pretty-printed object: `{`, one two-space-indented
 //! `"key": value` entry per line, arrays of one-line `{"k": v, ...}`
 //! records, `}`. Keys keep their insertion order and values arrive
 //! preformatted, so each caller keeps its own float formatting.
 
-use std::fmt;
+use std::path::Path;
+use std::{fmt, io};
 
 /// A JSON object built entry by entry: [`pretty`](Self::pretty) for a
 /// whole report, `Display` for a one-line record or nested value.
@@ -64,6 +66,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Write `contents` to `path`, creating the missing directories of
+/// its parent first, so a bin writes where its `--out` points from any
+/// working directory.
+///
+/// # Errors
+///
+/// The I/O error of creating a directory or writing the file.
+pub fn write_out(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    let path = path.as_ref();
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, contents)
+}
+
 /// Parse `[--out PATH] [--seed N]` (any order) over the defaults `out`
 /// and `seed`, for the bin named `bin`.
 ///
@@ -95,7 +112,7 @@ pub fn out_seed_args(
 }
 
 /// Print a command-line error and exit with status 2: a bin's
-/// `out_seed_args(..).unwrap_or_else(exit_usage)`.
+/// `parse_args(..).unwrap_or_else(exit_usage)`.
 pub fn exit_usage<T>(usage: String) -> T {
     eprintln!("{usage}");
     std::process::exit(2)
@@ -129,5 +146,18 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert!(err.ends_with("usage: b [--out PATH] [--seed N]"), "{err}");
         }
+    }
+
+    #[test]
+    fn write_out_creates_the_missing_parent_directories() {
+        let root =
+            std::env::temp_dir().join(format!("dual-bench-write-out-{}", std::process::id()));
+        let path = root.join("nested").join("deeper").join("report.json");
+        let _ = std::fs::remove_dir_all(&root);
+        write_out(&path, "{}\n").unwrap();
+        write_out(&path, "{\"v\": 1}\n").unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(text, "{\"v\": 1}\n", "the second write replaces the first");
     }
 }

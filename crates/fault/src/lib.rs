@@ -8,14 +8,12 @@
 //! in the functional simulation instead of only analytically:
 //!
 //! * [`FaultPlan`] — a seedable map of permanent stuck-at cells, dead
-//!   rows, endurance-driven wear surcharges, and transient variation
-//!   flips. Every draw is a pure keyed hash of
-//!   `(seed, row, col, epoch)`, never a sequential RNG, so fault
-//!   patterns are identical across thread counts and access orders
-//!   (the PR-1 determinism contract).
-//! * [`Corruptible`] — the trait the PIM structures
-//!   (`dual_pim::{cam, nor, block}`) and hypervector arrays implement
-//!   to pull a plan's permanent faults into their stored state.
+//!   rows and transient variation flips. Every draw is a pure keyed
+//!   hash of `(seed, row, col, epoch)`, never a sequential RNG, so
+//!   fault patterns are identical across thread counts and access
+//!   orders (the PR-1 determinism contract). Its per-cell
+//!   [`FaultPlan::read_bit`] and [`majority_read_bit`] define what a
+//!   read senses; they are the oracle [`sense_row`] is tested against.
 //! * [`HealingPolicy`] / [`SpareRowPool`] / [`majority_read_bit`] —
 //!   spare-row remap for dead and over-worn rows, and majority-vote
 //!   re-read that cancels transient flips.
@@ -23,9 +21,13 @@
 //!   row's permanent faults as cached word masks, and the kernel that
 //!   senses a stored row through them plus the epoch's transient flips
 //!   (raw and majority-voted), bit for bit what the per-cell
-//!   [`FaultPlan::read_bit`] / [`majority_read_bit`] definition gives.
+//!   definition gives.
 //! * [`Quarantine`] — the shard quarantine/requeue state machine the
 //!   streaming engine drives on its logical tick clock.
+//!
+//! Faults act on the read path only: storage keeps what was written,
+//! and the streaming engine senses it through a plan on every read.
+//! The crate has no dependencies.
 //!
 //! Time never enters through the wall clock: transient flips and
 //! quarantine backoffs are keyed on caller-supplied logical epochs
@@ -46,9 +48,6 @@ pub mod quarantine;
 pub mod sense;
 
 pub use heal::{majority_read_bit, HealingPolicy, SpareRowPool};
-pub use plan::{
-    corrupt_hypervector_row, Corruptible, FaultError, FaultKind, FaultPlan, FaultPlanSpec,
-    InjectionReport,
-};
+pub use plan::{FaultError, FaultPlan, FaultPlanSpec};
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineStats, ShardHealth};
 pub use sense::{sense_row, RowMasks, SenseCounts};

@@ -12,8 +12,7 @@
 //! motivation):
 //!
 //! * **stuck-at cells** — a cell permanently reads 0 or 1, drawn
-//!   per-cell at [`FaultPlanSpec::stuck_rate`] (plus any per-row wear
-//!   surcharge from [`FaultPlan::with_wear_rates`]);
+//!   per-cell at [`FaultPlanSpec::stuck_rate`];
 //! * **dead rows** — an entire word/match line is gone (driver or
 //!   select failure), drawn per-row at [`FaultPlanSpec::dead_row_rate`];
 //!   a dead row reads all-zeros;
@@ -110,7 +109,7 @@ impl FaultPlanSpec {
     }
 }
 
-/// Everything that can go wrong building or applying a fault plan.
+/// Everything that can go wrong building a fault plan or forcing a fault into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultError {
@@ -147,41 +146,10 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// The kind of a permanent fault at one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Cell permanently reads 0.
-    StuckAt0,
-    /// Cell permanently reads 1.
-    StuckAt1,
-    /// The whole row is dead (reads zeros, match line never fires).
-    DeadRow,
-}
-
-/// What an injection pass did to a piece of storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InjectionReport {
-    /// Cells covered by a permanent fault in the touched region.
-    pub cells_faulty: u64,
-    /// Stored bits whose value actually changed under the faults.
-    pub bits_corrupted: u64,
-    /// Dead rows encountered in the touched region.
-    pub rows_dead: u64,
-}
-
-impl InjectionReport {
-    /// Fold another report into this one.
-    pub fn merge(&mut self, other: InjectionReport) {
-        self.cells_faulty += other.cells_faulty;
-        self.bits_corrupted += other.bits_corrupted;
-        self.rows_dead += other.rows_dead;
-    }
-}
-
 /// A deterministic, seedable fault plan over a `rows × cols` cell array.
 ///
 /// The plan is *virtual*: it stores only the spec (plus any forced
-/// faults and per-row wear surcharges) and answers point queries by
+/// faults) and answers point queries by
 /// keyed hashing, so a plan over a full 1k×1k block costs a few dozen
 /// bytes. See the [module docs](self) for the determinism argument.
 ///
@@ -198,10 +166,6 @@ impl InjectionReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     spec: FaultPlanSpec,
-    /// Extra per-row stuck probability from endurance wear (empty when
-    /// wear is not modeled). Indexed by row; rows past the end carry no
-    /// surcharge.
-    wear_rates: Vec<f64>,
     /// Explicitly forced stuck cells (tests, targeted experiments).
     forced_stuck: BTreeMap<(usize, usize), bool>,
     /// Explicitly forced dead rows.
@@ -219,7 +183,6 @@ impl FaultPlan {
         spec.validate()?;
         Ok(Self {
             spec,
-            wear_rates: Vec::new(),
             forced_stuck: BTreeMap::new(),
             forced_dead: BTreeSet::new(),
         })
@@ -236,7 +199,6 @@ impl FaultPlan {
         assert!(rows > 0 && cols > 0, "geometry must be non-zero");
         Self {
             spec: FaultPlanSpec::clean(rows, cols),
-            wear_rates: Vec::new(),
             forced_stuck: BTreeMap::new(),
             forced_dead: BTreeSet::new(),
         }
@@ -258,33 +220,6 @@ impl FaultPlan {
     #[must_use]
     pub fn cols(&self) -> usize {
         self.spec.cols
-    }
-
-    /// Attach endurance-driven per-row stuck surcharges (e.g. from
-    /// `dual_pim::endurance::WearLeveler` write counts mapped through
-    /// the Gaussian endurance CDF). `rates[r]` adds to the base
-    /// [`FaultPlanSpec::stuck_rate`] for row `r`; the sum is clamped to
-    /// 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultError::InvalidSpec`] when any rate is outside
-    /// `[0, 1]` or more rates than rows are supplied.
-    pub fn with_wear_rates(mut self, rates: Vec<f64>) -> Result<Self, FaultError> {
-        if rates.len() > self.spec.rows {
-            return Err(FaultError::InvalidSpec {
-                name: "wear_rates",
-                reason: "more per-row rates than rows",
-            });
-        }
-        if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-            return Err(FaultError::InvalidSpec {
-                name: "wear_rates",
-                reason: "rates must be in [0, 1]",
-            });
-        }
-        self.wear_rates = rates;
-        Ok(self)
     }
 
     /// Force a stuck-at fault at one cell (targeted experiments).
@@ -340,14 +275,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// The effective stuck-at probability of row `r` (base rate plus
-    /// wear surcharge, clamped to 1).
-    #[must_use]
-    pub fn row_stuck_rate(&self, row: usize) -> f64 {
-        let wear = self.wear_rates.get(row).copied().unwrap_or(0.0);
-        (self.spec.stuck_rate + wear).min(1.0)
-    }
-
     /// The permanent stuck-at fault at `(row, col)`, if any.
     /// Out-of-range coordinates are fault-free by definition.
     #[must_use]
@@ -358,12 +285,11 @@ impl FaultPlan {
         if let Some(&bit) = self.forced_stuck.get(&(row, col)) {
             return Some(bit);
         }
-        let rate = self.row_stuck_rate(row);
-        if rate <= 0.0 {
+        if self.spec.stuck_rate <= 0.0 {
             return None;
         }
         let h = mix(self.spec.seed, SALT_STUCK, row as u64, col as u64, 0);
-        if unit(h) < rate {
+        if unit(h) < self.spec.stuck_rate {
             let v = mix(self.spec.seed, SALT_STUCK_VALUE, row as u64, col as u64, 0);
             Some(v & 1 == 1)
         } else {
@@ -384,21 +310,6 @@ impl FaultPlan {
             && unit(mix(self.spec.seed, SALT_DEAD, row as u64, 0, 0)) < self.spec.dead_row_rate
     }
 
-    /// The permanent fault at `(row, col)`, dead rows included.
-    #[must_use]
-    pub fn fault_at(&self, row: usize, col: usize) -> Option<FaultKind> {
-        if self.is_dead_row(row) {
-            return Some(FaultKind::DeadRow);
-        }
-        self.stuck_at(row, col).map(|bit| {
-            if bit {
-                FaultKind::StuckAt1
-            } else {
-                FaultKind::StuckAt0
-            }
-        })
-    }
-
     /// Whether a transient variation flip hits `(row, col)` at read
     /// `epoch`. Distinct epochs redraw independently — the property
     /// majority-vote re-read healing relies on.
@@ -414,26 +325,13 @@ impl FaultPlan {
             )) < self.spec.flip_rate
     }
 
-    /// The value a *write* of `stored` to `(row, col)` actually leaves
-    /// in the cell: dead rows hold 0, stuck cells hold their stuck
-    /// value, healthy cells hold `stored`.
-    #[must_use]
-    pub fn store_bit(&self, row: usize, col: usize, stored: bool) -> bool {
-        if self.is_dead_row(row) {
-            return false;
-        }
-        match self.stuck_at(row, col) {
-            Some(bit) => bit,
-            None => stored,
-        }
-    }
-
     /// The value a *read* of cell `(row, col)` observes at `epoch`,
-    /// given the persistently-stored value `stored`: permanent faults
-    /// override, then a transient variation flip may invert the sense.
+    /// given the persistently-stored value `stored`: a dead row reads 0
+    /// and a stuck cell its stuck value, then a transient variation
+    /// flip may invert the sense.
     #[must_use]
     pub fn read_bit(&self, row: usize, col: usize, stored: bool, epoch: u64) -> bool {
-        let persistent = self.store_bit(row, col, stored);
+        let persistent = !self.is_dead_row(row) && self.stuck_at(row, col).unwrap_or(stored);
         persistent ^ self.flips(row, col, epoch)
     }
 
@@ -474,69 +372,9 @@ impl FaultPlan {
     }
 }
 
-/// Storage that a [`FaultPlan`]'s permanent faults can be applied to —
-/// implemented by `dual_pim`'s crossbar types (`NorEngine`,
-/// `MemoryBlock`, CAM search rows) and by hypervector stores.
-///
-/// `corrupt` must be **idempotent**: re-applying the same plan leaves
-/// the storage unchanged (permanent faults are a property of the
-/// cells, not of the application count).
-pub trait Corruptible {
-    /// Apply the plan's permanent faults (stuck cells, dead rows) to
-    /// this storage, returning what was touched.
-    fn corrupt(&mut self, plan: &FaultPlan) -> InjectionReport;
-}
-
-/// Corrupt one hypervector as physical row `row` of the plan's array.
-#[must_use]
-pub fn corrupt_hypervector_row(
-    hv: &mut dual_hdc::Hypervector,
-    plan: &FaultPlan,
-    row: usize,
-) -> InjectionReport {
-    let mut report = InjectionReport::default();
-    let dim = hv.dim();
-    if plan.is_dead_row(row) {
-        report.rows_dead = 1;
-        report.cells_faulty = u64::try_from(dim.min(plan.cols())).unwrap_or(u64::MAX);
-        let bits = hv.bits_mut();
-        for c in 0..dim {
-            if bits.get(c) {
-                bits.set(c, false);
-                report.bits_corrupted += 1;
-            }
-        }
-        return report;
-    }
-    let bits = hv.bits_mut();
-    for c in 0..dim.min(plan.cols()) {
-        if let Some(stuck) = plan.stuck_at(row, c) {
-            report.cells_faulty += 1;
-            if bits.get(c) != stuck {
-                bits.set(c, stuck);
-                report.bits_corrupted += 1;
-            }
-        }
-    }
-    report
-}
-
-/// A `Vec<Hypervector>` is a row-per-vector array: vector `i` lives in
-/// physical row `i`.
-impl Corruptible for Vec<dual_hdc::Hypervector> {
-    fn corrupt(&mut self, plan: &FaultPlan) -> InjectionReport {
-        let mut report = InjectionReport::default();
-        for (row, hv) in self.iter_mut().enumerate() {
-            report.merge(corrupt_hypervector_row(hv, plan, row));
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dual_hdc::{BitVec, Hypervector};
 
     fn plan(seed: u64, stuck: f64, dead: f64, flip: f64) -> FaultPlan {
         let mut spec = FaultPlanSpec::clean(256, 256);
@@ -619,11 +457,13 @@ mod tests {
             .unwrap();
         assert_eq!(p.stuck_at(1, 2), Some(true));
         assert!(p.is_dead_row(5));
-        assert_eq!(p.fault_at(5, 0), Some(FaultKind::DeadRow));
-        assert_eq!(p.fault_at(1, 2), Some(FaultKind::StuckAt1));
-        assert_eq!(p.fault_at(0, 0), None);
-        assert!(!p.store_bit(5, 3, true), "dead rows store zeros");
-        assert!(p.store_bit(1, 2, false), "stuck-at-1 reads 1");
+        assert_eq!(p.stuck_at(0, 0), None);
+        assert!(!p.read_bit(5, 3, true, 0), "dead rows read zeros");
+        assert!(p.read_bit(1, 2, false, 0), "stuck-at-1 reads 1");
+        assert!(
+            p.read_bit(0, 0, true, 0),
+            "healthy cells read what they hold"
+        );
         assert!(p.clone().with_dead_row(9).is_err());
         assert!(p.with_stuck_cell(0, 99, false).is_err());
     }
@@ -636,44 +476,5 @@ mod tests {
         assert!(per_epoch.iter().any(|&f| !f));
         // Same epoch, same draw.
         assert_eq!(p.flips(10, 10, 5), p.flips(10, 10, 5));
-    }
-
-    #[test]
-    fn wear_rates_raise_row_fault_density() {
-        let base = plan(7, 0.01, 0.0, 0.0);
-        let worn = base.clone().with_wear_rates(vec![0.5; 128]).unwrap();
-        let worn_rows: usize = (0..128).map(|r| worn.row_fault_count(r)).sum();
-        let fresh_rows: usize = (128..256).map(|r| worn.row_fault_count(r)).sum();
-        assert!(worn_rows > fresh_rows * 5, "{worn_rows} vs {fresh_rows}");
-        assert_eq!(base.row_stuck_rate(200), 0.01);
-        assert!((worn.row_stuck_rate(0) - 0.51).abs() < 1e-12);
-        assert!(base.clone().with_wear_rates(vec![2.0]).is_err());
-        assert!(base.with_wear_rates(vec![0.0; 300]).is_err());
-    }
-
-    #[test]
-    fn corrupt_vec_is_idempotent() {
-        let mut hvs: Vec<Hypervector> = (0..32)
-            .map(|i| {
-                Hypervector::from_bitvec(BitVec::from_bits((0..128).map(|c| (c + i) % 3 == 0)))
-            })
-            .collect();
-        let clean = hvs.clone();
-        let p = plan(11, 0.05, 0.05, 0.0);
-        let first = hvs.corrupt(&p);
-        assert!(first.bits_corrupted > 0);
-        assert!(first.rows_dead > 0);
-        let after_first = hvs.clone();
-        let second = hvs.corrupt(&p);
-        assert_eq!(hvs, after_first, "idempotent");
-        assert_eq!(second.bits_corrupted, 0, "second pass changes nothing");
-        assert_eq!(second.cells_faulty, first.cells_faulty);
-        assert_ne!(hvs, clean, "faults actually landed");
-        // Dead rows read all-zero.
-        for (r, hv) in hvs.iter().enumerate() {
-            if p.is_dead_row(r) {
-                assert_eq!(hv.bits().count_ones(), 0);
-            }
-        }
     }
 }

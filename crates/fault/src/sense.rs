@@ -26,8 +26,7 @@ pub struct RowMasks {
 
 impl RowMasks {
     /// Scan row `row` of `plan` once (O(cols) `stuck_at` draws), so
-    /// forced cells, forced dead rows and wear surcharges are covered by
-    /// construction. Rows outside the plan are fault-free, as they are
+    /// forced cells and forced dead rows are covered by construction. Rows outside the plan are fault-free, as they are
     /// for the point queries.
     #[must_use]
     pub fn build(plan: &FaultPlan, row: usize) -> Self {
@@ -271,17 +270,18 @@ mod tests {
         ] {
             forced = forced.with_stuck_cell(1, col, stuck).unwrap();
         }
-        let worn = plan(8, 256, 0.001, 0.0, 5e-4)
-            .with_wear_rates(vec![0.0, 0.4, 1.0])
-            .unwrap();
+        // Dense rows: four in ten cells stuck, and every cell stuck.
+        let worn = [0.4, 1.0].map(|stuck| plan(8, 256, stuck, 0.0, 5e-4));
         for reads in READS {
             for epoch in [0, 9] {
                 assert_matches_oracle(&drawn, dead_row, 256, epoch, reads);
                 assert_matches_oracle(&drawn, dead_row, 100, epoch, reads);
                 assert_matches_oracle(&forced, 1, 130, epoch, reads);
                 assert_matches_oracle(&forced, 2, 130, epoch, reads);
-                for row in 0..3 {
-                    assert_matches_oracle(&worn, row, 256, epoch, reads);
+                for p in &worn {
+                    for row in 0..3 {
+                        assert_matches_oracle(p, row, 256, epoch, reads);
+                    }
                 }
             }
         }
@@ -305,22 +305,25 @@ mod tests {
 
     #[test]
     fn fault_count_equals_the_plan_scan_on_every_row() {
-        let p = plan(256, 256, 0.02, 0.05, 0.1)
-            .with_wear_rates(vec![0.3; 16])
-            .and_then(|p| p.with_dead_row(200))
-            .and_then(|p| p.with_stuck_cell(201, 255, true))
-            .unwrap();
-        let mut dead = 0;
-        for row in 0..256 {
-            let masks = RowMasks::build(&p, row);
-            assert_eq!(masks.fault_count(), p.row_fault_count(row), "row {row}");
-            assert_eq!(masks.is_dead(), p.is_dead_row(row), "row {row}");
-            dead += usize::from(masks.is_dead());
+        // A sparse plan, then dense ones where most or all cells are stuck.
+        for stuck in [0.02, 0.4, 1.0] {
+            let p = plan(256, 256, stuck, 0.05, 0.1)
+                .with_dead_row(200)
+                .and_then(|p| p.with_stuck_cell(201, 255, true))
+                .unwrap();
+            let mut dead = 0;
+            for row in 0..256 {
+                let masks = RowMasks::build(&p, row);
+                let ctx = format!("stuck {stuck} row {row}");
+                assert_eq!(masks.fault_count(), p.row_fault_count(row), "{ctx}");
+                assert_eq!(masks.is_dead(), p.is_dead_row(row), "{ctx}");
+                dead += usize::from(masks.is_dead());
+            }
+            assert!(
+                dead > 1,
+                "drawn dead rows are covered, not just the forced one"
+            );
         }
-        assert!(
-            dead > 1,
-            "drawn dead rows are covered, not just the forced one"
-        );
     }
 
     proptest! {

@@ -260,103 +260,6 @@ impl MemoryBlock {
             4,
         ))
     }
-
-    /// Fault-aware window search: every stored bit is read through
-    /// `plan` at `epoch` (and majority-voted over `reads` re-reads
-    /// when `reads > 1`) before the match lines are sensed. With a
-    /// fault-free plan this is exactly [`MemoryBlock::cam_hamming_window`].
-    ///
-    /// # Panics
-    ///
-    /// As [`MemoryBlock::cam_hamming_window`].
-    #[must_use]
-    pub fn cam_hamming_window_faulty(
-        &self,
-        query: &[bool],
-        start_col: usize,
-        plan: &dual_fault::FaultPlan,
-        epoch: u64,
-        reads: u32,
-    ) -> Vec<u8> {
-        assert!(
-            !query.is_empty() && query.len() <= 7,
-            "hardware windows are 1..=7 bits"
-        );
-        assert!(
-            start_col + query.len() <= self.cols(),
-            "window overruns block"
-        );
-        let w = query.len() as u32;
-        (0..self.rows())
-            .map(|r| {
-                let mismatches = query
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, &q)| {
-                        let col = start_col + k;
-                        let stored = self.engine.bit(r, col);
-                        let seen = if reads > 1 {
-                            dual_fault::majority_read_bit(plan, r, col, stored, epoch, reads)
-                        } else {
-                            plan.read_bit(r, col, stored, epoch)
-                        };
-                        seen != q
-                    })
-                    .count() as u32;
-                self.schedule
-                    .detect(self.discharge, mismatches, w)
-                    .reported()
-            })
-            .collect()
-    }
-
-    /// Fault-aware full Hamming distance: the window sweep of
-    /// [`MemoryBlock::cam_hamming_distance`] with every stored bit read
-    /// through `plan`. Window `i` reads at epoch `epoch + i` so
-    /// re-sweeps redraw transient flips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` is empty or wider than the block.
-    #[must_use]
-    pub fn cam_hamming_distance_faulty(
-        &self,
-        query: &[bool],
-        plan: &dual_fault::FaultPlan,
-        epoch: u64,
-        reads: u32,
-    ) -> (Vec<u64>, u32) {
-        assert!(!query.is_empty() && query.len() <= self.cols());
-        let mut totals = vec![0u64; self.rows()];
-        let mut windows = 0u32;
-        let mut start = 0usize;
-        while start < query.len() {
-            let end = (start + 7).min(query.len());
-            let counts = self.cam_hamming_window_faulty(
-                &query[start..end],
-                start,
-                plan,
-                epoch.wrapping_add(u64::from(windows)),
-                reads,
-            );
-            for (t, c) in totals.iter_mut().zip(counts) {
-                *t += u64::from(c);
-            }
-            windows += 1;
-            start = end;
-        }
-        (totals, windows)
-    }
-}
-
-/// Corrupting a block pulls the plan's permanent faults into the
-/// underlying [`NorEngine`] storage (dead rows zeroed, stuck cells
-/// snapped); the CAM sampling schedule and discharge model are
-/// unaffected.
-impl dual_fault::Corruptible for MemoryBlock {
-    fn corrupt(&mut self, plan: &dual_fault::FaultPlan) -> dual_fault::InjectionReport {
-        self.engine.corrupt(plan)
-    }
 }
 
 #[cfg(test)]
@@ -386,46 +289,6 @@ mod tests {
         b.write_row_bits(2, &[false; 7]);
         let q = vec![true; 7];
         assert_eq!(b.cam_hamming_window(&q, 0), vec![0, 3, 7]);
-    }
-
-    #[test]
-    fn faulty_window_matches_clean_one_under_clean_plan() {
-        use dual_fault::FaultPlan;
-        let mut b = MemoryBlock::new(3, 16);
-        b.write_row_bits(0, &[true, true, true, true, true, true, true]);
-        b.write_row_bits(1, &[true, false, true, false, true, false, true]);
-        b.write_row_bits(2, &[false; 7]);
-        let q = vec![true; 7];
-        let plan = FaultPlan::fault_free(3, 16);
-        for epoch in [0, 7, 99] {
-            assert_eq!(
-                b.cam_hamming_window_faulty(&q, 0, &plan, epoch, 1),
-                b.cam_hamming_window(&q, 0)
-            );
-        }
-        let (clean, w1) = b.cam_hamming_distance(&q);
-        let (faulty, w2) = b.cam_hamming_distance_faulty(&q, &plan, 3, 3);
-        assert_eq!((clean, w1), (faulty, w2));
-    }
-
-    #[test]
-    fn dead_row_dominates_faulty_search_and_corrupt_persists() {
-        use dual_fault::{Corruptible, FaultPlan};
-        let mut b = MemoryBlock::new(3, 16);
-        b.write_row_bits(0, &[true; 7]);
-        b.write_row_bits(1, &[true; 7]);
-        b.write_row_bits(2, &[true; 7]);
-        let plan = FaultPlan::fault_free(3, 16).with_dead_row(1).unwrap();
-        let q = vec![true; 7];
-        // Read path: the dead row reads zeros, so it mismatches fully.
-        assert_eq!(
-            b.cam_hamming_window_faulty(&q, 0, &plan, 0, 1),
-            vec![0, 7, 0]
-        );
-        // Write path: corruption makes the damage persistent.
-        let report = b.corrupt(&plan);
-        assert_eq!(report.rows_dead, 1);
-        assert_eq!(b.cam_hamming_window(&q, 0), vec![0, 7, 0]);
     }
 
     #[test]

@@ -216,58 +216,6 @@ impl WearLeveler {
         }
         endurance / rate / (365.25 * 24.0 * 3600.0)
     }
-
-    /// Per-block stuck-cell rates implied by the recorded wear: the
-    /// fraction of a block's cells expected to have failed after its
-    /// write count, for a device `endurance` (writes per cell, mean)
-    /// with relative endurance spread `sigma_frac` — the same Gaussian
-    /// wear-out tail as [`EnduranceModel::failed_fraction`], but keyed
-    /// on *observed* per-block writes instead of projected years.
-    ///
-    /// The output feeds `dual_fault::FaultPlan::with_wear_rates` (after
-    /// expansion to rows via [`WearLeveler::wear_row_rates`]), closing
-    /// the loop from the analytic lifetime model to actual injected
-    /// faults in the functional simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `endurance` or `sigma_frac` is not positive.
-    #[must_use]
-    pub fn wear_fault_rates(&self, endurance: f64, sigma_frac: f64) -> Vec<f64> {
-        assert!(endurance > 0.0, "endurance must be positive");
-        assert!(sigma_frac > 0.0, "sigma_frac must be positive");
-        self.writes
-            .iter()
-            .map(|&w| {
-                #[expect(clippy::as_conversions, reason = "wear counts ≪ 2^53, exact in f64")]
-                let z = (w as f64 / endurance - 1.0) / sigma_frac;
-                normal_cdf(z)
-            })
-            .collect()
-    }
-
-    /// [`WearLeveler::wear_fault_rates`] expanded to per-row rates:
-    /// each block's rate is repeated `rows_per_block` times, matching
-    /// the row-major layout `dual_fault::FaultPlan` expects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows_per_block == 0` (and as
-    /// [`WearLeveler::wear_fault_rates`]).
-    #[must_use]
-    pub fn wear_row_rates(
-        &self,
-        endurance: f64,
-        sigma_frac: f64,
-        rows_per_block: usize,
-    ) -> Vec<f64> {
-        assert!(rows_per_block > 0, "need at least one row per block");
-        let mut rows = Vec::with_capacity(self.writes.len() * rows_per_block);
-        for rate in self.wear_fault_rates(endurance, sigma_frac) {
-            rows.extend(std::iter::repeat_n(rate, rows_per_block));
-        }
-        rows
-    }
 }
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation

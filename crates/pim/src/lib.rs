@@ -18,7 +18,10 @@
 //! Cost accounting reproduces the paper's HSPICE/NVSim-derived anchors
 //! (Tables II and III) through [`cost::CostModel`] and
 //! [`arch::AreaPowerModel`]; [`endurance`] and [`variation`] reproduce
-//! the §VIII-H lifetime and device-variability analyses.
+//! the §VIII-H lifetime and device-variability analyses. Cells here
+//! always hold what was written: injected faults are a read-path model
+//! in the `dual-fault` crate, which the streaming engine senses its
+//! stored state through, so this crate does not depend on it.
 //!
 //! The *functional* layer operates on real bits so higher layers can
 //! verify that in-memory computation produces exactly the same results

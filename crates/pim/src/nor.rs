@@ -730,54 +730,6 @@ pub fn div_approx(numerator: u64, divisor: u64) -> u64 {
     (prod >> bit_len) as u64
 }
 
-/// Pull a fault plan's *permanent* faults into the stored array: dead
-/// rows read (and therefore now hold) zeros, stuck cells snap to their
-/// stuck value. Transient variation flips are a read-path phenomenon
-/// and are NOT applied here — see [`dual_fault::FaultPlan::read_bit`].
-///
-/// The corruption touches raw storage only: `nor_cycles`/`col_writes`
-/// cost counters are untouched, because faults are not operations the
-/// controller issued.
-impl dual_fault::Corruptible for NorEngine {
-    fn corrupt(&mut self, plan: &dual_fault::FaultPlan) -> dual_fault::InjectionReport {
-        let mut report = dual_fault::InjectionReport::default();
-        let rows = self.rows.min(plan.rows());
-        let n_cols = self.cols.len().min(plan.cols());
-        for r in 0..rows {
-            let word = r / 64;
-            let mask = 1u64 << (r % 64);
-            if plan.is_dead_row(r) {
-                report.rows_dead += 1;
-                for c in 0..n_cols {
-                    report.cells_faulty += 1;
-                    let w = &mut self.cols[c][word];
-                    if *w & mask != 0 {
-                        *w &= !mask;
-                        report.bits_corrupted += 1;
-                    }
-                }
-                continue;
-            }
-            for c in 0..n_cols {
-                if let Some(stuck) = plan.stuck_at(r, c) {
-                    report.cells_faulty += 1;
-                    let w = &mut self.cols[c][word];
-                    let current = *w & mask != 0;
-                    if current != stuck {
-                        if stuck {
-                            *w |= mask;
-                        } else {
-                            *w &= !mask;
-                        }
-                        report.bits_corrupted += 1;
-                    }
-                }
-            }
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,39 +737,6 @@ mod tests {
 
     fn engine() -> NorEngine {
         NorEngine::new(8, 256).unwrap()
-    }
-
-    #[test]
-    fn corrupt_applies_permanent_faults_without_charging_cycles() {
-        use dual_fault::{Corruptible, FaultPlan};
-        let mut e = engine();
-        for c in 0..8 {
-            e.write_bit(2, c, true);
-            e.write_bit(3, c, true);
-        }
-        e.reset_counters();
-        let plan = FaultPlan::fault_free(8, 256)
-            .with_dead_row(2)
-            .unwrap()
-            .with_stuck_cell(3, 0, false)
-            .unwrap()
-            .with_stuck_cell(3, 1, true)
-            .unwrap()
-            .with_stuck_cell(4, 5, true)
-            .unwrap();
-        let report = e.corrupt(&plan);
-        assert_eq!(report.rows_dead, 1);
-        // Dead row 2 zeroed (8 set bits), stuck-at-0 at (3,0) cleared,
-        // stuck-at-1 at (4,5) set; (3,1) already held 1.
-        assert_eq!(report.bits_corrupted, 8 + 1 + 1);
-        assert!((0..8).all(|c| !e.bit(2, c)), "dead row reads zeros");
-        assert!(!e.bit(3, 0));
-        assert!(e.bit(3, 1));
-        assert!(e.bit(4, 5));
-        assert_eq!(e.nor_cycles(), 0, "faults are not controller ops");
-        assert_eq!(e.col_writes(), 0);
-        // Idempotent: a second pass corrupts nothing new.
-        assert_eq!(e.corrupt(&plan).bits_corrupted, 0);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::error::StreamError;
 use crate::fault::{FaultConfig, FaultState, FaultStatus};
 use crate::online::OnlineKMeans;
 use crate::ring::{BackpressurePolicy, PushOutcome, Ring};
-use dual_fault::{Quarantine, SpareRowPool};
 use dual_hdc::{Encoder, Hypervector};
 use dual_obs::{Key, Registry};
 use dual_pim::endurance::WearLeveler;
@@ -312,38 +311,12 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// outside `(0, 1]`, the plan has fewer columns than the
     /// hypervector dimension, or fewer rows than `slots + spares`.
     pub fn with_fault_injection(mut self, fault: FaultConfig) -> Result<Self, StreamError> {
-        if !(fault.quarantine_threshold > 0.0 && fault.quarantine_threshold <= 1.0) {
-            return Err(StreamError::InvalidConfig {
-                name: "fault.quarantine_threshold",
-                reason: "must be in (0, 1]",
-            });
-        }
-        if fault.plan.cols() < self.encoder.dim() {
-            return Err(StreamError::InvalidConfig {
-                name: "fault.plan",
-                reason: "plan columns narrower than the hypervector dimension",
-            });
-        }
-        let slots = self.model.slots();
-        let spares = fault.policy.spares();
-        if fault.plan.rows() < slots + spares {
-            return Err(StreamError::InvalidConfig {
-                name: "fault.plan",
-                reason: "plan rows cannot hold every sub-centroid slot plus the spare pool",
-            });
-        }
-        let remap_threshold = fault.plan.cols() / 100 + 1;
-        self.fault = Some(FaultState {
-            pool: SpareRowPool::new(slots, spares),
-            quarantine: Quarantine::new(self.config.shards, fault.quarantine),
-            plan: fault.plan,
-            policy: fault.policy,
-            threshold: fault.quarantine_threshold,
-            remap_threshold,
-            masks: vec![None; slots + spares],
-            #[cfg(test)]
-            per_bit_reference: false,
-        });
+        self.fault = Some(FaultState::new(
+            fault,
+            self.encoder.dim(),
+            self.model.slots(),
+            self.config.shards,
+        )?);
         Ok(self)
     }
 
@@ -432,19 +405,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// off.
     #[must_use]
     pub fn fault_status(&self) -> Option<FaultStatus> {
-        let f = self.fault.as_ref()?;
-        Some(FaultStatus {
-            policy: f.policy.name().to_owned(),
-            reads: f.policy.reads(),
-            spares_used: f.pool.used(),
-            spares_free: f.pool.free(),
-            injected: self.obs.counter(Key::FaultInjected),
-            healed: self.obs.counter(Key::FaultHealed),
-            quarantine_trips: f.quarantine.stats().quarantined,
-            requeues: self.obs.counter(Key::FaultRequeued),
-            quarantined_now: f.quarantine.quarantined_count(),
-            dead_shards: f.quarantine.dead_count(),
-        })
+        Some(self.fault.as_ref()?.status(&self.obs))
     }
 
     /// The online clustering model.
@@ -573,17 +534,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         self.obs.tick(1);
         let now = self.batcher.now();
         if let Some(f) = self.fault.as_mut() {
-            let released = f.quarantine.tick(now);
-            if !released.is_empty() {
-                self.obs.add(Key::FaultRequeued, as_u64(released.len()));
-                self.trace.emit(
-                    now,
-                    Event::QuarantineRelease {
-                        shards: as_u64(released.len()),
-                    },
-                );
-                self.refresh_fault_gauges();
-            }
+            f.release(now, &mut self.obs, &mut self.trace);
         }
         let mut costs = Vec::new();
         while let Some(reason) = self.batcher.due(self.ring.len()) {
@@ -661,15 +612,21 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// processing, masking only the benched shards.
     fn cut_batch(&mut self, reason: CutReason) -> Result<Option<StreamBatchCost>, StreamError> {
         let force = matches!(reason, CutReason::Drain);
-        if !force && self.quarantine_active() {
-            return Ok(None);
-        }
-        // Fault path, sense stage (pre-pop): may trip a quarantine,
-        // in which case the batch defers before any point is consumed.
-        let views = self.sense_centroids();
-        if !force && self.quarantine_active() {
-            self.refresh_fault_gauges();
-            return Ok(None);
+        // Fault path, sense stage (pre-pop): a benched shard, or one
+        // this pass trips, defers the batch before any point is consumed.
+        let mut views = None;
+        if let Some(f) = self.fault.as_mut() {
+            views = f.sense_stage(
+                force,
+                &self.model,
+                self.config.shards,
+                self.batcher.now(),
+                &mut self.obs,
+                &mut self.trace,
+            );
+            if views.is_none() {
+                return Ok(None);
+            }
         }
 
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.config.max_batch);
@@ -762,7 +719,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             },
         );
         self.refresh_pim_gauges();
-        self.refresh_fault_gauges();
+        if let Some(f) = &self.fault {
+            f.refresh_gauges(&mut self.obs);
+        }
         Ok(Some(cost))
     }
 
@@ -792,102 +751,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 energy_pj: after.1 - before.1,
             },
         );
-    }
-
-    /// Whether any shard is currently benched (fault path only).
-    fn quarantine_active(&self) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.quarantine.quarantined_count() > 0)
-    }
-
-    /// Fault path, sense stage: read every stored sub-centroid through
-    /// the fault plan at the current logical epoch. Dead or badly worn
-    /// rows are first remapped into the spare pool (when the policy
-    /// provisions spares) and every bit is majority-voted over
-    /// re-reads (when it provisions them). Per-shard corrupted-bit
-    /// fractions above the quarantine threshold bench the shard; slots
-    /// of non-serving shards are masked (`None`) so assignment routes
-    /// around them.
-    ///
-    /// Returns `None` when fault injection is off. Every draw is keyed
-    /// off `(plan seed, physical row, column, epoch)` — never
-    /// iteration order — so the sense pass replays bit-identically
-    /// under any thread count.
-    fn sense_centroids(&mut self) -> Option<Vec<Option<Hypervector>>> {
-        let fault = self.fault.as_mut()?;
-        let seeded = self.model.seeded();
-        let dim = self.model.dim();
-        let epoch = self.batcher.now();
-        let ranges = dual_pool::chunk_ranges(seeded, self.config.shards);
-        let centroids = self.model.centroids();
-        let mut views: Vec<Option<Hypervector>> = Vec::with_capacity(seeded);
-        let mut shard_bad: Vec<u64> = vec![0; ranges.len()];
-        let mut injected = 0u64;
-        let mut healed = 0u64;
-        for (shard, range) in ranges.iter().enumerate() {
-            for slot in range.clone() {
-                let (seen, counts) = fault.sense_slot(slot, &centroids[slot], epoch);
-                injected += counts.injected;
-                healed += counts.healed;
-                shard_bad[shard] += counts.bad;
-                views.push(Some(seen));
-            }
-        }
-        // Trip quarantine on shards whose observed corruption exceeds
-        // the threshold, then mask every slot of a non-serving shard.
-        let mut trips = 0u64;
-        for (shard, range) in ranges.iter().enumerate() {
-            let cells = as_u64(range.len() * dim);
-            if cells == 0 {
-                continue;
-            }
-            if as_f64(shard_bad[shard]) / as_f64(cells) > fault.threshold
-                && fault.quarantine.is_serving(shard)
-            {
-                fault.quarantine.quarantine(shard, epoch);
-                self.trace.emit(
-                    epoch,
-                    Event::QuarantineTrip {
-                        shard: as_u64(shard),
-                    },
-                );
-                trips += 1;
-            }
-        }
-        for (shard, range) in ranges.iter().enumerate() {
-            if !fault.quarantine.is_serving(shard) {
-                for view in &mut views[range.clone()] {
-                    *view = None;
-                }
-            }
-        }
-        self.obs.add(Key::FaultInjected, injected);
-        self.obs.add(Key::FaultHealed, healed);
-        if injected > 0 || healed > 0 {
-            self.trace
-                .emit(epoch, Event::FaultSense { injected, healed });
-        }
-        if trips > 0 {
-            self.obs.add(Key::FaultQuarantined, trips);
-        }
-        Some(views)
-    }
-
-    /// Mirror the fault/healing state into the registry's `fault.*`
-    /// gauges (no-op when fault injection is off).
-    fn refresh_fault_gauges(&mut self) {
-        let Some(f) = &self.fault else { return };
-        self.obs
-            .gauge(Key::FaultSpareUsed, as_f64(as_u64(f.pool.used())));
-        self.obs
-            .gauge(Key::FaultSpareFree, as_f64(as_u64(f.pool.free())));
-        self.obs.gauge(
-            Key::FaultQuarantineActive,
-            as_f64(as_u64(f.quarantine.quarantined_count())),
-        );
-        self.obs
-            .gauge(Key::FaultRereadReads, f64::from(f.policy.reads()));
     }
 
     /// Mirror ring occupancy and flight-recorder counters into the

@@ -1,13 +1,20 @@
 //! Fault injection as the engine sees it: the [`FaultConfig`] a caller
 //! arms it with, the [`FaultStatus`] it exports, and the live
-//! [`FaultState`] the sense stage reads every stored sub-centroid
-//! through.
+//! [`FaultState`] that owns the engine's fault policy — validation,
+//! shard ranges, the quarantine threshold and release, masking, status
+//! and the `fault.*` gauges. The sense stage reads every stored
+//! sub-centroid through it.
 
+use crate::engine::{as_f64, as_u64};
+use crate::error::StreamError;
+use crate::online::OnlineKMeans;
 use dual_fault::{
     sense_row, FaultPlan, HealingPolicy, Quarantine, QuarantineConfig, RowMasks, SenseCounts,
     SpareRowPool,
 };
 use dual_hdc::{BitVec, Hypervector};
+use dual_obs::{Key, Registry};
+use dual_trace::{Event, Recorder};
 
 /// Fault-injection configuration of a [`crate::StreamEngine`]: the physical
 /// fault plan, the self-healing policy, and the shard quarantine
@@ -109,12 +116,181 @@ fn row_masks<'a>(masks: &'a mut [Option<RowMasks>], plan: &FaultPlan, row: usize
 }
 
 impl FaultState {
+    /// Arm `fault` on a model of `slots` sub-centroid slots of `dim`
+    /// bits split over `shards` shards: slot `s` lives in plan row `s`,
+    /// the spare pool in rows `slots .. slots + spares`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::InvalidConfig`] when the threshold is
+    /// outside `(0, 1]`, the plan has fewer columns than `dim`, or
+    /// fewer rows than `slots + spares`.
+    pub(crate) fn new(
+        fault: FaultConfig,
+        dim: usize,
+        slots: usize,
+        shards: usize,
+    ) -> Result<Self, StreamError> {
+        if !(fault.quarantine_threshold > 0.0 && fault.quarantine_threshold <= 1.0) {
+            return Err(StreamError::InvalidConfig {
+                name: "fault.quarantine_threshold",
+                reason: "must be in (0, 1]",
+            });
+        }
+        if fault.plan.cols() < dim {
+            return Err(StreamError::InvalidConfig {
+                name: "fault.plan",
+                reason: "plan columns narrower than the hypervector dimension",
+            });
+        }
+        let spares = fault.policy.spares();
+        if fault.plan.rows() < slots + spares {
+            return Err(StreamError::InvalidConfig {
+                name: "fault.plan",
+                reason: "plan rows cannot hold every sub-centroid slot plus the spare pool",
+            });
+        }
+        Ok(Self {
+            pool: SpareRowPool::new(slots, spares),
+            quarantine: Quarantine::new(shards, fault.quarantine),
+            remap_threshold: fault.plan.cols() / 100 + 1,
+            plan: fault.plan,
+            policy: fault.policy,
+            threshold: fault.quarantine_threshold,
+            masks: vec![None; slots + spares],
+            #[cfg(test)]
+            per_bit_reference: false,
+        })
+    }
+
+    /// The exported fault/healing state; the lifetime sense and requeue
+    /// counts live in the engine's registry `obs`.
+    pub(crate) fn status(&self, obs: &Registry) -> FaultStatus {
+        FaultStatus {
+            policy: self.policy.name().to_owned(),
+            reads: self.policy.reads(),
+            spares_used: self.pool.used(),
+            spares_free: self.pool.free(),
+            injected: obs.counter(Key::FaultInjected),
+            healed: obs.counter(Key::FaultHealed),
+            quarantine_trips: self.quarantine.stats().quarantined,
+            requeues: obs.counter(Key::FaultRequeued),
+            quarantined_now: self.quarantine.quarantined_count(),
+            dead_shards: self.quarantine.dead_count(),
+        }
+    }
+
+    /// Release every quarantined shard whose backoff expired by tick
+    /// `now`: their deferred work requeues (the ring held it all along).
+    pub(crate) fn release(&mut self, now: u64, obs: &mut Registry, trace: &mut Recorder) {
+        let released = self.quarantine.tick(now);
+        if !released.is_empty() {
+            obs.add(Key::FaultRequeued, as_u64(released.len()));
+            trace.emit(
+                now,
+                Event::QuarantineRelease {
+                    shards: as_u64(released.len()),
+                },
+            );
+            self.refresh_gauges(obs);
+        }
+    }
+
+    /// The sense stage of one cut, run before any point is popped: read
+    /// every stored sub-centroid of `model` through the fault plan at
+    /// `epoch`, over `shards` shards. Dead or badly worn rows are first
+    /// remapped into the spare pool (when the policy provisions spares)
+    /// and every bit is majority-voted over re-reads (when it
+    /// provisions them). Per-shard corrupted-bit fractions above the
+    /// quarantine threshold bench the shard; slots of non-serving
+    /// shards are masked (`None`) so assignment routes around them.
+    ///
+    /// Returns `None` when the batch defers: while a shard is benched,
+    /// before this pass or after it trips one. A `force`d (drain) cut
+    /// never defers and only masks the benched shards.
+    ///
+    /// Every draw is keyed off `(plan seed, physical row, column,
+    /// epoch)` — never iteration order — so the sense pass replays
+    /// bit-identically under any thread count. The `obs` adds and
+    /// `trace` events keep one fixed order: snapshot bytes and the
+    /// trace ring depend on it.
+    pub(crate) fn sense_stage(
+        &mut self,
+        force: bool,
+        model: &OnlineKMeans,
+        shards: usize,
+        epoch: u64,
+        obs: &mut Registry,
+        trace: &mut Recorder,
+    ) -> Option<Vec<Option<Hypervector>>> {
+        if !force && self.quarantine.quarantined_count() > 0 {
+            return None;
+        }
+        let centroids = model.centroids();
+        let ranges = dual_pool::chunk_ranges(centroids.len(), shards);
+        let mut views: Vec<Option<Hypervector>> = Vec::with_capacity(centroids.len());
+        let mut shard_bad: Vec<u64> = vec![0; ranges.len()];
+        let mut injected = 0u64;
+        let mut healed = 0u64;
+        for (shard, range) in ranges.iter().enumerate() {
+            for slot in range.clone() {
+                let (seen, counts) = self.sense_slot(slot, &centroids[slot], epoch);
+                injected += counts.injected;
+                healed += counts.healed;
+                shard_bad[shard] += counts.bad;
+                views.push(Some(seen));
+            }
+        }
+        // Trip quarantine on shards whose observed corruption exceeds
+        // the threshold, and mask every slot of a non-serving shard.
+        let mut trips = 0u64;
+        for (shard, range) in ranges.iter().enumerate() {
+            let cells = as_u64(range.len() * model.dim());
+            if cells > 0
+                && as_f64(shard_bad[shard]) / as_f64(cells) > self.threshold
+                && self.quarantine.is_serving(shard)
+            {
+                self.quarantine.quarantine(shard, epoch);
+                let shard = as_u64(shard);
+                trace.emit(epoch, Event::QuarantineTrip { shard });
+                trips += 1;
+            }
+            if !self.quarantine.is_serving(shard) {
+                views[range.clone()].fill(None);
+            }
+        }
+        obs.add(Key::FaultInjected, injected);
+        obs.add(Key::FaultHealed, healed);
+        if injected > 0 || healed > 0 {
+            trace.emit(epoch, Event::FaultSense { injected, healed });
+        }
+        if trips > 0 {
+            obs.add(Key::FaultQuarantined, trips);
+        }
+        if !force && self.quarantine.quarantined_count() > 0 {
+            self.refresh_gauges(obs);
+            return None;
+        }
+        Some(views)
+    }
+
+    /// Mirror the fault/healing state into `obs`'s `fault.*` gauges.
+    pub(crate) fn refresh_gauges(&self, obs: &mut Registry) {
+        obs.gauge(Key::FaultSpareUsed, as_f64(as_u64(self.pool.used())));
+        obs.gauge(Key::FaultSpareFree, as_f64(as_u64(self.pool.free())));
+        obs.gauge(
+            Key::FaultQuarantineActive,
+            as_f64(as_u64(self.quarantine.quarantined_count())),
+        );
+        obs.gauge(Key::FaultRereadReads, f64::from(self.policy.reads()));
+    }
+
     /// Sense sub-centroid `slot` at `epoch`: remap the row into the
     /// spare pool first if the policy provisions spares and the row is
     /// dead or worn past `remap_threshold`, then read `stored` through
     /// the physical row it resolves to, majority-voted over the
     /// policy's re-reads.
-    pub(crate) fn sense_slot(
+    fn sense_slot(
         &mut self,
         slot: usize,
         stored: &Hypervector,

@@ -378,10 +378,11 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// Metric ordering keeps replay byte-stable: every `snap.*` metric
     /// is updated **before** the returned bytes are encoded, so the
     /// blob carries exactly the state a restored engine must resume
-    /// with. `snap.bytes` needs a probe pass for that — a first encode
-    /// measures the blob, the gauge is set to that length, and the
-    /// state is re-encoded (a gauge is fixed-width on the wire, so the
-    /// length cannot change between the passes and the blob ends up
+    /// with. `snap.bytes` needs a probe pass for that — the state is
+    /// captured once and encoded to measure the blob, the gauge is set
+    /// to that length, live and in the captured registry, and the
+    /// capture is encoded again (a gauge is fixed-width on the wire, so
+    /// the length cannot change between the passes and the blob ends up
     /// carrying its own size).
     pub fn checkpoint(&mut self) -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -391,10 +392,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
 
     /// [`StreamEngine::checkpoint`] into a caller-owned buffer, which
     /// ends up holding exactly the blob (cleared first, allocation
-    /// reused). The probe pass and the final pass both encode in place
-    /// into `out`, so the periodic write-ahead capture — a blob of
-    /// nearly the same size every tick — allocates no wire buffer at
-    /// all once the first one has grown.
+    /// reused). The probe pass and the final pass both encode one
+    /// capture in place into `out`, so the periodic write-ahead capture
+    /// — a blob of nearly the same size every tick — allocates no wire
+    /// buffer at all once the first one has grown.
     pub(crate) fn checkpoint_into(&mut self, out: &mut Vec<u8>) {
         self.obs.add(Key::SnapCaptured, 1);
         self.obs
@@ -410,13 +411,20 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                 tick: self.batcher.now(),
             },
         );
-        // Pay every owed decay in place, so both captures below borrow
-        // the accumulators instead of settling a copy each.
+        // Pay every owed decay in place, so the capture below borrows
+        // the accumulators instead of settling a copy.
         self.model.settle();
-        self.capture().encode_into(out);
+        let mut snap = self.capture();
+        snap.encode_into(out);
         let probe = out.len();
-        self.obs.gauge(Key::SnapBytes, as_f64(as_u64(probe)));
-        self.capture().encode_into(out);
+        let bytes = as_f64(as_u64(probe));
+        self.obs.gauge(Key::SnapBytes, bytes);
+        // The probe moved the live registry by this one gauge only;
+        // captured gauges sit in slot order.
+        let (_, slot) = Key::SnapBytes.slot();
+        snap.obs.gauges[slot] = bytes.to_bits();
+        debug_assert_eq!(snap.obs, capture_obs(&self.obs), "one gauge moved");
+        snap.encode_into(out);
         debug_assert_eq!(out.len(), probe, "gauge width must not affect the length");
     }
 

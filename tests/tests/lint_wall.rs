@@ -1,6 +1,8 @@
 //! Pins the lint configuration that `cargo clippy -D warnings` enforces
 //! (DESIGN.md § "Lint policy"). Deleting one of these attributes would
 //! leave clippy green in silence, so their presence is checked here.
+//! The crate layering (DESIGN.md § 2) is pinned here too: cargo accepts
+//! any acyclic edge, so a new one would land in silence as well.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -76,4 +78,41 @@ fn clippy_toml_disallows_hash_order_and_wall_clock_types() {
             "{ty} not disallowed"
         );
     }
+}
+
+/// The crate names `crates/<dir>/Cargo.toml` lists as `[dependencies]`,
+/// in either the `[dependencies]` table or `[dependencies.<name>]` form.
+fn dependencies(dir: &str) -> Vec<String> {
+    let rel = format!("crates/{dir}/Cargo.toml");
+    let toml = fs::read_to_string(root().join(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    let mut deps = Vec::new();
+    let mut in_table = false;
+    for line in toml.lines().map(str::trim).filter(|l| !l.starts_with('#')) {
+        if line.starts_with('[') {
+            in_table = line == "[dependencies]";
+            if let Some(name) = line.strip_prefix("[dependencies.") {
+                deps.push(name.trim_end_matches(']').to_string());
+            }
+        } else if in_table && !line.is_empty() {
+            deps.push(line.split(['.', '=', ' ']).next().unwrap().to_string());
+        }
+    }
+    deps
+}
+
+#[test]
+fn leaf_crates_stay_leaves_and_pim_has_no_fault_edge() {
+    for leaf in ["fault", "obs", "snap"] {
+        assert_eq!(
+            dependencies(leaf),
+            Vec::<String>::new(),
+            "dual-{leaf} must depend on nothing"
+        );
+    }
+    let pim = dependencies("pim");
+    assert!(pim.contains(&"dual-obs".to_string()), "read {pim:?}");
+    assert!(
+        !pim.contains(&"dual-fault".to_string()),
+        "dual-pim must not depend on dual-fault: {pim:?}"
+    );
 }
