@@ -6,12 +6,9 @@ use dual_cluster::{
     hamming_lloyd_step, AgglomerativeClustering, CentroidAccumulator, CondensedMatrix, Dbscan,
     KMeans, Linkage,
 };
-use dual_core::pipeline::hamming_pipeline;
 use dual_core::DualConfig;
 use dual_hdc::{BitVec, Encoder, HdMapper};
-use dual_pim::block::MemoryBlock;
-use dual_pim::cam;
-use dual_pim::nor::NorEngine;
+use dual_pim::{nearest_search, MemoryBlock, NorEngine};
 
 fn bench_hamming(c: &mut Criterion) {
     let a: BitVec = (0..4000).map(|i| i % 3 == 0).collect();
@@ -98,14 +95,7 @@ fn bench_nearest_search(c: &mut Criterion) {
     let values: Vec<u64> = (0..4096).map(|i| (i * 2654435761u64) % 4096).collect();
     let active = vec![true; values.len()];
     c.bench_function("nearest_search_min_4096x12bit", |bench| {
-        bench.iter(|| std::hint::black_box(cam::nearest_search(&values, &active, 0, 12, 4)))
-    });
-}
-
-fn bench_pipeline_sim(c: &mut Criterion) {
-    let cfg = DualConfig::paper();
-    c.bench_function("hamming_pipeline_sim_10k_windows", |bench| {
-        bench.iter(|| std::hint::black_box(hamming_pipeline(&cfg).simulate(10_000)))
+        bench.iter(|| std::hint::black_box(nearest_search(&values, &active, 0, 12, 4)))
     });
 }
 
@@ -153,9 +143,9 @@ fn bench_parallel_pairs(c: &mut Criterion) {
 
     // Batch Hamming nearest search, 4096 candidates × 2048 bits.
     let cands: Vec<dual_hdc::Hypervector> = (0..4096)
-        .map(|i| dual_hdc::ops::random_hypervector(2048, i as u64))
+        .map(|i| dual_hdc::random_hypervector(2048, i as u64))
         .collect();
-    let query = dual_hdc::ops::random_hypervector(2048, u64::MAX);
+    let query = dual_hdc::random_hypervector(2048, u64::MAX);
     c.bench_function("hamming_nearest_4096x2048_serial", |bench| {
         bench.iter(|| std::hint::black_box(dual_hdc::search::nearest(&query, &cands)))
     });
@@ -164,10 +154,10 @@ fn bench_parallel_pairs(c: &mut Criterion) {
     // its 4 096-slot codebook, and at 128 and 256 candidates, either
     // side of the bit-sliced threshold in `dual_hdc::search`.
     let queries: Vec<dual_hdc::Hypervector> = (0..256)
-        .map(|i| dual_hdc::ops::random_hypervector(1024, u64::MAX - i))
+        .map(|i| dual_hdc::random_hypervector(1024, u64::MAX - i))
         .collect();
     let codebook: Vec<dual_hdc::Hypervector> = (0..4096)
-        .map(|i| dual_hdc::ops::random_hypervector(1024, i))
+        .map(|i| dual_hdc::random_hypervector(1024, i))
         .collect();
     for n in [4096usize, 128, 256] {
         c.bench_function(&format!("assign_batch_256x{n}_d1024"), |bench| {
@@ -190,7 +180,7 @@ fn bench_parallel_pairs(c: &mut Criterion) {
         .map(|row| dual_fault::RowMasks::build(&plan, row))
         .collect();
     let stored: Vec<dual_hdc::Hypervector> = (0..32)
-        .map(|i| dual_hdc::ops::random_hypervector(1024, i))
+        .map(|i| dual_hdc::random_hypervector(1024, i))
         .collect();
     c.bench_function("sense_32x1024_reads3", |bench| {
         let mut out = [0u64; 16];
@@ -276,7 +266,7 @@ fn bench_parallel_pairs(c: &mut Criterion) {
 /// members, and one `f64` accumulate of the decayed stream path.
 fn bench_center_update(c: &mut Criterion) {
     let points: Vec<dual_hdc::Hypervector> = (0..4000)
-        .map(|i| dual_hdc::ops::random_hypervector(4000, i))
+        .map(|i| dual_hdc::random_hypervector(4000, i))
         .collect();
     let centers: Vec<dual_hdc::Hypervector> = points.iter().step_by(500).cloned().collect();
     c.bench_function("lloyd_step_4000x4000_k8", |bench| {
@@ -301,12 +291,12 @@ fn bench_observe_batch(c: &mut Criterion) {
     let batches: Vec<Vec<dual_hdc::Hypervector>> = (0..16u64)
         .map(|b| {
             (0..256u64)
-                .map(|i| dual_hdc::ops::random_hypervector(1024, (b << 32) | i))
+                .map(|i| dual_hdc::random_hypervector(1024, (b << 32) | i))
                 .collect()
         })
         .collect();
     let seeds: Vec<dual_hdc::Hypervector> = (0..4096)
-        .map(|i| dual_hdc::ops::random_hypervector(1024, u64::MAX - i))
+        .map(|i| dual_hdc::random_hypervector(1024, u64::MAX - i))
         .collect();
     let mut model = dual_stream::OnlineKMeans::new(1024, 128, 32, 0.95, 1);
     model.seed(&seeds).expect("4096 slots");
@@ -341,7 +331,7 @@ fn bench_snapshot_encode(c: &mut Criterion) {
     cfg.trace_capacity = 256;
     let mut engine = dual_stream::StreamEngine::new(mapper, cfg).expect("valid config");
     let seeds: Vec<dual_hdc::Hypervector> = (0..32)
-        .map(|i| dual_hdc::ops::random_hypervector(1024, i))
+        .map(|i| dual_hdc::random_hypervector(1024, i))
         .collect();
     engine.seed_centroids(&seeds).expect("32 slots");
     for i in 0..1600 {
@@ -390,7 +380,6 @@ criterion_group!(
     bench_nor_adder,
     bench_nor_multiplier,
     bench_nearest_search,
-    bench_pipeline_sim,
     bench_cam_search,
     bench_linkage,
     bench_parallel_pairs,

@@ -13,8 +13,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use super::Result;
-use dual_bench::tsne::{neighbor_agreement, Tsne};
-use dual_bench::{auto_sigma, quality_dataset, BENCH_SEED};
+use dual_bench::{auto_sigma, neighbor_agreement, quality_dataset, Tsne, BENCH_SEED};
 use dual_data::Workload;
 use dual_hdc::{Encoder, HdMapper};
 

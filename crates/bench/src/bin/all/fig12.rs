@@ -13,7 +13,7 @@ use super::{table, Result};
 use dual_bench::{dual_report, geomean, mean, speedup_energy};
 use dual_core::baseline::Algorithm;
 use dual_core::DualConfig;
-use dual_data::{catalog, Workload};
+use dual_data::{workload, Workload};
 
 pub fn run(out: &mut String) -> Result {
     let cfg = DualConfig::paper();
@@ -64,7 +64,7 @@ pub fn run(out: &mut String) -> Result {
         let mut no_ic = Vec::new();
         let mut no_ctr = Vec::new();
         for w in Workload::uci() {
-            let spec = catalog::workload(w);
+            let spec = workload(w);
             let (n, m, k) = (spec.n_points, spec.n_features, spec.n_clusters);
             let base = dual_report(cfg, alg, n, m, k).time_s();
             no_ic.push(dual_report(cfg.without_interconnect(), alg, n, m, k).time_s() / base);

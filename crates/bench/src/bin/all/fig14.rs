@@ -14,7 +14,7 @@ use super::{table, Result};
 use dual_bench::dual_report;
 use dual_core::baseline::{Algorithm, GpuModel};
 use dual_core::{chip_scaling_speedup, replication_speedup, DualConfig, ScalingModel};
-use dual_data::{catalog, Workload};
+use dual_data::{workload, Workload};
 
 pub fn run(out: &mut String) -> Result {
     // ---- Fig 14a: replication parallelism --------------------------------
@@ -59,7 +59,7 @@ pub fn run(out: &mut String) -> Result {
     // (it is ~150 TB), so both process the run as a partitioned
     // schedule over the largest chunk the GPU's 8 GB memory admits;
     // the ratio of per-chunk times is then the end-to-end ratio.
-    let spec = catalog::workload(Workload::Synthetic3);
+    let spec = workload(Workload::Synthetic3);
     let chunk = (8e9_f64 / 4.0).sqrt() as usize; // ≈ 44.7k points
     let dual_chunk = dual_report(
         DualConfig::paper(),

@@ -12,7 +12,7 @@ use super::{table, Result};
 use dual_bench::{dual_report, geomean, mean};
 use dual_core::baseline::{Algorithm, GpuModel, ImpModel};
 use dual_core::{chip_scaling_speedup, DualConfig, Phase, ScalingModel};
-use dual_data::{catalog, Workload};
+use dual_data::{workload, Workload};
 
 pub fn run(out: &mut String) -> Result {
     let gpu = GpuModel::gtx_1080();
@@ -30,7 +30,7 @@ pub fn run(out: &mut String) -> Result {
         let mut dual_vs_imp = Vec::new();
         let mut imp_vs_gpu = Vec::new();
         for w in Workload::uci() {
-            let spec = catalog::workload(w);
+            let spec = workload(w);
             let (n, m, k) = (spec.n_points, spec.n_features, spec.n_clusters);
             let t_gpu = gpu.cost(alg, n, m, k, cfg.kmeans_iters).time_s();
             let t_imp = imp.cost(&gpu, alg, n, m, k, cfg.kmeans_iters).time_s();
@@ -55,7 +55,7 @@ pub fn run(out: &mut String) -> Result {
     // ---- Fig 15b: computation breakdowns ----------------------------------
     let mut rows = Vec::new();
     for alg in Algorithm::all() {
-        let spec = catalog::workload(Workload::Mnist);
+        let spec = workload(Workload::Mnist);
         let (n, m, k) = (spec.n_points, spec.n_features, spec.n_clusters);
         let g = gpu.cost(alg, n, m, k, cfg.kmeans_iters);
         let gpu_breakdown: Vec<String> = g

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use super::{table, Result};
-use dual_pim::cam::{Detection, MlDischargeModel, SamplingSchedule};
+use dual_pim::{Detection, MlDischargeModel, SamplingSchedule};
 
 pub fn run(out: &mut String) -> Result {
     let model = MlDischargeModel::paper();

@@ -9,9 +9,9 @@
 use std::fmt::Write as _;
 
 use super::{table, Result};
-use dual_pim::endurance::EnduranceModel;
-use dual_pim::variation::{max_safe_stage_bits, run_monte_carlo, MonteCarloConfig};
-use dual_pim::DeviceVariation;
+use dual_pim::{
+    max_safe_stage_bits, run_monte_carlo, DeviceVariation, EnduranceModel, MonteCarloConfig,
+};
 
 pub fn run(out: &mut String) -> Result {
     // ---- lifetime ---------------------------------------------------------

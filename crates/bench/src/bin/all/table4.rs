@@ -4,10 +4,10 @@
 use std::fmt::Write as _;
 
 use super::{table, Result};
-use dual_data::catalog;
+use dual_data::table4;
 
 pub fn run(out: &mut String) -> Result {
-    let rows: Vec<Vec<String>> = catalog::table4()
+    let rows: Vec<Vec<String>> = table4()
         .into_iter()
         .map(|spec| {
             vec![

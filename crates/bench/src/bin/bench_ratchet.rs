@@ -25,7 +25,7 @@
 //! `--update` rewrites the baseline from the measured values (sorted
 //! keys, fixed `{:.4}` formatting) instead of checking.
 
-use dual_bench::report::{exit_usage, write_out, JsonObject};
+use dual_bench::{exit_usage, write_out, JsonObject};
 
 const STALE_FRACTION: f64 = 0.25;
 
@@ -38,8 +38,9 @@ fn tolerance() -> f64 {
 
 /// Parse the flat `{"name": number}` byte-stable JSON produced by the
 /// `--summary-out` writers. Anything that is not a `"key": number`
-/// line (braces, the `version` marker) is skipped.
-fn parse_flat(text: &str, path: &str) -> Vec<(String, f64)> {
+/// line (braces, the `version` marker) is skipped; a non-numeric value
+/// is an error naming `path` and the metric.
+fn parse_flat(text: &str, path: &str) -> Result<Vec<(String, f64)>, String> {
     let mut out = Vec::new();
     for line in text.lines() {
         let line = line.trim().trim_end_matches(',');
@@ -52,18 +53,19 @@ fn parse_flat(text: &str, path: &str) -> Vec<(String, f64)> {
         if name == "version" {
             continue;
         }
-        let value: f64 = value
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{path}: metric `{name}` has a non-numeric value"));
+        let value: f64 = value.trim().parse().map_err(|_| {
+            format!("bench_ratchet: {path}: metric `{name}` has a non-numeric value")
+        })?;
         out.push((name.to_string(), value));
     }
-    out
+    Ok(out)
 }
 
-fn read_metrics(path: &str) -> Vec<(String, f64)> {
+/// Read and parse one ratchet input; an unreadable file is an error
+/// naming it.
+fn read_metrics(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read ratchet input {path}: {e}"));
+        .map_err(|e| format!("bench_ratchet: cannot read ratchet input {path}: {e}"))?;
     parse_flat(&text, path)
 }
 
@@ -118,8 +120,10 @@ fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(exit_usage);
     let baseline_path = args.baseline;
 
-    let mut measured: Vec<(String, f64)> =
-        args.measured.iter().flat_map(|p| read_metrics(p)).collect();
+    let mut measured: Vec<(String, f64)> = Vec::new();
+    for path in &args.measured {
+        measured.extend(read_metrics(path).unwrap_or_else(exit_usage));
+    }
     measured.sort_by(|a, b| a.0.cmp(&b.0));
     for pair in measured.windows(2) {
         assert!(
@@ -130,7 +134,11 @@ fn main() {
     }
 
     if args.update {
-        write_out(&baseline_path, to_json(&measured)).expect("writable baseline path");
+        write_out(&baseline_path, to_json(&measured)).unwrap_or_else(|e| {
+            exit_usage(format!(
+                "bench_ratchet: cannot write baseline {baseline_path}: {e}"
+            ))
+        });
         println!(
             "bench_ratchet: baseline {baseline_path} rewritten with {} metric(s)",
             measured.len()
@@ -139,7 +147,7 @@ fn main() {
     }
 
     let tol = tolerance();
-    let baseline = read_metrics(&baseline_path);
+    let baseline = read_metrics(&baseline_path).unwrap_or_else(exit_usage);
     println!(
         "bench_ratchet: tolerance +{:.0}% (DUAL_BENCH_TOL), stale below -{:.0}%\n",
         tol * 100.0,
@@ -228,5 +236,33 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn an_unreadable_input_is_an_error_naming_the_file() {
+        let path =
+            std::env::temp_dir().join(format!("dual-ratchet-missing-{}", std::process::id()));
+        let path = path.to_str().unwrap();
+        let err = read_metrics(path).unwrap_err();
+        assert!(
+            err.starts_with(&format!(
+                "bench_ratchet: cannot read ratchet input {path}: "
+            )),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "one line: {err}");
+    }
+
+    #[test]
+    fn a_non_numeric_value_is_an_error_naming_the_file_and_metric() {
+        let text = "{\n  \"version\": 1,\n  \"a\": 1.5,\n  \"b\": fast\n}\n";
+        assert_eq!(
+            parse_flat(text, "m.json"),
+            Err("bench_ratchet: m.json: metric `b` has a non-numeric value".into())
+        );
+        assert_eq!(
+            parse_flat(&text.replace("fast", "2"), "m.json"),
+            Ok(vec![("a".into(), 1.5), ("b".into(), 2.0)])
+        );
     }
 }

@@ -24,11 +24,11 @@
 
 #![deny(clippy::as_conversions)]
 
-use dual_bench::report::{exit_usage, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
-use dual_obs::wall::WallClock;
+use dual_obs::WallClock;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 
 const FEATURES: usize = 16;

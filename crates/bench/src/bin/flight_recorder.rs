@@ -17,12 +17,11 @@
 //! machines, reruns, `DUAL_THREADS` values, and kill/restore/replay
 //! (`ci.sh --stage trace` pins all of it).
 
-use dual_bench::report::{exit_usage, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::HdMapper;
-use dual_obs::wall::WallClock;
-use dual_obs::Key;
+use dual_obs::{Key, WallClock};
 use dual_pim::CostModel;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 use dual_topology::{QuotaSpec, TenantSpec, Topology};

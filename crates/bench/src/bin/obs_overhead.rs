@@ -26,7 +26,7 @@
 //!    stay runnable, so retry rounds interleave like pair 1.
 //!
 //! Wall-clock enters only through the lint-audited
-//! [`dual_obs::wall::WallClock`] adapter and is used purely for the
+//! [`dual_obs::WallClock`] adapter and is used purely for the
 //! pass/fail ratio — nothing here is written to `results/` unless
 //! `--summary-out PATH` is given, which records the perf-ratchet
 //! metrics `obs_kmeans_overhead` / `obs_encode_overhead`: the
@@ -35,11 +35,10 @@
 //! `bench_ratchet` compares against the committed
 //! `results/bench_summary.json`.
 
-use dual_bench::report::{exit_usage, write_out, JsonObject};
+use dual_bench::{exit_usage, write_out, JsonObject};
 use dual_cluster::KMeans;
 use dual_hdc::{Encoder, HdMapper};
-use dual_obs::wall::WallClock;
-use dual_obs::Key;
+use dual_obs::{Key, WallClock};
 use dual_stream::{StreamConfig, StreamEngine};
 use dual_trace::{AlertRule, Signal};
 

@@ -22,10 +22,10 @@
 //! machine-normalized; `bench_ratchet` compares it against the
 //! committed `results/bench_summary.json`.
 
-use dual_bench::report::{exit_usage, write_out, JsonObject};
+use dual_bench::{exit_usage, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_hdc::{Encoder, HdMapper};
-use dual_obs::wall::WallClock;
+use dual_obs::WallClock;
 use dual_pim::StreamBatchCost;
 use dual_stream::{BackpressurePolicy, StreamConfig, StreamEngine, StreamSnapshot};
 

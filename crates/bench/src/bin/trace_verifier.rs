@@ -16,7 +16,7 @@
 //! stable across machines, reruns, and `DUAL_THREADS` (the report is
 //! the `ci.sh --stage verify-isa` ratchet artifact).
 
-use dual_bench::report::{exit_usage, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_core::{DualAccelerator, DualConfig, PimEncoder};
 use dual_hdc::HdMapper;
 use dual_isa::verify::{Geometry, RuntimeVerify, Verifier, VerifyReport};
@@ -130,8 +130,8 @@ fn builtin_row_mv() -> (Runtime, &'static str) {
     (rt, "builtin:row_mv")
 }
 
-/// The Fig. 6 C–E Ward coefficient chain, inline (same shape as
-/// `DualAccelerator::ward_coefficients_on_pim`).
+/// The Fig. 6 C–E Ward coefficient chain: row-parallel size writes,
+/// sums, and divisions by the approximate divider.
 fn ward_chain() -> (Runtime, &'static str) {
     let mut rt = Runtime::with_pool(4, 128, 32).expect("geometry is valid");
     let bits = 32usize;

@@ -6,9 +6,9 @@
 //! topology, trace and ISA report harnesses. This library holds the
 //! common machinery: quality evaluation across the three encoders
 //! (none/HD-Mapper/LSH) and three algorithms, the DUAL-vs-GPU
-//! speedup/energy pipeline, plain-text table printing, the [`tsne`]
-//! embedding behind Fig. 11, and the [`report`] layout the JSON reports
-//! share.
+//! speedup/energy pipeline, plain-text table printing, the [`Tsne`]
+//! embedding behind Fig. 11, and the [`JsonObject`] layout the JSON
+//! reports share.
 //!
 //! Absolute GPU-side numbers come from the calibrated analytical model
 //! (see `dual_core::baseline`); all DUAL-side numbers are derived from the
@@ -24,8 +24,11 @@
     clippy::unreachable
 )]
 
-pub mod report;
-pub mod tsne;
+mod report;
+mod tsne;
+
+pub use report::{exit_usage, fnv1a64, out_seed_args, write_out, JsonObject};
+pub use tsne::{neighbor_agreement, Tsne};
 
 use std::fmt;
 
@@ -35,7 +38,7 @@ use dual_cluster::{
 };
 use dual_core::baseline::{Algorithm, GpuModel};
 use dual_core::{DualConfig, PerfModel, PhaseReport};
-use dual_data::{catalog, Dataset, Workload};
+use dual_data::{workload, Dataset, Workload};
 use dual_hdc::{Encoder, HdMapper, HdcError, Hypervector, LshEncoder};
 
 /// Why a quality experiment could not run.
@@ -111,12 +114,12 @@ pub fn auto_sigma(points: &[Vec<f64>]) -> f64 {
 /// Shared ε grid (multiples of the median nearest-neighbor distance)
 /// swept by every DBSCAN/chain variant, baseline and DUAL alike, so the
 /// comparison gives both sides the same tuning budget.
-pub const EPS_GRID: [f64; 8] = [0.9, 1.05, 1.2, 1.35, 1.5, 2.0, 3.0, 4.0];
+const EPS_GRID: [f64; 8] = [0.9, 1.05, 1.2, 1.35, 1.5, 2.0, 3.0, 4.0];
 
 /// Finer ε grid for the Hamming-space chain: distance concentration in
 /// HD space compresses the useful ε range into a narrow band just above
 /// the median nearest-neighbor distance.
-pub const HD_EPS_GRID: [f64; 12] = [
+const HD_EPS_GRID: [f64; 12] = [
     1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.42, 1.5, 1.7, 2.0,
 ];
 
@@ -125,7 +128,7 @@ pub const HD_EPS_GRID: [f64; 12] = [
 /// phase term, so its optimal bandwidth sits below the standard RFF
 /// median rule; like any kernel method, the bandwidth is
 /// cross-validated per dataset from this small grid.
-pub const SIGMA_GRID: [f64; 6] = [0.1, 0.15, 0.2, 0.25, 0.35, 0.5];
+const SIGMA_GRID: [f64; 6] = [0.1, 0.15, 0.2, 0.25, 0.35, 0.5];
 
 /// Encode a dataset under the chosen representation (`None` for the
 /// baseline, which keeps the raw features). For the HD-Mapper, `sigma`
@@ -134,7 +137,7 @@ pub const SIGMA_GRID: [f64; 6] = [0.1, 0.15, 0.2, 0.25, 0.35, 0.5];
 /// # Errors
 ///
 /// [`HdcError`] if the encoder rejects `dim` or the dataset's points.
-pub fn encode_dataset(
+fn encode_dataset(
     ds: &Dataset,
     repr: Representation,
     seed: u64,
@@ -147,7 +150,7 @@ pub fn encode_dataset(
 /// # Errors
 ///
 /// As [`encode_dataset`].
-pub fn encode_dataset_with_sigma(
+fn encode_dataset_with_sigma(
     ds: &Dataset,
     repr: Representation,
     seed: u64,
@@ -195,7 +198,7 @@ where
 
 /// Run one (algorithm × representation) quality experiment and return
 /// the majority-label cluster accuracy. For the HD-Mapper the kernel
-/// bandwidth is cross-validated over [`SIGMA_GRID`].
+/// bandwidth is cross-validated over `SIGMA_GRID`.
 ///
 /// # Errors
 ///
@@ -356,7 +359,7 @@ pub fn dual_report(cfg: DualConfig, alg: Algorithm, n: usize, m: usize, k: usize
 /// Table IV workload.
 #[must_use]
 pub fn speedup_energy(cfg: DualConfig, alg: Algorithm, w: Workload) -> (f64, f64) {
-    let spec = catalog::workload(w);
+    let spec = workload(w);
     let (n, m, k) = (spec.n_points, spec.n_features, spec.n_clusters);
     let dual = dual_report(cfg, alg, n, m, k);
     let gpu = GpuModel::gtx_1080().cost(alg, n, m, k, cfg.kmeans_iters);
@@ -419,7 +422,7 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 /// sizes are impractical for an O(n²·n) software hierarchical run, so
 /// quality is measured on stratified subsamples (the paper's relative
 /// quality comparisons are size-stable).
-pub const QUALITY_SCALE: f64 = 0.035;
+const QUALITY_SCALE: f64 = 0.035;
 
 /// Deterministic base seed for all benches.
 pub const BENCH_SEED: u64 = 0xD0A1;
@@ -434,7 +437,7 @@ pub const BENCH_SEED: u64 = 0xD0A1;
 /// limitation Fig. 10b-d demonstrates.
 #[must_use]
 pub fn quality_dataset(w: Workload, cap: usize) -> Dataset {
-    let spec = catalog::workload(w);
+    let spec = workload(w);
     let ds = spec.generate(QUALITY_SCALE.min(1.0), BENCH_SEED);
     ds.truncated(cap)
 }

@@ -8,7 +8,7 @@
 //! subsampled visual benchmark.
 //!
 //! ```rust
-//! use dual_bench::tsne::Tsne;
+//! use dual_bench::Tsne;
 //!
 //! // Two tight blobs must stay separated in the embedding.
 //! let mut pts = Vec::new();

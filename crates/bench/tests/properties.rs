@@ -1,7 +1,7 @@
 //! Property-based tests of the t-SNE implementation's structural
 //! invariants.
 
-use dual_bench::tsne::{neighbor_agreement, Tsne};
+use dual_bench::{neighbor_agreement, Tsne};
 use proptest::prelude::*;
 
 proptest! {

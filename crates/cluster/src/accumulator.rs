@@ -279,7 +279,7 @@ mod tests {
 
     fn members(dim: usize, n: u64) -> Vec<Hypervector> {
         (0..n)
-            .map(|m| dual_hdc::ops::random_hypervector(dim, m))
+            .map(|m| dual_hdc::random_hypervector(dim, m))
             .collect()
     }
 

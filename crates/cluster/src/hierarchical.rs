@@ -34,74 +34,6 @@ pub struct Dendrogram {
 }
 
 impl Dendrogram {
-    /// Number of original data points.
-    #[must_use]
-    pub fn n_points(&self) -> usize {
-        self.n
-    }
-
-    /// The merges in chronological order (`n - 1` of them for `n ≥ 1`).
-    #[must_use]
-    pub fn merges(&self) -> &[Merge] {
-        &self.merges
-    }
-
-    /// Flat labels obtained by refusing every merge whose linkage
-    /// distance exceeds `height` — the distance-threshold dual of
-    /// [`Dendrogram::cut`] (what a DBSCAN-style ε plays for the chain
-    /// algorithm).
-    #[must_use]
-    pub fn cut_at_height(&self, height: f64) -> Vec<usize> {
-        let applied = self
-            .merges
-            .iter()
-            .take_while(|m| m.distance <= height)
-            .count();
-        self.cut_after(applied)
-    }
-
-    /// The merge heights in chronological order (non-decreasing for the
-    /// reducible linkages this crate implements).
-    #[must_use]
-    pub fn heights(&self) -> Vec<f64> {
-        self.merges.iter().map(|m| m.distance).collect()
-    }
-
-    /// Cophenetic distance between two points: the linkage height at
-    /// which they first share a cluster (`None` if they never merge,
-    /// which cannot happen in a complete dendrogram).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is `>= n`.
-    #[must_use]
-    pub fn cophenetic(&self, i: usize, j: usize) -> Option<f64> {
-        assert!(i < self.n && j < self.n, "point index out of range");
-        if i == j {
-            return Some(0.0);
-        }
-        // Walk the merges with a union-find, stopping when i and j join.
-        let mut parent: Vec<usize> = (0..self.n + self.merges.len()).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for (t, m) in self.merges.iter().enumerate() {
-            let nid = self.n + t;
-            let ra = find(&mut parent, m.left);
-            let rb = find(&mut parent, m.right);
-            parent[ra] = nid;
-            parent[rb] = nid;
-            if find(&mut parent, i) == find(&mut parent, j) {
-                return Some(m.distance);
-            }
-        }
-        None
-    }
-
     fn cut_after(&self, applied: usize) -> Vec<usize> {
         if self.n == 0 {
             return Vec::new();
@@ -294,19 +226,13 @@ impl AgglomerativeClustering {
         }
     }
 
-    /// The linkage criterion used for the fit.
-    #[must_use]
-    pub fn linkage(&self) -> Linkage {
-        self.linkage
-    }
-
-    /// The merge history.
-    #[must_use]
-    pub fn dendrogram(&self) -> &Dendrogram {
-        &self.dendrogram
-    }
-
-    /// Flat labels for `k` clusters; see [`Dendrogram::cut`].
+    /// Flat cluster labels obtained by stopping the agglomeration when
+    /// `k` clusters remain. Labels are `0..k'` in order of first
+    /// appearance, where `k' = min(k, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` and `n > 0`.
     #[must_use]
     pub fn cut(&self, k: usize) -> Vec<usize> {
         self.dendrogram.cut(k)
@@ -363,10 +289,10 @@ mod tests {
     fn dendrogram_has_n_minus_one_merges() {
         let pts = two_blobs();
         let model = AgglomerativeClustering::fit(&pts, Linkage::Average, euclidean);
-        assert_eq!(model.dendrogram().merges().len(), 5);
-        assert_eq!(model.dendrogram().n_points(), 6);
+        assert_eq!(model.dendrogram.merges.len(), 5);
+        assert_eq!(model.dendrogram.n, 6);
         // Final merge contains all points.
-        assert_eq!(model.dendrogram().merges().last().unwrap().size, 6);
+        assert_eq!(model.dendrogram.merges.last().unwrap().size, 6);
     }
 
     #[test]
@@ -418,12 +344,7 @@ mod tests {
                 euclidean
             };
             let model = AgglomerativeClustering::fit(&pts, linkage, dist);
-            let ds: Vec<f64> = model
-                .dendrogram()
-                .merges()
-                .iter()
-                .map(|m| m.distance)
-                .collect();
+            let ds: Vec<f64> = model.dendrogram.merges.iter().map(|m| m.distance).collect();
             for w in ds.windows(2) {
                 assert!(w[1] >= w[0] - 1e-9, "{linkage:?}: {ds:?}");
             }
@@ -434,7 +355,7 @@ mod tests {
     fn ward_merges_tight_pair_first() {
         let pts = vec![vec![0.0], vec![0.1], vec![10.0], vec![20.0]];
         let model = AgglomerativeClustering::fit(&pts, Linkage::Ward, squared_euclidean);
-        let first = model.dendrogram().merges()[0];
+        let first = model.dendrogram.merges[0];
         assert_eq!(
             (first.left.min(first.right), first.left.max(first.right)),
             (0, 1)
@@ -451,7 +372,7 @@ mod tests {
         let pts = [0.0_f64, 4.0, 9.0];
         let m = CondensedMatrix::from_points(&pts, |a, b| (a - b) * (a - b));
         let unweighted = AgglomerativeClustering::fit_precomputed(&m, Linkage::Ward);
-        let first = unweighted.dendrogram().merges()[0];
+        let first = unweighted.dendrogram.merges[0];
         assert_eq!(
             (first.left.min(first.right), first.left.max(first.right)),
             (0, 1)
@@ -461,7 +382,7 @@ mod tests {
             Some(&[1000, 1, 1]),
             Linkage::Ward,
         );
-        let first = weighted.dendrogram().merges()[0];
+        let first = weighted.dendrogram.merges[0];
         assert_eq!(
             (first.left.min(first.right), first.left.max(first.right)),
             (1, 2),
@@ -474,70 +395,6 @@ mod tests {
     fn weighted_fit_rejects_wrong_length() {
         let m = CondensedMatrix::zeros(3);
         let _ = AgglomerativeClustering::fit_precomputed_weighted(&m, Some(&[1, 2]), Linkage::Ward);
-    }
-
-    #[test]
-    fn cut_at_height_matches_threshold_semantics() {
-        let pts: Vec<Vec<f64>> = [0.0, 0.2, 5.0, 5.3, 20.0]
-            .iter()
-            .map(|&x| vec![x])
-            .collect();
-        let model = AgglomerativeClustering::fit(&pts, Linkage::Single, euclidean);
-        // Height 1.0 admits only the two tight pairs.
-        let labels = model.dendrogram().cut_at_height(1.0);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_ne!(labels[4], labels[0]);
-        // Height ∞ gives one cluster, height < min merges none.
-        assert!(model
-            .dendrogram()
-            .cut_at_height(1e12)
-            .iter()
-            .all(|&l| l == 0));
-        let all = model.dendrogram().cut_at_height(0.01);
-        let mut uniq = all.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 5);
-    }
-
-    #[test]
-    fn cophenetic_distances_reflect_merge_order() {
-        let pts: Vec<Vec<f64>> = [0.0, 0.2, 5.0].iter().map(|&x| vec![x]).collect();
-        let model = AgglomerativeClustering::fit(&pts, Linkage::Single, euclidean);
-        let d = model.dendrogram();
-        assert_eq!(d.cophenetic(0, 0), Some(0.0));
-        let close = d.cophenetic(0, 1).unwrap();
-        let far = d.cophenetic(0, 2).unwrap();
-        assert!(close < far, "{close} vs {far}");
-        assert!((close - 0.2).abs() < 1e-12);
-        // Heights are monotone for reducible linkages.
-        let hs = d.heights();
-        assert!(hs.windows(2).all(|w| w[1] >= w[0] - 1e-12));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn prop_cut_at_height_is_monotone_coarsening(
-            xs in proptest::collection::vec(-50.0f64..50.0, 2..20),
-            h in 0.0f64..100.0,
-        ) {
-            let pts: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
-            let model = AgglomerativeClustering::fit(&pts, Linkage::Single, euclidean);
-            let lo = model.dendrogram().cut_at_height(h);
-            let hi = model.dendrogram().cut_at_height(h * 2.0 + 1.0);
-            // Every pair together at the lower height stays together at
-            // the higher height (refinement order).
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    if lo[i] == lo[j] {
-                        prop_assert_eq!(hi[i], hi[j]);
-                    }
-                }
-            }
-        }
     }
 
     proptest! {
@@ -568,7 +425,7 @@ mod tests {
             let pts: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
             let fast = AgglomerativeClustering::fit(&pts, Linkage::Complete, euclidean);
             let naive = naive_reference(&pts, Linkage::Complete);
-            let fd: Vec<f64> = fast.dendrogram().merges().iter().map(|m| m.distance).collect();
+            let fd: Vec<f64> = fast.dendrogram.merges.iter().map(|m| m.distance).collect();
             prop_assert_eq!(fd.len(), naive.len());
             for (a, b) in fd.iter().zip(&naive) {
                 prop_assert!((a - b).abs() < 1e-9);
@@ -634,12 +491,7 @@ mod tests {
         for linkage in Linkage::all() {
             let fast = AgglomerativeClustering::fit(&pts, linkage, euclidean);
             let naive = naive_reference(&pts, linkage);
-            let fd: Vec<f64> = fast
-                .dendrogram()
-                .merges()
-                .iter()
-                .map(|m| m.distance)
-                .collect();
+            let fd: Vec<f64> = fast.dendrogram.merges.iter().map(|m| m.distance).collect();
             assert_eq!(fd.len(), naive.len());
             for (a, b) in fd.iter().zip(&naive) {
                 assert!((a - b).abs() < 1e-9, "{linkage:?}: {fd:?} vs {naive:?}");

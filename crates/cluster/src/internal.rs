@@ -53,70 +53,6 @@ where
     total / n as f64
 }
 
-/// Davies–Bouldin index (lower is better, ≥ 0): the mean over clusters
-/// of the worst ratio of within-cluster scatter sums to between-center
-/// distance. Euclidean-specific (uses centroids).
-///
-/// # Panics
-///
-/// Panics if `labels.len() != points.len()` or points are ragged.
-#[must_use]
-pub fn davies_bouldin(points: &[Vec<f64>], labels: &[usize]) -> f64 {
-    assert_eq!(points.len(), labels.len(), "length mismatch");
-    let n = points.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let m = points[0].len();
-    let k = labels.iter().copied().max().map_or(0, |x| x + 1);
-    let mut centroids = vec![vec![0.0f64; m]; k];
-    let mut sizes = vec![0usize; k];
-    for (p, &l) in points.iter().zip(labels) {
-        sizes[l] += 1;
-        for (c, x) in centroids[l].iter_mut().zip(p) {
-            *c += x;
-        }
-    }
-    for (c, &s) in centroids.iter_mut().zip(&sizes) {
-        if s > 0 {
-            c.iter_mut().for_each(|v| *v /= s as f64);
-        }
-    }
-    let dist = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    };
-    let mut scatter = vec![0.0f64; k];
-    for (p, &l) in points.iter().zip(labels) {
-        scatter[l] += dist(p, &centroids[l]);
-    }
-    for (s, &c) in scatter.iter_mut().zip(&sizes) {
-        if c > 0 {
-            *s /= c as f64;
-        }
-    }
-    let live: Vec<usize> = (0..k).filter(|&c| sizes[c] > 0).collect();
-    if live.len() < 2 {
-        return 0.0;
-    }
-    let mut db = 0.0f64;
-    for &i in &live {
-        let worst = live
-            .iter()
-            .filter(|&&j| j != i)
-            .map(|&j| {
-                let sep = dist(&centroids[i], &centroids[j]).max(f64::EPSILON);
-                (scatter[i] + scatter[j]) / sep
-            })
-            .fold(0.0f64, f64::max);
-        db += worst;
-    }
-    db / live.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,21 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn davies_bouldin_prefers_the_true_partition() {
-        let (pts, good, bad) = two_blobs();
-        let d_good = davies_bouldin(&pts, &good);
-        let d_bad = davies_bouldin(&pts, &bad);
-        assert!(d_good < 0.2, "good partition: {d_good}");
-        assert!(d_bad > d_good);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let pts = vec![vec![0.0]];
         assert_eq!(silhouette(&pts, &[0], euclidean), 0.0);
-        assert_eq!(davies_bouldin(&pts, &[0]), 0.0);
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert_eq!(davies_bouldin(&empty, &[]), 0.0);
     }
 
     #[test]

@@ -642,7 +642,7 @@ mod tests {
     fn lloyd_step_matches_the_accumulator_oracle_for_every_thread_count() {
         for d in [1, 63, 64, 65, 200] {
             let mut points = binary_blobs(d);
-            points.extend((0..40).map(|i| dual_hdc::ops::random_hypervector(d, i)));
+            points.extend((0..40).map(|i| dual_hdc::random_hypervector(d, i)));
             // Live centers, then a duplicate that never wins a tie
             // against the lower index: `centers` is wider than the
             // points' occupancy.

@@ -56,8 +56,8 @@ mod quality;
 pub use accumulator::CentroidAccumulator;
 pub use dbscan::{Dbscan, DbscanResult, NnChainClustering, NOISE};
 pub use error::ClusterError;
-pub use hierarchical::{AgglomerativeClustering, Dendrogram, Merge};
-pub use internal::{davies_bouldin, silhouette};
+pub use hierarchical::AgglomerativeClustering;
+pub use internal::silhouette;
 pub use kmeans::{hamming_lloyd_step, HammingKMeans, HammingKMeansResult, KMeans, KMeansResult};
 pub use linkage::Linkage;
 pub use pairwise::CondensedMatrix;

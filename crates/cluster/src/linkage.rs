@@ -44,30 +44,10 @@ impl Linkage {
         }
     }
 
-    /// The three Ward coefficients `(C₁, C₂, C₃)` — exposed separately
-    /// because the PIM mapping materializes them in their own memory
-    /// columns before the multiply/add chain (Fig. 6 steps C–E).
-    #[must_use]
-    pub fn ward_coefficients(s_i: f64, s_j: f64, s_k: f64) -> (f64, f64, f64) {
-        let s = s_i + s_j + s_k;
-        ((s_i + s_k) / s, (s_j + s_k) / s, s_k / s)
-    }
-
     /// All four linkages, for sweeps.
     #[must_use]
     pub fn all() -> [Self; 4] {
         [Self::Single, Self::Complete, Self::Average, Self::Ward]
-    }
-
-    /// Short lowercase name (for benchmark tables).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Single => "single",
-            Self::Complete => "complete",
-            Self::Average => "average",
-            Self::Ward => "ward",
-        }
     }
 }
 
@@ -86,14 +66,6 @@ mod tests {
     fn average_weights_by_size() {
         // 3 points at distance 1, 1 point at distance 5 -> (3·1+1·5)/4 = 2
         assert_eq!(Linkage::Average.update(1.0, 5.0, 9.0, 3.0, 1.0, 2.0), 2.0);
-    }
-
-    #[test]
-    fn ward_coefficients_sum_consistency() {
-        let (c1, c2, c3) = Linkage::ward_coefficients(2.0, 3.0, 4.0);
-        // C1 + C2 - C3 = 1 always: merged-to-k distance of coincident
-        // clusters reproduces the common distance.
-        assert!((c1 + c2 - c3 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -142,14 +114,6 @@ mod tests {
             let avg = Linkage::Average.update(d_ik, d_jk, 0.0, s_i, s_j, 1.0);
             prop_assert!(avg >= d_ik.min(d_jk) - 1e-9);
             prop_assert!(avg <= d_ik.max(d_jk) + 1e-9);
-        }
-
-        #[test]
-        fn prop_ward_coefficient_identity(s_i in 1.0f64..100.0, s_j in 1.0f64..100.0,
-                                          s_k in 1.0f64..100.0) {
-            let (c1, c2, c3) = Linkage::ward_coefficients(s_i, s_j, s_k);
-            prop_assert!((c1 + c2 - c3 - 1.0).abs() < 1e-9);
-            prop_assert!(c1 > 0.0 && c2 > 0.0 && c3 > 0.0);
         }
     }
 }

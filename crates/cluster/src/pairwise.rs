@@ -98,18 +98,6 @@ impl CondensedMatrix {
         self.n
     }
 
-    /// Number of stored (unordered-pair) entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when no pairs exist (`n < 2`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Distance between points `i` and `j` (order-insensitive; the
     /// diagonal is implicitly zero).
     ///
@@ -210,8 +198,8 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert!(CondensedMatrix::zeros(0).is_empty());
-        assert!(CondensedMatrix::zeros(1).is_empty());
+        assert!(CondensedMatrix::zeros(0).data.is_empty());
+        assert!(CondensedMatrix::zeros(1).data.is_empty());
         assert_eq!(CondensedMatrix::zeros(1).get(0, 0), 0.0);
     }
 

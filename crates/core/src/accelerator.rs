@@ -15,7 +15,7 @@ use dual_cluster::{AgglomerativeClustering, CondensedMatrix, Linkage};
 use dual_hdc::{majority_bundle, Encoder, HdMapper, Hypervector};
 use dual_isa::verify::Geometry;
 use dual_isa::{Instruction, IsaError, Runtime, Vlca};
-use dual_pim::stats::EnergyStats;
+use dual_pim::EnergyStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -360,68 +360,6 @@ impl DualAccelerator {
         }
         Ok(DualClusteringOutcome::from_run(labels, &rt))
     }
-
-    /// Demonstrate the in-memory Ward coefficient computation (Fig. 6
-    /// steps C–E): sizes are written row-parallel, summed, and divided
-    /// by the PIM's approximate divider. Returns `(C₁, C₂, C₃)` scaled
-    /// by `2^frac_bits`, as the hardware's fixed-point columns hold
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates PIM-runtime errors.
-    pub fn ward_coefficients_on_pim(
-        &self,
-        s_i: u64,
-        s_j: u64,
-        s_k: &[u64],
-        frac_bits: u32,
-    ) -> Result<Vec<(u64, u64, u64)>, IsaError> {
-        let n = s_k.len();
-        let mut rt = Runtime::with_pool(n.max(1), 128, 32)?;
-        let bits = 32usize;
-        let col_si = rt.alloc(bits, n)?;
-        let col_sj = rt.alloc(bits, n)?;
-        let col_sk = rt.alloc(bits, n)?;
-        // Row-parallel broadcast writes of the merged sizes (Fig 6, C).
-        rt.write_values(&col_si, &vec![s_i << frac_bits; n])?;
-        rt.write_values(&col_sj, &vec![s_j << frac_bits; n])?;
-        rt.write_values(
-            &col_sk,
-            &s_k.iter().map(|&v| v << frac_bits).collect::<Vec<_>>(),
-        )?;
-        // X = s_i + s_k, Y = s_j + s_k, Z = s_i + s_j + s_k (Fig 6, D).
-        let x = rt.alloc(bits, n)?;
-        let y = rt.alloc(bits, n)?;
-        let z = rt.alloc(bits, n)?;
-        rt.add(&col_si, &col_sk, &x)?;
-        rt.add(&col_sj, &col_sk, &y)?;
-        rt.add(&x, &col_sj, &z)?;
-        // Coefficients by row-parallel division (Fig 6, E). The divisor
-        // uses the raw (unscaled) Z so quotients stay in fixed point.
-        let z_raw = rt.alloc(bits, n)?;
-        rt.write_values(
-            &z_raw,
-            &s_k.iter().map(|&v| s_i + s_j + v).collect::<Vec<_>>(),
-        )?;
-        let c1 = rt.alloc(bits, n)?;
-        let c2 = rt.alloc(bits, n)?;
-        let c3 = rt.alloc(bits, n)?;
-        rt.div(&x, &z_raw, &c1)?;
-        rt.div(&y, &z_raw, &c2)?;
-        rt.div(&col_sk, &z_raw, &c3)?;
-        let (v1, v2, v3) = (
-            rt.read_values(&c1)?,
-            rt.read_values(&c2)?,
-            rt.read_values(&c3)?,
-        );
-        Ok(v1
-            .into_iter()
-            .zip(v2)
-            .zip(v3)
-            .map(|((a, b), c)| (a, b, c))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -528,30 +466,5 @@ mod tests {
         // The empty outcome carries the empty geometry and trace, which
         // trivially verify.
         assert!(a.fit_dbscan(&[], 0.1).unwrap().verify().is_clean());
-    }
-
-    #[test]
-    fn ward_coefficients_on_pim_are_close_and_ordered() {
-        let a = accel();
-        let s_k = vec![1u64, 2, 3, 10];
-        let frac = 8u32;
-        let got = a.ward_coefficients_on_pim(2, 3, &s_k, frac).unwrap();
-        for (row, &(c1, c2, c3)) in got.iter().enumerate() {
-            let sk = s_k[row] as f64;
-            let s = 2.0 + 3.0 + sk;
-            let scale = f64::from(1u32 << frac);
-            let t1 = (2.0 + sk) / s * scale;
-            let t2 = (3.0 + sk) / s * scale;
-            let t3 = sk / s * scale;
-            // The PIM divider underestimates by ≤ ~26%, uniformly across
-            // the three coefficients (same divisor), preserving order.
-            assert!(
-                c1 as f64 <= t1 + 1.0 && c1 as f64 >= 0.70 * t1 - 1.0,
-                "c1 {c1} vs {t1}"
-            );
-            assert!(c2 as f64 <= t2 + 1.0 && c2 as f64 >= 0.70 * t2 - 1.0);
-            assert!(c3 as f64 <= t3 + 1.0 && c3 as f64 >= 0.70 * t3 - 1.0);
-            assert!(c1 >= c3 && c2 >= c3);
-        }
     }
 }

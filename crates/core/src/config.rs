@@ -1,10 +1,6 @@
 //! Accelerator configuration.
 
-use dual_pim::arch::ChipConfig;
-use dual_pim::cost::CostModel;
-use dual_pim::device::DeviceVariation;
-use dual_pim::interconnect::Interconnect;
-use dual_pim::tile::CounterMode;
+use dual_pim::{ChipConfig, CostModel, CounterMode, DeviceVariation, Interconnect};
 
 /// Full configuration of a DUAL deployment: chip geometry, encoding
 /// dimensionality, arithmetic precisions, ablation switches and
@@ -160,7 +156,7 @@ mod tests {
         assert_eq!(c.dim, 2000);
         assert_eq!(c.copies, 4);
         assert_eq!(c.total_blocks(), 16 * 16384);
-        assert_eq!(c.counters, dual_pim::tile::CounterMode::Disabled);
+        assert_eq!(c.counters, dual_pim::CounterMode::Disabled);
         // Degenerate values clamp.
         assert_eq!(DualConfig::paper().with_copies(0).copies, 1);
     }

@@ -54,7 +54,6 @@ mod parallel;
 mod partition;
 mod perf;
 mod pim_encoder;
-pub mod pipeline;
 
 pub mod baseline {
     //! GPU and IMP comparison models.
@@ -84,20 +83,12 @@ pub mod baseline {
     pub use crate::imp::ImpModel;
 }
 
-/// Deterministic scoped-thread chunking — the parallel execution layer
-/// the workspace's hot kernels run on. Re-export of [`dual_pool`]; see
-/// that crate for the determinism contract (`bit-identical results for
-/// any thread count`) and the `DUAL_THREADS` override.
-pub mod pool {
-    pub use dual_pool::*;
-}
-
 pub use accelerator::{DualAccelerator, DualClusteringOutcome};
 pub use config::DualConfig;
 pub use parallel::{chip_scaling_speedup, replication_speedup, ScalingModel};
 pub use partition::{
-    hierarchical_capacity, partition_quality_retention, partitioned_cost, partitioned_hierarchical,
-    plan as partition_plan, PartitionPlan,
+    hierarchical_capacity, partitioned_cost, partitioned_hierarchical, plan as partition_plan,
+    PartitionPlan,
 };
 pub use perf::{PerfModel, Phase, PhaseReport};
 pub use pim_encoder::PimEncoder;

@@ -13,7 +13,7 @@
 //! iso-area comparison) live here.
 
 use crate::{DualConfig, PerfModel, PhaseReport};
-use dual_cluster::{cluster_accuracy, hamming, AgglomerativeClustering, CondensedMatrix, Linkage};
+use dual_cluster::{hamming, AgglomerativeClustering, CondensedMatrix, Linkage};
 use dual_hdc::{majority_bundle, HdcError, Hypervector};
 
 /// The largest point count whose full `n × n` distance matrix fits the
@@ -139,29 +139,10 @@ pub fn partitioned_hierarchical(
     Ok(member_rep.iter().map(|&r| global[r]).collect())
 }
 
-/// Quality retention of the partitioned scheme vs the monolithic run on
-/// the same encoded points (diagnostic used by tests and benches).
-///
-/// # Errors
-///
-/// As [`partitioned_hierarchical`].
-pub fn partition_quality_retention(
-    encoded: &[Hypervector],
-    truth: &[usize],
-    k: usize,
-    partition_size: usize,
-) -> Result<(f64, f64), HdcError> {
-    let mono = AgglomerativeClustering::fit(encoded, Linkage::Ward, hamming).cut(k);
-    let part = partitioned_hierarchical(encoded, k, partition_size)?;
-    Ok((
-        cluster_accuracy(&mono, truth),
-        cluster_accuracy(&part, truth),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dual_cluster::cluster_accuracy;
     use dual_hdc::{Encoder, HdMapper};
 
     #[test]
@@ -224,7 +205,9 @@ mod tests {
     #[test]
     fn partitioned_run_preserves_quality_on_separated_blobs() {
         let (encoded, truth) = encoded_blobs();
-        let (mono, part) = partition_quality_retention(&encoded, &truth, 3, 20).unwrap();
+        let mono = AgglomerativeClustering::fit(&encoded, Linkage::Ward, hamming).cut(3);
+        let mono = cluster_accuracy(&mono, &truth);
+        let part = cluster_accuracy(&partitioned_hierarchical(&encoded, 3, 20).unwrap(), &truth);
         assert!(mono > 0.95, "monolithic {mono}");
         assert!(part > 0.9, "partitioned {part}");
     }

@@ -37,9 +37,7 @@
 #![deny(clippy::as_conversions)]
 
 use crate::config::DualConfig;
-use dual_pim::cost::Op;
-use dual_pim::stats::EnergyStats;
-use dual_pim::tile::CounterMode;
+use dual_pim::{CounterMode, EnergyStats, Op};
 
 /// A geometry size or count (rows, columns, dims, windows, blocks,
 /// points, copies, iterations) as `f64`, the model's one integer-to-float
@@ -145,28 +143,6 @@ impl PhaseReport {
         other.phases.append(&mut self.phases);
         other
     }
-
-    /// Export this report into the observability gauges: per-stage
-    /// modeled latency (`phase.<stage>.time_ns`) and energy
-    /// (`phase.<stage>.energy_pj`). Repeated phases accumulate before
-    /// the (last-write-wins) gauges are set, so the export is
-    /// independent of how the report was composed.
-    pub fn record_gauges(&self, obs: dual_obs::Obs<'_>) {
-        if !obs.enabled() {
-            return;
-        }
-        let mut time = [0.0f64; dual_obs::Stage::ALL.len()];
-        let mut energy = [0.0f64; dual_obs::Stage::ALL.len()];
-        for (phase, stats) in &self.phases {
-            let i = phase.stage().index();
-            time[i] += stats.time_ns();
-            energy[i] += stats.energy_pj();
-        }
-        for stage in dual_obs::Stage::ALL {
-            obs.gauge(dual_obs::Key::PhaseTimeNs(stage), time[stage.index()]);
-            obs.gauge(dual_obs::Key::PhaseEnergyPj(stage), energy[stage.index()]);
-        }
-    }
 }
 
 /// The analytical model, parameterized by a [`DualConfig`].
@@ -180,12 +156,6 @@ impl PerfModel {
     #[must_use]
     pub fn new(cfg: DualConfig) -> Self {
         Self { cfg }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &DualConfig {
-        &self.cfg
     }
 
     /// Fold the average active-chip power (`DualConfig::active_power_w`)
@@ -212,25 +182,9 @@ impl PerfModel {
 
     // ---- shared kernels -------------------------------------------------
 
-    /// Effective time of one 7-bit window (search + counter write-back),
-    /// exposed for cross-validation against the event-driven
-    /// [`crate::pipeline`] simulator.
-    #[must_use]
-    pub fn window_eff_ns_public(&self) -> f64 {
-        self.window_eff_ns()
-    }
-
-    /// One global nearest search over `n_values` distance entries —
-    /// exposed for the pipeline simulator.
-    #[must_use]
-    pub fn nearest_kernel_ns(&self, n_values: f64) -> f64 {
-        self.nearest_ns(n_values)
-    }
-
     /// One Ward distance-update kernel (coefficients + multiply/add
-    /// chain), row-parallel — exposed for the pipeline simulator.
-    #[must_use]
-    pub fn ward_update_kernel_ns(&self) -> f64 {
+    /// chain), row-parallel.
+    fn ward_update_kernel_ns(&self) -> f64 {
         let c = &self.cfg.cost;
         let b = self.cfg.distance_bits();
         let qb = self.cfg.coeff_bits;
@@ -582,43 +536,6 @@ mod tests {
 
     fn model() -> PerfModel {
         PerfModel::new(DualConfig::paper())
-    }
-
-    #[test]
-    fn record_gauges_exports_accumulated_phase_totals() {
-        let report = model()
-            .kmeans(5_000, 8)
-            .preceded_by(model().encoding(5_000, 32));
-        let registry = dual_obs::Registry::new();
-        report.record_gauges(dual_obs::Obs::local(&registry));
-        // Composition-independent: the gauges hold accumulated totals,
-        // matching the report's own per-phase sums exactly.
-        for stage in dual_obs::Stage::ALL {
-            let phase = [
-                Phase::Encoding,
-                Phase::Hamming,
-                Phase::Accumulate,
-                Phase::Nearest,
-                Phase::Update,
-                Phase::Transfer,
-            ]
-            .into_iter()
-            .find(|p| p.stage() == stage)
-            .expect("every stage has a phase");
-            let want_ns = report.time_s() * report.phase_fraction(phase) * 1e9;
-            let got_ns = registry.gauge_value(dual_obs::Key::PhaseTimeNs(stage));
-            assert!(
-                (got_ns - want_ns).abs() <= want_ns.abs() * 1e-9 + 1e-9,
-                "{stage:?}: {got_ns} vs {want_ns}"
-            );
-        }
-        // Disabled context records nothing.
-        let empty = dual_obs::Registry::new();
-        report.record_gauges(dual_obs::Obs::OFF);
-        assert_eq!(
-            empty.gauge_value(dual_obs::Key::PhaseTimeNs(dual_obs::Stage::Encoding)),
-            0.0
-        );
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //!   `(n_points, n_features, n_clusters)` signature with anisotropic
 //!   Gaussian mixtures (this environment has no dataset downloads; the
 //!   quantities the paper measures depend on geometric cluster
-//!   structure, which the surrogates preserve) — [`catalog`].
+//!   structure, which the surrogates preserve) — [`workload`].
 //!
 //! ```rust
-//! use dual_data::{catalog, Workload};
+//! use dual_data::{workload, Workload};
 //!
 //! // A 1%-scale surrogate of the MNIST row of Table IV.
-//! let ds = catalog::workload(Workload::Mnist).generate(0.01, 7);
+//! let ds = workload(Workload::Mnist).generate(0.01, 7);
 //! assert_eq!(ds.n_features(), 784);
 //! assert_eq!(ds.n_clusters, 10);
 //! assert_eq!(ds.len(), 600);
@@ -30,11 +30,10 @@
     clippy::unreachable
 )]
 
-pub mod catalog;
+mod catalog;
 mod dataset;
-pub mod io;
 mod synthetic;
 
-pub use catalog::{Workload, WorkloadSpec};
+pub use catalog::{table4, workload, Workload, WorkloadSpec};
 pub use dataset::Dataset;
 pub use synthetic::{DriftSpec, DriftingBlobs, SyntheticSpec};

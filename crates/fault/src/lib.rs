@@ -42,10 +42,10 @@
 )]
 #![warn(missing_docs)]
 
-pub mod heal;
-pub mod plan;
-pub mod quarantine;
-pub mod sense;
+mod heal;
+mod plan;
+mod quarantine;
+mod sense;
 
 pub use heal::{majority_read_bit, HealingPolicy, SpareRowPool};
 pub use plan::{FaultError, FaultPlan, FaultPlanSpec};

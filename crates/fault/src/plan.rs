@@ -151,7 +151,7 @@ impl std::error::Error for FaultError {}
 /// The plan is *virtual*: it stores only the spec (plus any forced
 /// faults) and answers point queries by
 /// keyed hashing, so a plan over a full 1k×1k block costs a few dozen
-/// bytes. See the [module docs](self) for the determinism argument.
+/// bytes. See the [crate docs](crate) for the determinism argument.
 ///
 /// ```rust
 /// use dual_fault::{FaultPlan, FaultPlanSpec};

@@ -205,15 +205,6 @@ impl Quarantine {
         released
     }
 
-    /// `true` per shard that may serve (index-aligned).
-    #[must_use]
-    pub fn serving_mask(&self) -> Vec<bool> {
-        self.shards
-            .iter()
-            .map(|s| matches!(s, ShardHealth::Healthy))
-            .collect()
-    }
-
     /// Shards currently benched.
     #[must_use]
     pub fn quarantined_count(&self) -> usize {
@@ -288,7 +279,6 @@ mod tests {
         assert_eq!(q.quarantine(0, 31), ShardHealth::Dead, "stays dead");
         assert!(q.tick(1000).is_empty(), "dead shards never release");
         assert_eq!(q.dead_count(), 1);
-        assert_eq!(q.serving_mask(), vec![false, true]);
         let stats = q.stats();
         assert_eq!(stats.quarantined, 3);
         assert_eq!(stats.requeued, 2);

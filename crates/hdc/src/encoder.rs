@@ -162,18 +162,6 @@ impl HdMapper {
         Self::builder(dim, n_features).seed(seed).build()
     }
 
-    /// The kernel bandwidth σ.
-    #[must_use]
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// The configured cosine evaluation mode.
-    #[must_use]
-    pub fn cosine_mode(&self) -> CosineMode {
-        self.mode
-    }
-
     /// Base vector `B_i` (row `i` of the base matrix).
     ///
     /// # Panics

@@ -109,27 +109,6 @@ impl Hypervector {
     pub fn similarity(&self, other: &Self) -> f64 {
         1.0 - 2.0 * self.normalized_hamming(other)
     }
-
-    /// Truncate to the first `dim` dimensions (the paper's dimension
-    /// reduction study, Fig. 10b-d / Fig. 13, reuses prefixes of the same
-    /// encoding rather than re-encoding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidParameter`] if `dim` is zero or larger
-    /// than the current dimensionality.
-    pub fn truncated(&self, dim: usize) -> Result<Self, HdcError> {
-        if dim == 0 || dim > self.dim() {
-            return Err(HdcError::InvalidParameter {
-                name: "dim",
-                reason: "must be in 1..=current dimensionality",
-            });
-        }
-        let words = self.bits.as_words()[..dim.div_ceil(64)].to_vec();
-        Ok(Self {
-            bits: BitVec::from_words(words, dim),
-        })
-    }
 }
 
 impl fmt::Debug for Hypervector {
@@ -255,17 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_prefix() {
-        let a = hv(&[true, false, true, true]);
-        let t = a.truncated(2).unwrap();
-        assert_eq!(t.dim(), 2);
-        assert!(t.bits().get(0));
-        assert!(!t.bits().get(1));
-        assert!(a.truncated(0).is_err());
-        assert!(a.truncated(5).is_err());
-    }
-
-    #[test]
     fn majority_bundle_votes() {
         let a = hv(&[true, true, false]);
         let b = hv(&[true, false, false]);
@@ -371,13 +339,6 @@ mod tests {
             let hvs: Vec<Hypervector> = rows.iter().map(|r| hv(&r[..dim])).collect();
             let refs: Vec<&Hypervector> = hvs.iter().collect();
             prop_assert_eq!(majority_bundle(&refs).unwrap(), naive_majority(&refs));
-        }
-
-        #[test]
-        fn prop_truncated_is_the_bit_prefix(bits in proptest::collection::vec(any::<bool>(), 1..200),
-                                            cut in 1usize..200) {
-            let cut = cut.min(bits.len());
-            prop_assert_eq!(hv(&bits).truncated(cut).unwrap(), hv(&bits[..cut]));
         }
 
         #[test]

@@ -47,7 +47,7 @@ mod encoder;
 mod error;
 mod hypervector;
 mod lsh;
-pub mod ops;
+mod ops;
 mod project;
 pub mod search;
 mod sliced;
@@ -57,6 +57,7 @@ pub use encoder::{CosineMode, HdMapper, HdMapperBuilder};
 pub use error::HdcError;
 pub use hypervector::{majority_bundle, Hypervector};
 pub use lsh::LshEncoder;
+pub use ops::random_hypervector;
 
 /// Trait for anything that encodes a real-valued feature vector into a
 /// binary [`Hypervector`].
@@ -106,35 +107,6 @@ pub trait Encoder {
     }
 }
 
-/// Estimate the hypervector dimensionality needed to keep `n_points`
-/// spread over `n_clusters` quasi-orthogonal in HD space.
-///
-/// The paper defers the analytical model to the HD-computing literature
-/// (Kanerva 2009): the information capacity of a `D`-bit hypervector
-/// grows linearly in `D`, so the required dimensionality grows with
-/// `log2` of the number of distinguishable items times the per-item
-/// margin needed to separate `n_clusters` groups. This helper returns
-/// the conventional engineering estimate used throughout the paper's
-/// evaluation (`D = 4000` for every dataset it tests), clamped to a
-/// floor of 1000.
-///
-/// ```rust
-/// let d = dual_hdc::estimate_dimension(60_000, 10);
-/// assert!(d >= 1000 && d % 8 == 0);
-/// ```
-#[must_use]
-pub fn estimate_dimension(n_points: usize, n_clusters: usize) -> usize {
-    let bits_for_points = (n_points.max(2) as f64).log2();
-    let bits_for_clusters = (n_clusters.max(2) as f64).log2();
-    // ~64 dimensions of margin per distinguishable bit of structure keeps
-    // random hypervectors ~orthogonal (Kanerva's capacity argument).
-    let raw = (bits_for_points + bits_for_clusters) * 64.0 * 3.0;
-    let d = raw.ceil() as usize;
-    // Round up to a byte multiple so bit-packing wastes nothing.
-    let d = d.max(1000);
-    d.div_ceil(8) * 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,24 +138,5 @@ mod tests {
         assert_eq!(enc.0.get(), 0);
         assert_eq!(enc.encode_batch(&bad[..2]).map(|v| v.len()), Ok(2));
         assert_eq!(enc.0.get(), 2);
-    }
-
-    #[test]
-    fn estimate_dimension_is_monotone_in_points() {
-        let small = estimate_dimension(1_000, 10);
-        let large = estimate_dimension(1_000_000, 10);
-        assert!(large >= small);
-    }
-
-    #[test]
-    fn estimate_dimension_has_floor() {
-        assert!(estimate_dimension(2, 2) >= 1000);
-    }
-
-    #[test]
-    fn estimate_dimension_typical_scale_matches_paper() {
-        // The paper uses D = 4000 for datasets in the 10k-60k range.
-        let d = estimate_dimension(60_000, 10);
-        assert!((1000..=8000).contains(&d), "got {d}");
     }
 }

@@ -1,5 +1,5 @@
 //! Bit-sliced nearest-centroid search: the software form of DUAL's
-//! row-parallel CAM minimum (§V-C; `dual_pim::cam::nearest_search` is
+//! row-parallel CAM minimum (§V-C; `dual_pim::nearest_search` is
 //! the cost model's view of the same circuit).
 //!
 //! The codebook is transposed once per call into bit planes. Plane `p`

@@ -3,8 +3,7 @@
 //! registry is shared by every thread of a process, so exact totals
 //! can only be pinned where nothing else searches concurrently.
 
-use dual_hdc::ops::random_hypervector;
-use dual_hdc::{search, Hypervector};
+use dual_hdc::{random_hypervector, search, Hypervector};
 use dual_obs::Key;
 
 fn pool(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {

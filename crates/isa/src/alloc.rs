@@ -37,12 +37,6 @@ impl Allocation {
         self.bits.div_ceil(self.chunk_bits)
     }
 
-    /// Number of row groups (stacked blocks).
-    #[must_use]
-    pub fn row_groups(&self) -> usize {
-        self.len.div_ceil(self.rows_per_block)
-    }
-
     /// Locate element `row`, bit `bit`: returns
     /// `(block_index_in_table, row_in_block, col_in_block)`.
     ///
@@ -87,18 +81,6 @@ impl BlockAllocator {
             table: BTreeMap::new(),
             next_id: 0,
         }
-    }
-
-    /// Blocks still unallocated.
-    #[must_use]
-    pub fn free_blocks(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Live allocations.
-    #[must_use]
-    pub fn live_allocations(&self) -> usize {
-        self.table.len()
     }
 
     /// Allocate a `bits`-wide, `len`-element array.
@@ -169,10 +151,10 @@ mod tests {
     fn alloc_free_roundtrip() {
         let mut a = BlockAllocator::new(8, 16, 32);
         let id = a.alloc(8, 10).unwrap();
-        assert_eq!(a.free_blocks(), 7);
-        assert_eq!(a.live_allocations(), 1);
+        assert_eq!(a.free.len(), 7);
+        assert_eq!(a.table.len(), 1);
         a.free(id).unwrap();
-        assert_eq!(a.free_blocks(), 8);
+        assert_eq!(a.free.len(), 8);
         assert!(a.free(id).is_err());
         assert!(a.get(id).is_err());
     }
@@ -185,7 +167,7 @@ mod tests {
         let id = a.alloc(70, 30).unwrap(); // 3 chunks × 2 groups = 6
         let al = a.get(id).unwrap();
         assert_eq!(al.chunks(), 3);
-        assert_eq!(al.row_groups(), 2);
+        assert_eq!(al.len.div_ceil(al.rows_per_block), 2);
         assert_eq!(al.blocks.len(), 6);
     }
 
@@ -240,7 +222,7 @@ mod tests {
             for id in ids {
                 a.free(id).unwrap();
             }
-            prop_assert_eq!(a.free_blocks(), 16);
+            prop_assert_eq!(a.free.len(), 16);
         }
     }
 }

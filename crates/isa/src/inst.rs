@@ -7,7 +7,7 @@
 //! [`crate::verify`] — can re-derive bounds, dataflow and cost from the
 //! trace alone.
 
-use dual_pim::cost::Op;
+use dual_pim::Op;
 
 /// Arithmetic instruction selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

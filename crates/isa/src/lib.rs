@@ -59,9 +59,8 @@ mod runtime;
 mod verifier;
 mod vlca;
 
-pub use alloc::{AllocId, Allocation, BlockAllocator};
 pub use error::IsaError;
-pub use inst::{ArithKind, Instruction, RegisterFile};
+pub use inst::{ArithKind, Instruction};
 pub use runtime::Runtime;
 pub use vlca::Vlca;
 
@@ -79,7 +78,7 @@ pub mod verify {
     //! 2. **Dataflow** — def-before-use on the query register: `hamm_7`
     //!    window sweeps and `near_search`/`exact_search` issues are only
     //!    legal after a `set_qinput` whose live span covers them, tracked
-    //!    through [`RegisterFile`](crate::RegisterFile) effects.
+    //!    through the query-register effects of each instruction.
     //! 3. **Hazards** — intra-instruction interval overlap: arithmetic
     //!    destinations vs. operands and scratch columns, `row_mv`
     //!    source/destination aliasing, `select` flag-in-destination.
@@ -113,5 +112,5 @@ pub mod verify {
     //! `results/isa_verify.json` consumed by `ci.sh --stage verify-isa`.
 
     pub use crate::report::{CostBound, Diagnostic, Severity, VerifyError, VerifyReport};
-    pub use crate::verifier::{op_key, trace_ledger, Geometry, RuntimeVerify, Verifier};
+    pub use crate::verifier::{Geometry, RuntimeVerify, Verifier};
 }

@@ -5,10 +5,7 @@
 use crate::alloc::{Allocation, BlockAllocator};
 use crate::inst::{ArithKind, Instruction, RegisterFile};
 use crate::{IsaError, Vlca};
-use dual_pim::block::MemoryBlock;
-use dual_pim::cam;
-use dual_pim::cost::{CostModel, Op};
-use dual_pim::stats::EnergyStats;
+use dual_pim::{nearest_search, nearest_search_stages, CostModel, EnergyStats, MemoryBlock, Op};
 
 /// Default number of blocks a runtime manages — plenty for the software
 /// test configurations; the real chip has 16 384.
@@ -21,7 +18,7 @@ const DEFAULT_POOL_BLOCKS: usize = 64;
 ///   them in hardware is verified gate-by-gate in `dual-pim`; the
 ///   runtime computes values directly and charges Table III costs).
 /// * `div` keeps the hardware's *approximate* TruncApp semantics
-///   ([`dual_pim::nor::div_approx`]): quotients are underestimated by up
+///   ([`dual_pim::div_approx`]): quotients are underestimated by up
 ///   to 25 % for power-of-two divisors.
 /// * All results wrap modulo `2^bits` of the destination VLCA, exactly
 ///   like fixed-width columns in memory.
@@ -88,21 +85,10 @@ impl Runtime {
         &self.stats
     }
 
-    /// Reset cost statistics (e.g. between measured kernels).
-    pub fn reset_stats(&mut self) {
-        self.stats = EnergyStats::new();
-    }
-
     /// The instruction trace issued so far.
     #[must_use]
     pub fn trace(&self) -> &[Instruction] {
         &self.trace
-    }
-
-    /// The register file (updated by `near_search`).
-    #[must_use]
-    pub fn registers(&self) -> &RegisterFile {
-        &self.regs
     }
 
     /// Rows per block.
@@ -159,12 +145,10 @@ impl Runtime {
     }
 
     /// Physical anchor of a view: `(block, row, col)` of its first
-    /// element's first bit. Degenerate (empty) views clamp to the last
-    /// valid coordinate so the trace entry stays addressable.
+    /// element's first bit. A degenerate (empty) bit slice clamps to the
+    /// last valid column so the trace entry stays addressable.
     fn anchor(al: &Allocation, v: &Vlca) -> (usize, usize, usize) {
-        let row = v.row_offset.min(al.len - 1);
-        let bit = v.bit_offset.min(al.bits - 1);
-        let (tbl, r, c) = al.locate(row, bit);
+        let (tbl, r, c) = al.locate(0, v.bit_offset.min(al.bits - 1));
         (al.blocks[tbl], r, c)
     }
 
@@ -175,7 +159,6 @@ impl Runtime {
     /// chunk boundaries — each piece is a real sweep the hardware pays
     /// for).
     fn emit_hamm7_windows(&mut self, al: &Allocation, v: &Vlca) -> u64 {
-        let group = v.row_offset.min(al.len - 1) / al.rows_per_block;
         let windows = v.bits().div_ceil(7);
         let mut pieces = 0u64;
         for w in 0..windows {
@@ -189,7 +172,7 @@ impl Runtime {
                 // clipped to the chunk's last column.
                 let piece_end = end.min((chunk + 1) * al.chunk_bits - v.bit_offset);
                 self.trace.push(Instruction::Hamm7 {
-                    b: al.blocks[group * al.chunks() + chunk],
+                    b: al.blocks[chunk],
                     c1: abs % al.chunk_bits,
                     c2: abs % al.chunk_bits + (piece_end - s),
                 });
@@ -208,14 +191,14 @@ impl Runtime {
         bit: usize,
         value: bool,
     ) -> Result<(), IsaError> {
-        let (tbl, r, c) = al.locate(v.row_offset + row, v.bit_offset + bit);
+        let (tbl, r, c) = al.locate(row, v.bit_offset + bit);
         let block = al.blocks[tbl];
         self.blocks[block].nor_engine_mut().set_bit(r, c, value)?;
         Ok(())
     }
 
     fn get_bit(&self, al: &Allocation, v: &Vlca, row: usize, bit: usize) -> Result<bool, IsaError> {
-        let (tbl, r, c) = al.locate(v.row_offset + row, v.bit_offset + bit);
+        let (tbl, r, c) = al.locate(row, v.bit_offset + bit);
         let block = al.blocks[tbl];
         Ok(self.blocks[block].nor_engine().get_bit(r, c)?)
     }
@@ -435,7 +418,7 @@ impl Runtime {
                             reason: "division by zero element",
                         })
                     } else {
-                        Ok(dual_pim::nor::div_approx(x, y) & mask)
+                        Ok(dual_pim::div_approx(x, y) & mask)
                     }
                 }
             })
@@ -542,12 +525,12 @@ impl Runtime {
         let values = self.read_values(v)?;
         let all = vec![true; values.len()];
         let mask = active.unwrap_or(&all);
-        let found = cam::nearest_search(&values, mask, target, v.bits() as u32, 4).ok_or(
+        let found = nearest_search(&values, mask, target, v.bits() as u32, 4).ok_or(
             IsaError::ShapeMismatch {
                 what: "near_search: empty active set",
             },
         )?;
-        let stages = cam::nearest_search_stages(v.bits() as u32, 4);
+        let stages = nearest_search_stages(v.bits() as u32, 4);
         self.stats
             .record_serial(&self.cost, Op::NearestStage, u64::from(stages));
         let al = self.allocation(v)?;
@@ -726,7 +709,7 @@ impl Runtime {
     }
 
     /// Row-parallel 2:1 select: `out_i = if flag_i { x_i } else { y_i }`
-    /// — the NOR-mux of [`dual_pim::nor::NorEngine::select`] at VLCA
+    /// — the NOR mux `NOR(NOR(s', x'), NOR(s, y'))` at VLCA
     /// granularity. `flag` must be a 1-bit VLCA; costed as one
     /// row-parallel addition of the output width (the mux microcode is
     /// ~half an adder per bit).
@@ -802,7 +785,7 @@ impl Runtime {
             });
         }
         let values = self.read_values(v)?;
-        let stages = cam::nearest_search_stages(v.bits() as u32, 4);
+        let stages = nearest_search_stages(v.bits() as u32, 4);
         self.stats
             .record_serial(&self.cost, Op::NearestStage, u64::from(stages));
         let al = self.allocation(v)?;
@@ -1061,8 +1044,8 @@ mod tests {
         rt.write_values(&v, &[9, 2, 30, 2, 12]).unwrap();
         let (idx, val) = rt.near_search(&v, 0).unwrap();
         assert_eq!((idx, val), (1, 2));
-        assert_eq!(rt.registers().idx, 1);
-        assert_eq!(rt.registers().rst, 2);
+        assert_eq!(rt.regs.idx, 1);
+        assert_eq!(rt.regs.rst, 2);
         // Masked variant skips invalid rows.
         let (idx, _) = rt
             .near_search_masked(&v, 0, Some(&[true, false, true, false, true]))
@@ -1087,8 +1070,6 @@ mod tests {
         let mut rt = rt();
         let v = rt.alloc(8, 6).unwrap();
         rt.write_values(&v, &[1, 2, 3, 4, 5, 6]).unwrap();
-        let tail = v.slice_rows(3, 6);
-        assert_eq!(rt.read_values(&tail).unwrap(), vec![4, 5, 6]);
         let low_nibbles = v.slice_bits(0, 4);
         assert_eq!(
             rt.read_values(&low_nibbles).unwrap(),

@@ -4,9 +4,7 @@
 
 use crate::report::{CostBound, Diagnostic, VerifyError, VerifyReport};
 use crate::{ArithKind, Instruction, Runtime};
-use dual_pim::cam;
-use dual_pim::cost::{CostModel, Op};
-use dual_pim::stats::EnergyStats;
+use dual_pim::{nearest_search_stages, CostModel, EnergyStats, Op};
 use std::collections::BTreeMap;
 
 /// Relative tolerance for the latency/energy cross-check. The runtime
@@ -86,12 +84,6 @@ impl Verifier {
     #[must_use]
     pub fn with_cost_model(geom: Geometry, cost: CostModel) -> Self {
         Self { geom, cost }
-    }
-
-    /// The geometry traces are checked against.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geom
     }
 
     /// Statically verify a trace: geometry bounds, def-before-use
@@ -493,7 +485,7 @@ pub fn trace_ledger(trace: &[Instruction]) -> BTreeMap<Op, u64> {
             }
             Instruction::NearSearch { nc, .. } | Instruction::ExactSearch { nc, .. } => {
                 #[expect(clippy::as_conversions, reason = "column counts ≤ 64, exact in u32")]
-                let stages = cam::nearest_search_stages(nc as u32, 4);
+                let stages = nearest_search_stages(nc as u32, 4);
                 bump(Op::NearestStage, u64::from(stages));
             }
             Instruction::RowMv { nc, .. } => {
@@ -540,10 +532,6 @@ pub fn op_key(op: Op) -> String {
 pub trait RuntimeVerify {
     /// Statically verify the accumulated trace and cross-check its
     /// reconstructed cost ledger against the executed statistics.
-    ///
-    /// Note the cross-check pairs the *whole* trace with the *whole*
-    /// ledger — a `Runtime::reset_stats` mid-program breaks the
-    /// pairing and will surface as count mismatches.
     fn verify_trace(&self) -> VerifyReport;
 }
 

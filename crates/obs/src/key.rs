@@ -101,21 +101,6 @@ impl OpFamily {
         OpFamily::Write,
     ];
 
-    /// Canonical label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::HammingWindow => "hamming_window",
-            Self::NearestStage => "nearest_stage",
-            Self::Add => "add",
-            Self::Sub => "sub",
-            Self::Mul => "mul",
-            Self::Div => "div",
-            Self::Transfer => "transfer",
-            Self::Write => "write",
-        }
-    }
-
     /// Dense index in `0..OpFamily::ALL.len()`.
     #[must_use]
     pub fn index(self) -> usize {

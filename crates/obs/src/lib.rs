@@ -10,7 +10,7 @@
 //! 1. **No wall clock in library code.** Spans and phase attribution
 //!    run on a logical `u64` tick clock advanced by the instrumented
 //!    algorithms themselves. The only wall-clock source lives in
-//!    [`wall`], behind this crate's one `clippy::disallowed_types` exemption, and is
+//!    [`WallClock`], behind this crate's one `clippy::disallowed_types` exemption, and is
 //!    only ever constructed by bench binaries.
 //! 2. **Deterministic merges.** Counters are sharded per thread and
 //!    summed in fixed order; snapshots serialize through `BTreeMap`s
@@ -49,13 +49,14 @@
 
 mod key;
 mod registry;
-pub mod wall;
+mod wall;
 
 pub use key::{Key, Kind, OpFamily, Stage};
 pub use registry::{
     bucket_bound, bucket_index, json_f64, to_prometheus_merged, HistogramSnapshot, Registry,
     Snapshot, HIST_BUCKETS,
 };
+pub use wall::WallClock;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -114,12 +115,6 @@ impl<'a> Obs<'a> {
     #[must_use]
     pub fn enabled(self) -> bool {
         self.0.is_some()
-    }
-
-    /// The attached registry, if any.
-    #[must_use]
-    pub fn registry(self) -> Option<&'a Registry> {
-        self.0
     }
 
     /// Increment a counter.

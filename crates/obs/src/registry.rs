@@ -241,7 +241,8 @@ impl Registry {
 
     /// Full point-in-time snapshot over every key.
     #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Snapshot {
         self.snapshot_filtered(|_| true)
     }
 

@@ -30,18 +30,6 @@ impl ChipConfig {
         }
     }
 
-    /// A miniature configuration for functional tests.
-    #[must_use]
-    pub fn tiny() -> Self {
-        Self {
-            tiles: 2,
-            blocks_per_tile: 4,
-            rows: 32,
-            cols: 64,
-            interconnect_wires: 64,
-        }
-    }
-
     /// Bits per block.
     #[must_use]
     pub fn block_bits(&self) -> usize {

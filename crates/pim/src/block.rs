@@ -5,9 +5,8 @@
 //! MAGIC NOR arithmetic — which is the property that lets DUAL keep data
 //! in place for the entire clustering run.
 
-use crate::cam::{self, Detection, MlDischargeModel, SamplingSchedule};
+use crate::cam::{MlDischargeModel, SamplingSchedule};
 use crate::nor::NorEngine;
-use crate::PimError;
 
 /// A single crossbar memory block.
 ///
@@ -51,13 +50,6 @@ impl MemoryBlock {
         Self::new(1024, 1024)
     }
 
-    /// Replace the CAM sampling schedule (ablations).
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: SamplingSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -68,12 +60,6 @@ impl MemoryBlock {
     #[must_use]
     pub fn cols(&self) -> usize {
         self.engine.n_cols()
-    }
-
-    /// The active sampling schedule.
-    #[must_use]
-    pub fn schedule(&self) -> SamplingSchedule {
-        self.schedule
     }
 
     /// Borrow the NOR arithmetic engine backing this block.
@@ -99,17 +85,6 @@ impl MemoryBlock {
         for (c, &b) in bits.iter().enumerate() {
             self.engine.write_bit(r, c, b);
         }
-    }
-
-    /// Read `width` bits of row `r` starting at column 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row or width is out of range.
-    #[must_use]
-    pub fn read_row_bits(&self, r: usize, width: usize) -> Vec<bool> {
-        assert!(width <= self.cols(), "width overruns block");
-        (0..width).map(|c| self.engine.bit(r, c)).collect()
     }
 
     /// CAM mode: one Hamming window search (§IV-A1). Compares
@@ -150,33 +125,6 @@ impl MemoryBlock {
             .collect()
     }
 
-    /// Detailed window search exposing [`Detection`] per row (for
-    /// sampling-schedule studies).
-    ///
-    /// # Panics
-    ///
-    /// As [`MemoryBlock::cam_hamming_window`].
-    #[must_use]
-    pub fn cam_hamming_window_detections(
-        &self,
-        query: &[bool],
-        start_col: usize,
-    ) -> Vec<Detection> {
-        assert!(!query.is_empty() && query.len() <= 7);
-        assert!(start_col + query.len() <= self.cols());
-        let w = query.len() as u32;
-        (0..self.rows())
-            .map(|r| {
-                let mismatches = query
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, &q)| self.engine.bit(r, start_col + k) != q)
-                    .count() as u32;
-                self.schedule.detect(self.discharge, mismatches, w)
-            })
-            .collect()
-    }
-
     /// Full Hamming distance of `query` against every row: serial sweep
     /// of 7-bit windows (§V-B) accumulating the per-window counts — the
     /// data-block primitive of the clustering pipeline.
@@ -204,62 +152,6 @@ impl MemoryBlock {
         }
         (totals, windows)
     }
-
-    /// The CAM's *native* exact-match search (§IV-A): all rows whose
-    /// window starting at `start_col` equals `query` exactly — the rows
-    /// whose match lines never discharge. One search cycle regardless of
-    /// the number of matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or overruns the block columns.
-    #[must_use]
-    pub fn cam_exact_match(&self, query: &[bool], start_col: usize) -> Vec<usize> {
-        assert!(!query.is_empty(), "query must be non-empty");
-        assert!(
-            start_col + query.len() <= self.cols(),
-            "window overruns block"
-        );
-        (0..self.rows())
-            .filter(|&r| {
-                query
-                    .iter()
-                    .enumerate()
-                    .all(|(k, &q)| self.engine.bit(r, start_col + k) == q)
-            })
-            .collect()
-    }
-
-    /// Nearest-value search over an integer field stored little-endian
-    /// in `cols`, honoring the `active` row mask (§IV-A2). Returns the
-    /// winning `(row, value)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::OutOfRange`] for bad columns or
-    /// [`PimError::InvalidParameter`] when `active` has the wrong
-    /// length.
-    pub fn nearest_search_field(
-        &self,
-        cols: &[usize],
-        active: &[bool],
-        query: u64,
-    ) -> Result<Option<(usize, u64)>, PimError> {
-        if active.len() != self.rows() {
-            return Err(PimError::InvalidParameter {
-                name: "active",
-                reason: "mask must have one entry per row",
-            });
-        }
-        let values = self.engine.read_field_all(cols)?;
-        Ok(cam::nearest_search(
-            &values,
-            active,
-            query,
-            cols.len() as u32,
-            4,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +170,8 @@ mod tests {
         let mut b = MemoryBlock::new(4, 32);
         let bits: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
         b.write_row_bits(2, &bits);
-        assert_eq!(b.read_row_bits(2, 32), bits);
+        let read: Vec<bool> = (0..32).map(|c| b.nor_engine().bit(2, c)).collect();
+        assert_eq!(read, bits);
     }
 
     #[test]
@@ -307,54 +200,14 @@ mod tests {
 
     #[test]
     fn linear_schedule_aliases_wide_windows() {
-        let mut b = MemoryBlock::new(2, 8).with_schedule(SamplingSchedule::linear_200ps());
+        let mut b = MemoryBlock::new(2, 8);
+        b.schedule = SamplingSchedule::linear_200ps();
         b.write_row_bits(0, &[true, true, false, false, false, false, false]); // 5 mismatches vs all-ones
         b.write_row_bits(1, &[true, false, false, false, false, false, false]); // 6 mismatches
-        let q = vec![true; 7];
-        let counts = b.cam_hamming_window(&q, 0);
-        // Linear sampling cannot separate 5 from 6 mismatches: both
-        // report the conservative bound.
+                                                                                // Linear sampling cannot separate 5 from 6 mismatches: both
+                                                                                // report the conservative bound.
+        let counts = b.cam_hamming_window(&[true; 7], 0);
         assert_eq!(counts[0], counts[1]);
-        // The detailed API confirms ambiguity.
-        let det = b.cam_hamming_window_detections(&q, 0);
-        assert!(det.iter().any(|d| !d.is_exact()));
-    }
-
-    #[test]
-    fn nearest_field_search_min() {
-        let mut b = MemoryBlock::new(4, 16);
-        let cols: Vec<usize> = (0..8).collect();
-        b.nor_engine_mut()
-            .write_field_all(&cols, &[40, 7, 99, 7])
-            .unwrap();
-        let got = b
-            .nearest_search_field(&cols, &[true; 4], 0)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, (1, 7));
-        // Masked-out winner falls through to the next row.
-        let got = b
-            .nearest_search_field(&cols, &[true, false, true, true], 0)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, (3, 7));
-        assert!(b.nearest_search_field(&cols, &[true; 3], 0).is_err());
-    }
-
-    #[test]
-    fn exact_match_finds_identical_rows() {
-        let mut b = MemoryBlock::new(4, 16);
-        b.write_row_bits(0, &[true, false, true]);
-        b.write_row_bits(1, &[true, true, true]);
-        b.write_row_bits(2, &[true, false, true]);
-        b.write_row_bits(3, &[false, false, true]);
-        assert_eq!(b.cam_exact_match(&[true, false, true], 0), vec![0, 2]);
-        assert_eq!(
-            b.cam_exact_match(&[false, true, false], 0),
-            Vec::<usize>::new()
-        );
-        // Offset windows work too.
-        assert_eq!(b.cam_exact_match(&[false, true], 1), vec![0, 2, 3]);
     }
 
     #[test]

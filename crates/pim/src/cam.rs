@@ -188,12 +188,6 @@ impl Detection {
             Self::Ambiguous { lo, .. } => lo,
         }
     }
-
-    /// Whether the observation was exact.
-    #[must_use]
-    pub fn is_exact(self) -> bool {
-        matches!(self, Self::Exact(_))
-    }
 }
 
 /// Staged nearest-value search over integer rows (§IV-A2).
@@ -307,7 +301,7 @@ mod tests {
         let cap = s.max_resolvable_bits(model);
         assert!(cap < 7, "linear cap {cap} should be below 7");
         // And on a 7-bit window, some counts are ambiguous.
-        let amb = (1..=7).any(|m| !s.detect(model, m, 7).is_exact());
+        let amb = (1..=7).any(|m| !matches!(s.detect(model, m, 7), Detection::Exact(_)));
         assert!(amb);
     }
 
@@ -315,7 +309,6 @@ mod tests {
     fn detection_reported_is_conservative() {
         let d = Detection::Ambiguous { lo: 4, hi: 6 };
         assert_eq!(d.reported(), 4);
-        assert!(!d.is_exact());
         assert_eq!(Detection::Exact(3).reported(), 3);
     }
 

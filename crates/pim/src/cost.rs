@@ -141,12 +141,6 @@ impl CostModel {
         Self { variation }
     }
 
-    /// The variation this model is derated for.
-    #[must_use]
-    pub fn variation(&self) -> DeviceVariation {
-        self.variation
-    }
-
     /// Latency of one operation in nanoseconds.
     #[must_use]
     pub fn latency_ns(&self, op: Op) -> f64 {

@@ -4,63 +4,8 @@
 //! match practical bipolar resistive devices: 1 ns switching, 1 V RESET
 //! and 2 V SET pulses, and an OFF/ON resistance ratio large enough that
 //! the CAM match-line discharge stages are cleanly separable. This
-//! module captures those parameters plus the thermal/process-variation
-//! derating the paper analyzes in §VIII-H.
-
-/// Nominal electrical/timing parameters of one memristor device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceParams {
-    /// Switching (write) delay in nanoseconds — also the cycle time of
-    /// one NOR operation (paper: 1 ns).
-    pub switching_delay_ns: f64,
-    /// SET pulse voltage in volts (paper: 2 V).
-    pub v_set: f64,
-    /// RESET pulse voltage in volts (paper: 1 V).
-    pub v_reset: f64,
-    /// ON-state resistance in ohms.
-    pub r_on: f64,
-    /// OFF-state resistance in ohms.
-    pub r_off: f64,
-    /// Write endurance in cycles; the paper quotes 10⁹–10¹¹ for
-    /// memristors and uses 10¹⁰ as the working point.
-    pub endurance: f64,
-    /// Nominal CAM search sampling period in picoseconds for the first
-    /// Hamming sampling stage (paper: 200 ps, then 100 ps).
-    pub search_sample_ps: f64,
-    /// NVM write latency in nanoseconds (paper: 1 ns — the reason the
-    /// per-block counters exist).
-    pub write_latency_ns: f64,
-}
-
-impl DeviceParams {
-    /// The paper's working point (§VIII-A).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            switching_delay_ns: 1.0,
-            v_set: 2.0,
-            v_reset: 1.0,
-            r_on: 10e3,
-            r_off: 10e6,
-            endurance: 1e10,
-            search_sample_ps: 200.0,
-            write_latency_ns: 1.0,
-        }
-    }
-
-    /// OFF/ON resistance ratio — the figure of merit that device
-    /// variation erodes.
-    #[must_use]
-    pub fn resistance_ratio(&self) -> f64 {
-        self.r_off / self.r_on
-    }
-}
-
-impl Default for DeviceParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+//! module captures the thermal/process-variation derating of that
+//! working point the paper analyzes in §VIII-H.
 
 /// Derated operating point under device variation (§VIII-H).
 ///
@@ -134,16 +79,6 @@ impl Default for DeviceVariation {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn paper_params_match_section_viii_a() {
-        let p = DeviceParams::paper();
-        assert_eq!(p.switching_delay_ns, 1.0);
-        assert_eq!(p.v_set, 2.0);
-        assert_eq!(p.v_reset, 1.0);
-        assert_eq!(p.write_latency_ns, 1.0);
-        assert!(p.resistance_ratio() > 100.0);
-    }
 
     #[test]
     fn worst_case_variation_matches_paper() {

@@ -57,12 +57,6 @@ impl Interconnect {
         }
     }
 
-    /// Current mode.
-    #[must_use]
-    pub fn mode(&self) -> InterconnectMode {
-        self.mode
-    }
-
     /// Latency of a `bits`-column row-parallel transfer, nanoseconds.
     #[must_use]
     pub fn transfer_latency_ns(&self, model: &CostModel, bits: u32) -> f64 {

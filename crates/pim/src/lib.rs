@@ -5,20 +5,21 @@
 //! from memristive crossbar blocks that supports, without any ADC/DAC,
 //!
 //! * **search-based operations** — row-parallel Hamming distance over
-//!   7-bit windows using match-line discharge timing ([`cam`], §IV-A1)
-//!   and staged 4-bit nearest-value search with weighted bitlines
-//!   (§IV-A2);
+//!   7-bit windows using match-line discharge timing
+//!   ([`SamplingSchedule`], §IV-A1) and staged 4-bit nearest-value
+//!   search with weighted bitlines ([`nearest_search`], §IV-A2);
 //! * **arithmetic operations** — row-parallel NOR (MAGIC) microcode for
-//!   addition, subtraction, multiplication and division ([`nor`],
-//!   §IV-B);
+//!   addition, subtraction, multiplication and division
+//!   ([`NorEngine`], §IV-B);
 //! * the **structural hierarchy** — 1k×1k crossbar blocks with a 3-bit
 //!   counter each, 256 blocks per tile joined by a 1k-wire row
-//!   interconnect, 64 tiles per chip ([`block`], [`tile`], §VI).
+//!   interconnect, 64 tiles per chip ([`MemoryBlock`], [`CounterMode`],
+//!   §VI).
 //!
 //! Cost accounting reproduces the paper's HSPICE/NVSim-derived anchors
-//! (Tables II and III) through [`cost::CostModel`] and
-//! [`arch::AreaPowerModel`]; [`endurance`] and [`variation`] reproduce
-//! the §VIII-H lifetime and device-variability analyses. Cells here
+//! (Tables II and III) through [`CostModel`] and [`AreaPowerModel`];
+//! [`EnduranceModel`] and [`run_monte_carlo`] reproduce the §VIII-H
+//! lifetime and device-variability analyses. Cells here
 //! always hold what was written: injected faults are a read-path model
 //! in the `dual-fault` crate, which the streaming engine senses its
 //! stored state through, so this crate does not depend on it.
@@ -29,7 +30,7 @@
 //! harness uses to regenerate the paper's performance/energy figures.
 //!
 //! ```rust
-//! use dual_pim::block::MemoryBlock;
+//! use dual_pim::MemoryBlock;
 //!
 //! // A small crossbar; store two rows and Hamming-search a query.
 //! let mut blk = MemoryBlock::new(4, 16);
@@ -52,25 +53,32 @@
 )]
 #![warn(missing_docs)]
 
-pub mod arch;
-pub mod block;
-pub mod cam;
-pub mod chip;
-pub mod cost;
-pub mod device;
-pub mod endurance;
-pub mod error;
-pub mod interconnect;
-pub mod nor;
-pub mod stats;
-pub mod streaming;
-pub mod tile;
-pub mod variation;
+mod arch;
+mod block;
+mod cam;
+mod cost;
+mod device;
+mod endurance;
+mod error;
+mod interconnect;
+mod nor;
+mod stats;
+mod streaming;
+mod tile;
+mod variation;
 
 pub use arch::{AreaPowerModel, ChipConfig, ComponentBudget};
 pub use block::MemoryBlock;
+pub use cam::{
+    nearest_search, nearest_search_stages, Detection, MlDischargeModel, SamplingSchedule,
+};
 pub use cost::{CostModel, Op};
-pub use device::{DeviceParams, DeviceVariation};
+pub use device::DeviceVariation;
+pub use endurance::{EnduranceModel, WearLeveler};
 pub use error::PimError;
+pub use interconnect::Interconnect;
+pub use nor::{div_approx, NorEngine};
 pub use stats::EnergyStats;
 pub use streaming::{EnergyBudget, StreamBatchCost, StreamMeter};
+pub use tile::CounterMode;
+pub use variation::{max_safe_stage_bits, run_monte_carlo, MonteCarloConfig};

@@ -23,7 +23,7 @@ use crate::PimError;
 /// Column-major bit matrix with NOR-sequence arithmetic.
 ///
 /// ```rust
-/// use dual_pim::nor::NorEngine;
+/// use dual_pim::NorEngine;
 ///
 /// # fn main() -> Result<(), dual_pim::PimError> {
 /// let mut e = NorEngine::new(4, 64)?;
@@ -103,12 +103,6 @@ impl NorEngine {
     #[must_use]
     pub fn col_writes(&self) -> u64 {
         self.col_writes
-    }
-
-    /// Reset the cycle/write counters (e.g. between measured kernels).
-    pub fn reset_counters(&mut self) {
-        self.nor_cycles = 0;
-        self.col_writes = 0;
     }
 
     fn check_col(&self, c: usize) -> Result<(), PimError> {
@@ -343,7 +337,8 @@ impl NorEngine {
     /// # Errors
     ///
     /// Returns [`PimError::OutOfRange`] for bad indices.
-    pub fn read_field_all(&self, cols: &[usize]) -> Result<Vec<u64>, PimError> {
+    #[cfg(test)]
+    fn read_field_all(&self, cols: &[usize]) -> Result<Vec<u64>, PimError> {
         (0..self.rows).map(|r| self.read_field(r, cols)).collect()
     }
 
@@ -529,168 +524,6 @@ impl NorEngine {
     }
 }
 
-impl NorEngine {
-    /// Row-parallel comparator: `lt = (a < b)` as a single flag column,
-    /// computed by the §VI-C method — subtract and read the sign bit of
-    /// the zero-extended difference. Needs `12 + width + 1` scratch
-    /// columns at `scratch..`; `a`/`b` are unsigned fields of equal
-    /// width.
-    ///
-    /// # Errors
-    ///
-    /// As [`NorEngine::sub`].
-    pub fn less_than(
-        &mut self,
-        a: &[usize],
-        b: &[usize],
-        lt: usize,
-        scratch: usize,
-    ) -> Result<(), PimError> {
-        let w = a.len();
-        if b.len() != w {
-            return Err(PimError::InvalidParameter {
-                name: "b",
-                reason: "comparator requires equal widths",
-            });
-        }
-        // sub() internally uses scratch[0..10) plus an inverted-operand
-        // cache at [10, 11+w); lay the zero-extension and difference
-        // columns past that.
-        let zero = scratch + 12 + w;
-        self.write_col_const(zero, false)?;
-        let ea: Vec<usize> = a.iter().copied().chain([zero]).collect();
-        let eb: Vec<usize> = b.iter().copied().chain([zero]).collect();
-        let diff_base = scratch + 13 + w;
-        let diff: Vec<usize> = (0..=w).map(|k| diff_base + k).collect();
-        self.sub_into(&ea, &eb, &diff, scratch)?;
-        // Sign bit of the (width+1)-bit two's-complement difference.
-        self.copy(lt, diff[w], scratch)?;
-        Ok(())
-    }
-
-    /// `sub` variant writing into explicitly provided output columns
-    /// without width checks against the operands (internal helper, but
-    /// exposed because multi-precision routines need it).
-    ///
-    /// # Errors
-    ///
-    /// As [`NorEngine::sub`].
-    pub fn sub_into(
-        &mut self,
-        a: &[usize],
-        b: &[usize],
-        out: &[usize],
-        scratch: usize,
-    ) -> Result<(), PimError> {
-        self.sub(a, b, out, scratch)
-    }
-
-    /// Row-parallel 2:1 multiplexer: `out_k = sel ? x_k : y_k` for every
-    /// field column. `MUX(s,x,y) = NOR(NOR(s', x'), NOR(s, y'))` after
-    /// caching the inverted select. Needs 5 scratch columns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates column-range errors.
-    pub fn select(
-        &mut self,
-        sel: usize,
-        x: &[usize],
-        y: &[usize],
-        out: &[usize],
-        scratch: usize,
-    ) -> Result<(), PimError> {
-        if x.len() != y.len() || out.len() != x.len() {
-            return Err(PimError::InvalidParameter {
-                name: "out",
-                reason: "select requires equal field widths",
-            });
-        }
-        let ns = scratch;
-        self.not(ns, sel)?;
-        for k in 0..x.len() {
-            let nx = scratch + 1;
-            let ny = scratch + 2;
-            let t1 = scratch + 3;
-            let t2 = scratch + 4;
-            self.not(nx, x[k])?;
-            self.not(ny, y[k])?;
-            // sel=1 → x_k: t1 = NOR(ns, nx) = sel AND x_k
-            self.nor(t1, &[ns, nx])?;
-            // sel=0 → y_k: t2 = NOR(sel, ny) = !sel AND y_k
-            self.nor(t2, &[sel, ny])?;
-            // out = t1 OR t2 = NOR(NOR(t1,t2))
-            self.nor(nx, &[t1, t2])?; // reuse nx
-            self.not(out[k], nx)?;
-        }
-        Ok(())
-    }
-
-    /// Exact row-parallel unsigned division via the restoring
-    /// algorithm: `q = a / b`, `r = a % b` (field widths equal). This is
-    /// the precise alternative to the hardware's TruncApp divider —
-    /// far more NOR cycles (the paper's Table III prices the
-    /// approximate one), but useful when the program needs exactness.
-    ///
-    /// Needs roughly `21 + 3·width` scratch columns at `scratch..`.
-    ///
-    /// # Errors
-    ///
-    /// As the component routines; `b` rows containing zero produce
-    /// `q = all-ones` wraparound semantics (hardware would do the same).
-    pub fn div_restoring(
-        &mut self,
-        a: &[usize],
-        b: &[usize],
-        q: &[usize],
-        r: &[usize],
-        scratch: usize,
-    ) -> Result<(), PimError> {
-        let w = a.len();
-        if b.len() != w || q.len() != w || r.len() != w {
-            return Err(PimError::InvalidParameter {
-                name: "widths",
-                reason: "restoring division requires equal field widths",
-            });
-        }
-        // Layout: sub() owns scratch[0..11+w); everything else sits past
-        // that — flag, a zero column, the (w+1)-bit remainder, the trial
-        // difference, and the mux scratch.
-        let base = scratch + 12 + w;
-        let flag = base;
-        let zero = base + 1;
-        self.write_col_const(zero, false)?;
-        let rem_base = base + 2;
-        let rem: Vec<usize> = (0..w + 1).map(|k| rem_base + k).collect();
-        for &c in &rem {
-            self.write_col_const(c, false)?;
-        }
-        let diff_base = rem_base + w + 1;
-        let diff: Vec<usize> = (0..w + 1).map(|k| diff_base + k).collect();
-        let eb: Vec<usize> = b.iter().copied().chain([zero]).collect();
-        let sel_scratch = diff_base + w + 1;
-        for step in (0..w).rev() {
-            // rem = (rem << 1) | a[step]  — shift by copying columns.
-            for k in (1..=w).rev() {
-                self.copy(rem[k], rem[k - 1], sel_scratch)?;
-            }
-            self.copy(rem[0], a[step], sel_scratch)?;
-            // diff = rem - b (extended); flag (sign) = rem < b.
-            self.sub(&rem, &eb, &diff, scratch)?;
-            self.copy(flag, diff[w], sel_scratch)?;
-            // rem = flag ? rem : diff  (restore on borrow).
-            let rem_snapshot: Vec<usize> = rem.clone();
-            self.select(flag, &rem_snapshot, &diff, &rem, sel_scratch)?;
-            // q[step] = !flag.
-            self.not(q[step], flag)?;
-        }
-        for k in 0..w {
-            self.copy(r[k], rem[k], sel_scratch)?;
-        }
-        Ok(())
-    }
-}
-
 /// The TruncApp-style approximate division DUAL implements in memory
 /// (§IV-B, citing Vahdat et al.): normalize the divisor into `[0.5, 1)`
 /// by a left shift, approximate its reciprocal as `2 − x` — which the
@@ -709,7 +542,7 @@ impl NorEngine {
 /// Panics if `divisor == 0`.
 ///
 /// ```rust
-/// let q = dual_pim::nor::div_approx(1000, 4) as f64;
+/// let q = dual_pim::div_approx(1000, 4) as f64;
 /// let truth = 250.0;
 /// assert!(q <= truth && q >= 0.74 * truth - 1.0);
 /// ```
@@ -863,8 +696,6 @@ mod tests {
         e.add(&a, &b, &out, 32).unwrap();
         // 12 cycles per bit of ripple adder.
         assert_eq!(e.nor_cycles() - before, 48);
-        e.reset_counters();
-        assert_eq!(e.nor_cycles(), 0);
     }
 
     #[test]
@@ -876,56 +707,6 @@ mod tests {
         assert!(e.get_bit(99, 0).is_err());
         assert!(e.set_bit(0, 9999, true).is_err());
         assert!(e.write_field_all(&f, &[0; 3]).is_err());
-    }
-
-    #[test]
-    fn less_than_flag_matches_integer_compare() {
-        let mut e = NorEngine::new(8, 256).unwrap();
-        let a = field(0, 8);
-        let b = field(8, 8);
-        let av = [3u64, 200, 7, 7, 0, 255, 100, 99];
-        let bv = [5u64, 100, 7, 8, 0, 0, 99, 100];
-        e.write_field_all(&a, &av).unwrap();
-        e.write_field_all(&b, &bv).unwrap();
-        e.less_than(&a, &b, 20, 32).unwrap();
-        for r in 0..8 {
-            assert_eq!(e.get_bit(r, 20).unwrap(), av[r] < bv[r], "row {r}");
-        }
-    }
-
-    #[test]
-    fn select_muxes_fields() {
-        let mut e = NorEngine::new(4, 128).unwrap();
-        let x = field(0, 6);
-        let y = field(6, 6);
-        let out = field(12, 6);
-        e.write_field_all(&x, &[1, 2, 3, 4]).unwrap();
-        e.write_field_all(&y, &[60, 61, 62, 63]).unwrap();
-        // Select x on rows 0 and 2.
-        e.set_bit(0, 30, true).unwrap();
-        e.set_bit(2, 30, true).unwrap();
-        e.select(30, &x, &y, &out, 40).unwrap();
-        assert_eq!(e.read_field_all(&out).unwrap(), vec![1, 61, 3, 63]);
-    }
-
-    #[test]
-    fn restoring_division_is_exact() {
-        let mut e = NorEngine::new(6, 256).unwrap();
-        let a = field(0, 8);
-        let b = field(8, 8);
-        let q = field(16, 8);
-        let r = field(24, 8);
-        let av = [100u64, 255, 7, 81, 0, 200];
-        let bv = [7u64, 16, 9, 81, 5, 1];
-        e.write_field_all(&a, &av).unwrap();
-        e.write_field_all(&b, &bv).unwrap();
-        e.div_restoring(&a, &b, &q, &r, 64).unwrap();
-        let qs = e.read_field_all(&q).unwrap();
-        let rs = e.read_field_all(&r).unwrap();
-        for row in 0..6 {
-            assert_eq!(qs[row], av[row] / bv[row], "q row {row}");
-            assert_eq!(rs[row], av[row] % bv[row], "r row {row}");
-        }
     }
 
     #[test]
@@ -951,39 +732,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_restoring_division_matches_integers(av in proptest::collection::vec(0u64..1024, 4),
-                                                    bv in proptest::collection::vec(1u64..1024, 4)) {
-            let mut e = NorEngine::new(4, 256).unwrap();
-            let a = field(0, 10);
-            let b = field(10, 10);
-            let q = field(20, 10);
-            let r = field(30, 10);
-            e.write_field_all(&a, &av).unwrap();
-            e.write_field_all(&b, &bv).unwrap();
-            e.div_restoring(&a, &b, &q, &r, 64).unwrap();
-            let qs = e.read_field_all(&q).unwrap();
-            let rs = e.read_field_all(&r).unwrap();
-            for row in 0..4 {
-                prop_assert_eq!(qs[row], av[row] / bv[row]);
-                prop_assert_eq!(rs[row], av[row] % bv[row]);
-            }
-        }
-
-        #[test]
-        fn prop_less_than_matches(av in proptest::collection::vec(0u64..4096, 8),
-                                  bv in proptest::collection::vec(0u64..4096, 8)) {
-            let mut e = NorEngine::new(8, 256).unwrap();
-            let a = field(0, 12);
-            let b = field(12, 12);
-            e.write_field_all(&a, &av).unwrap();
-            e.write_field_all(&b, &bv).unwrap();
-            e.less_than(&a, &b, 26, 40).unwrap();
-            for row in 0..8 {
-                prop_assert_eq!(e.get_bit(row, 26).unwrap(), av[row] < bv[row]);
-            }
-        }
-
         #[test]
         fn prop_div_approx_underestimates_within_bound(n in 1u64..1_000_000, d in 1u64..10_000) {
             let q = div_approx(n, d) as f64;

@@ -148,16 +148,6 @@ impl EnergyStats {
             *self.counts.entry(op).or_default() += c;
         }
     }
-
-    /// Parallel composition: both run concurrently — latency is the max,
-    /// energy is the sum.
-    pub fn merge_parallel(&mut self, other: &Self) {
-        self.time_ns = self.time_ns.max(other.time_ns);
-        self.energy_pj += other.energy_pj;
-        for (&op, &c) in &other.counts {
-            *self.counts.entry(op).or_default() += c;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,11 +165,6 @@ mod tests {
 
         let mut b = EnergyStats::new();
         b.record(&m, Op::NearestStage);
-        let mut par = a.clone();
-        par.merge_parallel(&b);
-        assert!((par.time_ns() - 196.8).abs() < 1e-9); // max
-        assert!((par.energy_pj() - (4.6 + 1.214)).abs() < 1e-9); // sum
-
         let mut ser = a.clone();
         ser.merge_serial(&b);
         assert!((ser.time_ns() - 197.0).abs() < 1e-9);

@@ -80,12 +80,6 @@ impl StreamMeter {
         }
     }
 
-    /// The cost model in use.
-    #[must_use]
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Rebuild a meter from previously exported state — the
     /// snapshot-restore path. `total` (with its bit-exact running
     /// sums), `batches`, `points`, and `last` are taken verbatim; the
@@ -291,12 +285,6 @@ impl EnergyBudget {
     pub fn over(&self, spent_pj: f64) -> bool {
         !self.is_unlimited() && spent_pj > self.granted_pj
     }
-
-    /// Credit left after `spent_pj`, clamped at zero.
-    #[must_use]
-    pub fn headroom_pj(&self, spent_pj: f64) -> f64 {
-        (self.granted_pj - spent_pj).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -381,8 +369,6 @@ mod tests {
         b.grant_tick();
         assert!(!b.over(5.0));
         assert!(b.over(5.0000001));
-        assert_eq!(b.headroom_pj(3.0), 2.0);
-        assert_eq!(b.headroom_pj(9.0), 0.0);
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl MonteCarloResult {
             f64::from(self.correct) / f64::from(self.trials)
         }
     }
-
-    /// Fraction of trials the variation corrupted — the transient
-    /// per-read flip rate this variation level implies, suitable for
-    /// `dual_fault::FaultPlanSpec::flip_rate`.
-    #[must_use]
-    pub fn flip_rate(&self) -> f64 {
-        1.0 - self.accuracy()
-    }
 }
 
 /// Voltage ladder for a stage of `bits` bits, MSB first

@@ -37,7 +37,7 @@
 //!
 //! * The header layout (magic/version/length) is frozen forever.
 //! * Any payload change — field added, removed, reordered, or
-//!   re-encoded — bumps [`VERSION`].
+//!   re-encoded — bumps the format version.
 //! * A decoder accepts exactly the versions it knows how to parse and
 //!   rejects newer ones with [`SnapError::UnsupportedVersion`].
 //! * Byte stability within a version is pinned by a golden file
@@ -70,13 +70,13 @@ pub use state::{
     AlertRuleWire, BatchCostState, ConfigState, EngineSnapshot, FaultFingerprint, FaultState,
     HistState, MeterState, ModelState, ObsState, OpCount, ShardState, TraceEventState, TraceState,
 };
-pub use tenant::{TenantCheckpoint, TENANT_MAGIC, TENANT_VERSION};
+pub use tenant::TenantCheckpoint;
 
 /// Leading magic of every engine snapshot blob.
-pub const MAGIC: [u8; 4] = *b"DSNP";
+const MAGIC: [u8; 4] = *b"DSNP";
 
 /// Newest format version this build encodes and decodes.
-pub const VERSION: u32 = 2;
+const VERSION: u32 = 2;
 
 impl EngineSnapshot {
     /// Serialize to the framed wire format. Deterministic: equal
@@ -102,8 +102,8 @@ impl EngineSnapshot {
     ///
     /// [`SnapError::Truncated`] when the buffer ends early,
     /// [`SnapError::BadMagic`] when it is not a snapshot,
-    /// [`SnapError::UnsupportedVersion`] for formats newer than
-    /// [`VERSION`], and [`SnapError::Corrupt`] for checksum failures,
+    /// [`SnapError::UnsupportedVersion`] for formats newer than this
+    /// build's, and [`SnapError::Corrupt`] for checksum failures,
     /// trailing bytes, or inconsistent payload structure.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapError> {
         codec::decode_framed(bytes, MAGIC, VERSION)

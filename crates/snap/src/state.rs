@@ -303,23 +303,6 @@ wire_struct! {
     }
 }
 
-impl TraceState {
-    /// An empty, disabled trace (the shape a recorder-off engine
-    /// snapshots).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self {
-            capacity: 0,
-            emitted: 0,
-            next_span: 1,
-            evicted: 0,
-            open: Vec::new(),
-            events: Vec::new(),
-            alerts: Vec::new(),
-        }
-    }
-}
-
 wire_struct! {
     /// The complete engine snapshot: everything a `StreamEngine::restore`
     /// needs (beyond the re-supplied encoder, cost model, and fault plan)

@@ -93,18 +93,6 @@ impl Batcher {
         self.last_cut
     }
 
-    /// Size threshold.
-    #[must_use]
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Deadline threshold in ticks.
-    #[must_use]
-    pub fn max_ticks(&self) -> u64 {
-        self.max_ticks
-    }
-
     /// Current logical time.
     #[must_use]
     pub fn now(&self) -> u64 {
@@ -113,7 +101,7 @@ impl Batcher {
 
     /// Ticks elapsed since the last cut (or since construction).
     #[must_use]
-    pub fn ticks_since_cut(&self) -> u64 {
+    fn ticks_since_cut(&self) -> u64 {
         self.now - self.last_cut
     }
 

@@ -18,8 +18,7 @@ use crate::online::OnlineKMeans;
 use crate::ring::{BackpressurePolicy, PushOutcome, Ring};
 use dual_hdc::{Encoder, Hypervector};
 use dual_obs::{Key, Registry};
-use dual_pim::endurance::WearLeveler;
-use dual_pim::{CostModel, Op, StreamBatchCost, StreamMeter};
+use dual_pim::{CostModel, Op, StreamBatchCost, StreamMeter, WearLeveler};
 use dual_trace::{AlertEngine, AlertRule, Cut, Event, Recorder, TraceError};
 
 /// Rows per crossbar block (the Table III anchor geometry): hypervector

@@ -259,24 +259,6 @@ impl OnlineKMeans {
         self.dim
     }
 
-    /// Number of clusters `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Sub-centroids per cluster.
-    #[must_use]
-    pub fn centroids_per_cluster(&self) -> usize {
-        self.centroids_per_cluster
-    }
-
-    /// Forgetting factor applied between batches.
-    #[must_use]
-    pub fn decay(&self) -> f64 {
-        self.decay
-    }
-
     /// Total sub-centroid slots (`k × centroids_per_cluster`).
     #[must_use]
     pub fn slots(&self) -> usize {
@@ -291,7 +273,7 @@ impl OnlineKMeans {
 
     /// Whether every slot holds a centroid.
     #[must_use]
-    pub fn is_fully_seeded(&self) -> bool {
+    fn is_fully_seeded(&self) -> bool {
         self.seeded() == self.slots()
     }
 
@@ -625,7 +607,7 @@ impl OnlineKMeans {
 mod tests {
     use super::*;
     use dual_cluster::hamming_lloyd_step;
-    use dual_hdc::ops::random_hypervector;
+    use dual_hdc::random_hypervector;
 
     fn pool(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
         (0..n)

@@ -34,8 +34,7 @@ use dual_cluster::CentroidAccumulator;
 use dual_fault::{HealingPolicy, Quarantine, QuarantineStats, ShardHealth, SpareRowPool};
 use dual_hdc::{BitVec, Encoder, Hypervector};
 use dual_obs::{HistogramSnapshot, Key, Kind, Registry, HIST_BUCKETS};
-use dual_pim::endurance::WearLeveler;
-use dual_pim::{CostModel, EnergyStats, Op, StreamBatchCost, StreamMeter};
+use dual_pim::{CostModel, EnergyStats, Op, StreamBatchCost, StreamMeter, WearLeveler};
 use dual_snap::{
     AlertRuleWire, BatchCostState, ConfigState, EngineSnapshot, FaultFingerprint, FaultState,
     HistState, MeterState, ModelState, ObsState, OpCount, ShardState, SnapError, TraceEventState,

@@ -100,7 +100,7 @@ impl<T> Ring<T> {
 
     /// Whether the ring is at capacity.
     #[must_use]
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.len == self.capacity()
     }
 
@@ -148,16 +148,6 @@ impl<T> Ring<T> {
         self.len -= 1;
         item
     }
-
-    /// Peek the oldest item without dequeuing.
-    #[must_use]
-    pub fn front(&self) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            self.slots[self.head].as_ref()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +177,6 @@ mod tests {
         assert_eq!(r.force_push(1), None);
         assert_eq!(r.force_push(2), None);
         assert_eq!(r.force_push(3), Some(1));
-        assert_eq!(r.front(), Some(&2));
         assert_eq!(r.pop(), Some(2));
         assert_eq!(r.pop(), Some(3));
     }

@@ -56,15 +56,6 @@ pub enum Admission {
 }
 
 impl Admission {
-    /// Did the point end up buffered (in any form)?
-    #[must_use]
-    pub fn accepted(&self) -> bool {
-        match self {
-            Self::QuotaRejected => false,
-            Self::InBudget(o) | Self::Escalated(o) => !matches!(o, PushOutcome::Rejected),
-        }
-    }
-
     /// The engine-level outcome, when the push reached the engine.
     #[must_use]
     pub fn outcome(&self) -> Option<PushOutcome> {
@@ -624,12 +615,6 @@ impl<E: Encoder + Sync> Topology<E> {
     #[must_use]
     pub fn trace(&self) -> &Recorder {
         &self.trace
-    }
-
-    /// The service-level alert engine (rules and latch states).
-    #[must_use]
-    pub fn alert_engine(&self) -> &AlertEngine {
-        &self.alerts
     }
 
     /// Named recorder streams for the merged exporters: the service

@@ -48,14 +48,6 @@ impl Signal {
             _ => None,
         }
     }
-
-    /// The watched key.
-    #[must_use]
-    pub fn key(self) -> Key {
-        match self {
-            Self::Counter(k) | Self::Delta(k) | Self::Gauge(k) => k,
-        }
-    }
 }
 
 /// One declarative alert rule. Fires (records a raised

@@ -50,5 +50,5 @@ mod recorder;
 pub use alert::{AlertEngine, AlertRule, AlertRuleState, Signal};
 pub use error::TraceError;
 pub use event::{Cut, Event, EventRecord};
-pub use export::{chrome_trace, events_json, report_json};
+pub use export::{chrome_trace, report_json};
 pub use recorder::{Recorder, RecorderState, SpanId};

@@ -27,14 +27,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(pub(crate) u64);
 
-impl SpanId {
-    /// Raw id, for report rendering.
-    #[must_use]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// Plain-data image of a recorder, for checkpointing. Field meanings
 /// match the [`Recorder`] accessors; `events` is oldest-first.
 #[derive(Debug, Clone, PartialEq)]
@@ -370,7 +362,7 @@ mod tests {
     fn disabled_recorder_is_a_no_op() {
         let mut r = Recorder::new(0);
         let span = r.begin(1, batch_begin(4));
-        assert_eq!(span.raw(), 0);
+        assert_eq!(span.0, 0);
         r.emit(1, Event::QuarantineTrip { shard: 0 });
         r.end(
             1,

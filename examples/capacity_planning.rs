@@ -9,7 +9,7 @@ use dual::core::{
     hierarchical_capacity, partition_plan, partitioned_cost, replication_speedup, DualConfig,
     ScalingModel,
 };
-use dual::data::{catalog, Workload};
+use dual::data::{workload, Workload};
 use dual::pim::{AreaPowerModel, ChipConfig};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
         Workload::Synthetic2,
         Workload::Synthetic3,
     ] {
-        let spec = catalog::workload(w);
+        let spec = workload(w);
         let plan = partition_plan(&cfg, spec.n_points, spec.n_clusters);
         let cost = partitioned_cost(&cfg, spec.n_points, spec.n_clusters);
         println!(

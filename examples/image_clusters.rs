@@ -7,13 +7,11 @@
 //! ```
 
 use dual::cluster::{cluster_accuracy, hamming, silhouette, AgglomerativeClustering, Linkage};
-use dual::data::{catalog, Workload};
+use dual::data::{workload, Workload};
 use dual::hdc::{Encoder, HdMapper, LshEncoder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ds = catalog::workload(Workload::Mnist)
-        .generate(0.005, 7)
-        .truncated(300);
+    let ds = workload(Workload::Mnist).generate(0.005, 7).truncated(300);
     println!(
         "workload: {} surrogate, {} points x {} features, {} classes\n",
         ds.name,

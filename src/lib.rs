@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`hdc`] | `dual-hdc` | bit-packed hypervectors, HD-Mapper and LSH encoders |
 //! | [`cluster`] | `dual-cluster` | hierarchical / k-means / DBSCAN over any metric |
-//! | [`pim`] | `dual-pim` | crossbar blocks, CAM search, NOR arithmetic, cost models |
+//! | [`pim`] | `dual-pim` | crossbar blocks, CAM search, NOR arithmetic, cost and lifetime models |
 //! | [`isa`] | `dual-isa` | VLCA arrays, Table I instructions, allocator, runtime |
 //! | [`verify`] | `dual-isa` | static dataflow verifier for PIM instruction traces |
 //! | [`core`] | `dual-core` | the accelerator: functional path + performance model |

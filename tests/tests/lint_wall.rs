@@ -2,7 +2,9 @@
 //! (DESIGN.md § "Lint policy"). Deleting one of these attributes would
 //! leave clippy green in silence, so their presence is checked here.
 //! The crate layering (DESIGN.md § 2) is pinned here too: cargo accepts
-//! any acyclic edge, so a new one would land in silence as well.
+//! any acyclic edge, so a new one would land in silence as well. So is
+//! the rule that lib roots declare private modules: rustc's `dead_code`
+//! cannot see an item a `pub mod` exposes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,6 +24,23 @@ const CAST_AUDITED: [&str; 10] = [
     "crates/core/src/perf.rs",
     "crates/isa/src/verifier.rs",
     "crates/bench/src/bin/fault_sweep.rs",
+];
+
+/// The `pub mod`s a `crates/*/src/lib.rs` may declare, as
+/// `crate-dir::module`, each with the reason its path must stay public.
+const PUB_MODS: [(&str, &str); 3] = [
+    (
+        "core::baseline",
+        "the facade re-exports it as `dual::baseline`, and bins and tests name its path",
+    ),
+    (
+        "hdc::search",
+        "benchmark/src calls `search::assign_batch` and may not be edited with the product",
+    ),
+    (
+        "isa::verify",
+        "the facade re-exports it as `dual::verify`, and bins and tests name its path",
+    ),
 ];
 
 fn root() -> PathBuf {
@@ -114,5 +133,30 @@ fn leaf_crates_stay_leaves_and_pim_has_no_fault_edge() {
     assert!(
         !pim.contains(&"dual-fault".to_string()),
         "dual-pim must not depend on dual-fault: {pim:?}"
+    );
+}
+
+#[test]
+fn lib_roots_declare_no_pub_mod_outside_the_allowlist() {
+    let mut found = Vec::new();
+    for entry in fs::read_dir(root().join("crates")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let rel = format!("crates/{name}/src/lib.rs");
+        let src = fs::read_to_string(root().join(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        for line in src.lines() {
+            if let Some(module) = line.trim_start().strip_prefix("pub mod ") {
+                found.push(format!(
+                    "{name}::{}",
+                    module.trim_end_matches([';', '{', ' '])
+                ));
+            }
+        }
+    }
+    found.sort();
+    let allowed: Vec<&str> = PUB_MODS.iter().map(|&(module, _)| module).collect();
+    assert_eq!(
+        found, allowed,
+        "a lib root declares a `pub mod` outside PUB_MODS (re-export its items instead), \
+         or an allowlisted one is gone"
     );
 }

@@ -25,7 +25,7 @@ fn euclid_points(n: usize, m: usize, seed: u64) -> Vec<Vec<f64>> {
 
 fn hypervectors(n: usize, dim: usize, seed: u64) -> Vec<Hypervector> {
     (0..n)
-        .map(|i| dual_hdc::ops::random_hypervector(dim, seed.wrapping_add(i as u64)))
+        .map(|i| dual_hdc::random_hypervector(dim, seed.wrapping_add(i as u64)))
         .collect()
 }
 
@@ -241,7 +241,7 @@ fn assign_batch_matches_nearest_for_all_shapes() {
 
 #[test]
 fn pool_primitives_are_thread_count_invariant() {
-    use dual_core::pool;
+    use dual_pool as pool;
     let data: Vec<u64> = (0..1000).map(|i| i * 2654435761 % 97).collect();
     let serial_sum: u64 = data.iter().sum();
     for &threads in &THREADS {

@@ -3,8 +3,7 @@
 //! reorder work, never change results.
 
 use dual_cluster::CondensedMatrix;
-use dual_hdc::ops::random_hypervector;
-use dual_hdc::{BitVec, Hypervector};
+use dual_hdc::{random_hypervector, BitVec, Hypervector};
 use proptest::prelude::*;
 
 /// The storage invariant everything relies on: bits past `len` in the
