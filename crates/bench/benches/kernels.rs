@@ -251,9 +251,10 @@ fn bench_parallel_pairs(c: &mut Criterion) {
             }
         })
     });
-    // One full tile against one point on its own: their ratio is how
-    // many stragglers `encode_batch` should encode one at a time.
-    for n in [16, 1] {
+    // One full `f32` tile, half of one, and one point on its own: their
+    // ratios are how many stragglers `encode_batch` should encode one
+    // at a time.
+    for n in [32, 16, 1] {
         c.bench_function(&format!("encode_batch_{n}x784_d4000"), |bench| {
             bench.iter(|| std::hint::black_box(wide.encode_batch(&batch[..n]).expect("valid dims")))
         });

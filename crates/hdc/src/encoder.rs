@@ -1,9 +1,7 @@
 //! The HD-Mapper: DUAL's non-linear RBF-inspired encoder (§III-A).
 
-use crate::{project, Encoder, HdcError, Hypervector};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rand_distr::{Distribution, Normal};
+use crate::project::{self, Base, Sign};
+use crate::{Encoder, HdcError, Hypervector};
 
 /// How the encoder evaluates the cosine non-linearity.
 ///
@@ -52,10 +50,8 @@ pub enum CosineMode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HdMapper {
-    /// Row-major `D × m` base matrix.
-    base: Vec<f64>,
-    dim: usize,
-    n_features: usize,
+    /// Row-major `D × m` base matrix and its row norms.
+    base: Base,
     sigma: f64,
     mode: CosineMode,
 }
@@ -120,18 +116,8 @@ impl HdMapperBuilder {
                 reason: "must be positive and finite",
             });
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let normal = Normal::new(0.0, 1.0).map_err(|_| HdcError::InvalidParameter {
-            name: "normal",
-            reason: "unit normal distribution rejected",
-        })?;
-        let base = (0..self.dim * self.n_features)
-            .map(|_| normal.sample(&mut rng))
-            .collect();
         Ok(HdMapper {
-            base,
-            dim: self.dim,
-            n_features: self.n_features,
+            base: Base::gaussian(self.dim, self.n_features, self.seed)?,
             sigma: self.sigma,
             mode: self.mode,
         })
@@ -169,8 +155,9 @@ impl HdMapper {
     /// Panics if `i >= self.dim()`.
     #[must_use]
     pub fn base_vector(&self, i: usize) -> &[f64] {
-        assert!(i < self.dim, "base vector index out of range");
-        &self.base[i * self.n_features..(i + 1) * self.n_features]
+        assert!(i < self.base.dim(), "base vector index out of range");
+        let n = self.base.n_features();
+        &self.base.matrix()[i * n..(i + 1) * n]
     }
 
     /// The raw (pre-binarization) encoding `h_i = cos(B_i·F/σ)` — exposed
@@ -181,37 +168,69 @@ impl HdMapper {
     ///
     /// Returns [`HdcError::FeatureLength`] on a feature-count mismatch.
     pub fn project(&self, features: &[f64]) -> Result<Vec<f64>, HdcError> {
-        project::check_len(features, self.n_features)?;
+        let n_features = self.base.n_features();
+        project::check_len(features, n_features)?;
         let inv_sigma = 1.0 / self.sigma;
-        let mut out = Vec::with_capacity(self.dim);
-        project::tile_dots::<1>(&self.base, self.n_features, features, |_, &[dot]| {
+        let mut out = Vec::with_capacity(self.base.dim());
+        project::tile_dots::<1>(self.base.matrix(), n_features, features, |_, &[dot]| {
             out.push(eval_cosine(dot * inv_sigma, self.mode));
         });
         Ok(out)
     }
 
-    /// The sign test of §III-A on one dot product.
-    fn positive(&self) -> impl Fn(f64) -> bool + Copy {
-        let (inv_sigma, mode) = (1.0 / self.sigma, self.mode);
-        move |dot| cosine_positive(dot * inv_sigma, mode)
+    /// The sign test of §III-A.
+    fn sign(&self) -> CosineSign {
+        CosineSign {
+            inv_sigma: 1.0 / self.sigma,
+            mode: self.mode,
+        }
+    }
+}
+
+/// The mapper's bit of a dot product: [`cosine_positive`] of `dot/σ`.
+#[derive(Clone, Copy)]
+pub(crate) struct CosineSign {
+    pub(crate) inv_sigma: f64,
+    pub(crate) mode: CosineMode,
+}
+
+impl Sign for CosineSign {
+    fn positive(self, dot: f64) -> bool {
+        cosine_positive(dot * self.inv_sigma, self.mode)
+    }
+
+    /// `x = dot · (1/σ)` and `r = x · (1/π)` are each one rounded
+    /// multiply by a positive constant, so both are monotone in `dot`:
+    /// every `dot` in `[lo, hi]` has its `r` between `lo`'s and `hi`'s.
+    /// When those two share their nearest integer `k` inside the guard
+    /// band, below [`MAX_ANGLE`], so does every `r` between them, and
+    /// [`cosine_positive`] returns `k`'s parity for all of them.
+    fn certain(self, lo: f64, hi: f64) -> Option<bool> {
+        let (k, lo_in) = half_turns(lo * self.inv_sigma);
+        let (k_hi, hi_in) = half_turns(hi * self.inv_sigma);
+        (lo_in & hi_in & (k == k_hi)).then_some(k & 1 == 0)
+    }
+
+    fn filters(self) -> bool {
+        self.mode == CosineMode::Exact
     }
 }
 
 impl Encoder for HdMapper {
     fn dim(&self) -> usize {
-        self.dim
+        self.base.dim()
     }
 
     fn n_features(&self) -> usize {
-        self.n_features
+        self.base.n_features()
     }
 
     fn encode(&self, features: &[f64]) -> Result<Hypervector, HdcError> {
-        project::sign_one(&self.base, self.n_features, features, self.positive())
+        project::sign_one(&self.base, features, self.sign())
     }
 
     fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Hypervector>, HdcError> {
-        project::sign_batch(&self.base, self.n_features, rows, self.positive())
+        project::sign_batch(&self.base, rows, self.sign())
     }
 }
 
@@ -249,16 +268,28 @@ const MAX_ANGLE: f64 = (1u64 << 20) as f64;
 /// there `f64::round` would be a libm call again; the parity is
 /// bit-identical on both.
 fn cosine_positive(x: f64, mode: CosineMode) -> bool {
+    let (k, parity_path) = half_turns(x);
+    if mode == CosineMode::Exact && parity_path {
+        k & 1 == 0
+    } else {
+        eval_cosine(x, mode) > 0.0
+    }
+}
+
+/// The bits of `k + 1.5·2⁵²`, for `k` the integer nearest to
+/// `x · (1/π)`, and whether [`cosine_positive`]'s parity path may use
+/// them: `|x| < 2²⁰` and `x · (1/π)` within `½ − 10⁻⁶` of `k`. Equal
+/// bits mean equal `k`.
+fn half_turns(x: f64) -> (u64, bool) {
     const SHIFT: f64 = 1.5 * (1u64 << 52) as f64;
     const GUARD: f64 = 0.5 - 1e-6;
     let r = x * std::f64::consts::FRAC_1_PI;
     let shifted = r + SHIFT;
     let k = shifted - SHIFT;
-    if mode == CosineMode::Exact && x.abs() < MAX_ANGLE && (r - k).abs() <= GUARD {
-        shifted.to_bits() & 1 == 0
-    } else {
-        eval_cosine(x, mode) > 0.0
-    }
+    (
+        shifted.to_bits(),
+        x.abs() < MAX_ANGLE && (r - k).abs() <= GUARD,
+    )
 }
 
 /// Range-reduce to `[-π, π]`.
