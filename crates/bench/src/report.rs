@@ -118,6 +118,14 @@ pub fn exit_usage<T>(usage: String) -> T {
     std::process::exit(2)
 }
 
+/// Print a gate's failed checks and exit with status 1: a failed gate
+/// is a verdict, not a crash, and 1 keeps it apart from
+/// [`exit_usage`]'s 2.
+pub fn exit_failed(name: &str, failures: &[String]) -> ! {
+    eprintln!("{name} failed:\n  - {}", failures.join("\n  - "));
+    std::process::exit(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
