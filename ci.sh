@@ -8,7 +8,6 @@
 #   ./ci.sh --stage fmt,clippy   # run a comma-separated subset
 #   ./ci.sh --list               # list the stages with their descriptions
 #   DUAL_THREADS=4 ./ci.sh       # same, with a pinned pool thread count
-#   DUAL_BENCH_TOL=0.2 ./ci.sh --stage bench   # loosen the perf ratchet
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,8 +19,8 @@ STAGES=(
   "doc|doctests incl. README/DESIGN fences, then rustdoc with -D warnings"
   "clippy|cargo clippy --workspace --all-targets -D warnings (the lint wall, DESIGN.md §5)"
   "fmt|cargo fmt --all --check"
-  "bench|perf ratchet: timing ratios vs results/bench_summary.json"
-  "obs|dual-obs overhead smoke + byte-stable obs snapshot diff"
+  "bench|the one wall-clock gate: obs_overhead's instrumented/bare and pipeline/encode bounds"
+  "obs|stream_throughput report + stable obs snapshot, byte-diffed against results/"
   "fault|fault-degradation sweep, diffed against the committed report"
   "determinism|seed x DUAL_THREADS matrix: reports must be byte-identical"
   "recovery|crash/restore/replay harness across DUAL_THREADS, byte-diffed"
@@ -62,31 +61,15 @@ stage_fmt() {
 }
 
 stage_bench() {
-  local tmp
-  tmp=$(mktemp -d)
-  echo "--- stream_throughput (report + ratchet metric)"
-  cargo run -q -p dual-bench --release --bin stream_throughput -- \
-    --summary-out "$tmp/stream.json"
-  git diff --exit-code -- results/stream_throughput.json \
-    || { echo "stream_throughput.json drifted: the report must be byte-stable"; return 1; }
-  echo "--- obs_overhead (ratchet metrics)"
-  cargo run -q -p dual-bench --release --bin obs_overhead -- \
-    --summary-out "$tmp/obs.json"
-  echo "--- bench_ratchet (vs committed results/bench_summary.json)"
-  cargo run -q -p dual-bench --release --bin bench_ratchet -- \
-    --baseline results/bench_summary.json \
-    --measured "$tmp/stream.json" --measured "$tmp/obs.json"
-  rm -rf "$tmp"
+  cargo run -q -p dual-bench --release --bin obs_overhead
 }
 
 stage_obs() {
-  echo "--- dual-obs overhead smoke (instrumented hot paths within tolerance)"
-  cargo run -q -p dual-bench --release --bin obs_overhead
-  echo "--- stable obs snapshot (byte-stable across machines and DUAL_THREADS)"
+  echo "--- stream_throughput report + stable obs snapshot (byte-stable across machines and DUAL_THREADS)"
   cargo run -q -p dual-bench --release --bin stream_throughput -- \
-    --metrics-out results/obs_snapshot.json
-  git diff --exit-code -- results/obs_snapshot.json \
-    || { echo "obs_snapshot.json drifted: the dual-obs stable snapshot must be byte-stable"; return 1; }
+    --report-out results/stream_throughput.json --metrics-out results/obs_snapshot.json
+  git diff --exit-code -- results/stream_throughput.json results/obs_snapshot.json \
+    || { echo "a stream_throughput artifact drifted: the report and the snapshot must be byte-stable"; return 1; }
 }
 
 stage_fault() {
@@ -120,7 +103,7 @@ stage_determinism() {
 # byte-identical, and unless <committed> is `-`, @/report.json must equal
 # that committed artifact. Each bin asserts its own invariants before
 # writing (and exits nonzero on a violation); the matrix pins the report
-# bytes across thread counts and against the one-way ratchet in results/.
+# bytes across thread counts and against the committed one in results/.
 threads_matrix() {
   local bin="$1" committed="$2" tmp threads
   shift 2

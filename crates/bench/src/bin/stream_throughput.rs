@@ -5,26 +5,20 @@
 //!
 //! ```text
 //! cargo run --release -p dual-bench --bin stream_throughput -- \
-//!     [POINTS] [--report-out PATH] [--metrics-out PATH] [--summary-out PATH]
+//!     [POINTS] [--report-out PATH] [--metrics-out PATH]
 //! ```
 //!
-//! Wall-clock throughput (points/sec) is printed to stdout only. The
-//! JSON report written to `results/stream_throughput.json` contains
-//! exclusively deterministic quantities — stage counters, per-batch
-//! PIM energy/latency from the DUAL cost model — so the file is
-//! byte-stable across machines, reruns, and thread counts.
-//!
-//! `--summary-out PATH` additionally measures the perf-ratchet metric
-//! `stream_pipeline_over_encode`: the median-of-5 ratio of full serial
-//! pipeline wall time over bare serial `encode_batch` wall time for the
-//! same points in the same 256-point batches. Numerator and
-//! denominator scale together with the host, so the ratio is
-//! machine-normalized; `bench_ratchet` compares it against the
-//! committed `results/bench_summary.json`.
+//! A report, not a gate. Wall-clock throughput (points/sec) is printed
+//! to stdout only. Both output files hold exclusively deterministic
+//! quantities: the report (`results/stream_throughput.json`) has stage
+//! counters and per-batch PIM energy/latency from the DUAL cost model,
+//! and `--metrics-out` has each engine's stable `dual-obs` snapshot. So
+//! both are byte-stable across machines, reruns, and thread counts. The
+//! wall-clock gate on this pipeline is `obs_overhead`'s pair 4.
 
 use dual_bench::{exit_usage, write_out, JsonObject};
 use dual_data::DriftSpec;
-use dual_hdc::{Encoder, HdMapper};
+use dual_hdc::HdMapper;
 use dual_obs::WallClock;
 use dual_pim::StreamBatchCost;
 use dual_stream::{BackpressurePolicy, StreamConfig, StreamEngine, StreamSnapshot};
@@ -36,14 +30,6 @@ const DEFAULT_POINTS: usize = 120_000;
 /// Consumer cadence chosen to overrun the ring: the gap between ticks
 /// exceeds capacity, so every policy's degradation path is exercised.
 const TICK_EVERY: usize = 1536;
-/// Points per ratchet repetition (small: the metric is a ratio, not a
-/// throughput — it only needs enough work to dominate timer noise).
-const RATCHET_POINTS: usize = 24_000;
-/// Repetitions for the median (an odd count has a true median).
-const RATCHET_REPS: usize = 5;
-/// Micro-batch size of the ratchet engine, and of the bare
-/// `encode_batch` calls it is divided by.
-const RATCHET_BATCH: usize = 256;
 
 struct PolicyRun {
     policy: BackpressurePolicy,
@@ -108,71 +94,6 @@ fn metrics_json(runs: &[PolicyRun]) -> String {
         .pretty()
 }
 
-/// Median of an odd number of samples.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Machine-normalized pipeline cost factor for the perf ratchet: wall
-/// time of the full serial streaming pipeline divided by wall time of
-/// bare serial HD encoding of the same points, median of
-/// [`RATCHET_REPS`] repetitions. The denominator calls `encode_batch`
-/// on [`RATCHET_BATCH`]-point batches because that is what the
-/// engine's encode stage calls: timing `encode` per point would set
-/// the tiled pipeline against an untiled encoder and read below 1.
-/// Serial on both sides (`threads = 1`) so the ratio is independent
-/// of `DUAL_THREADS` and core count.
-fn ratchet_ratio() -> f64 {
-    let make_encoder = || {
-        HdMapper::builder(DIM, FEATURES)
-            .seed(7)
-            .sigma(6.0)
-            .build()
-            .expect("valid encoder spec")
-    };
-    let mut spec = DriftSpec::new(FEATURES, CLUSTERS);
-    spec.drift_rate = 1e-3;
-    let stream: Vec<Vec<f64>> = spec
-        .stream(42)
-        .take(RATCHET_POINTS)
-        .map(|(p, _)| p)
-        .collect();
-
-    let mut ratios = Vec::with_capacity(RATCHET_REPS);
-    for _ in 0..RATCHET_REPS {
-        // Denominator: bare serial encode of every batch.
-        let enc = make_encoder();
-        let t0 = WallClock::start();
-        for batch in stream.chunks(RATCHET_BATCH) {
-            std::hint::black_box(enc.encode_batch(batch).expect("well-shaped points"));
-        }
-        let t_encode = t0.elapsed_s();
-
-        // Numerator: the full pipeline (ring -> batch -> encode ->
-        // assign -> update -> meter) over the same points, serial.
-        let mut cfg = StreamConfig::new(CLUSTERS);
-        cfg.capacity = 1024;
-        cfg.max_batch = RATCHET_BATCH;
-        cfg.max_ticks = 4;
-        cfg.centroids_per_cluster = 2;
-        cfg.decay = 0.95;
-        cfg.threads = 1;
-        let mut engine = StreamEngine::new(make_encoder(), cfg).expect("valid stream config");
-        let t0 = WallClock::start();
-        for (i, p) in stream.iter().enumerate() {
-            engine.push(p).expect("well-shaped point");
-            if (i + 1) % TICK_EVERY == 0 {
-                engine.tick().expect("tick");
-            }
-        }
-        engine.drain().expect("drain");
-        let t_pipeline = t0.elapsed_s();
-        ratios.push(t_pipeline / t_encode.max(1e-9));
-    }
-    median(ratios)
-}
-
 /// The report in the workspace's byte-stable JSON idiom: fixed key
 /// order, fixed float formatting, no wall-clock fields.
 fn to_json(points: usize, runs: &[PolicyRun]) -> String {
@@ -216,7 +137,7 @@ fn to_json(points: usize, runs: &[PolicyRun]) -> String {
         .pretty()
 }
 
-const SYNOPSIS: &str = "[POINTS] [--report-out PATH] [--metrics-out PATH] [--summary-out PATH]";
+const SYNOPSIS: &str = "[POINTS] [--report-out PATH] [--metrics-out PATH]";
 
 /// The command line, its options in any order.
 #[derive(Debug, PartialEq)]
@@ -224,7 +145,6 @@ struct Args {
     points: usize,
     report_out: String,
     metrics_out: Option<String>,
-    summary_out: Option<String>,
 }
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -235,7 +155,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         points: DEFAULT_POINTS,
         report_out: String::from("results/stream_throughput.json"),
         metrics_out: None,
-        summary_out: None,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -246,7 +165,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         match arg.as_str() {
             "--report-out" => parsed.report_out = path()?,
             "--metrics-out" => parsed.metrics_out = Some(path()?),
-            "--summary-out" => parsed.summary_out = Some(path()?),
             _ => {
                 let positive = arg.parse().ok().filter(|&n| n > 0);
                 parsed.points = positive.ok_or_else(|| bad(&format!("bad POINTS `{arg}`")))?;
@@ -261,7 +179,6 @@ fn main() {
         points,
         report_out,
         metrics_out,
-        summary_out,
     } = parse_args(std::env::args().skip(1)).unwrap_or_else(exit_usage);
 
     println!(
@@ -324,18 +241,6 @@ fn main() {
         write_out(&path, metrics_json(&runs)).expect("writable --metrics-out path");
         println!("obs snapshot written to {path} (stable keys only)");
     }
-
-    if let Some(path) = summary_out {
-        let ratio = ratchet_ratio();
-        let payload = JsonObject::new()
-            .field("version", 1)
-            .field("stream_pipeline_over_encode", format_args!("{ratio:.4}"))
-            .pretty();
-        write_out(&path, payload).expect("writable --summary-out path");
-        println!(
-            "ratchet metric written to {path}: stream_pipeline_over_encode = {ratio:.4} (median of {RATCHET_REPS})"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -351,14 +256,11 @@ mod tests {
         let defaults = parse("").unwrap();
         assert_eq!(defaults.points, DEFAULT_POINTS);
         assert_eq!(defaults.report_out, "results/stream_throughput.json");
-        assert_eq!((defaults.metrics_out, defaults.summary_out), (None, None));
-        let set = parse("--summary-out s 900 --metrics-out m --report-out r").unwrap();
+        assert_eq!(defaults.metrics_out, None);
+        let set = parse("900 --metrics-out m --report-out r").unwrap();
         assert_eq!((set.points, set.report_out.as_str()), (900, "r"));
-        assert_eq!(
-            (set.metrics_out, set.summary_out),
-            (Some("m".into()), Some("s".into()))
-        );
-        for bad in ["0", "-5", "--bogus", "--report-out", "--summary-out"] {
+        assert_eq!(set.metrics_out, Some("m".into()));
+        for bad in ["0", "-5", "--bogus", "--report-out"] {
             let err = parse(bad).unwrap_err();
             assert!(
                 err.ends_with(&format!("usage: stream_throughput {SYNOPSIS}")),

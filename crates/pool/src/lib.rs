@@ -18,10 +18,10 @@
 //!   results are combined **in chunk index order** on the calling
 //!   thread. No atomics, no locks, no reduction trees.
 //! * Floating-point reductions must therefore be expressed as
-//!   per-chunk partials folded in fixed order ([`par_reduce`]), or —
-//!   when the result must match a *serial* loop bitwise — with chunk
-//!   boundaries fixed independently of the thread count (see
-//!   [`fixed_blocks`]).
+//!   per-chunk partials ([`par_map_ranges`]) folded serially in chunk
+//!   order, or — when the result must match a *serial* loop bitwise —
+//!   with chunk boundaries fixed independently of the thread count
+//!   (see [`fixed_blocks`]).
 //!
 //! ## Thread-count resolution
 //!
@@ -39,11 +39,6 @@
 //!     chunk.iter().map(|x| x * x).collect::<Vec<i32>>()
 //! });
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25, 36]);
-//!
-//! // Fixed-order reduction: identical result for any thread count.
-//! let sum: u64 = pool::par_reduce(1_000, 4, |r| r.map(|i| i as u64).sum(), |a, b| a + b)
-//!     .unwrap_or(0);
-//! assert_eq!(sum, 499_500);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -198,22 +193,6 @@ where
     out
 }
 
-/// Map each chunk range to a partial result and fold the partials
-/// **in chunk index order** (left fold). Returns `None` for empty
-/// input. Because the fold order is fixed, floating-point reductions
-/// are deterministic for a *given* thread count; to additionally be
-/// invariant across thread counts, map over [`fixed_blocks`] instead
-/// and fold those.
-pub fn par_reduce<R, M, F>(len: usize, threads: usize, map: M, fold: F) -> Option<R>
-where
-    R: Send,
-    M: Fn(Range<usize>) -> R + Sync,
-    F: Fn(R, R) -> R,
-{
-    let parts = par_map_ranges(len, threads, map);
-    parts.into_iter().reduce(fold)
-}
-
 /// Map `ranges` (arbitrary, e.g. [`fixed_blocks`]) to partial results
 /// on up to `threads` workers, returning partials in the order of
 /// `ranges`. Workers own whole ranges; range boundaries are the
@@ -356,26 +335,6 @@ mod tests {
         }
         let mut empty: Vec<usize> = Vec::new();
         par_fill(&mut empty, 4, |_, _| panic!("an empty slice has no chunks"));
-    }
-
-    #[test]
-    fn par_reduce_is_fixed_order() {
-        // Left-fold over chunk partials: for a fixed thread count the
-        // result is reproducible run-to-run.
-        let a = par_reduce(
-            10_000,
-            4,
-            |r| r.map(|i| i as f64 * 0.1).sum::<f64>(),
-            |x, y| x + y,
-        );
-        let b = par_reduce(
-            10_000,
-            4,
-            |r| r.map(|i| i as f64 * 0.1).sum::<f64>(),
-            |x, y| x + y,
-        );
-        assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits());
-        assert_eq!(par_reduce(0, 4, |_| 0u32, |x, y| x + y), None);
     }
 
     #[test]

@@ -251,15 +251,15 @@ fn pool_primitives_are_thread_count_invariant() {
         });
         assert_eq!(doubled.len(), data.len());
         assert!(doubled.iter().zip(&data).all(|(&d, &x)| d == 2 * x));
-        // par_reduce folds chunks in fixed order.
-        let sum = pool::par_reduce(
-            data.len(),
-            threads,
-            |range| range.map(|i| data[i]).sum::<u64>(),
-            |a, b| a + b,
-        )
-        .unwrap_or(0);
-        assert_eq!(sum, serial_sum, "threads={threads}");
+        // par_map_ranges partials, folded serially in chunk order.
+        let partials = pool::par_map_ranges(data.len(), threads, |range| {
+            range.map(|i| data[i]).sum::<u64>()
+        });
+        assert_eq!(
+            partials.iter().sum::<u64>(),
+            serial_sum,
+            "threads={threads}"
+        );
     }
 }
 
