@@ -316,7 +316,9 @@ fn bench_observe_batch(c: &mut Criterion) {
 /// One tick-end write-ahead capture of a `topo_resilient`-shaped tenant
 /// (D = 1024, 16 features, 8 clusters × 4 slots, a 128-point ring and a
 /// full 256-event trace ring, fault injection off): the snapshot tree
-/// encoded into a reused buffer, as `StreamEngine`'s periodic WAL does.
+/// encoded into a reused buffer, as `StreamEngine`'s periodic WAL does,
+/// and the whole `StreamEngine::checkpoint` of the same engine (settle,
+/// capture, size pass, `snap.*` metrics, one encode into a fresh `Vec`).
 fn bench_snapshot_encode(c: &mut Criterion) {
     let mapper = HdMapper::builder(1024, 16)
         .seed(7)
@@ -351,6 +353,9 @@ fn bench_snapshot_encode(c: &mut Criterion) {
             snap.encode_into(&mut buf);
             std::hint::black_box(buf.len())
         })
+    });
+    c.bench_function("engine_checkpoint_32x1024", |bench| {
+        bench.iter(|| std::hint::black_box(engine.checkpoint().len()))
     });
 }
 

@@ -18,11 +18,11 @@
 //! byte-diffs the reports. Every JSON field is a deterministic
 //! function of `--seed` — no wall-clock leaks into the report.
 
-use dual_bench::{exit_usage, fnv1a64, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_obs::WallClock;
-use dual_snap::EngineSnapshot;
+use dual_snap::{fnv1a64, EngineSnapshot};
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 
 use dual_hdc::HdMapper;

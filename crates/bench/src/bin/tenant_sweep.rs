@@ -21,12 +21,13 @@
 //! timing goes to stdout only). `ci.sh --stage topology` diffs the
 //! report across thread counts and against the committed artifact.
 
-use dual_bench::{exit_usage, fnv1a64, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
 use dual_obs::{Key, WallClock};
 use dual_pim::CostModel;
+use dual_snap::fnv1a64;
 use dual_stream::{BackpressurePolicy, FaultConfig, StreamConfig};
 use dual_topology::{QuotaSpec, TenantSpec, Topology};
 

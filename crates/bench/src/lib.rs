@@ -27,7 +27,7 @@
 mod report;
 mod tsne;
 
-pub use report::{exit_failed, exit_usage, fnv1a64, out_seed_args, write_out, JsonObject};
+pub use report::{exit_failed, exit_usage, out_seed_args, write_out, JsonObject};
 pub use tsne::{neighbor_agreement, Tsne};
 
 use std::fmt;

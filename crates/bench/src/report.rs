@@ -57,15 +57,6 @@ impl fmt::Display for JsonObject {
     }
 }
 
-/// FNV-1a 64 over bytes: the stable digests the reports carry (the
-/// same hash `dual-snap` frames with).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Write `contents` to `path`, creating the missing directories of
 /// its parent first, so a bin writes where its `--out` points from any
 /// working directory.

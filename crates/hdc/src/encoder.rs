@@ -166,10 +166,11 @@ impl HdMapper {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::FeatureLength`] on a feature-count mismatch.
+    /// Returns [`HdcError::FeatureLength`] on a feature-count mismatch
+    /// and [`HdcError::NonFiniteFeature`] on a NaN or ±∞ feature.
     pub fn project(&self, features: &[f64]) -> Result<Vec<f64>, HdcError> {
         let n_features = self.base.n_features();
-        project::check_len(features, n_features)?;
+        project::check_features(features, n_features)?;
         let inv_sigma = 1.0 / self.sigma;
         let mut out = Vec::with_capacity(self.base.dim());
         project::tile_dots::<1>(self.base.matrix(), n_features, features, |_, &[dot]| {
@@ -368,6 +369,23 @@ mod tests {
                 got: 2
             })
         );
+    }
+
+    #[test]
+    fn encode_encode_batch_and_project_refuse_non_finite_features() {
+        let m = HdMapper::new(64, 3, 0).unwrap();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = [x, 1.0, x];
+            let want = HdcError::NonFiniteFeature { index: 0 };
+            assert_eq!(m.encode(&bad), Err(want.clone()));
+            assert_eq!(
+                m.encode_batch(&[vec![0.0; 3], bad.to_vec()]),
+                Err(want.clone())
+            );
+            assert_eq!(m.project(&bad), Err(want));
+        }
+        // The largest finite values still encode.
+        assert!(m.encode(&[f64::MAX, f64::MIN, 5e-324]).is_ok());
     }
 
     #[test]

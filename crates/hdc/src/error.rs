@@ -14,6 +14,13 @@ pub enum HdcError {
         /// Number of features actually supplied.
         got: usize,
     },
+    /// A feature was NaN or ±∞. The projection has no position to
+    /// give such a point, so the encoders refuse it instead of
+    /// emitting a hypervector that means nothing.
+    NonFiniteFeature {
+        /// Index of the first non-finite feature.
+        index: usize,
+    },
     /// Two hypervectors of different dimensionality were combined.
     DimensionMismatch {
         /// Dimensionality of the left operand.
@@ -36,6 +43,7 @@ impl fmt::Display for HdcError {
             Self::FeatureLength { expected, got } => {
                 write!(f, "expected {expected} features, got {got}")
             }
+            Self::NonFiniteFeature { index } => write!(f, "feature {index} is not finite"),
             Self::DimensionMismatch { left, right } => {
                 write!(f, "hypervector dimensions differ: {left} vs {right}")
             }
@@ -59,6 +67,8 @@ mod tests {
             got: 5,
         };
         assert_eq!(e.to_string(), "expected 3 features, got 5");
+        let e = HdcError::NonFiniteFeature { index: 2 };
+        assert_eq!(e.to_string(), "feature 2 is not finite");
         let e = HdcError::DimensionMismatch { left: 4, right: 8 };
         assert!(e.to_string().contains("4 vs 8"));
     }

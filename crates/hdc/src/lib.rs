@@ -58,6 +58,7 @@ pub use error::HdcError;
 pub use hypervector::{majority_bundle, Hypervector};
 pub use lsh::LshEncoder;
 pub use ops::random_hypervector;
+pub use project::first_non_finite;
 
 /// Trait for anything that encodes a real-valued feature vector into a
 /// binary [`Hypervector`].
@@ -77,7 +78,8 @@ pub trait Encoder {
     /// # Errors
     ///
     /// Returns [`HdcError::FeatureLength`] if `features.len()` differs
-    /// from [`Encoder::n_features`].
+    /// from [`Encoder::n_features`], and [`HdcError::NonFiniteFeature`]
+    /// if a feature is NaN or ±∞.
     fn encode(&self, features: &[f64]) -> Result<Hypervector, HdcError>;
 
     /// Encode a batch of feature vectors.
@@ -86,9 +88,9 @@ pub trait Encoder {
     ///
     /// * the output equals mapping [`Encoder::encode`] over `rows`, bit
     ///   for bit and in order, however the batch is split into calls;
-    /// * every row is length-checked before any is encoded, so a bad
-    ///   row fails the whole call without encoding (or counting into
-    ///   `hdc.encoded`) anything;
+    /// * every row is checked (length, then finiteness) before any is
+    ///   encoded, so a bad row fails the whole call without encoding
+    ///   (or counting into `hdc.encoded`) anything;
     /// * a good batch adds `rows.len()` to `hdc.encoded`, once.
     ///
     /// [`HdMapper`] and [`LshEncoder`] override it with a tiled
@@ -97,11 +99,12 @@ pub trait Encoder {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::FeatureLength`] for the first row whose
-    /// length differs from [`Encoder::n_features`].
+    /// Returns [`HdcError::FeatureLength`] or
+    /// [`HdcError::NonFiniteFeature`] for the first row that
+    /// [`Encoder::encode`] would refuse.
     fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Hypervector>, HdcError> {
         for row in rows {
-            project::check_len(row, self.n_features())?;
+            project::check_features(row, self.n_features())?;
         }
         rows.iter().map(|r| self.encode(r)).collect()
     }
@@ -137,6 +140,15 @@ mod tests {
         );
         assert_eq!(enc.0.get(), 0);
         assert_eq!(enc.encode_batch(&bad[..2]).map(|v| v.len()), Ok(2));
+        assert_eq!(enc.0.get(), 2);
+        // A non-finite feature fails the call before any row encodes.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = [vec![0.0; 2], vec![1.0, x]];
+            assert_eq!(
+                enc.encode_batch(&bad),
+                Err(HdcError::NonFiniteFeature { index: 1 })
+            );
+        }
         assert_eq!(enc.0.get(), 2);
     }
 }

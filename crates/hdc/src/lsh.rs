@@ -128,6 +128,22 @@ mod tests {
     }
 
     #[test]
+    fn encode_and_encode_batch_refuse_non_finite_features() {
+        let e = LshEncoder::new(16, 4, 0).unwrap();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = [0.5, -1.0, x, 2.0];
+            let want = Err(HdcError::NonFiniteFeature { index: 2 });
+            assert_eq!(e.encode(&bad), want);
+            // Length is checked first; a good row before the bad one
+            // does not make the batch partial.
+            assert_eq!(
+                e.encode_batch(&[vec![0.0; 4], bad.to_vec()]),
+                want.map(|hv| vec![hv])
+            );
+        }
+    }
+
+    #[test]
     fn lsh_is_scale_invariant() {
         // sign(B·(cF)) == sign(B·F) for c > 0 — the signature ignores
         // vector magnitude, a defining property of SimHash.

@@ -65,6 +65,7 @@ mod error;
 mod state;
 mod tenant;
 
+pub use codec::fnv1a64;
 pub use error::SnapError;
 pub use state::{
     AlertRuleWire, BatchCostState, ConfigState, EngineSnapshot, FaultFingerprint, FaultState,
@@ -96,6 +97,15 @@ impl EngineSnapshot {
         *out = codec::encode_framed(self, MAGIC, VERSION, std::mem::take(out));
     }
 
+    /// Length of the blob [`EngineSnapshot::encode`] would write,
+    /// computed from the field list without encoding or checksumming
+    /// anything — the write-ahead capture learns its own `snap.bytes`
+    /// from it before its one encode.
+    #[must_use]
+    pub fn framed_len(&self) -> usize {
+        codec::framed_len(self)
+    }
+
     /// Parse a framed snapshot blob, failing closed on any corruption.
     ///
     /// # Errors
@@ -113,6 +123,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A fixed synthetic snapshot exercising every field, including
     /// the optional fault branch. Used by the round-trip and golden
@@ -283,6 +294,70 @@ mod tests {
                     last_bits: 2.0f64.to_bits(),
                 }],
             },
+        }
+    }
+
+    /// `v` cycled or cut to `n` entries (`n = 0` empties it).
+    fn resized<T: Clone>(v: &[T], n: usize) -> Vec<T> {
+        v.iter().cycle().take(n).cloned().collect()
+    }
+
+    proptest! {
+        /// The size pass agrees with `put` on [`sample`] with every
+        /// sequence (each nested one too, and every string) cut to or
+        /// cycled up to a drawn length, zero included, and each option
+        /// present or absent.
+        #[test]
+        fn prop_size_is_the_encoded_length(
+            lens in proptest::collection::vec(0usize..5, 1..40),
+        ) {
+            let mut len = lens.iter().copied().cycle();
+            let mut n = move || len.next().unwrap();
+            let mut s = sample();
+            s.pending = resized(&s.pending, n());
+            for p in &mut s.pending {
+                *p = resized(p, n());
+            }
+            let m = &mut s.model;
+            m.centroids = resized(&m.centroids, n());
+            m.acc_counts = resized(&m.acc_counts, n());
+            for words in m.centroids.iter_mut().chain(&mut m.acc_counts) {
+                *words = resized(words, n());
+            }
+            m.acc_weights = resized(&m.acc_weights, n());
+            s.meter.ops = resized(&s.meter.ops, n());
+            if n() % 2 == 0 {
+                s.meter.last = None;
+            }
+            let o = &mut s.obs;
+            o.counters = resized(&o.counters, n());
+            o.gauges = resized(&o.gauges, n());
+            o.hists = resized(&o.hists, n());
+            for h in &mut o.hists {
+                h.buckets = resized(&h.buckets, n());
+            }
+            if n() % 2 == 0 {
+                s.fault = None;
+            }
+            if let Some(f) = &mut s.fault {
+                f.pool_map = resized(&f.pool_map, n());
+                f.shards = resized(&f.shards, n());
+                f.trips = resized(&f.trips, n());
+            }
+            s.wear = resized(&s.wear, n());
+            let t = &mut s.trace;
+            t.open = resized(&t.open, n());
+            t.events = resized(&t.events, n());
+            for e in &mut t.events {
+                e.name = "ζa".repeat(n());
+            }
+            t.alerts = resized(&t.alerts, n());
+            for a in &mut t.alerts {
+                a.name = "ζ".repeat(n());
+            }
+            let bytes = s.encode();
+            prop_assert_eq!(s.framed_len(), bytes.len());
+            prop_assert_eq!(EngineSnapshot::decode(&bytes).unwrap(), s);
         }
     }
 

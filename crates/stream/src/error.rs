@@ -21,6 +21,11 @@ pub enum StreamError {
         /// Features the point carried.
         got: usize,
     },
+    /// A pushed point carried a NaN or ±∞ feature.
+    NonFiniteFeature {
+        /// Index of the first non-finite feature.
+        index: usize,
+    },
     /// Seeded centroids did not match the engine geometry.
     CentroidShape {
         /// What was wrong.
@@ -51,6 +56,7 @@ impl fmt::Display for StreamError {
             Self::FeatureLength { expected, got } => {
                 write!(f, "point has {got} features, encoder expects {expected}")
             }
+            Self::NonFiniteFeature { index } => write!(f, "point feature {index} is not finite"),
             Self::CentroidShape { reason } => write!(f, "bad seeded centroids: {reason}"),
             Self::Encode(e) => write!(f, "encode stage failed: {e}"),
             Self::Snapshot(e) => write!(f, "snapshot decode failed: {e}"),
@@ -94,6 +100,8 @@ mod tests {
             got: 2,
         };
         assert!(e.to_string().contains("2 features"));
+        let e = StreamError::NonFiniteFeature { index: 5 };
+        assert_eq!(e.to_string(), "point feature 5 is not finite");
         let e = StreamError::InvalidConfig {
             name: "capacity",
             reason: "must be positive",
