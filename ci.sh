@@ -23,10 +23,9 @@ STAGES=(
   "obs|stream_throughput report + stable obs snapshot, byte-diffed against results/"
   "fault|fault-degradation sweep, diffed against the committed report"
   "determinism|seed x DUAL_THREADS matrix: reports must be byte-identical"
-  "recovery|crash/restore/replay harness across DUAL_THREADS, byte-diffed"
+  "recovery|crash/restore/replay harness (flight recorder included) across DUAL_THREADS, byte-diffed"
   "verify-isa|static dataflow verification of every PIM trace + mutation gate"
-  "topology|multi-tenant sweep: isolation report byte-diffed across DUAL_THREADS"
-  "trace|flight-recorder kill/restore/replay identity, byte-diffed"
+  "topology|multi-tenant sweep: isolation, service recorder + deferral alert, byte-diffed across DUAL_THREADS"
   "benchmark|frozen benchmark/ harness builds and passes its --quick suite"
   "figures|the all bin regenerates every results/*.txt and *.csv byte-identically"
   "portable|default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical"
@@ -128,7 +127,7 @@ threads_matrix() {
 }
 
 stage_recovery() {
-  echo "--- recovery_harness: every (policy, kill_tick) cell restores and replays bit-identically"
+  echo "--- recovery_harness: every (policy, kill_tick) cell restores and replays bit-identically, flight recorder included"
   threads_matrix recovery_harness results/recovery_report.json
 }
 
@@ -138,13 +137,8 @@ stage_verify_isa() {
 }
 
 stage_topology() {
-  echo "--- tenant_sweep: 4 tenants x workloads x quota tiers, isolation + exact energy-ledger sum"
+  echo "--- tenant_sweep: 4 tenants x workloads x quota tiers, isolation + exact energy-ledger sum + service alert"
   threads_matrix tenant_sweep results/topology_report.json
-}
-
-stage_trace() {
-  echo "--- flight_recorder: ring, causal span ids and alert latches survive kill/restore/replay"
-  threads_matrix flight_recorder results/trace_report.json
 }
 
 stage_benchmark() {
@@ -179,8 +173,8 @@ stage_portable() {
   # being monotone; dual-stream's reference tests check it on SSE2 too.
   # dual-fault's tests hold `sense_row` to the per-bit read definition.
   cargo test -q --release -p dual-snap -p dual-hdc -p dual-fault -p dual-stream -p dual-cluster >/dev/null
-  echo "--- parallel_consistency"
-  cargo test -q --release -p dual-integration --test parallel_consistency >/dev/null
+  echo "--- parallel_consistency, recovery (replay identity with the flight recorder, corruption corpus)"
+  cargo test -q --release -p dual-integration --test parallel_consistency --test recovery >/dev/null
   echo "--- stream_throughput, fault_sweep, recovery_harness vs committed results/"
   cargo run -q -p dual-bench --release --bin stream_throughput -- \
     --report-out "$tmp/stream.json" --metrics-out "$tmp/obs.json" >/dev/null

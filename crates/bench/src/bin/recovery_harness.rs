@@ -4,8 +4,10 @@
 //! periodic write-ahead snapshot, **replay** the ticks after the
 //! capture, and diff the result against the uninterrupted run — the
 //! byte-stable obs JSON, the final centroid bits, the energy-ledger
-//! `f64` bits, the fault/healing status, and the endurance wear counts
-//! must all be identical. Any divergence panics (CI fails).
+//! `f64` bits, the fault/healing status, the endurance wear counts, and
+//! the flight recorder (ring contents and causal span ids, the trace
+//! report bytes, the alert latches) must all be identical. Any
+//! divergence panics (CI fails).
 //!
 //! ```text
 //! cargo run --release -p dual-bench --bin recovery_harness [--out PATH] [--seed N]
@@ -13,20 +15,23 @@
 //!
 //! The sweep covers healing policies {fault-free, healing-off under
 //! faults, full healing under faults} × kill ticks {pre-first-capture,
-//! two seeded mid-run ticks, the final tick}; `ci.sh --stage recovery`
-//! reruns the whole harness under `DUAL_THREADS` in {0, 2, 8} and
-//! byte-diffs the reports. Every JSON field is a deterministic
-//! function of `--seed` — no wall-clock leaks into the report.
+//! two seeded mid-run ticks, the final tick}. Every engine arms two
+//! alert rules and a flight-recorder ring small enough to wrap, so the
+//! recorder's eviction and latch state cross every restore. `ci.sh
+//! --stage recovery` reruns the whole harness under `DUAL_THREADS` in
+//! {0, 2, 8} and byte-diffs the reports. Every JSON field is a
+//! deterministic function of `--seed` — no wall-clock leaks into the
+//! report.
 
-use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, recorder_json, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
-use dual_obs::WallClock;
+use dual_hdc::HdMapper;
+use dual_obs::{Key, WallClock};
+use dual_pim::CostModel;
 use dual_snap::{fnv1a64, EngineSnapshot};
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
-
-use dual_hdc::HdMapper;
-use dual_pim::CostModel;
+use dual_trace::{report_json, AlertRule, AlertRuleState, RecorderState, Signal};
 
 const DIM: usize = 256;
 const FEATURES: usize = 6;
@@ -40,6 +45,9 @@ const TICK_EVERY: usize = 32;
 const TOTAL_TICKS: u64 = 32;
 /// Periodic write-ahead capture interval, in ticks.
 const SNAPSHOT_EVERY: u64 = 4;
+/// Flight-recorder ring depth: small enough that every scenario's ring
+/// wraps (the report pins the eviction count).
+const TRACE_CAPACITY: usize = 192;
 const FAULT_RATE: f64 = 0.005;
 const PLAN_SEED: u64 = 0x00FA_0175;
 const STREAM_SEED: u64 = 42;
@@ -107,6 +115,26 @@ fn encoder() -> HdMapper {
         .expect("valid encoder spec")
 }
 
+/// The armed rule set: a hysteresis band on ring occupancy (leftover
+/// points after a tick's cuts) and a rising-edge rule on quarantine
+/// trips. Both watch deterministic signals, so the raise/clear history
+/// is part of what a recovery must reproduce.
+fn alert_rules() -> Vec<AlertRule> {
+    vec![
+        AlertRule {
+            name: "ring-backlog".to_owned(),
+            signal: Signal::Gauge(Key::StreamRingOccupancy),
+            threshold: 4.0,
+            clear: 0.0,
+        },
+        AlertRule::edge(
+            "quarantine-spike",
+            Signal::Delta(Key::FaultQuarantined),
+            1.0,
+        ),
+    ]
+}
+
 fn engine(scenario: Scenario) -> StreamEngine<HdMapper> {
     let mut cfg = StreamConfig::new(CLUSTERS);
     cfg.capacity = 4096;
@@ -116,7 +144,11 @@ fn engine(scenario: Scenario) -> StreamEngine<HdMapper> {
     cfg.decay = 0.95;
     cfg.shards = SHARDS;
     cfg.snapshot_every = SNAPSHOT_EVERY;
-    let engine = StreamEngine::new(encoder(), cfg).expect("valid stream config");
+    cfg.trace_capacity = TRACE_CAPACITY;
+    let engine = StreamEngine::new(encoder(), cfg)
+        .expect("valid stream config")
+        .with_alerts(alert_rules())
+        .expect("valid alert rules");
     match scenario.fault_config() {
         Some(fault) => engine
             .with_fault_injection(fault)
@@ -155,6 +187,9 @@ struct Fingerprint {
     energy_pj_bits: u64,
     fault_status: Option<dual_stream::FaultStatus>,
     wear: Vec<u64>,
+    trace: RecorderState,
+    trace_report: String,
+    alerts: Vec<AlertRuleState>,
 }
 
 fn fingerprint(engine: &StreamEngine<HdMapper>) -> Fingerprint {
@@ -166,6 +201,9 @@ fn fingerprint(engine: &StreamEngine<HdMapper>) -> Fingerprint {
         energy_pj_bits: snap.energy_pj.to_bits(),
         fault_status: engine.fault_status(),
         wear: engine.wear().writes().to_vec(),
+        trace: engine.trace().state(),
+        trace_report: report_json(&[("engine", engine.trace())]),
+        alerts: engine.alerts().states().to_vec(),
     }
 }
 
@@ -203,37 +241,35 @@ fn run_cell(scenario: Scenario, points: &[Vec<f64>], kill_tick: u64, gold: &Fing
     feed(&mut recovered, points, resume_point, points.len());
     recovered.drain().expect("drain");
 
+    // The restore marker is a volatile note: exactly one after a
+    // restore, none after a cold restart, never in the replayable ring.
+    assert_eq!(
+        recovered.trace().notes().count(),
+        usize::from(wal.is_some()),
+        "restore notes: policy={} kill_tick={kill_tick}",
+        scenario.name()
+    );
     let got = fingerprint(&recovered);
-    assert_eq!(
-        got.stable_json,
-        gold.stable_json,
-        "stable obs JSON diverged: policy={} kill_tick={kill_tick}",
-        scenario.name()
-    );
-    assert_eq!(
-        got.clusters,
-        gold.clusters,
-        "centroid bits diverged: policy={} kill_tick={kill_tick}",
-        scenario.name()
-    );
-    assert_eq!(
-        (got.time_ns_bits, got.energy_pj_bits),
-        (gold.time_ns_bits, gold.energy_pj_bits),
-        "energy ledger diverged: policy={} kill_tick={kill_tick}",
-        scenario.name()
-    );
-    assert_eq!(
-        got.fault_status,
-        gold.fault_status,
-        "fault status diverged: policy={} kill_tick={kill_tick}",
-        scenario.name()
-    );
-    assert_eq!(
-        got.wear,
-        gold.wear,
-        "wear counts diverged: policy={} kill_tick={kill_tick}",
-        scenario.name()
-    );
+    let axes = [
+        ("stable obs JSON", got.stable_json == gold.stable_json),
+        ("centroid bits", got.clusters == gold.clusters),
+        (
+            "energy ledger",
+            (got.time_ns_bits, got.energy_pj_bits) == (gold.time_ns_bits, gold.energy_pj_bits),
+        ),
+        ("fault status", got.fault_status == gold.fault_status),
+        ("wear counts", got.wear == gold.wear),
+        ("flight-recorder ring", got.trace == gold.trace),
+        ("trace report bytes", got.trace_report == gold.trace_report),
+        ("alert latches", got.alerts == gold.alerts),
+    ];
+    for (axis, same) in axes {
+        assert!(
+            same,
+            "{axis} diverged: policy={} kill_tick={kill_tick}",
+            scenario.name()
+        );
+    }
 
     Cell {
         policy: scenario.name(),
@@ -265,7 +301,7 @@ fn kill_schedule(seed: u64) -> Vec<u64> {
 
 /// The report in the workspace's byte-stable JSON idiom: fixed key
 /// order, integer-only fields, no wall-clock values.
-fn to_json(seed: u64, cells: &[Cell]) -> String {
+fn to_json(seed: u64, cells: &[Cell], traces: Vec<JsonObject>) -> String {
     JsonObject::new()
         .field("version", 1)
         .field("dim", DIM)
@@ -275,6 +311,7 @@ fn to_json(seed: u64, cells: &[Cell]) -> String {
         .field("tick_every", TICK_EVERY)
         .field("total_ticks", TOTAL_TICKS)
         .field("snapshot_every", SNAPSHOT_EVERY)
+        .field("trace_capacity", TRACE_CAPACITY)
         .field("plan_seed", PLAN_SEED)
         .field("stream_seed", seed)
         .records(
@@ -292,6 +329,7 @@ fn to_json(seed: u64, cells: &[Cell]) -> String {
                     )
             }),
         )
+        .records("traces", traces)
         .pretty()
 }
 
@@ -307,7 +345,8 @@ fn main() {
     let points = workload(seed);
     let kills = kill_schedule(seed);
     println!(
-        "recovery_harness: {} points, {TOTAL_TICKS} ticks, capture every {SNAPSHOT_EVERY}, kill schedule {kills:?}, stream seed {seed}\n",
+        "recovery_harness: {} points, {TOTAL_TICKS} ticks, capture every {SNAPSHOT_EVERY}, \
+         kill schedule {kills:?}, ring capacity {TRACE_CAPACITY}, stream seed {seed}\n",
         points.len()
     );
     println!(
@@ -322,6 +361,7 @@ fn main() {
     );
 
     let mut cells = Vec::new();
+    let mut traces = Vec::new();
     for scenario in [
         Scenario::Pristine,
         Scenario::HealingOff,
@@ -333,6 +373,22 @@ fn main() {
         feed(&mut gold_engine, &points, 0, points.len());
         gold_engine.drain().expect("drain");
         let gold = fingerprint(&gold_engine);
+        let trace = gold_engine.trace();
+        assert!(
+            trace.evicted() > 0,
+            "policy={}: the ring must wrap at this capacity",
+            scenario.name()
+        );
+        assert!(
+            trace.alerts_raised() > 0,
+            "policy={}: the alert rules must fire",
+            scenario.name()
+        );
+        traces.push(
+            JsonObject::new()
+                .str("policy", scenario.name())
+                .field("trace", recorder_json(trace, &gold.trace_report)),
+        );
         drop(gold_engine);
 
         for &kill_tick in &kills {
@@ -353,9 +409,9 @@ fn main() {
     }
 
     println!(
-        "\nall {} recovery cells reproduced their gold runs bit-for-bit",
+        "\nall {} recovery cells reproduced their gold runs bit-for-bit, flight recorder included",
         cells.len()
     );
-    write_out(&out_path, to_json(seed, &cells)).expect("writable output path");
+    write_out(&out_path, to_json(seed, &cells, traces)).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");
 }

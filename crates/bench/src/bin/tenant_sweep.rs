@@ -12,6 +12,11 @@
 //!   ledgers, re-summed in registration order, must reproduce
 //!   `Topology::totals().energy_pj` bit-for-bit.
 //!
+//! The service also arms a `deferral-storm` alert on the scheduler's
+//! deferral count, which the starved and shedding tiers must fire; the
+//! report pins the service flight recorder's accounting and an FNV-1a
+//! digest of the merged `Topology::trace_report`.
+//!
 //! ```text
 //! cargo run --release -p dual-bench --bin tenant_sweep [--out PATH] [--seed N]
 //! ```
@@ -21,7 +26,7 @@
 //! timing goes to stdout only). `ci.sh --stage topology` diffs the
 //! report across thread counts and against the committed artifact.
 
-use dual_bench::{exit_usage, out_seed_args, write_out, JsonObject};
+use dual_bench::{exit_usage, out_seed_args, recorder_json, write_out, JsonObject};
 use dual_data::DriftSpec;
 use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::{search, Encoder, HdMapper, Hypervector};
@@ -30,6 +35,7 @@ use dual_pim::CostModel;
 use dual_snap::fnv1a64;
 use dual_stream::{BackpressurePolicy, FaultConfig, StreamConfig};
 use dual_topology::{QuotaSpec, TenantSpec, Topology};
+use dual_trace::{AlertRule, Signal};
 
 const DIM: usize = 1000;
 const FEATURES: usize = 12;
@@ -176,6 +182,10 @@ struct RunResult {
     topo_ticks: u64,
     total_energy_pj: f64,
     total_energy_bits: u64,
+    /// The service recorder's accounting and the digest of the merged
+    /// `Topology::trace_report` (service plus every tenant).
+    service_trace: JsonObject,
+    service_alerts: u64,
 }
 
 /// Build the 4-tenant topology, interleave every tenant's stream
@@ -193,6 +203,14 @@ fn run(storm: bool, seed: u64) -> RunResult {
         topo.add_tenant_with(spec, encoder(i), CostModel::paper(), fault)
             .expect("valid tenant spec");
     }
+    // A service alert on the scheduler's deferrals: it reads only the
+    // service registry, so no tenant's outputs move.
+    topo.set_alerts(vec![AlertRule::edge(
+        "deferral-storm",
+        Signal::Delta(Key::TopoDeferred),
+        1.0,
+    )])
+    .expect("valid alert rules");
 
     // Materialize every tenant's training stream up front, then
     // interleave point-by-point so all tenants contend on the same
@@ -287,6 +305,8 @@ fn run(storm: bool, seed: u64) -> RunResult {
         topo_ticks: topo.now(),
         total_energy_pj: totals.energy_pj,
         total_energy_bits: totals.energy_pj.to_bits(),
+        service_trace: recorder_json(topo.trace(), &topo.trace_report()),
+        service_alerts: topo.trace().alerts_raised(),
     }
 }
 
@@ -309,6 +329,7 @@ fn to_json(seed: u64, storm: &RunResult, agreements: &[f64]) -> String {
         )
         .field("total_energy_bits", storm.total_energy_bits)
         .field("ledger_sum_exact", true)
+        .field("service_trace", &storm.service_trace)
         .records(
             "tenants",
             tenants.map(|((def, t), agreement)| {
@@ -424,6 +445,10 @@ fn main() {
         delta.injected > 0,
         "delta's storm run must actually inject faults"
     );
+    assert!(
+        storm.service_alerts > 0,
+        "the deferral-storm service alert must fire"
+    );
 
     println!(
         "  {:<8} {:>6} {:>12} {:<10} {:>8} {:>9} {:>7} {:>8} {:>7} {:>14} {:>9}",
@@ -465,6 +490,7 @@ fn main() {
         "  exact energy sum: {} pJ total, ledger fold bit-identical",
         format_args!("{:.1}", storm.total_energy_pj)
     );
+    println!("  service recorder: {} alerts raised", storm.service_alerts);
 
     write_out(&out_path, to_json(seed, &storm, &agreements)).expect("writable output path");
     println!("report written to {out_path} (deterministic fields only)");

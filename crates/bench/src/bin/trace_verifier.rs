@@ -165,7 +165,7 @@ fn encoder_workload() -> (Runtime, &'static str) {
         .sigma(4.0)
         .build()
         .expect("valid mapper");
-    let enc = PimEncoder::new(&mapper, 6, 4.0);
+    let enc = PimEncoder::new(&mapper, 6, 4.0).expect("valid encoder parameters");
     let mut rt = Runtime::with_pool(96, 256, 64).expect("geometry is valid");
     let _ = enc
         .encode_on_pim(&mut rt, &[0.5, -1.0, 2.0, 0.0, 1.5, -0.3])

@@ -27,7 +27,7 @@
 mod report;
 mod tsne;
 
-pub use report::{exit_failed, exit_usage, out_seed_args, write_out, JsonObject};
+pub use report::{exit_failed, exit_usage, out_seed_args, recorder_json, write_out, JsonObject};
 pub use tsne::{neighbor_agreement, Tsne};
 
 use std::fmt;

@@ -10,6 +10,9 @@
 use std::path::Path;
 use std::{fmt, io};
 
+use dual_snap::fnv1a64;
+use dual_trace::Recorder;
+
 /// A JSON object built entry by entry: [`pretty`](Self::pretty) for a
 /// whole report, `Display` for a one-line record or nested value.
 #[derive(Debug, Clone, Default)]
@@ -55,6 +58,23 @@ impl fmt::Display for JsonObject {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{{}}}", self.entries.join(", "))
     }
+}
+
+/// A flight recorder's accounting as one record, with the FNV-1a
+/// digest of `report`: the recorder's `dual_trace::report_json` bytes,
+/// or a merged report that holds them.
+#[must_use]
+pub fn recorder_json(rec: &Recorder, report: &str) -> JsonObject {
+    JsonObject::new()
+        .field("emitted", rec.emitted())
+        .field("evicted", rec.evicted())
+        .field("retained", rec.retained())
+        .field("open_depth", rec.open_depth())
+        .field("alerts_raised", rec.alerts_raised())
+        .field(
+            "report_digest",
+            format_args!("\"{:016x}\"", fnv1a64(report.as_bytes())),
+        )
 }
 
 /// Write `contents` to `path`, creating the missing directories of

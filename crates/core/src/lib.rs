@@ -91,4 +91,4 @@ pub use partition::{
     PartitionPlan,
 };
 pub use perf::{PerfModel, Phase, PhaseReport};
-pub use pim_encoder::PimEncoder;
+pub use pim_encoder::{PimEncodeError, PimEncoder};

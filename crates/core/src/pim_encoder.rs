@@ -25,11 +25,48 @@
 //! tests compare against, plus an agreement check against the float
 //! encoder.
 
-use dual_hdc::{BitVec, HdMapper, Hypervector};
+use std::error::Error;
+use std::fmt;
+
+use dual_hdc::{first_non_finite, BitVec, HdMapper, HdcError, Hypervector};
 use dual_isa::{IsaError, Runtime};
 
 /// Width of the accumulator/operand fields in bits (two's complement).
 const W: usize = 28;
+
+/// Why [`PimEncoder::encode_on_pim`] produced no hypervector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum PimEncodeError {
+    /// The feature vector was refused before any instruction ran: the
+    /// wrong length, or a NaN or ±∞ feature.
+    Features(HdcError),
+    /// The runtime refused an allocation or an instruction.
+    Runtime(IsaError),
+}
+
+impl fmt::Display for PimEncodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Features(e) => write!(f, "features refused: {e}"),
+            Self::Runtime(e) => write!(f, "runtime error: {e}"),
+        }
+    }
+}
+
+impl Error for PimEncodeError {}
+
+impl From<HdcError> for PimEncodeError {
+    fn from(e: HdcError) -> Self {
+        Self::Features(e)
+    }
+}
+
+impl From<IsaError> for PimEncodeError {
+    fn from(e: IsaError) -> Self {
+        Self::Runtime(e)
+    }
+}
 
 /// Fixed-point encoder state: the quantized base matrix plus scaling.
 #[derive(Debug, Clone)]
@@ -51,14 +88,23 @@ impl PimEncoder {
     /// an effective kernel bandwidth of `sigma` — which is rounded to
     /// the nearest power-of-two-scaled value so all shifts stay exact.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `sigma` is not positive/finite or `s_bits` not in
-    /// `2..=8`.
-    #[must_use]
-    pub fn new(mapper: &HdMapper, s_bits: u32, sigma: f64) -> Self {
-        assert!(sigma.is_finite() && sigma > 0.0, "sigma must be positive");
-        assert!((2..=8).contains(&s_bits), "s_bits in 2..=8");
+    /// [`HdcError::InvalidParameter`] if `sigma` is not positive and
+    /// finite or `s_bits` is not in `2..=8`.
+    pub fn new(mapper: &HdMapper, s_bits: u32, sigma: f64) -> Result<Self, HdcError> {
+        if !(sigma.is_finite() && sigma > 0.0) {
+            return Err(HdcError::InvalidParameter {
+                name: "sigma",
+                reason: "must be positive and finite",
+            });
+        }
+        if !(2..=8).contains(&s_bits) {
+            return Err(HdcError::InvalidParameter {
+                name: "s_bits",
+                reason: "must be in 2..=8",
+            });
+        }
         let dim = dual_hdc::Encoder::dim(mapper);
         let m = dual_hdc::Encoder::n_features(mapper);
         let s = f64::from(1u32 << s_bits);
@@ -72,13 +118,13 @@ impl PimEncoder {
         // y_int = Σ q(f)·q(B) ≈ y_real · S². Want y_angle = y_real/σ =
         // y_int/(S²σ); pick a = round(log2(S²σ)).
         let a = (s * s * sigma).log2().round().max(4.0) as u32;
-        Self {
+        Ok(Self {
             base_q,
             dim,
             n_features: m,
             s_bits,
             a,
-        }
+        })
     }
 
     /// The effective (power-of-two quantized) bandwidth.
@@ -89,21 +135,31 @@ impl PimEncoder {
 
     /// Quantize one feature vector at the encoder's scale.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a feature-count mismatch.
-    #[must_use]
-    pub fn quantize_features(&self, features: &[f64]) -> Vec<i64> {
-        assert_eq!(features.len(), self.n_features, "feature count");
+    /// [`HdcError::FeatureLength`] on a feature-count mismatch and
+    /// [`HdcError::NonFiniteFeature`] for a NaN or ±∞ feature, which
+    /// has no quantized value (a cast would read NaN as 0 and ±∞ as
+    /// the clamp bound).
+    pub fn quantize_features(&self, features: &[f64]) -> Result<Vec<i64>, HdcError> {
+        if features.len() != self.n_features {
+            return Err(HdcError::FeatureLength {
+                expected: self.n_features,
+                got: features.len(),
+            });
+        }
+        if let Some(index) = first_non_finite(features) {
+            return Err(HdcError::NonFiniteFeature { index });
+        }
         let s = f64::from(1u32 << self.s_bits);
-        features
+        Ok(features
             .iter()
             .map(|&f| {
                 (f * s)
                     .round()
                     .clamp(-(1 << (W - 10)) as f64, (1 << (W - 10)) as f64) as i64
             })
-            .collect()
+            .collect())
     }
 
     /// Fixed-point constants of the cosine stage: `(t_width, k24)`.
@@ -117,13 +173,9 @@ impl PimEncoder {
 
     /// Bit-exact software mirror of the in-memory pipeline (the test
     /// oracle). Returns the encoded hypervector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a feature-count mismatch.
     #[cfg(test)]
-    fn reference_encode(&self, features: &[f64]) -> Hypervector {
-        let qf = self.quantize_features(features);
+    fn reference_encode(&self, features: &[f64]) -> Result<Hypervector, HdcError> {
+        let qf = self.quantize_features(features)?;
         let (t_width, k24) = self.cosine_constants();
         let a = self.a;
         let a = a as usize;
@@ -170,7 +222,7 @@ impl PimEncoder {
                 !t_neg
             })
             .collect();
-        Hypervector::from_bitvec(bits)
+        Ok(Hypervector::from_bitvec(bits))
     }
 
     /// Execute the encoding of one point through the PIM runtime. The
@@ -180,17 +232,15 @@ impl PimEncoder {
     ///
     /// # Errors
     ///
-    /// Propagates runtime/allocation errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a feature-count mismatch.
+    /// [`PimEncodeError::Features`] when [`PimEncoder::quantize_features`]
+    /// refuses the point (nothing runs on the runtime), and
+    /// [`PimEncodeError::Runtime`] for a runtime or allocation error.
     pub fn encode_on_pim(
         &self,
         rt: &mut Runtime,
         features: &[f64],
-    ) -> Result<Hypervector, IsaError> {
-        let qf = self.quantize_features(features);
+    ) -> Result<Hypervector, PimEncodeError> {
+        let qf = self.quantize_features(features)?;
         let d = self.dim;
         let (t_width, k24) = self.cosine_constants();
         let a = self.a as usize;
@@ -312,7 +362,7 @@ mod tests {
     #[test]
     fn pim_encoding_matches_reference_bit_for_bit() {
         let m = mapper();
-        let enc = PimEncoder::new(&m, 6, 4.0);
+        let enc = PimEncoder::new(&m, 6, 4.0).expect("valid");
         let mut rt = Runtime::with_pool(96, 256, 64).expect("valid");
         for feats in [
             vec![0.5, -1.0, 2.0, 0.0, 1.5, -0.3],
@@ -320,7 +370,7 @@ mod tests {
             vec![0.0; 6],
         ] {
             let on_pim = enc.encode_on_pim(&mut rt, &feats).expect("runs");
-            let reference = enc.reference_encode(&feats);
+            let reference = enc.reference_encode(&feats).expect("finite");
             assert_eq!(on_pim, reference, "feats {feats:?}");
         }
         // The encoder's instruction stream passes static verification,
@@ -333,7 +383,7 @@ mod tests {
     #[test]
     fn pim_encoding_agrees_with_float_encoder_in_small_angle_regime() {
         let m = mapper();
-        let enc = PimEncoder::new(&m, 6, 4.0);
+        let enc = PimEncoder::new(&m, 6, 4.0).expect("valid");
         let mut rt = Runtime::with_pool(96, 256, 64).expect("valid");
         let feats = vec![0.4, -0.2, 0.8, 0.1, -0.5, 0.3];
         let on_pim = enc.encode_on_pim(&mut rt, &feats).expect("runs");
@@ -352,7 +402,7 @@ mod tests {
     #[test]
     fn pim_encoding_costs_m_multiplies() {
         let m = mapper();
-        let enc = PimEncoder::new(&m, 6, 4.0);
+        let enc = PimEncoder::new(&m, 6, 4.0).expect("valid");
         let mut rt = Runtime::with_pool(96, 256, 64).expect("valid");
         let _ = enc
             .encode_on_pim(&mut rt, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -365,15 +415,69 @@ mod tests {
     #[test]
     fn effective_sigma_is_power_of_two_scaled() {
         let m = mapper();
-        let enc = PimEncoder::new(&m, 6, 4.0);
+        let enc = PimEncoder::new(&m, 6, 4.0).expect("valid");
         let s = enc.effective_sigma();
         assert!((2.0..8.01).contains(&s), "effective sigma {s}");
     }
 
     #[test]
-    #[should_panic(expected = "sigma")]
-    fn rejects_bad_sigma() {
+    fn new_refuses_bad_sigma_and_s_bits() {
         let m = mapper();
-        let _ = PimEncoder::new(&m, 6, -1.0);
+        for sigma in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                PimEncoder::new(&m, 6, sigma),
+                Err(HdcError::InvalidParameter { name: "sigma", .. })
+            ));
+        }
+        for s_bits in [0, 1, 9] {
+            assert!(matches!(
+                PimEncoder::new(&m, s_bits, 4.0),
+                Err(HdcError::InvalidParameter { name: "s_bits", .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn quantize_features_refuses_wrong_length_and_non_finite() {
+        let enc = PimEncoder::new(&mapper(), 6, 4.0).expect("valid");
+        assert_eq!(
+            enc.quantize_features(&[0.5; 5]),
+            Err(HdcError::FeatureLength {
+                expected: 6,
+                got: 5
+            })
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut feats = vec![0.5; 6];
+            feats[3] = bad;
+            assert_eq!(
+                enc.quantize_features(&feats),
+                Err(HdcError::NonFiniteFeature { index: 3 })
+            );
+        }
+        assert_eq!(enc.quantize_features(&[0.5; 6]), Ok(vec![32; 6]));
+    }
+
+    #[test]
+    fn encode_on_pim_refuses_bad_features_before_running() {
+        let enc = PimEncoder::new(&mapper(), 6, 4.0).expect("valid");
+        let mut rt = Runtime::with_pool(96, 256, 64).expect("valid");
+        assert_eq!(
+            enc.encode_on_pim(&mut rt, &[0.5; 7]),
+            Err(PimEncodeError::Features(HdcError::FeatureLength {
+                expected: 6,
+                got: 7
+            }))
+        );
+        assert_eq!(
+            enc.encode_on_pim(&mut rt, &[0.5, f64::NAN, 0.5, 0.5, 0.5, 0.5]),
+            Err(PimEncodeError::Features(HdcError::NonFiniteFeature {
+                index: 1
+            }))
+        );
+        assert!(
+            rt.trace().is_empty(),
+            "a refused point issues no instruction"
+        );
     }
 }

@@ -364,6 +364,11 @@ fn rebuild_config(c: &ConfigState) -> Result<StreamConfig, StreamError> {
         trace_capacity: to_usize(c.trace_capacity, "config.trace_capacity")?,
     };
     cfg.validate()?;
+    if cfg.k.checked_mul(cfg.centroids_per_cluster).is_none() {
+        return Err(StreamError::Snapshot(SnapError::Corrupt {
+            reason: "slot count overflows",
+        }));
+    }
     Ok(cfg)
 }
 
@@ -598,6 +603,17 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             });
         }
         let config = rebuild_config(&snap.config)?;
+        // The ring allocates every slot up front. A capacity the
+        // allocator refuses (an overwritten count under a re-stamped
+        // checksum) must fail typed, not abort the process.
+        if Vec::<Option<Vec<f64>>>::new()
+            .try_reserve_exact(config.capacity)
+            .is_err()
+        {
+            return Err(StreamError::Snapshot(SnapError::Corrupt {
+                reason: "ring capacity cannot be allocated",
+            }));
+        }
         let mut engine = Self::with_cost_model(encoder, config, cost)?;
 
         // Ring: re-enqueue the buffered points in FIFO order.
@@ -717,6 +733,21 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                         reason: "fault configuration fingerprint differs from the snapshot",
                     });
                 }
+                // Checked before arming, which allocates one quarantine
+                // state per shard and one mask per plan row it uses.
+                if fs.shards.len() != engine.config.shards || fs.trips.len() != engine.config.shards
+                {
+                    return Err(StreamError::RestoreMismatch {
+                        name: "fault",
+                        reason: "shard population differs from the snapshot",
+                    });
+                }
+                if engine.model.slots() > cfg.plan.rows() {
+                    return Err(StreamError::RestoreMismatch {
+                        name: "fault",
+                        reason: "plan rows cannot hold the snapshot's slots",
+                    });
+                }
                 engine = engine.with_fault_injection(cfg)?;
                 let Some(live) = engine.fault.as_mut() else {
                     return Err(StreamError::RestoreMismatch {
@@ -738,13 +769,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
                     map.insert(to_usize(from, "fault.pool")?, to_usize(to, "fault.pool")?);
                 }
                 live.pool = SpareRowPool::restore(base, total, next, map);
-                if fs.shards.len() != engine.config.shards || fs.trips.len() != engine.config.shards
-                {
-                    return Err(StreamError::RestoreMismatch {
-                        name: "fault",
-                        reason: "shard population differs from the snapshot",
-                    });
-                }
                 let mut shards = Vec::with_capacity(fs.shards.len());
                 for s in &fs.shards {
                     let canonical = s.tag == 1 || (s.until_tick == 0 && s.retries_used == 0);
@@ -1007,6 +1031,53 @@ mod tests {
                     name: "pending",
                     ..
                 })
+            ));
+        }
+    }
+
+    /// Counts overwritten under a valid checksum must fail typed before
+    /// anything is sized by them: an unallocatable ring, an overflowing
+    /// slot count, a shard count or slot count the fault plan cannot
+    /// arm.
+    #[test]
+    fn restore_refuses_counts_it_cannot_build() {
+        let mut e = engine(3);
+        drive(&mut e, 0..12);
+        let clean = e.capture();
+        let restore = |snap: &EngineSnapshot, fault: Option<FaultConfig>| {
+            let mapper = HdMapper::new(64, 2, 7).unwrap();
+            StreamEngine::restore_with(mapper, &snap.encode(), CostModel::paper(), fault)
+        };
+        for capacity in [1 << 40, u64::MAX] {
+            let mut snap = clean.clone();
+            snap.config.capacity = capacity;
+            assert!(matches!(
+                restore(&snap, None),
+                Err(StreamError::Snapshot(SnapError::Corrupt { .. }))
+            ));
+        }
+        let mut snap = clean.clone();
+        snap.config.centroids_per_cluster = u64::MAX;
+        assert!(matches!(
+            restore(&snap, None),
+            Err(StreamError::Snapshot(SnapError::Corrupt { .. }))
+        ));
+
+        let plan = || dual_fault::FaultPlan::fault_free(8, 64);
+        let mut faulted = engine(3)
+            .with_fault_injection(FaultConfig::new(plan()))
+            .unwrap();
+        drive(&mut faulted, 0..12);
+        let clean = faulted.capture();
+        assert!(restore(&clean, Some(FaultConfig::new(plan()))).is_ok());
+        let mut many_shards = clean.clone();
+        many_shards.config.shards = u64::MAX;
+        let mut many_slots = clean.clone();
+        many_slots.config.centroids_per_cluster = 1 << 40;
+        for snap in [many_shards, many_slots] {
+            assert!(matches!(
+                restore(&snap, Some(FaultConfig::new(plan()))),
+                Err(StreamError::RestoreMismatch { name: "fault", .. })
             ));
         }
     }

@@ -207,7 +207,8 @@ pub fn events_json(rec: &Recorder, indent: usize) -> String {
 
 /// Compact stable report for a set of named recorder streams: per-
 /// stream ring accounting plus the full retained event list. This is
-/// the byte-diffed shape (`results/trace_report.json` embeds it).
+/// the shape `recovery_harness` and `tenant_sweep` digest into their
+/// byte-diffed reports.
 #[must_use]
 pub fn report_json(streams: &[(&str, &Recorder)]) -> String {
     let mut out = String::new();

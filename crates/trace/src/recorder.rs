@@ -237,7 +237,7 @@ impl Recorder {
             });
         }
         let retained = state.events.len() as u64;
-        if state.evicted + retained != state.emitted {
+        if state.evicted.checked_add(retained) != Some(state.emitted) {
             return Err(TraceError::RestoreShape {
                 reason: "emitted != retained + evicted",
             });
@@ -436,6 +436,13 @@ mod tests {
         let mut s3 = good.state();
         s3.open = vec![9];
         assert!(Recorder::from_state(s3).is_err(), "open span from future");
+
+        let mut s4 = good.state();
+        s4.evicted = u64::MAX;
+        assert!(
+            Recorder::from_state(s4).is_err(),
+            "an eviction count that overflows the accounting"
+        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn pim_encoder_feeds_the_clustering_stack() {
         .cosine_mode(CosineMode::Taylor3Raw)
         .build()
         .unwrap();
-    let enc = PimEncoder::new(&mapper, 6, 4.0);
+    let enc = PimEncoder::new(&mapper, 6, 4.0).unwrap();
     let mut rt = Runtime::with_pool(192, 256, 64).unwrap();
     let mut encoded = Vec::new();
     let mut truth = Vec::new();
@@ -104,7 +104,7 @@ fn encoding_cost_model_and_functional_path_are_consistent_in_shape() {
         .sigma(4.0)
         .build()
         .unwrap();
-    let enc = PimEncoder::new(&mapper, 6, 4.0);
+    let enc = PimEncoder::new(&mapper, 6, 4.0).unwrap();
     let mut rt = Runtime::with_pool(64, 256, 64).unwrap();
     let feats: Vec<f64> = (0..m_features).map(|i| 0.1 * i as f64).collect();
     let _ = enc.encode_on_pim(&mut rt, &feats).unwrap();
