@@ -59,6 +59,9 @@ struct Cell {
     kill_tick: u64,
     snapshot_tick: u64,
     blob_bytes: usize,
+    /// FNV-1a 64 of the write-ahead blob the recovery restored from (0
+    /// for a cold restart): pins every byte of the engine's wire format.
+    blob_digest: u64,
     replayed_points: usize,
     /// FNV-1a 64 of the final stable obs JSON (identical between the
     /// uninterrupted and the recovered run — asserted before writing).
@@ -276,6 +279,7 @@ fn run_cell(scenario: Scenario, points: &[Vec<f64>], kill_tick: u64, gold: &Fing
         kill_tick,
         snapshot_tick,
         blob_bytes,
+        blob_digest: wal.as_deref().map_or(0, fnv1a64),
         replayed_points: points.len() - resume_point,
         stable_digest: fnv1a64(got.stable_json.as_bytes()),
     }
@@ -322,6 +326,7 @@ fn to_json(seed: u64, cells: &[Cell], traces: Vec<JsonObject>) -> String {
                     .field("kill_tick", c.kill_tick)
                     .field("snapshot_tick", c.snapshot_tick)
                     .field("blob_bytes", c.blob_bytes)
+                    .field("blob_digest", format_args!("\"{:016x}\"", c.blob_digest))
                     .field("replayed_points", c.replayed_points)
                     .field(
                         "stable_digest",

@@ -879,6 +879,92 @@ mod tests {
         }
     }
 
+    /// The engine behind `results/snap_golden_v2_engine.bin`: fault
+    /// injection under full healing, a wrapped flight recorder, two
+    /// alert rules (one latched), owed decays and buffered points, so
+    /// every payload section and the fault branch are non-empty.
+    fn golden_engine() -> StreamEngine<HdMapper> {
+        let mapper = HdMapper::builder(70, 3).seed(5).sigma(4.0).build().unwrap();
+        let mut cfg = StreamConfig::new(3);
+        cfg.centroids_per_cluster = 2;
+        cfg.capacity = 32;
+        cfg.max_batch = 6;
+        cfg.max_ticks = 3;
+        cfg.decay = 0.9;
+        cfg.shards = 2;
+        cfg.threads = 1;
+        cfg.trace_capacity = 24;
+        let mut spec = dual_fault::FaultPlanSpec::clean(6 + 2, 70);
+        spec.seed = 0x60_1D;
+        spec.stuck_rate = 0.02;
+        spec.dead_row_rate = 0.1;
+        spec.flip_rate = 0.01;
+        let fault = FaultConfig::new(dual_fault::FaultPlan::new(spec).unwrap()).with_policy(
+            HealingPolicy::Full {
+                spares: 2,
+                reads: 3,
+            },
+        );
+        let rules = vec![
+            dual_trace::AlertRule {
+                name: "ingest-volume".to_owned(),
+                signal: dual_trace::Signal::Counter(Key::StreamIngested),
+                threshold: 20.0,
+                clear: 0.0,
+            },
+            dual_trace::AlertRule::edge(
+                "quarantine-spike",
+                dual_trace::Signal::Delta(Key::FaultQuarantined),
+                1.0,
+            ),
+        ];
+        let mut e = StreamEngine::new(mapper, cfg)
+            .unwrap()
+            .with_fault_injection(fault)
+            .unwrap()
+            .with_alerts(rules)
+            .unwrap();
+        for i in 0..47 {
+            let x = i as f64;
+            e.push(&[
+                (x * 0.37).sin() * 3.0,
+                (x * 0.11).cos() * 3.0,
+                (x * 0.05).sin(),
+            ])
+            .unwrap();
+            if i % 4 == 3 {
+                e.tick().unwrap();
+            }
+        }
+        e
+    }
+
+    /// Byte-stability pin for the DSNP v2 payload on a real engine:
+    /// the checkpoint of [`golden_engine`] must never drift within a
+    /// version. Regenerate (only for a NEW version) with
+    /// `DUAL_SNAP_WRITE_GOLDEN=1 cargo test -p dual-stream golden`.
+    #[test]
+    fn engine_golden_bytes_are_pinned() {
+        let mut e = golden_engine();
+        assert!(e.pending() > 0 && e.trace().evicted() > 0);
+        assert!(e.alerts().latched() > 0);
+        assert!(e.fault_status().is_some_and(|s| s.injected > 0));
+        let bytes = e.checkpoint();
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/snap_golden_v2_engine.bin"
+        );
+        if std::env::var_os("DUAL_SNAP_WRITE_GOLDEN").is_some() {
+            std::fs::write(path, &bytes).unwrap();
+        }
+        let golden = include_bytes!("../../../results/snap_golden_v2_engine.bin");
+        assert_eq!(
+            bytes,
+            golden.to_vec(),
+            "snapshot payload drifted within version 2"
+        );
+    }
+
     #[test]
     fn capture_with_owed_decays_matches_the_settled_capture() {
         // 32 slots fed 4 points a tick: most slots owe decays.
