@@ -29,7 +29,7 @@ use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::HdMapper;
 use dual_obs::{Key, WallClock};
 use dual_pim::CostModel;
-use dual_snap::{fnv1a64, EngineSnapshot};
+use dual_snap::fnv1a64;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine};
 use dual_trace::{report_json, AlertRule, AlertRuleState, RecorderState, Signal};
 
@@ -225,9 +225,6 @@ fn run_cell(scenario: Scenario, points: &[Vec<f64>], kill_tick: u64, gold: &Fing
     // predates the first capture), then replay the suffix.
     let (mut recovered, snapshot_tick, blob_bytes) = match &wal {
         Some(blob) => {
-            let tick = EngineSnapshot::decode(blob)
-                .expect("own blob decodes")
-                .tick();
             let restored = StreamEngine::restore_with(
                 encoder(),
                 blob,
@@ -235,6 +232,8 @@ fn run_cell(scenario: Scenario, points: &[Vec<f64>], kill_tick: u64, gold: &Fing
                 scenario.fault_config(),
             )
             .expect("own blob restores");
+            // The last capture before the kill: a multiple of the interval.
+            let tick = kill_tick / SNAPSHOT_EVERY * SNAPSHOT_EVERY;
             assert_eq!(restored.now(), tick, "restore resumes the captured clock");
             (restored, tick, blob.len())
         }

@@ -172,11 +172,11 @@ impl Quarantine {
         if *state == ShardHealth::Dead {
             return ShardHealth::Dead;
         }
-        let trips = self.trips[shard] + 1;
+        let trips = self.trips[shard].saturating_add(1);
         self.trips[shard] = trips;
-        self.stats.quarantined += 1;
+        self.stats.quarantined = self.stats.quarantined.saturating_add(1);
         *state = if trips > self.config.retry_budget {
-            self.stats.dead += 1;
+            self.stats.dead = self.stats.dead.saturating_add(1);
             ShardHealth::Dead
         } else {
             ShardHealth::Quarantined {
@@ -197,7 +197,7 @@ impl Quarantine {
             if let ShardHealth::Quarantined { until_tick, .. } = *state {
                 if tick >= until_tick {
                     *state = ShardHealth::Healthy;
-                    self.stats.requeued += 1;
+                    self.stats.requeued = self.stats.requeued.saturating_add(1);
                     released.push(i);
                 }
             }

@@ -182,7 +182,9 @@ impl Registry {
 
     /// Advance the logical clock by `ticks` and return the new time.
     pub fn tick(&self, ticks: u64) -> u64 {
-        self.clock.fetch_add(ticks, Ordering::Relaxed) + ticks
+        self.clock
+            .fetch_add(ticks, Ordering::Relaxed)
+            .wrapping_add(ticks)
     }
 
     /// Overwrite a histogram key's buckets and moments from a snapshot —

@@ -173,7 +173,7 @@ impl WearLeveler {
     ///
     /// Panics if `blk` is out of range.
     pub fn record_writes(&mut self, blk: usize, count: u64) {
-        self.writes[blk] += count;
+        self.writes[blk] = self.writes[blk].saturating_add(count);
     }
 }
 

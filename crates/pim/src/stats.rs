@@ -137,7 +137,8 @@ impl EnergyStats {
         if count == 0 {
             return;
         }
-        *self.counts.entry(op).or_default() += count;
+        let n = self.counts.entry(op).or_default();
+        *n = n.saturating_add(count);
     }
 
     /// Sequential composition: `self` then `other`.
@@ -145,7 +146,8 @@ impl EnergyStats {
         self.time_ns += other.time_ns;
         self.energy_pj += other.energy_pj;
         for (&op, &c) in &other.counts {
-            *self.counts.entry(op).or_default() += c;
+            let n = self.counts.entry(op).or_default();
+            *n = n.saturating_add(c);
         }
     }
 }

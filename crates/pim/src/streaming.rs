@@ -137,8 +137,8 @@ impl StreamMeter {
     /// the next batch. Committing with nothing recorded yields a
     /// zero-cost batch (a tick that cut an empty deadline batch).
     pub fn commit_batch(&mut self, points: u64) -> StreamBatchCost {
-        self.batches += 1;
-        self.points += points;
+        self.batches = self.batches.saturating_add(1);
+        self.points = self.points.saturating_add(points);
         let cost = StreamBatchCost {
             batch: self.batches,
             points,

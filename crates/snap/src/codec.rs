@@ -1,120 +1,171 @@
-//! Little-endian byte codec: the [`Wire`] trait, an appending writer,
-//! a bounds-checked cursor reader, and the shared frame. Every read is
-//! guarded — the reader returns [`SnapError`] instead of slicing out of
-//! range, so arbitrary garbage can never make the decoder panic.
+//! Little-endian byte codec and the shared frame: a [`Writer`] that
+//! builds a framed blob in place, and a bounds-checked cursor
+//! [`Reader`] over a verified frame's payload. Every read is guarded —
+//! the reader returns [`SnapError`] instead of slicing out of range, so
+//! arbitrary garbage can never make a decoder panic.
 //!
-//! A wire struct is declared through [`wire_struct!`], which derives
-//! both directions and the size pass from the one field list, so
-//! encode, decode and [`Wire::size`] visit fields in the same sequence
-//! by construction.
+//! Scalars are little-endian, `f64`s travel as their `to_bits` words,
+//! sequences and strings are `u64` count-prefixed, and an optional
+//! value is a `u8` presence tag (0 absent, 1 present) before it.
 
 use crate::error::SnapError;
 
-/// A value with one little-endian wire encoding. `get` reads back
-/// exactly what `put` wrote, field order is declaration order, `size`
-/// is how many bytes `put` appends, and `MIN` is the fewest bytes a
-/// value can occupy — a sequence's count prefix is checked against it
-/// before anything is allocated.
-pub(crate) trait Wire: Sized {
-    /// Smallest encoded size of one value, in bytes.
-    const MIN: usize;
+/// Fixed frame header size: magic + version + payload length.
+const HEADER_LEN: usize = 16;
 
-    /// Exact encoded size of `self`, in bytes, without encoding it.
-    fn size(&self) -> usize;
-
-    /// Append the encoding of `self`.
-    fn put(&self, w: &mut Writer);
-
-    /// Read one value, failing closed on any inconsistency.
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError>;
-
-    /// Append a run of values. `u8` overrides this (and
-    /// [`Wire::get_n`]) with one bulk copy, for byte strings and the
-    /// engine blob inside a tenant checkpoint.
-    fn put_slice(items: &[Self], w: &mut Writer) {
-        for x in items {
-            x.put(w);
-        }
-    }
-
-    /// Read `n` values whose count [`Reader::count`] already admitted.
-    fn get_n(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, SnapError> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(Self::get(r)?);
-        }
-        Ok(out)
-    }
-}
-
-/// Declare a `pub` struct whose field list is its wire format: the
-/// struct is emitted unchanged, plus a [`Wire`] impl that puts and gets
-/// the fields in declaration order, with `MIN` and `size` the sums of
-/// theirs.
-macro_rules! wire_struct {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $($(#[$fmeta])* pub $field: $ty,)*
-        }
-
-        impl $crate::codec::Wire for $name {
-            const MIN: usize = 0 $(+ <$ty as $crate::codec::Wire>::MIN)*;
-
-            fn size(&self) -> usize {
-                0 $(+ $crate::codec::Wire::size(&self.$field))*
-            }
-
-            fn put(&self, w: &mut $crate::codec::Writer) {
-                $($crate::codec::Wire::put(&self.$field, w);)*
-            }
-
-            fn get(
-                r: &mut $crate::codec::Reader<'_>,
-            ) -> Result<Self, $crate::error::SnapError> {
-                Ok(Self {
-                    $($field: $crate::codec::Wire::get(r)?,)*
-                })
-            }
-        }
-    };
-}
-pub(crate) use wire_struct;
-
-/// Appending little-endian writer.
-#[derive(Debug, Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
+/// Trailing frame checksum size.
+const CHECKSUM_LEN: usize = 8;
 
 /// `usize` length → wire `u64` (lossless on every supported target).
 fn len_u64(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-/// Bounds-checked cursor over an untrusted byte slice.
+/// Appending writer of one framed blob. It starts the frame in the
+/// caller's buffer (cleared first, allocation reused) with a zero
+/// payload length, appends the payload in place, and
+/// [`Writer::finish`] patches the length and appends the FNV-1a-64
+/// checksum over everything before it — so no second copy of the
+/// payload ever exists. A writer dropped unfinished leaves no valid
+/// frame behind.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+pub struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
+}
+
+impl<'a> Writer<'a> {
+    /// Start a `magic`/`version` frame in `buf`. Every blob family in
+    /// this crate (`DSNP` engine snapshots, `DTNP` tenant checkpoints)
+    /// uses this one envelope.
+    pub(crate) fn framed(buf: &'a mut Vec<u8>, magic: [u8; 4], version: u32) -> Self {
+        buf.clear();
+        buf.extend_from_slice(&magic);
+        let mut w = Self { buf };
+        w.u32(version);
+        w.u64(0);
+        w
+    }
+
+    /// Append one byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// Append a `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Append a `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Append an `f64` as its `to_bits` word, so it reads back
+    /// bit-exact (signed zeros and NaN payloads included).
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Append the count prefix of a sequence of `n` items.
+    pub fn count(&mut self, n: usize) {
+        self.u64(len_u64(n));
+    }
+
+    /// Append a count-prefixed sequence of `u64`s.
+    pub fn u64s(&mut self, xs: &[u64]) {
+        self.words(xs.len(), xs.iter().copied());
+    }
+
+    /// Append a count-prefixed sequence of `f64`s as `to_bits` words.
+    pub fn f64s(&mut self, xs: &[f64]) {
+        self.words(xs.len(), xs.iter().map(|x| x.to_bits()));
+    }
+
+    /// The count, then `n` words, written in one pass over a buffer
+    /// grown once.
+    fn words(&mut self, n: usize, words: impl Iterator<Item = u64>) {
+        self.count(n);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * n, 0);
+        for (dst, w) in self.buf[start..].chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Append the presence tag of an optional value.
+    pub fn present(&mut self, present: bool) {
+        self.u8(u8::from(present));
+    }
+
+    /// Append a count-prefixed UTF-8 string.
+    pub fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    /// Append count-prefixed raw bytes.
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
+        self.count(b.len());
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Offset from the start of the blob at which the next value lands
+    /// (an argument for [`Writer::patch_u64`]).
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Length the blob will have once [`Writer::finish`] appends the
+    /// checksum, if nothing more is written.
+    #[must_use]
+    pub fn blob_len(&self) -> usize {
+        self.buf.len() + CHECKSUM_LEN
+    }
+
+    /// Overwrite the `u64` written at `at` (a [`Writer::position`]
+    /// taken just before it). Fixed-width, so the blob's length does
+    /// not move.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Close the frame: patch the payload length and append the
+    /// checksum.
+    pub fn finish(self) {
+        let payload_len = len_u64(self.buf.len() - HEADER_LEN);
+        self.buf[8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = fnv1a64(self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+    }
+}
+
+/// Bounds-checked cursor over the payload of a verified frame. Every
+/// read fails with [`SnapError::Truncated`] when the payload ends
+/// before the value does, and consumes nothing then.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// Validate a `magic`/`version` frame (see [`unframe`]) and read
+    /// its payload.
+    pub(crate) fn framed(
+        bytes: &'a [u8],
+        magic: [u8; 4],
+        supported: u32,
+    ) -> Result<Self, SnapError> {
+        Ok(Self::new(unframe(bytes, magic, supported)?))
+    }
+
     fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    fn is_empty(&self) -> bool {
-        self.remaining() == 0
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
@@ -135,12 +186,33 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Read a count prefix for items of at least `item_bytes` each,
-    /// refusing counts the remaining buffer cannot possibly hold (so a
-    /// flipped length bit cannot trigger a giant allocation).
-    fn count(&mut self, item_bytes: usize) -> Result<usize, SnapError> {
-        let raw = u64::get(self)?;
-        let n = usize::try_from(raw).map_err(|_| SnapError::Corrupt {
+    /// Read one byte.
+    pub fn u8(&mut self) -> Result<u8, SnapError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Read a `u32`.
+    pub fn u32(&mut self) -> Result<u32, SnapError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Read a `u64`.
+    pub fn u64(&mut self) -> Result<u64, SnapError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Read an `f64` from its `to_bits` word.
+    pub fn f64(&mut self) -> Result<f64, SnapError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Read the count prefix of a sequence whose items take at least
+    /// `item_bytes` each. A count the rest of the payload cannot hold
+    /// fails [`SnapError::Truncated`] with `count × item_bytes` as
+    /// `needed` (or [`SnapError::Corrupt`] when that overflows), so a
+    /// flipped count cannot size a giant allocation.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, SnapError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| SnapError::Corrupt {
             reason: "count overflows usize",
         })?;
         let needed = n.checked_mul(item_bytes).ok_or(SnapError::Corrupt {
@@ -154,209 +226,71 @@ impl<'a> Reader<'a> {
         }
         Ok(n)
     }
-}
 
-impl Wire for u8 {
-    const MIN: usize = 1;
-
-    fn size(&self) -> usize {
-        <Self as Wire>::MIN
+    /// Read a count-prefixed sequence of `u64`s.
+    pub fn u64s(&mut self) -> Result<Vec<u64>, SnapError> {
+        self.words(|w| w)
     }
 
-    fn put(&self, w: &mut Writer) {
-        w.buf.push(*self);
+    /// Read a count-prefixed sequence of `f64`s from `to_bits` words.
+    pub fn f64s(&mut self) -> Result<Vec<f64>, SnapError> {
+        self.words(f64::from_bits)
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(r.take(1)?[0])
+    fn words<T>(&mut self, from: impl Fn(u64) -> T) -> Result<Vec<T>, SnapError> {
+        let n = self.count(8)?;
+        let bytes = self.take(8 * n)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| {
+                let mut word = [0; 8];
+                word.copy_from_slice(c);
+                from(u64::from_le_bytes(word))
+            })
+            .collect())
     }
 
-    fn put_slice(items: &[Self], w: &mut Writer) {
-        w.buf.extend_from_slice(items);
-    }
-
-    fn get_n(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, SnapError> {
-        Ok(r.take(n)?.to_vec())
-    }
-}
-
-impl Wire for u32 {
-    const MIN: usize = 4;
-
-    fn size(&self) -> usize {
-        <Self as Wire>::MIN
-    }
-
-    fn put(&self, w: &mut Writer) {
-        w.buf.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Self::from_le_bytes(r.array()?))
-    }
-}
-
-impl Wire for u64 {
-    const MIN: usize = 8;
-
-    fn size(&self) -> usize {
-        <Self as Wire>::MIN
-    }
-
-    fn put(&self, w: &mut Writer) {
-        w.buf.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Self::from_le_bytes(r.array()?))
-    }
-}
-
-/// `u64` count prefix, then the elements.
-impl<T: Wire> Wire for Vec<T> {
-    const MIN: usize = 8;
-
-    fn size(&self) -> usize {
-        Self::MIN + self.iter().map(T::size).sum::<usize>()
-    }
-
-    fn put(&self, w: &mut Writer) {
-        len_u64(self.len()).put(w);
-        T::put_slice(self, w);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n = r.count(T::MIN)?;
-        T::get_n(r, n)
-    }
-}
-
-/// Count-prefixed UTF-8 bytes; invalid UTF-8 fails closed.
-impl Wire for String {
-    const MIN: usize = 8;
-
-    fn size(&self) -> usize {
-        Self::MIN + self.len()
-    }
-
-    fn put(&self, w: &mut Writer) {
-        len_u64(self.len()).put(w);
-        u8::put_slice(self.as_bytes(), w);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Self::from_utf8(Vec::get(r)?).map_err(|_| SnapError::Corrupt {
-            reason: "string is not UTF-8",
-        })
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    const MIN: usize = A::MIN + B::MIN;
-
-    fn size(&self) -> usize {
-        self.0.size() + self.1.size()
-    }
-
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-        self.1.put(w);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok((A::get(r)?, B::get(r)?))
-    }
-}
-
-/// A `u8` presence tag (0 absent, 1 present), then the value.
-impl<T: Wire> Wire for Option<T> {
-    const MIN: usize = 1;
-
-    fn size(&self) -> usize {
-        Self::MIN + self.as_ref().map_or(0, T::size)
-    }
-
-    fn put(&self, w: &mut Writer) {
-        match self {
-            None => 0u8.put(w),
-            Some(v) => {
-                1u8.put(w);
-                v.put(w);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match u8::get(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::get(r)?)),
+    /// Read the presence tag of an optional value; a tag other than 0
+    /// or 1 is [`SnapError::Corrupt`].
+    pub fn present(&mut self) -> Result<bool, SnapError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
             _ => Err(SnapError::Corrupt {
                 reason: "presence tag",
             }),
         }
     }
-}
 
-/// Fixed frame header size: magic + version + payload length.
-const HEADER_LEN: usize = 16;
-
-/// Trailing frame checksum size.
-const CHECKSUM_LEN: usize = 8;
-
-/// Length of the blob [`encode_framed`] writes for `value`: the
-/// header, the payload's exact [`Wire::size`], and the checksum.
-pub(crate) fn framed_len<T: Wire>(value: &T) -> usize {
-    HEADER_LEN + value.size() + CHECKSUM_LEN
-}
-
-/// Frame `value` as the whole payload of a `magic`/`version` blob, in
-/// `buf`'s allocation (whatever `buf` held is discarded; a caller that
-/// knows [`framed_len`] reserves it first). Every blob family in this crate (`DSNP` engine snapshots, `DTNP` tenant
-/// checkpoints) uses this exact envelope. The frame is built in place —
-/// header with a zero length, payload, length patched, then the
-/// FNV-1a-64 checksum over everything before it — so no second copy of
-/// the payload ever exists.
-pub(crate) fn encode_framed<T: Wire>(
-    value: &T,
-    magic: [u8; 4],
-    version: u32,
-    mut buf: Vec<u8>,
-) -> Vec<u8> {
-    buf.clear();
-    buf.extend_from_slice(&magic);
-    let mut w = Writer { buf };
-    version.put(&mut w);
-    0u64.put(&mut w);
-    value.put(&mut w);
-    let mut bytes = w.buf;
-    let payload_len = len_u64(bytes.len() - HEADER_LEN);
-    bytes[8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
-}
-
-/// Parse a blob [`encode_framed`] wrote: validate the envelope, read
-/// one `T`, and refuse payload bytes left over after it.
-pub(crate) fn decode_framed<T: Wire>(
-    bytes: &[u8],
-    magic: [u8; 4],
-    supported: u32,
-) -> Result<T, SnapError> {
-    let mut r = Reader::new(unframe(bytes, magic, supported)?);
-    let value = T::get(&mut r)?;
-    if !r.is_empty() {
-        return Err(SnapError::Corrupt {
-            reason: "unconsumed payload bytes",
-        });
+    /// Read a count-prefixed UTF-8 string; invalid UTF-8 is
+    /// [`SnapError::Corrupt`].
+    pub fn string(&mut self) -> Result<String, SnapError> {
+        String::from_utf8(self.byte_vec()?).map_err(|_| SnapError::Corrupt {
+            reason: "string is not UTF-8",
+        })
     }
-    Ok(value)
+
+    /// Read count-prefixed raw bytes.
+    pub(crate) fn byte_vec(&mut self) -> Result<Vec<u8>, SnapError> {
+        let n = self.count(1)?;
+        Ok(self.take(n)?.to_vec())
+    }
+
+    /// Close the payload: bytes left over after the last value are
+    /// [`SnapError::Corrupt`].
+    pub fn finish(self) -> Result<(), SnapError> {
+        if self.remaining() > 0 {
+            return Err(SnapError::Corrupt {
+                reason: "unconsumed payload bytes",
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Validate the frame envelope (magic, version, length, checksum,
 /// no trailing bytes) and return the payload slice. Fails closed on
-/// every corruption class; see [`crate::EngineSnapshot::decode`] for
-/// the error contract.
+/// every corruption class.
 fn unframe(bytes: &[u8], magic: [u8; 4], supported: u32) -> Result<&[u8], SnapError> {
     if bytes.len() < HEADER_LEN {
         return Err(SnapError::Truncated {
@@ -368,14 +302,14 @@ fn unframe(bytes: &[u8], magic: [u8; 4], supported: u32) -> Result<&[u8], SnapEr
         return Err(SnapError::BadMagic);
     }
     let mut header = Reader::new(&bytes[4..HEADER_LEN]);
-    let version = u32::get(&mut header)?;
+    let version = header.u32()?;
     if version != supported {
         return Err(SnapError::UnsupportedVersion {
             got: version,
             supported,
         });
     }
-    let payload_len = usize::try_from(u64::get(&mut header)?).map_err(|_| SnapError::Corrupt {
+    let payload_len = usize::try_from(header.u64()?).map_err(|_| SnapError::Corrupt {
         reason: "payload length overflows usize",
     })?;
     let framed_len = HEADER_LEN
@@ -396,7 +330,7 @@ fn unframe(bytes: &[u8], magic: [u8; 4], supported: u32) -> Result<&[u8], SnapEr
         });
     }
     let body_end = HEADER_LEN + payload_len;
-    let stored_sum = u64::get(&mut Reader::new(&bytes[body_end..]))?;
+    let stored_sum = Reader::new(&bytes[body_end..]).u64()?;
     if fnv1a64(&bytes[..body_end]) != stored_sum {
         return Err(SnapError::Corrupt {
             reason: "checksum mismatch",
@@ -452,58 +386,84 @@ pub(crate) fn checksum_valid_mutations(framed: &[u8], mut check: impl FnMut(&[u8
 mod tests {
     use super::*;
 
-    fn encode<T: Wire>(v: &T) -> Vec<u8> {
-        let mut w = Writer::default();
-        v.put(&mut w);
-        w.buf
+    const MAGIC: [u8; 4] = *b"TEST";
+
+    /// A finished `TEST` v7 frame of whatever `put` writes.
+    fn framed(put: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::framed(&mut buf, MAGIC, 7);
+        put(&mut w);
+        w.finish();
+        buf
     }
 
     #[test]
     fn round_trips_every_wire_shape() {
-        type Shapes = (
-            u8,
-            (u32, (u64, (Vec<u64>, (String, (Option<u8>, Option<u64>))))),
+        let bytes = framed(|w| {
+            w.u8(7);
+            w.u32(0xDEAD_BEEF);
+            w.u64(u64::MAX - 1);
+            w.f64(-0.0);
+            w.count(3);
+            w.str("ζ");
+            w.present(false);
+            w.present(true);
+        });
+        assert_eq!(
+            bytes.len(),
+            HEADER_LEN + 1 + 4 + 8 + 8 + 8 + (8 + 2) + 1 + 1 + CHECKSUM_LEN
         );
-        let v: Shapes = (
-            7,
-            (
-                0xDEAD_BEEF,
-                (
-                    u64::MAX - 1,
-                    (vec![1, 2, 3], ("ζ".to_owned(), (None, Some(9)))),
-                ),
-            ),
-        );
-        let bytes = encode(&v);
-        assert_eq!(bytes.len(), 1 + 4 + 8 + (8 + 24) + (8 + 2) + 1 + 9);
-        assert_eq!(v.size(), bytes.len());
-        let mut r = Reader::new(&bytes);
-        assert_eq!(Shapes::get(&mut r).unwrap(), v);
-        assert!(r.is_empty());
+        let mut r = Reader::framed(&bytes, MAGIC, 7).unwrap();
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.u64().unwrap(), 3);
+        assert_eq!(r.string().unwrap(), "ζ");
+        assert!(!r.present().unwrap());
+        assert!(r.present().unwrap());
+        r.finish().unwrap();
     }
 
     #[test]
     fn reads_past_the_end_are_typed_errors() {
         let mut r = Reader::new(&[1, 2, 3]);
         assert!(matches!(
-            u64::get(&mut r),
+            r.u64(),
             Err(SnapError::Truncated { needed: 8, got: 3 })
         ));
         // The failed read consumed nothing.
         assert_eq!(r.remaining(), 3);
+        assert_eq!(
+            r.finish(),
+            Err(SnapError::Corrupt {
+                reason: "unconsumed payload bytes"
+            })
+        );
     }
 
     #[test]
     fn absurd_counts_are_rejected_before_allocating() {
         // A count claiming ~2^64 entries.
-        let bytes = encode(&u64::MAX);
-        assert!(Vec::<u64>::get(&mut Reader::new(&bytes)).is_err());
+        let bytes = u64::MAX.to_le_bytes();
+        assert!(Reader::new(&bytes).count(8).is_err());
+        // A count the rest of the payload cannot hold names the bytes
+        // it would need.
+        let mut bytes = 3u64.to_le_bytes().to_vec();
+        bytes.extend([0; 20]);
+        assert_eq!(
+            Reader::new(&bytes).count(8),
+            Err(SnapError::Truncated {
+                needed: 24,
+                got: 20
+            })
+        );
     }
 
     #[test]
     fn presence_tags_other_than_zero_and_one_are_corrupt() {
         assert_eq!(
-            Option::<u8>::get(&mut Reader::new(&[2, 0])),
+            Reader::new(&[2, 0]).present(),
             Err(SnapError::Corrupt {
                 reason: "presence tag"
             })
@@ -513,18 +473,24 @@ mod tests {
     #[test]
     fn frame_round_trips_and_reuses_the_buffer() {
         let payload: Vec<u8> = (0..=255).collect();
-        let buf = Vec::with_capacity(512);
-        let bytes = encode_framed(&payload, *b"TEST", 7, buf);
-        assert_eq!(bytes.len(), HEADER_LEN + 8 + payload.len() + CHECKSUM_LEN);
-        assert_eq!(bytes.len(), framed_len(&payload));
-        assert_eq!(bytes.capacity(), 512, "the allocation is reused");
-        assert_eq!(&bytes[..4], b"TEST");
-        assert_eq!(bytes[4..8], 7u32.to_le_bytes());
-        assert_eq!(bytes[8..16], 264u64.to_le_bytes());
-        assert_eq!(
-            decode_framed::<Vec<u8>>(&bytes, *b"TEST", 7).unwrap(),
-            payload
-        );
+        let mut buf = Vec::with_capacity(512);
+        let mut w = Writer::framed(&mut buf, MAGIC, 7);
+        w.bytes(&payload);
+        let at = w.position();
+        w.u64(1);
+        w.patch_u64(at, 9);
+        let len = w.blob_len();
+        w.finish();
+        assert_eq!(buf.len(), HEADER_LEN + 8 + payload.len() + 8 + CHECKSUM_LEN);
+        assert_eq!(buf.len(), len);
+        assert_eq!(buf.capacity(), 512, "the allocation is reused");
+        assert_eq!(&buf[..4], b"TEST");
+        assert_eq!(buf[4..8], 7u32.to_le_bytes());
+        assert_eq!(buf[8..16], 272u64.to_le_bytes());
+        let mut r = Reader::framed(&buf, MAGIC, 7).unwrap();
+        assert_eq!(r.byte_vec().unwrap(), payload);
+        assert_eq!(r.u64().unwrap(), 9, "the patched word");
+        r.finish().unwrap();
     }
 
     #[test]

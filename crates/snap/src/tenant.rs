@@ -1,7 +1,7 @@
 //! Per-tenant checkpoint addressing for the multi-tenant topology.
 //!
 //! A [`TenantCheckpoint`] wraps one tenant's engine snapshot blob
-//! (already framed as `DSNP` by [`crate::EngineSnapshot::encode`])
+//! (already framed as `DSNP` by `dual_stream::StreamEngine::checkpoint`)
 //! together with the tenant's name and the topology tick the
 //! checkpoint was cut at. The topology layer uses the name to address
 //! checkpoints in a shared store and to refuse restoring a blob into
@@ -23,7 +23,7 @@
 //! frame plus this envelope) — so `StreamEngine::restore_with` can be
 //! handed the inner bytes unchanged.
 
-use crate::codec::{self, wire_struct};
+use crate::codec::{Reader, Writer};
 use crate::error::SnapError;
 
 /// Leading magic of every tenant checkpoint blob.
@@ -32,17 +32,15 @@ pub const TENANT_MAGIC: [u8; 4] = *b"DTNP";
 /// Newest tenant-checkpoint format version this build handles.
 pub const TENANT_VERSION: u32 = 1;
 
-wire_struct! {
-    /// One tenant's engine snapshot, addressed by name and topology tick.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct TenantCheckpoint {
-        /// The tenant's registered name (checked on reload).
-        pub name: String,
-        /// Topology logical tick the checkpoint was cut at.
-        pub topology_tick: u64,
-        /// The tenant engine's complete framed `DSNP` snapshot bytes.
-        pub engine_blob: Vec<u8>,
-    }
+/// One tenant's engine snapshot, addressed by name and topology tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TenantCheckpoint {
+    /// The tenant's registered name (checked on reload).
+    pub name: String,
+    /// Topology logical tick the checkpoint was cut at.
+    pub topology_tick: u64,
+    /// The tenant engine's complete framed `DSNP` snapshot bytes.
+    pub engine_blob: Vec<u8>,
 }
 
 impl TenantCheckpoint {
@@ -50,7 +48,13 @@ impl TenantCheckpoint {
     /// checkpoints encode to identical bytes, on every platform.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        codec::encode_framed(self, TENANT_MAGIC, TENANT_VERSION, Vec::new())
+        let mut buf = Vec::new();
+        let mut w = Writer::framed(&mut buf, TENANT_MAGIC, TENANT_VERSION);
+        w.str(&self.name);
+        w.u64(self.topology_tick);
+        w.bytes(&self.engine_blob);
+        w.finish();
+        buf
     }
 
     /// Parse a framed tenant checkpoint, failing closed on any
@@ -58,19 +62,27 @@ impl TenantCheckpoint {
     ///
     /// # Errors
     ///
-    /// Same classes as [`crate::EngineSnapshot::decode`]: truncation,
-    /// bad magic (an engine blob passed here raises [`SnapError::
+    /// Same classes as [`crate::Reader::snapshot`]: truncation, bad
+    /// magic (an engine blob passed here raises [`SnapError::
     /// BadMagic`] — the magics are disjoint on purpose), future
     /// versions, checksum mismatches, non-UTF-8 names, and trailing
     /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapError> {
-        codec::decode_framed(bytes, TENANT_MAGIC, TENANT_VERSION)
+        let mut r = Reader::framed(bytes, TENANT_MAGIC, TENANT_VERSION)?;
+        let cp = Self {
+            name: r.string()?,
+            topology_tick: r.u64()?,
+            engine_blob: r.byte_vec()?,
+        };
+        r.finish()?;
+        Ok(cp)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
 
     fn sample() -> TenantCheckpoint {
         TenantCheckpoint {
@@ -112,8 +124,8 @@ mod tests {
         assert_eq!(TenantCheckpoint::decode(&bytes), Err(SnapError::BadMagic));
         // And a genuine tenant frame is not an engine snapshot.
         assert_eq!(
-            crate::EngineSnapshot::decode(&sample().encode()),
-            Err(SnapError::BadMagic)
+            Reader::snapshot(&sample().encode()).err(),
+            Some(SnapError::BadMagic)
         );
     }
 
@@ -136,8 +148,12 @@ mod tests {
     #[test]
     fn non_utf8_name_fails_closed() {
         // Same wire shape as a checkpoint, with invalid UTF-8 as the name.
-        let payload = (vec![0xFFu8, 0xFE], (1u64, Vec::<u8>::new()));
-        let bytes = codec::encode_framed(&payload, TENANT_MAGIC, TENANT_VERSION, Vec::new());
+        let mut bytes = Vec::new();
+        let mut w = Writer::framed(&mut bytes, TENANT_MAGIC, TENANT_VERSION);
+        w.bytes(&[0xFF, 0xFE]);
+        w.u64(1);
+        w.bytes(&[]);
+        w.finish();
         assert_eq!(
             TenantCheckpoint::decode(&bytes),
             Err(SnapError::Corrupt {

@@ -106,8 +106,10 @@ impl Batcher {
     }
 
     /// Advance the logical clock by one tick and return the new time.
+    /// The clock saturates at `u64::MAX`: counting never gets there,
+    /// only a restored clock can start there.
     pub fn tick(&mut self) -> u64 {
-        self.now += 1;
+        self.now = self.now.saturating_add(1);
         self.now
     }
 
@@ -155,6 +157,16 @@ mod tests {
             b.tick();
         }
         assert_eq!(b.due(0), None); // nothing waiting: never cut
+        assert_eq!(b.due(1), Some(CutReason::Deadline));
+    }
+
+    /// Only a restored clock can start at `u64::MAX`; ticking it must
+    /// not overflow.
+    #[test]
+    fn the_clock_saturates_at_its_end() {
+        let mut b = Batcher::restore(4, 2, u64::MAX - 1, 0);
+        assert_eq!(b.tick(), u64::MAX);
+        assert_eq!(b.tick(), u64::MAX);
         assert_eq!(b.due(1), Some(CutReason::Deadline));
     }
 

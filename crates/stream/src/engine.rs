@@ -649,13 +649,11 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             }
         }
 
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(self.config.max_batch);
-        while rows.len() < self.config.max_batch {
-            match self.ring.pop() {
-                Some(p) => rows.push(p),
-                None => break,
-            }
-        }
+        // Reserve what the cut pops, not what `max_batch` allows: a
+        // valid config may declare a batch far larger than memory.
+        let take = self.config.max_batch.min(self.ring.len());
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(take);
+        rows.extend(std::iter::from_fn(|| self.ring.pop()).take(take));
         let n = as_u64(rows.len());
         let tick = self.batcher.now();
         let batch_span = self.trace.begin(
@@ -801,7 +799,8 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         self.obs.gauge(Key::PimEnergyPj, total.energy_pj());
         let mut per_family = [0u64; dual_obs::OpFamily::ALL.len()];
         for (op, count) in total.counts() {
-            per_family[op.family().index()] += count;
+            let issues = &mut per_family[op.family().index()];
+            *issues = issues.saturating_add(count);
         }
         for family in dual_obs::OpFamily::ALL {
             self.obs
@@ -1017,6 +1016,29 @@ mod tests {
         assert_eq!(e.counters().size_cuts, 2);
         assert_eq!(e.counters().encoded, 8);
         assert!(costs.iter().all(|c| c.energy_pj > 0.0 && c.time_ns > 0.0));
+    }
+
+    /// `max_batch` is a bound, not a reservation: an engine that
+    /// declares 2^40 points per batch cuts the eight it holds.
+    #[test]
+    fn a_huge_max_batch_cuts_only_what_is_buffered() {
+        let mut cfg = StreamConfig::new(2);
+        cfg.max_batch = 1 << 40;
+        cfg.max_ticks = 2;
+        let mut e = engine(cfg);
+        for i in 0..8 {
+            e.push(&point(i)).unwrap();
+        }
+        e.tick().unwrap();
+        assert_eq!(e.pending(), 8, "neither size nor deadline is due yet");
+        let costs = e.tick().unwrap();
+        assert_eq!(costs.len(), 1, "the deadline cuts");
+        assert_eq!(costs[0].points, 8);
+        for i in 8..11 {
+            e.push(&point(i)).unwrap();
+        }
+        assert_eq!(e.drain().unwrap()[0].points, 3);
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]

@@ -599,7 +599,7 @@ impl OnlineKMeans {
                 update.rebinarized += 1;
             }
         }
-        self.batches_observed += 1;
+        self.batches_observed = self.batches_observed.saturating_add(1);
     }
 }
 

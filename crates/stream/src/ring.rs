@@ -1,11 +1,13 @@
 //! Bounded ingest ring with explicit backpressure.
 //!
-//! A fixed-capacity FIFO over a pre-allocated slot array — the in-tree
+//! A bounded FIFO that allocates only what it holds — the in-tree
 //! analogue of the bounded channels production streaming pipelines put
 //! in front of every stage. The ring itself only offers mechanisms
 //! (`try_push`, `force_push`, `pop`); the *policy* applied when the
 //! ring is full ([`BackpressurePolicy`]) is chosen by the engine, so
 //! drop/reject/flush accounting lives in one place.
+
+use std::collections::VecDeque;
 
 /// What the ingest stage does when a point arrives and the ring is
 /// already at capacity.
@@ -55,13 +57,14 @@ pub enum PushOutcome {
     Rejected,
 }
 
-/// Fixed-capacity FIFO ring buffer (single-producer, single-consumer
-/// within the engine's synchronous control flow).
+/// Bounded FIFO ring buffer (single-producer, single-consumer within
+/// the engine's synchronous control flow). It holds at most its
+/// declared capacity and allocates only what it holds, so a large
+/// declared capacity costs nothing until points arrive.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
-    slots: Vec<Option<T>>,
-    head: usize,
-    len: usize,
+    items: VecDeque<T>,
+    capacity: usize,
 }
 
 impl<T> Ring<T> {
@@ -74,41 +77,40 @@ impl<T> Ring<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            len: 0,
+            items: VecDeque::new(),
+            capacity,
         }
     }
 
     /// Maximum buffered items.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Currently buffered items.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.items.len()
     }
 
     /// Whether nothing is buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.items.is_empty()
     }
 
     /// Whether the ring is at capacity.
     #[must_use]
     fn is_full(&self) -> bool {
-        self.len == self.capacity()
+        self.len() == self.capacity
     }
 
     /// Iterate the buffered items oldest-first without consuming them
     /// (the order [`Ring::pop`] would yield) — the snapshot path reads
     /// pending points through this.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        (0..self.len).filter_map(move |i| self.slots[(self.head + i) % self.capacity()].as_ref())
+        self.items.iter()
     }
 
     /// Enqueue at the tail, or hand the item back when full.
@@ -121,9 +123,7 @@ impl<T> Ring<T> {
         if self.is_full() {
             return Err(item);
         }
-        let tail = (self.head + self.len) % self.capacity();
-        self.slots[tail] = Some(item);
-        self.len += 1;
+        self.items.push_back(item);
         Ok(())
     }
 
@@ -131,22 +131,13 @@ impl<T> Ring<T> {
     /// oldest item when full (`DropOldest` mechanics).
     pub fn force_push(&mut self, item: T) -> Option<T> {
         let evicted = if self.is_full() { self.pop() } else { None };
-        // A slot is free now by construction; the fallback is unreachable.
-        if self.try_push(item).is_err() {
-            debug_assert!(false, "ring must have room after eviction");
-        }
+        self.items.push_back(item);
         evicted
     }
 
     /// Dequeue the oldest item.
     pub fn pop(&mut self) -> Option<T> {
-        if self.is_empty() {
-            return None;
-        }
-        let item = self.slots[self.head].take();
-        self.head = (self.head + 1) % self.capacity();
-        self.len -= 1;
-        item
+        self.items.pop_front()
     }
 }
 
@@ -193,6 +184,21 @@ mod tests {
         assert_eq!(BackpressurePolicy::DropOldest.name(), "drop_oldest");
         assert_eq!(BackpressurePolicy::Reject.name(), "reject");
         assert_eq!(BackpressurePolicy::default(), BackpressurePolicy::Block);
+    }
+
+    /// A declared capacity far beyond memory builds nothing up front;
+    /// it bounds what the ring will hold.
+    #[test]
+    fn a_huge_capacity_allocates_only_what_is_held() {
+        let mut r = Ring::with_capacity(usize::MAX);
+        for i in 0..5 {
+            assert!(r.try_push(i).is_ok());
+        }
+        assert_eq!((r.len(), r.capacity()), (5, usize::MAX));
+        assert!(r.items.capacity() < 1024);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(r.force_push(5), None);
+        assert_eq!(r.pop(), Some(0));
     }
 
     #[test]

@@ -89,10 +89,10 @@ impl Recorder {
     fn push(&mut self, rec: EventRecord) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
-            self.evicted += 1;
+            self.evicted = self.evicted.saturating_add(1);
         }
         self.events.push_back(rec);
-        self.emitted += 1;
+        self.emitted = self.emitted.saturating_add(1);
     }
 
     fn current_parent(&self) -> u64 {
@@ -108,7 +108,7 @@ impl Recorder {
         }
         let parent = self.current_parent();
         let id = self.next_span;
-        self.next_span += 1;
+        self.next_span = self.next_span.saturating_add(1);
         self.open.push(id);
         self.push(EventRecord {
             seq: self.emitted,

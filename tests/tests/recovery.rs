@@ -15,7 +15,7 @@ use dual_fault::{FaultPlan, FaultPlanSpec, HealingPolicy};
 use dual_hdc::HdMapper;
 use dual_obs::Key;
 use dual_pim::CostModel;
-use dual_snap::{fnv1a64, EngineSnapshot};
+use dual_snap::fnv1a64;
 use dual_stream::{FaultConfig, StreamConfig, StreamEngine, StreamError};
 use dual_trace::{AlertRule, AlertRuleState, RecorderState, Signal};
 
@@ -157,7 +157,10 @@ proptest! {
         let (mut recovered, resume_tick) = match &wal {
             Some(blob) => {
                 let restored = StreamEngine::restore(encoder(), blob).unwrap();
-                (restored, EngineSnapshot::decode(blob).unwrap().tick())
+                let tick = restored.now();
+                // The last capture before the kill: a multiple of the interval.
+                prop_assert_eq!(tick, kill_tick / SNAPSHOT_EVERY * SNAPSHOT_EVERY);
+                (restored, tick)
             }
             // Crash before the first capture: cold restart, full replay.
             None => (armed(threads), 0),
@@ -269,9 +272,11 @@ fn corpus_fault() -> FaultConfig {
 /// 0x01, 0x02 and 0xFF, then every 8-byte payload window with 0, 1,
 /// 2^40 and `u64::MAX`, the FNV-1a checksum re-stamped each time so the
 /// restore's own validation meets the damage. Each case must restore
-/// or fail with a typed error; a panic (or an aborted allocation) fails
-/// the test. The engine is kept small (two slots of 64 bits, a 6-event
-/// recorder ring) so the blob, not the case list, stays short.
+/// or fail with a typed error, and every restored engine then takes 8
+/// points, ticks and drains, each step `Ok` or a typed error; a panic
+/// (or an aborted allocation) fails the test. The engine is kept small
+/// (two slots of 64 bits, a 6-event recorder ring) so the blob, not the
+/// case list, stays short.
 #[test]
 fn checksum_valid_corruption_of_a_real_wal_restores_or_fails_typed() {
     const HEADER_LEN: usize = 16;
@@ -319,7 +324,16 @@ fn checksum_valid_corruption_of_a_real_wal_restores_or_fails_typed() {
             CostModel::paper(),
             Some(corpus_fault()),
         );
-        restored += usize::from(outcome.is_ok());
+        // A restored engine must also run: each step returns `Ok` or a
+        // typed error, and none panics or aborts.
+        if let Ok(mut engine) = outcome {
+            restored += 1;
+            for p in &points[..8] {
+                let _: Result<_, StreamError> = engine.push(p);
+            }
+            let _: Result<_, StreamError> = engine.tick();
+            let _: Result<_, StreamError> = engine.drain();
+        }
         bad.copy_from_slice(&wal);
     };
     for i in HEADER_LEN..body_end {
