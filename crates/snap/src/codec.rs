@@ -2,11 +2,8 @@
 //! builds a framed blob in place, and a bounds-checked cursor
 //! [`Reader`] over a verified frame's payload. Every read is guarded —
 //! the reader returns [`SnapError`] instead of slicing out of range, so
-//! arbitrary garbage can never make a decoder panic.
-//!
-//! Scalars are little-endian, `f64`s travel as their `to_bits` words,
-//! sequences and strings are `u64` count-prefixed, and an optional
-//! value is a `u8` presence tag (0 absent, 1 present) before it.
+//! arbitrary garbage can never make a decoder panic. The encoding of
+//! each value is the crate docs' (the "Frame" section).
 
 use crate::error::SnapError;
 

@@ -554,7 +554,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// `snap.bytes` included, which is the blob's own length (see the
     /// module docs).
     pub fn checkpoint(&mut self) -> Vec<u8> {
-        let mut bytes = Vec::new();
+        // The last write-ahead blob's length is close to this one's, so
+        // the buffer does not regrow from empty.
+        let mut bytes = Vec::with_capacity(self.wal.as_ref().map_or(0, Vec::len));
         self.checkpoint_into(&mut bytes);
         bytes
     }
