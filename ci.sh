@@ -28,7 +28,7 @@ STAGES=(
   "topology|multi-tenant sweep: isolation, service recorder + deferral alert, byte-diffed across DUAL_THREADS"
   "benchmark|frozen benchmark/ harness builds and passes its --quick suite"
   "figures|the all bin regenerates every results/*.txt and *.csv byte-identically"
-  "portable|default x86-64 build (no AVX2): kernel oracles, goldens, reports byte-identical"
+  "portable|default x86-64 build (no AVX2): kernel oracles, goldens, reports and PerfModel artifacts byte-identical"
 )
 ALL_STAGES=("${STAGES[@]%%|*}")
 
@@ -184,6 +184,12 @@ stage_portable() {
   diff "$tmp/obs.json" results/obs_snapshot.json
   diff "$tmp/fault.json" results/fault_degradation.json
   diff "$tmp/recovery.json" results/recovery_report.json
+  echo "--- the artifacts PerfModel feeds vs committed results/ (float order across targets)"
+  local a
+  for a in table3 table4 fig12 fig14 fig15 summary lifetime; do
+    cargo run -q -p dual-bench --release --bin all -- "$a" >"$tmp/$a.txt"
+    diff "$tmp/$a.txt" "results/$a.txt"
+  done
   echo "    every report byte-identical to the x86-64-v3 build's"
   rm -rf "$tmp"
 }

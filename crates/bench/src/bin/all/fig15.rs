@@ -11,8 +11,9 @@
 use super::{table, Result};
 use dual_bench::{dual_report, geomean, mean};
 use dual_core::baseline::{Algorithm, GpuModel, ImpModel};
-use dual_core::{chip_scaling_speedup, DualConfig, Phase, ScalingModel};
+use dual_core::{chip_scaling_speedup, DualConfig, ScalingModel};
 use dual_data::{workload, Workload};
+use dual_obs::Stage;
 
 pub fn run(out: &mut String) -> Result {
     let gpu = GpuModel::gtx_1080();
@@ -64,20 +65,13 @@ pub fn run(out: &mut String) -> Result {
             .map(|(name, _)| format!("{name} {:.0}%", 100.0 * g.phase_fraction(name)))
             .collect();
         let d = dual_report(cfg, alg, n, m, k);
-        let dual_breakdown: Vec<String> = [
-            Phase::Encoding,
-            Phase::Hamming,
-            Phase::Accumulate,
-            Phase::Nearest,
-            Phase::Update,
-            Phase::Transfer,
-        ]
-        .iter()
-        .filter_map(|&p| {
-            let f = d.phase_fraction(p);
-            (f >= 0.005).then(|| format!("{} {:.0}%", p.name(), 100.0 * f))
-        })
-        .collect();
+        let dual_breakdown: Vec<String> = Stage::ALL
+            .iter()
+            .filter_map(|&p| {
+                let f = d.phase_fraction(p);
+                (f >= 0.005).then(|| format!("{} {:.0}%", p.name(), 100.0 * f))
+            })
+            .collect();
         rows.push(vec![
             alg.name().to_string(),
             gpu_breakdown.join(", "),

@@ -99,18 +99,6 @@ impl DualConfig {
         self
     }
 
-    /// Distance-value bit width: `⌈log₂(D+1)⌉`.
-    #[must_use]
-    pub fn distance_bits(&self) -> u32 {
-        (usize::BITS - self.dim.leading_zeros()).max(1)
-    }
-
-    /// 7-bit Hamming windows per full-vector search.
-    #[must_use]
-    pub fn windows(&self) -> u64 {
-        self.dim.div_ceil(7) as u64
-    }
-
     /// Total crossbar blocks across all chips.
     #[must_use]
     pub fn total_blocks(&self) -> usize {
@@ -132,8 +120,8 @@ mod tests {
     fn paper_defaults() {
         let c = DualConfig::paper();
         assert_eq!(c.dim, 4000);
-        assert_eq!(c.distance_bits(), 12);
-        assert_eq!(c.windows(), 572);
+        assert_eq!(dual_pim::distance_bits(c.dim), 12);
+        assert_eq!(dual_pim::windows(c.dim), 572);
         assert_eq!(c.total_blocks(), 16384);
     }
 
@@ -141,7 +129,10 @@ mod tests {
     fn distance_bits_covers_dim() {
         for dim in [1usize, 7, 63, 64, 1000, 4000, 8000] {
             let c = DualConfig::paper().with_dim(dim);
-            assert!(1u64 << c.distance_bits() > dim as u64, "dim {dim}");
+            assert!(
+                1u64 << dual_pim::distance_bits(c.dim) > dim as u64,
+                "dim {dim}"
+            );
         }
     }
 

@@ -90,5 +90,5 @@ pub use partition::{
     hierarchical_capacity, partitioned_cost, partitioned_hierarchical, plan as partition_plan,
     PartitionPlan,
 };
-pub use perf::{PerfModel, Phase, PhaseReport};
+pub use perf::{PerfModel, PhaseReport};
 pub use pim_encoder::{PimEncodeError, PimEncoder};

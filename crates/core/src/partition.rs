@@ -21,7 +21,7 @@ use dual_hdc::{majority_bundle, HdcError, Hypervector};
 #[must_use]
 pub fn hierarchical_capacity(cfg: &DualConfig) -> usize {
     let bits_available = (cfg.chip.chip_bytes() * 8) as f64 * cfg.chips as f64;
-    let b = f64::from(cfg.distance_bits());
+    let b = f64::from(dual_pim::distance_bits(cfg.dim));
     (bits_available / b).sqrt() as usize
 }
 

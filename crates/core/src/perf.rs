@@ -37,7 +37,8 @@
 #![deny(clippy::as_conversions)]
 
 use crate::config::DualConfig;
-use dual_pim::{CounterMode, EnergyStats, Op};
+use dual_obs::Stage;
+use dual_pim::{distance_bits, nearest_stages, windows, CounterMode, EnergyStats, Op};
 
 /// A geometry size or count (rows, columns, dims, windows, blocks,
 /// points, copies, iterations) as `f64`, the model's one integer-to-float
@@ -51,62 +52,21 @@ fn count_f64(n: impl TryInto<u64>) -> f64 {
     n as f64
 }
 
-/// Execution phases reported by the model (Fig. 15b's categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// HD-Mapper encoding (§V-A).
-    Encoding,
-    /// Row-parallel Hamming distance computation.
-    Hamming,
-    /// Partial-distance accumulation (in-memory adds).
-    Accumulate,
-    /// Nearest/minimum search over the distance memory.
-    Nearest,
-    /// Distance/center update arithmetic.
-    Update,
-    /// Inter-block data movement.
-    Transfer,
-}
-
-impl Phase {
-    /// The phase's [`dual_obs::Stage`] — the shared label vocabulary
-    /// every layer exports metrics under. `Phase` stays a distinct type
-    /// because it appears in persisted results files, but its *names*
-    /// are owned by `dual_obs` now.
-    #[must_use]
-    pub fn stage(self) -> dual_obs::Stage {
-        match self {
-            Self::Encoding => dual_obs::Stage::Encoding,
-            Self::Hamming => dual_obs::Stage::Hamming,
-            Self::Accumulate => dual_obs::Stage::Accumulate,
-            Self::Nearest => dual_obs::Stage::Nearest,
-            Self::Update => dual_obs::Stage::Update,
-            Self::Transfer => dual_obs::Stage::Transfer,
-        }
-    }
-
-    /// Display name (delegates to the shared [`dual_obs::Stage`]
-    /// vocabulary so every exported artifact agrees on phase names).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        self.stage().name()
-    }
-}
-
-/// Per-phase cost report of one accelerated run.
+/// Per-phase cost report of one accelerated run, each phase labelled by
+/// its [`Stage`] (Fig. 15b's categories).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseReport {
-    phases: Vec<(Phase, EnergyStats)>,
+    phases: Vec<(Stage, EnergyStats)>,
 }
 
 impl PhaseReport {
     /// The phases in execution order.
     #[must_use]
-    pub fn phases(&self) -> &[(Phase, EnergyStats)] {
+    pub fn phases(&self) -> &[(Stage, EnergyStats)] {
         &self.phases
     }
 
-    fn push(&mut self, phase: Phase, stats: EnergyStats) {
+    fn push(&mut self, phase: Stage, stats: EnergyStats) {
         self.phases.push((phase, stats));
     }
 
@@ -124,7 +84,7 @@ impl PhaseReport {
 
     /// Fraction of time in one phase.
     #[must_use]
-    pub fn phase_fraction(&self, phase: Phase) -> f64 {
+    pub fn phase_fraction(&self, phase: Stage) -> f64 {
         let total = self.time_s();
         if total <= 0.0 {
             return 0.0;
@@ -182,24 +142,6 @@ impl PerfModel {
 
     // ---- shared kernels -------------------------------------------------
 
-    /// One Ward distance-update kernel (coefficients + multiply/add
-    /// chain), row-parallel.
-    fn ward_update_kernel_ns(&self) -> f64 {
-        let c = &self.cfg.cost;
-        let b = self.cfg.distance_bits();
-        let qb = self.cfg.coeff_bits;
-        2.0 * c.latency_ns(Op::Write {
-            bits: self.cfg.size_bits,
-        }) + 3.0
-            * c.latency_ns(Op::Add {
-                bits: self.cfg.size_bits,
-            })
-            + 3.0 * c.latency_ns(Op::Div { bits: qb })
-            + 3.0 * c.latency_ns(Op::Mul { bits: qb })
-            + 2.0 * c.latency_ns(Op::Add { bits: b })
-            + 2.0 * c.latency_ns(Op::Write { bits: b })
-    }
-
     /// Effective time of one 7-bit window (search + counter write-back).
     fn window_eff_ns(&self) -> f64 {
         let c = &self.cfg.cost;
@@ -229,7 +171,7 @@ impl PerfModel {
     /// points (row-parallel over rows, block-parallel over row/column
     /// blocks).
     fn per_query_hamming_ns(&self) -> f64 {
-        count_f64(self.cfg.windows()) * self.window_eff_ns()
+        count_f64(windows(self.cfg.dim)) * self.window_eff_ns()
     }
 
     /// Data blocks a query activates (energy side).
@@ -244,8 +186,8 @@ impl PerfModel {
     fn accumulate_ns(&self) -> f64 {
         let c = &self.cfg.cost;
         let spread = count_f64((self.cfg.chip.blocks_per_tile_row() - 1).max(1));
-        let w = count_f64(self.cfg.windows());
-        let b = self.cfg.distance_bits();
+        let w = count_f64(windows(self.cfg.dim));
+        let b = distance_bits(self.cfg.dim);
         let local = (w / spread).ceil() * c.latency_ns(Op::Add { bits: 8 });
         let cross = spread.log2().ceil()
             * (self.cfg.interconnect.transfer_latency_ns(c, b) + c.latency_ns(Op::Add { bits: b }));
@@ -254,8 +196,8 @@ impl PerfModel {
 
     fn accumulate_energy_pj(&self) -> f64 {
         let c = &self.cfg.cost;
-        let w = count_f64(self.cfg.windows());
-        let b = self.cfg.distance_bits();
+        let w = count_f64(windows(self.cfg.dim));
+        let b = distance_bits(self.cfg.dim);
         w * c.energy_pj(Op::Add { bits: 8 })
             + 8.0
                 * (self.cfg.interconnect.transfer_energy_pj(c, b)
@@ -265,8 +207,8 @@ impl PerfModel {
     /// One global minimum search over `n_values` distance entries.
     fn nearest_ns(&self, n_values: f64) -> f64 {
         let c = &self.cfg.cost;
-        let b = self.cfg.distance_bits();
-        let stages = f64::from(b.div_ceil(4));
+        let b = distance_bits(self.cfg.dim);
+        let stages = f64::from(nearest_stages(b));
         let stage = c.latency_ns(Op::NearestStage);
         let groups = (count_f64(self.cfg.chip.cols) / f64::from(b))
             .floor()
@@ -286,8 +228,8 @@ impl PerfModel {
 
     fn nearest_energy_pj(&self, n_values: f64) -> f64 {
         let c = &self.cfg.cost;
-        let b = self.cfg.distance_bits();
-        let stages = f64::from(b.div_ceil(4));
+        let b = distance_bits(self.cfg.dim);
+        let stages = f64::from(nearest_stages(b));
         let block_bits = count_f64(self.cfg.chip.block_bits());
         let nb = (n_values * f64::from(b) / block_bits).ceil().max(1.0);
         nb * stages * c.energy_pj(Op::NearestStage)
@@ -302,7 +244,7 @@ impl PerfModel {
             return 0.0;
         }
         let row_blocks = count_f64(n) / count_f64(self.cfg.chip.rows);
-        let b = self.cfg.distance_bits();
+        let b = distance_bits(self.cfg.dim);
         4.0 * (p - 1.0)
             * row_blocks
             * row_blocks
@@ -317,31 +259,20 @@ impl PerfModel {
     /// the whole chip.
     #[must_use]
     pub fn encoding(&self, n: usize, m: usize) -> PhaseReport {
-        let c = &self.cfg.cost;
-        let mul8 = c.latency_ns(Op::Mul { bits: 8 });
-        let add16 = c.latency_ns(Op::Add { bits: 16 });
-        let mul16 = c.latency_ns(Op::Mul { bits: 16 });
-        let per_point = count_f64(m) * mul8
-            + count_f64(m.max(2)).log2().ceil() * add16
-            + 4.0 * mul16
-            + 3.0 * add16;
+        let (per_point, e_point) = self.cfg.cost.price(&dual_pim::encode_ops(m));
         let blocks_per_point =
             2.0 * (count_f64(self.cfg.dim) / count_f64(self.cfg.chip.rows)).ceil();
         let pipelines = (count_f64(self.cfg.total_blocks()) / blocks_per_point)
             .floor()
             .max(1.0);
         let time = (count_f64(n) / pipelines).ceil() * per_point;
-        let e_point = count_f64(m) * c.energy_pj(Op::Mul { bits: 8 })
-            + count_f64(m.max(2)).log2().ceil() * c.energy_pj(Op::Add { bits: 16 })
-            + 4.0 * c.energy_pj(Op::Mul { bits: 16 })
-            + 3.0 * c.energy_pj(Op::Add { bits: 16 });
         let energy = count_f64(n)
             * e_point
             * (count_f64(self.cfg.dim) / count_f64(self.cfg.chip.rows)).ceil();
         let mut report = PhaseReport::default();
         let mut s = EnergyStats::new();
         s.record_raw(time, energy);
-        report.push(Phase::Encoding, s);
+        report.push(Stage::Encoding, s);
         self.add_background(report)
     }
 
@@ -363,12 +294,12 @@ impl PerfModel {
         let mut hamming = EnergyStats::new();
         hamming.record_raw(
             nf / p * self.per_query_hamming_ns() + self.replication_agg_ns(n),
-            nf * count_f64(cfg.windows()) * self.window_energy_pj() * self.data_blocks(n),
+            nf * count_f64(windows(cfg.dim)) * self.window_energy_pj() * self.data_blocks(n),
         );
-        report.push(Phase::Hamming, hamming);
+        report.push(Stage::Hamming, hamming);
         let mut accum = EnergyStats::new();
         accum.record_raw(0.0, nf * self.accumulate_energy_pj());
-        report.push(Phase::Accumulate, accum);
+        report.push(Stage::Accumulate, accum);
 
         // Phase 2: n-1 merge iterations. Replicated distance memories
         // share the per-iteration column searches and updates, which is
@@ -380,28 +311,17 @@ impl PerfModel {
             iters * self.nearest_ns(matrix_values) / p,
             iters * self.nearest_energy_pj(matrix_values),
         );
-        report.push(Phase::Nearest, nearest);
+        report.push(Stage::Nearest, nearest);
 
-        let b = cfg.distance_bits();
-        let qb = cfg.coeff_bits;
-        let update_ns = self.ward_update_kernel_ns();
-        let update_e =
-            2.0 * c.energy_pj(Op::Write {
-                bits: cfg.size_bits,
-            }) + 3.0
-                * c.energy_pj(Op::Add {
-                    bits: cfg.size_bits,
-                })
-                + 3.0 * c.energy_pj(Op::Div { bits: qb })
-                + 3.0 * c.energy_pj(Op::Mul { bits: qb })
-                + 2.0 * c.energy_pj(Op::Add { bits: b })
-                + 2.0 * c.energy_pj(Op::Write { bits: b });
+        let b = distance_bits(cfg.dim);
+        let (update_ns, update_e) =
+            c.price(&dual_pim::ward_update_ops(cfg.size_bits, cfg.coeff_bits, b));
         // The update arithmetic is row-parallel but every row block of
         // the matrix participates: energy scales with the row blocks.
         let row_blocks = (nf / count_f64(cfg.chip.rows)).ceil();
         let mut update = EnergyStats::new();
         update.record_raw(iters * update_ns / p, iters * update_e * row_blocks);
-        report.push(Phase::Update, update);
+        report.push(Stage::Update, update);
 
         let transfer_ns = 2.0 * cfg.interconnect.transfer_latency_ns(c, b);
         let mut transfer = EnergyStats::new();
@@ -409,7 +329,7 @@ impl PerfModel {
             iters * transfer_ns / p,
             iters * 2.0 * cfg.interconnect.transfer_energy_pj(c, b) * row_blocks,
         );
-        report.push(Phase::Transfer, transfer);
+        report.push(Stage::Transfer, transfer);
         self.add_background(report)
     }
 
@@ -425,7 +345,7 @@ impl PerfModel {
         let kf = count_f64(k.max(1));
         let iters = count_f64(cfg.kmeans_iters.max(1));
         let p = count_f64(cfg.copies * cfg.chips);
-        let b = cfg.distance_bits();
+        let b = distance_bits(cfg.dim);
         // The k distance columns occupy a few nearby blocks.
         let near = self.with_relay_hops(4);
         let mut report = PhaseReport::default();
@@ -434,16 +354,20 @@ impl PerfModel {
         let mut hamming = EnergyStats::new();
         hamming.record_raw(
             iters * (kf / p).ceil() * near.per_query_hamming_ns(),
-            iters * kf * count_f64(cfg.windows()) * near.window_energy_pj() * self.data_blocks(n),
+            iters
+                * kf
+                * count_f64(windows(cfg.dim))
+                * near.window_energy_pj()
+                * self.data_blocks(n),
         );
-        report.push(Phase::Hamming, hamming);
+        report.push(Stage::Hamming, hamming);
         // Accumulation across centers overlaps; one residual per iter.
         let mut accum = EnergyStats::new();
         accum.record_raw(
             iters * near.accumulate_ns(),
             iters * kf * near.accumulate_energy_pj(),
         );
-        report.push(Phase::Accumulate, accum);
+        report.push(Stage::Accumulate, accum);
 
         // Per-point argmin across the k distance columns: pairwise
         // row-parallel subtractions (§VI-C).
@@ -454,7 +378,7 @@ impl PerfModel {
             iters * cmp_ns,
             iters * (kf - 1.0).max(0.0) * c.energy_pj(Op::Sub { bits: b }) * row_blocks,
         );
-        report.push(Phase::Nearest, nearest);
+        report.push(Stage::Nearest, nearest);
 
         // Center update: fan-in-2 row-reduction trees per row block —
         // the slow-arithmetic phase. Row-wise summation is the awkward
@@ -474,7 +398,7 @@ impl PerfModel {
                 + count_f64(cfg.dim) * cfg.interconnect.transfer_energy_pj(c, 1));
         let mut update = EnergyStats::new();
         update.record_raw(iters * update_ns, iters * update_e);
-        report.push(Phase::Update, update);
+        report.push(Stage::Update, update);
 
         // Binarized centers travel back to the data blocks each iter.
         let mut transfer = EnergyStats::new();
@@ -482,7 +406,7 @@ impl PerfModel {
             iters * kf * cfg.interconnect.transfer_latency_ns(c, 1) * col_blocks,
             iters * kf * cfg.interconnect.transfer_energy_pj(c, 1) * col_blocks,
         );
-        report.push(Phase::Transfer, transfer);
+        report.push(Stage::Transfer, transfer);
         self.add_background(report)
     }
 
@@ -502,21 +426,21 @@ impl PerfModel {
         let mut hamming = EnergyStats::new();
         hamming.record_raw(
             nf / p * near.per_query_hamming_ns(),
-            nf * count_f64(cfg.windows()) * near.window_energy_pj() * self.data_blocks(n),
+            nf * count_f64(windows(cfg.dim)) * near.window_energy_pj() * self.data_blocks(n),
         );
-        report.push(Phase::Hamming, hamming);
+        report.push(Stage::Hamming, hamming);
         let mut accum = EnergyStats::new();
         accum.record_raw(
             nf / p * near.accumulate_ns(),
             nf * near.accumulate_energy_pj(),
         );
-        report.push(Phase::Accumulate, accum);
+        report.push(Stage::Accumulate, accum);
         let mut nearest = EnergyStats::new();
         nearest.record_raw(
             nf / p * near.nearest_ns(nf),
             nf * near.nearest_energy_pj(nf),
         );
-        report.push(Phase::Nearest, nearest);
+        report.push(Stage::Nearest, nearest);
         // Flag-bit bookkeeping.
         let mut update = EnergyStats::new();
         let c = &cfg.cost;
@@ -524,7 +448,7 @@ impl PerfModel {
             nf * c.latency_ns(Op::Write { bits: 1 }),
             nf * c.energy_pj(Op::Write { bits: 1 }),
         );
-        report.push(Phase::Update, update);
+        report.push(Stage::Update, update);
         self.add_background(report)
     }
 }
@@ -583,9 +507,9 @@ mod tests {
         let enc = m.encoding(60_000, 784);
         let total = m.hierarchical(60_000).preceded_by(enc.clone());
         assert!(
-            total.phase_fraction(Phase::Encoding) < 0.05,
+            total.phase_fraction(Stage::Encoding) < 0.05,
             "encoding fraction {}",
-            total.phase_fraction(Phase::Encoding)
+            total.phase_fraction(Stage::Encoding)
         );
     }
 
@@ -623,23 +547,7 @@ mod tests {
     fn report_algebra() {
         let m = model();
         let r = m.dbscan(1000);
-        let total: f64 = Phase::all_fractions(&r);
+        let total: f64 = Stage::ALL.iter().map(|&p| r.phase_fraction(p)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    impl Phase {
-        fn all_fractions(r: &PhaseReport) -> f64 {
-            [
-                Phase::Encoding,
-                Phase::Hamming,
-                Phase::Accumulate,
-                Phase::Nearest,
-                Phase::Update,
-                Phase::Transfer,
-            ]
-            .iter()
-            .map(|&p| r.phase_fraction(p))
-            .sum()
-        }
     }
 }

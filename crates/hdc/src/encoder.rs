@@ -13,14 +13,10 @@ pub enum CosineMode {
     /// Library cosine (`f64::cos`) — the algorithmic reference.
     #[default]
     Exact,
-    /// Three-term Taylor expansion with quadrant folding, the behaviour
-    /// of the PIM pipeline after its pre-scaling stage. Sign-accurate
-    /// everywhere (max absolute error < 0.02 on the folded domain).
-    Taylor3,
     /// Three-term Taylor expansion applied to the raw reduced angle in
-    /// `[-π, π]` *without* quadrant folding — an ablation showing what
-    /// happens if the hardware skipped the folding step (sign errors
-    /// appear near `±π`).
+    /// `[-π, π]` without quadrant folding — what the in-memory pipeline
+    /// computes (`dual_core::PimEncoder` checks itself against this
+    /// mode); sign errors appear near `±π`.
     Taylor3Raw,
 }
 
@@ -41,7 +37,7 @@ pub enum CosineMode {
 /// let mapper = HdMapper::builder(2000, 4)
 ///     .seed(42)
 ///     .sigma(2.0)
-///     .cosine_mode(CosineMode::Taylor3)
+///     .cosine_mode(CosineMode::Taylor3Raw)
 ///     .build()?;
 /// let hv = mapper.encode(&[1.0, 0.0, -1.0, 0.5])?;
 /// assert_eq!(hv.dim(), 2000);
@@ -240,7 +236,6 @@ impl Encoder for HdMapper {
 pub(crate) fn eval_cosine(x: f64, mode: CosineMode) -> f64 {
     match mode {
         CosineMode::Exact => x.cos(),
-        CosineMode::Taylor3 => taylor3_folded(x),
         CosineMode::Taylor3Raw => taylor3_poly(reduce_to_pi(x)),
     }
 }
@@ -303,19 +298,6 @@ fn reduce_to_pi(x: f64) -> f64 {
         r += TAU;
     }
     r
-}
-
-/// Quadrant-folded 3-term Taylor cosine: reduce to `[-π, π]`, then use
-/// `cos(x) = -cos(π - |x|)` to land the polynomial argument in
-/// `[-π/2, π/2]` where three terms are sign-accurate.
-fn taylor3_folded(x: f64) -> f64 {
-    use std::f64::consts::{FRAC_PI_2, PI};
-    let r = reduce_to_pi(x).abs();
-    if r <= FRAC_PI_2 {
-        taylor3_poly(r)
-    } else {
-        -taylor3_poly(PI - r)
-    }
 }
 
 /// `1 - y²/2 + y⁴/24` — the first three terms of the cosine expansion,
@@ -406,35 +388,11 @@ mod tests {
     }
 
     #[test]
-    fn taylor3_folded_matches_cos_sign_everywhere() {
-        for k in -1000..1000 {
-            let x = k as f64 * 0.013;
-            let exact = x.cos();
-            let approx = taylor3_folded(x);
-            if exact.abs() > 0.05 {
-                assert_eq!(
-                    exact > 0.0,
-                    approx > 0.0,
-                    "sign mismatch at x={x}: cos={exact}, taylor={approx}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn taylor3_raw_has_sign_errors_near_pi() {
         // The ablation mode must actually exhibit the failure it models.
         let x = std::f64::consts::PI * 0.98;
         assert!(x.cos() < 0.0);
         assert!(eval_cosine(x, CosineMode::Taylor3Raw) > 0.0);
-    }
-
-    #[test]
-    fn taylor3_is_close_on_folded_domain() {
-        for k in 0..100 {
-            let x = -std::f64::consts::PI + k as f64 * (std::f64::consts::TAU / 100.0);
-            assert!((taylor3_folded(x) - x.cos()).abs() < 0.02, "x={x}");
-        }
     }
 
     /// `x` moved `ulps` representable values up (down when negative).
@@ -531,13 +489,6 @@ mod tests {
         #[test]
         fn prop_sign_test_is_libms_sign(x in -1.1 * MAX_ANGLE..1.1 * MAX_ANGLE) {
             prop_assert_eq!(cosine_positive(x, CosineMode::Exact), x.cos() > 0.0);
-        }
-
-        #[test]
-        fn prop_taylor3_sign_agrees_with_cos(x in -50.0f64..50.0) {
-            let exact = x.cos();
-            prop_assume!(exact.abs() > 0.05);
-            prop_assert_eq!(exact > 0.0, taylor3_folded(x) > 0.0);
         }
     }
 }

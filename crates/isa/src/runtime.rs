@@ -5,7 +5,10 @@
 use crate::alloc::{Allocation, BlockAllocator};
 use crate::inst::{ArithKind, Instruction, RegisterFile};
 use crate::{IsaError, Vlca};
-use dual_pim::{nearest_search, nearest_search_stages, CostModel, EnergyStats, MemoryBlock, Op};
+use dual_pim::{
+    distance_bits, nearest_search, nearest_stages, windows, CostModel, EnergyStats, MemoryBlock,
+    Op, STAGE_BITS, WINDOW_BITS,
+};
 
 /// Default number of blocks a runtime manages — plenty for the software
 /// test configurations; the real chip has 16 384.
@@ -159,11 +162,11 @@ impl Runtime {
     /// chunk boundaries — each piece is a real sweep the hardware pays
     /// for).
     fn emit_hamm7_windows(&mut self, al: &Allocation, v: &Vlca) -> u64 {
-        let windows = v.bits().div_ceil(7);
+        let windows = v.bits().div_ceil(WINDOW_BITS);
         let mut pieces = 0u64;
         for w in 0..windows {
-            let start = w * 7;
-            let end = (start + 7).min(v.bits());
+            let start = w * WINDOW_BITS;
+            let end = (start + WINDOW_BITS).min(v.bits());
             let mut s = start;
             while s < end {
                 let abs = v.bit_offset + s;
@@ -319,8 +322,7 @@ impl Runtime {
             addr: 0,
             size: query.len(),
         });
-        let out_bits = (usize::BITS - refs.bits().leading_zeros()) as usize;
-        let out = self.alloc(out_bits.max(1), refs.len())?;
+        let out = self.alloc(distance_bits(refs.bits()) as usize, refs.len())?;
         // Functional: compute distances element-wise over the stored bits.
         let mut dists = Vec::with_capacity(refs.len());
         for row in 0..refs.len() {
@@ -344,7 +346,7 @@ impl Runtime {
             .record_serial(&self.cost, Op::HammingWindow, pieces);
         self.stats
             .record_serial(&self.cost, Op::Write { bits: 3 }, pieces);
-        let windows = refs.bits().div_ceil(7) as u64;
+        let windows = windows(refs.bits());
         if windows > 1 {
             self.stats.record_serial(
                 &self.cost,
@@ -525,12 +527,12 @@ impl Runtime {
         let values = self.read_values(v)?;
         let all = vec![true; values.len()];
         let mask = active.unwrap_or(&all);
-        let found = nearest_search(&values, mask, target, v.bits() as u32, 4).ok_or(
+        let found = nearest_search(&values, mask, target, v.bits() as u32, STAGE_BITS).ok_or(
             IsaError::ShapeMismatch {
                 what: "near_search: empty active set",
             },
         )?;
-        let stages = nearest_search_stages(v.bits() as u32, 4);
+        let stages = nearest_stages(v.bits() as u32);
         self.stats
             .record_serial(&self.cost, Op::NearestStage, u64::from(stages));
         let al = self.allocation(v)?;
@@ -581,13 +583,13 @@ impl Runtime {
             addr: 0,
             size: query.len(),
         });
-        let windows = refs.bits().div_ceil(7);
+        let windows = refs.bits().div_ceil(WINDOW_BITS);
         let out = self.alloc(3 * windows, refs.len())?;
         let mut packed = vec![0u64; refs.len()];
         for (row, p) in packed.iter_mut().enumerate() {
             for w in 0..windows {
-                let start = w * 7;
-                let end = (start + 7).min(refs.bits());
+                let start = w * WINDOW_BITS;
+                let end = (start + WINDOW_BITS).min(refs.bits());
                 let mut count = 0u64;
                 #[expect(
                     clippy::needless_range_loop,
@@ -611,8 +613,8 @@ impl Runtime {
             let out_al = self.allocation(&out)?;
             for row in 0..refs.len() {
                 for w in 0..windows {
-                    let start = w * 7;
-                    let end = (start + 7).min(refs.bits());
+                    let start = w * WINDOW_BITS;
+                    let end = (start + WINDOW_BITS).min(refs.bits());
                     let mut count = 0u64;
                     #[expect(
                         clippy::needless_range_loop,
@@ -701,8 +703,7 @@ impl Runtime {
             live = live.div_ceil(2);
             width += 1;
         }
-        let out_bits = (64 - (7u64 * windows as u64).leading_zeros()) as usize;
-        let out = self.alloc(out_bits.max(1), partials.len())?;
+        let out = self.alloc(distance_bits(WINDOW_BITS * w) as usize, partials.len())?;
         let totals: Vec<u64> = sums.iter().map(|s| s[0]).collect();
         self.write_values_uncosted(&out, &totals)?;
         Ok(out)
@@ -785,7 +786,7 @@ impl Runtime {
             });
         }
         let values = self.read_values(v)?;
-        let stages = nearest_search_stages(v.bits() as u32, 4);
+        let stages = nearest_stages(v.bits() as u32);
         self.stats
             .record_serial(&self.cost, Op::NearestStage, u64::from(stages));
         let al = self.allocation(v)?;

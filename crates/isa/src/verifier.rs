@@ -4,7 +4,7 @@
 
 use crate::report::{CostBound, Diagnostic, VerifyError, VerifyReport};
 use crate::{ArithKind, Instruction, Runtime};
-use dual_pim::{nearest_search_stages, CostModel, EnergyStats, Op};
+use dual_pim::{nearest_stages, CostModel, EnergyStats, Op, WINDOW_BITS};
 use std::collections::BTreeMap;
 
 /// Relative tolerance for the latency/energy cross-check. The runtime
@@ -233,7 +233,7 @@ impl Verifier {
                     push(VerifyError::EmptyWindow);
                 } else {
                     let width = c2 - c1;
-                    if width > 7 {
+                    if width > WINDOW_BITS {
                         push(VerifyError::WindowTooWide { width });
                     }
                     if c2 > g.data_cols {
@@ -485,7 +485,7 @@ pub fn trace_ledger(trace: &[Instruction]) -> BTreeMap<Op, u64> {
             }
             Instruction::NearSearch { nc, .. } | Instruction::ExactSearch { nc, .. } => {
                 #[expect(clippy::as_conversions, reason = "column counts ≤ 64, exact in u32")]
-                let stages = nearest_search_stages(nc as u32, 4);
+                let stages = nearest_stages(nc as u32);
                 bump(Op::NearestStage, u64::from(stages));
             }
             Instruction::RowMv { nc, .. } => {

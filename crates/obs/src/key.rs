@@ -7,16 +7,14 @@
 //! key set in a fixed order, and a recording site is an array index plus
 //! one atomic op — no hashing, no locks, no allocation.
 //!
-//! [`Stage`] and [`OpFamily`] are the two shared label vocabularies that
-//! previously lived as three disconnected copies (`Phase` in
-//! `dual_core::perf`, `Op` in `dual_pim::cost`, and the stream stage
-//! names): `dual_core::Phase::name` now delegates to [`Stage::name`] and
+//! [`Stage`] and [`OpFamily`] are the two shared label vocabularies:
+//! `dual_core::PhaseReport` labels its phases with [`Stage`] and
 //! `dual_pim` maps every `Op` onto an [`OpFamily`], so exported metric
 //! names agree across all layers.
 
 /// Execution stage of the DUAL pipeline (Fig. 15b's categories) — the
-/// single phase-name vocabulary shared by `dual_core::Phase`, the PIM
-/// cost bridges, and the stream engine.
+/// single phase-name vocabulary shared by `dual_core::PhaseReport`, the
+/// PIM cost bridges, and the stream engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// HD-Mapper encoding (§V-A).

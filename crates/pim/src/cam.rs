@@ -251,13 +251,6 @@ pub fn nearest_search(
     Some((idx, values[idx]))
 }
 
-/// Number of 4-bit stages a full nearest search over `bits`-wide values
-/// performs — the latency driver for the cost model.
-#[must_use]
-pub fn nearest_search_stages(bits: u32, stage_bits: u32) -> u32 {
-    bits.div_ceil(stage_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,9 +334,9 @@ mod tests {
 
     #[test]
     fn stage_count() {
-        assert_eq!(nearest_search_stages(12, 4), 3);
-        assert_eq!(nearest_search_stages(13, 4), 4);
-        assert_eq!(nearest_search_stages(4, 4), 1);
+        assert_eq!(crate::nearest_stages(12), 3);
+        assert_eq!(crate::nearest_stages(13), 4);
+        assert_eq!(crate::nearest_stages(4), 1);
     }
 
     proptest! {

@@ -17,7 +17,11 @@
 //!   §VI).
 //!
 //! Cost accounting reproduces the paper's HSPICE/NVSim-derived anchors
-//! (Tables II and III) through [`CostModel`] and [`AreaPowerModel`];
+//! (Tables II and III) through [`CostModel`] and [`AreaPowerModel`].
+//! Each pipeline phase's op list ([`encode_ops`], [`assign_ops`],
+//! [`update_ops`], [`ward_update_ops`]) and the search widths
+//! ([`WINDOW_BITS`], [`STAGE_BITS`]) are written once here, for the
+//! analytical model, the stream engine and the ISA runtime alike;
 //! [`EnduranceModel`] and [`run_monte_carlo`] reproduce the §VIII-H
 //! lifetime and device-variability analyses. Cells here
 //! always hold what was written: injected faults are a read-path model
@@ -62,6 +66,7 @@ mod endurance;
 mod error;
 mod interconnect;
 mod nor;
+mod phases;
 mod stats;
 mod streaming;
 mod tile;
@@ -69,15 +74,17 @@ mod variation;
 
 pub use arch::{AreaPowerModel, ChipConfig, ComponentBudget};
 pub use block::MemoryBlock;
-pub use cam::{
-    nearest_search, nearest_search_stages, Detection, MlDischargeModel, SamplingSchedule,
-};
+pub use cam::{nearest_search, Detection, MlDischargeModel, SamplingSchedule};
 pub use cost::{CostModel, Op};
 pub use device::DeviceVariation;
 pub use endurance::{EnduranceModel, WearLeveler};
 pub use error::PimError;
 pub use interconnect::Interconnect;
 pub use nor::{div_approx, NorEngine};
+pub use phases::{
+    assign_ops, blocks, distance_bits, encode_ops, nearest_stages, update_ops, ward_update_ops,
+    windows, STAGE_BITS, WINDOW_BITS,
+};
 pub use stats::EnergyStats;
 pub use streaming::{EnergyBudget, StreamBatchCost, StreamMeter};
 pub use tile::CounterMode;

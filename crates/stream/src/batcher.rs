@@ -9,33 +9,7 @@
 //! counter and the buffered-point count. Rerunning a recorded schedule
 //! replays the exact same batch boundaries.
 
-/// Why a micro-batch was cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum CutReason {
-    /// Buffered points reached the configured batch size.
-    Size,
-    /// The tick deadline elapsed with at least one point buffered.
-    Deadline,
-    /// The ring was full under [`crate::BackpressurePolicy::Block`] and
-    /// the producer forced an inline flush.
-    Backpressure,
-    /// The caller drained the engine.
-    Drain,
-}
-
-impl CutReason {
-    /// Stable lowercase name for reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Size => "size",
-            Self::Deadline => "deadline",
-            Self::Backpressure => "backpressure",
-            Self::Drain => "drain",
-        }
-    }
-}
+use dual_trace::Cut;
 
 /// Decides *when* buffered points become a micro-batch.
 ///
@@ -118,15 +92,15 @@ impl Batcher {
     /// otherwise `Deadline` fires once the tick budget is spent and
     /// something is actually waiting. Empty buffers never cut.
     #[must_use]
-    pub fn due(&self, buffered: usize) -> Option<CutReason> {
+    pub fn due(&self, buffered: usize) -> Option<Cut> {
         if buffered == 0 {
             return None;
         }
         if buffered >= self.max_batch {
-            return Some(CutReason::Size);
+            return Some(Cut::Size);
         }
         if self.ticks_since_cut() >= self.max_ticks {
-            return Some(CutReason::Deadline);
+            return Some(Cut::Deadline);
         }
         None
     }
@@ -145,8 +119,8 @@ mod tests {
     fn size_trigger_fires_immediately() {
         let b = Batcher::new(4, 100);
         assert_eq!(b.due(3), None);
-        assert_eq!(b.due(4), Some(CutReason::Size));
-        assert_eq!(b.due(9), Some(CutReason::Size));
+        assert_eq!(b.due(4), Some(Cut::Size));
+        assert_eq!(b.due(9), Some(Cut::Size));
     }
 
     #[test]
@@ -157,7 +131,7 @@ mod tests {
             b.tick();
         }
         assert_eq!(b.due(0), None); // nothing waiting: never cut
-        assert_eq!(b.due(1), Some(CutReason::Deadline));
+        assert_eq!(b.due(1), Some(Cut::Deadline));
     }
 
     /// Only a restored clock can start at `u64::MAX`; ticking it must
@@ -167,7 +141,7 @@ mod tests {
         let mut b = Batcher::restore(4, 2, u64::MAX - 1, 0);
         assert_eq!(b.tick(), u64::MAX);
         assert_eq!(b.tick(), u64::MAX);
-        assert_eq!(b.due(1), Some(CutReason::Deadline));
+        assert_eq!(b.due(1), Some(Cut::Deadline));
     }
 
     #[test]
@@ -175,20 +149,20 @@ mod tests {
         let mut b = Batcher::new(100, 2);
         b.tick();
         b.tick();
-        assert_eq!(b.due(5), Some(CutReason::Deadline));
+        assert_eq!(b.due(5), Some(Cut::Deadline));
         b.note_cut();
         assert_eq!(b.due(5), None);
         assert_eq!(b.ticks_since_cut(), 0);
         b.tick();
         b.tick();
-        assert_eq!(b.due(5), Some(CutReason::Deadline));
+        assert_eq!(b.due(5), Some(Cut::Deadline));
     }
 
     #[test]
     fn size_wins_over_deadline() {
         let mut b = Batcher::new(2, 1);
         b.tick();
-        assert_eq!(b.due(2), Some(CutReason::Size));
+        assert_eq!(b.due(2), Some(Cut::Size));
     }
 
     #[test]
@@ -205,9 +179,11 @@ mod tests {
 
     #[test]
     fn reason_names_are_stable() {
-        assert_eq!(CutReason::Size.name(), "size");
-        assert_eq!(CutReason::Deadline.name(), "deadline");
-        assert_eq!(CutReason::Backpressure.name(), "backpressure");
-        assert_eq!(CutReason::Drain.name(), "drain");
+        let mut b = Batcher::new(4, 1);
+        assert_eq!(b.due(4).map(Cut::name), Some("size"));
+        b.tick();
+        assert_eq!(b.due(1).map(Cut::name), Some("deadline"));
+        assert_eq!(Cut::Backpressure.name(), "backpressure");
+        assert_eq!(Cut::Drain.name(), "drain");
     }
 }

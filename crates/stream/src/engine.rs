@@ -11,7 +11,7 @@
 //! policy surface a concurrent deployment needs: bounded buffering,
 //! explicit backpressure, size-or-deadline batching.
 
-use crate::batcher::{Batcher, CutReason};
+use crate::batcher::Batcher;
 use crate::error::StreamError;
 use crate::fault::{FaultConfig, FaultState, FaultStatus};
 use crate::online::OnlineKMeans;
@@ -20,11 +20,6 @@ use dual_hdc::{first_non_finite, Encoder, Hypervector};
 use dual_obs::{Key, Registry};
 use dual_pim::{CostModel, Op, StreamBatchCost, StreamMeter, WearLeveler};
 use dual_trace::{AlertEngine, AlertRule, Cut, Event, Recorder, TraceError};
-
-/// Rows per crossbar block (the Table III anchor geometry): hypervector
-/// dimensions and stored sub-centroids spread over `ceil(x / 1024)`
-/// blocks for cost attribution.
-const BLOCK_ROWS: usize = 1024;
 
 /// Tunables of a [`StreamEngine`].
 #[derive(Debug, Clone, PartialEq)]
@@ -256,7 +251,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             config.decay,
             config.shards,
         );
-        let wear = WearLeveler::new(encoder.dim().div_ceil(BLOCK_ROWS).max(1));
+        let wear = WearLeveler::new(dual_pim::blocks(encoder.dim()));
         Ok(Self {
             encoder,
             ring: Ring::with_capacity(config.capacity),
@@ -503,7 +498,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             Err(point) => match policy {
                 BackpressurePolicy::Block => {
                     self.obs.add(Key::StreamInlineFlushes, 1);
-                    self.cut_batch(CutReason::Backpressure)?;
+                    self.cut_batch(Cut::Backpressure)?;
                     match self.ring.try_push(point) {
                         Ok(()) => {
                             self.obs.add(Key::StreamIngested, 1);
@@ -595,7 +590,7 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     pub fn drain(&mut self) -> Result<Vec<StreamBatchCost>, StreamError> {
         let mut costs = Vec::new();
         while !self.ring.is_empty() {
-            match self.cut_batch(CutReason::Drain)? {
+            match self.cut_batch(Cut::Drain)? {
                 Some(cost) => costs.push(cost),
                 // Unreachable: a drain cut is never deferred. Guard
                 // against a livelock regardless.
@@ -628,10 +623,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
     /// the batch's chip cost. Returns `None` (without popping) when a
     /// quarantined shard defers the batch — the ring itself is the
     /// requeue buffer, and the batcher deadline stays armed because
-    /// `note_cut` is never reached. A [`CutReason::Drain`] cut forces
+    /// `note_cut` is never reached. A [`Cut::Drain`] cut forces
     /// processing, masking only the benched shards.
-    fn cut_batch(&mut self, reason: CutReason) -> Result<Option<StreamBatchCost>, StreamError> {
-        let force = matches!(reason, CutReason::Drain);
+    fn cut_batch(&mut self, reason: Cut) -> Result<Option<StreamBatchCost>, StreamError> {
+        let force = matches!(reason, Cut::Drain);
         // Fault path, sense stage (pre-pop): a benched shard, or one
         // this pass trips, defers the batch before any point is consumed.
         let mut views = None;
@@ -656,13 +651,9 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         rows.extend(std::iter::from_fn(|| self.ring.pop()).take(take));
         let n = as_u64(rows.len());
         let tick = self.batcher.now();
-        let batch_span = self.trace.begin(
-            tick,
-            Event::BatchBegin {
-                reason: trace_cut(reason),
-                points: n,
-            },
-        );
+        let batch_span = self
+            .trace
+            .begin(tick, Event::BatchBegin { reason, points: n });
 
         // Encode stage: deterministic parallel fan-out, chunk order.
         let stage_span = self.trace.begin(
@@ -720,10 +711,10 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         self.obs.add(Key::StreamBatches, 1);
         self.obs.observe(Key::StreamBatchPoints, n);
         match reason {
-            CutReason::Size => self.obs.add(Key::StreamSizeCuts, 1),
-            CutReason::Deadline => self.obs.add(Key::StreamDeadlineCuts, 1),
-            CutReason::Backpressure => {} // counted as inline_flushes at push
-            CutReason::Drain => self.obs.add(Key::StreamDrainCuts, 1),
+            Cut::Size => self.obs.add(Key::StreamSizeCuts, 1),
+            Cut::Deadline => self.obs.add(Key::StreamDeadlineCuts, 1),
+            Cut::Backpressure => {} // counted as inline_flushes at push
+            Cut::Drain => self.obs.add(Key::StreamDrainCuts, 1),
         }
         self.batcher.note_cut();
         let cost = self.meter.commit_batch(n);
@@ -808,52 +799,46 @@ impl<E: Encoder + Sync> StreamEngine<E> {
         }
     }
 
-    /// Charge the HD-Mapper encode pass for `n` points: per point, `m`
-    /// serial 8-bit multiplies, a log-tree 16-bit accumulation, and the
-    /// 3-term Taylor cosine (2 squarings + 2 constant multiplies + an
-    /// add chain), replicated across `ceil(D / 1024)` row blocks
-    /// (§V-A; mirrors `dual_core::PerfModel::encoding`).
-    fn charge_encode(&mut self, n: u64) {
-        let m = self.encoder.n_features();
-        let row_blocks = as_u64(self.encoder.dim().div_ceil(BLOCK_ROWS)).max(1);
-        let log_m = u64::from(m.max(2).next_power_of_two().trailing_zeros());
-        self.meter
-            .record_grid(Op::Mul { bits: 8 }, n * as_u64(m), row_blocks);
-        self.meter
-            .record_grid(Op::Add { bits: 16 }, n * (log_m + 3), row_blocks);
-        self.meter
-            .record_grid(Op::Mul { bits: 16 }, n * 4, row_blocks);
+    /// Record per-point `rows` for `n` points on `blocks` blocks: one
+    /// grid per distinct op, in first-appearance order, with equal ops'
+    /// counts merged into that one grid.
+    fn record_rows(&mut self, rows: &[(Op, u64)], n: u64, blocks: usize) {
+        for (i, &(op, _)) in rows.iter().enumerate() {
+            if rows[..i].iter().any(|&(seen, _)| seen == op) {
+                continue;
+            }
+            let per_point: u64 = rows[i..].iter().filter(|r| r.0 == op).map(|r| r.1).sum();
+            self.meter.record_grid(op, n * per_point, as_u64(blocks));
+        }
     }
 
-    /// Charge the assignment pass: per query, `ceil(D / 7)` Hamming
-    /// window sweeps plus a bit-serial nearest search of
-    /// `ceil(bits(D) / 4)` 4-bit stages, both row-parallel across the
-    /// block(s) storing the `centroids` sub-centroid rows (§IV-A).
-    /// Under a majority re-read healing policy every window sweep is
-    /// repeated `reads` times — the latency/energy price of voting.
+    /// Charge the HD-Mapper encode pass for `n` points
+    /// ([`dual_pim::encode_ops`] on every row block of the hypervector).
+    fn charge_encode(&mut self, n: u64) {
+        let rows = dual_pim::encode_ops(self.encoder.n_features());
+        self.record_rows(&rows, n, dual_pim::blocks(self.encoder.dim()));
+    }
+
+    /// Charge the assignment pass ([`dual_pim::assign_ops`]) on the
+    /// block(s) storing the `centroids` sub-centroid rows. Under a
+    /// majority re-read healing policy every window sweep is repeated
+    /// `reads` times — the latency/energy price of voting.
     fn charge_assign(&mut self, n: u64, centroids: usize) {
-        let windows = as_u64(self.encoder.dim().div_ceil(7));
         let reads = self
             .fault
             .as_ref()
             .map_or(1, |f| u64::from(f.policy.reads()));
-        let centroid_blocks = as_u64(centroids.div_ceil(BLOCK_ROWS)).max(1);
-        let dist_bits = u64::from(usize::BITS - self.encoder.dim().leading_zeros());
-        let stages = dist_bits.div_ceil(4);
-        self.meter
-            .record_grid(Op::HammingWindow, n * windows * reads, centroid_blocks);
-        self.meter
-            .record_grid(Op::NearestStage, n * stages, centroid_blocks);
+        let rows = dual_pim::assign_ops(self.encoder.dim(), reads);
+        self.record_rows(&rows, n, dual_pim::blocks(centroids));
     }
 
-    /// Charge the centroid-update pass: one row-parallel 16-bit counter
-    /// add per point across the dimension blocks, plus a `D`-column NVM
-    /// write per re-binarized sub-centroid (§VI-C).
+    /// Charge the centroid-update pass ([`dual_pim::update_ops`]): the
+    /// per-point counter adds across the dimension blocks, then the
+    /// serial write of each re-binarized sub-centroid.
     fn charge_update(&mut self, n: u64, rebinarized: u64) {
-        let row_blocks = as_u64(self.encoder.dim().div_ceil(BLOCK_ROWS)).max(1);
-        self.meter.record_grid(Op::Add { bits: 16 }, n, row_blocks);
-        let bits = u32::try_from(self.encoder.dim()).unwrap_or(u32::MAX);
-        self.meter.record_serial(Op::Write { bits }, rebinarized);
+        let [add, (write, per_centroid)] = dual_pim::update_ops(self.encoder.dim());
+        self.record_rows(&[add], n, dual_pim::blocks(self.encoder.dim()));
+        self.meter.record_serial(write, rebinarized * per_centroid);
         if rebinarized > 0 {
             // Endurance accounting: each rewritten sub-centroid writes
             // `dim` columns; the leveler rotates the data-block role to
@@ -862,18 +847,6 @@ impl<E: Encoder + Sync> StreamEngine<E> {
             self.wear
                 .record_writes(blk, rebinarized * as_u64(self.encoder.dim()));
         }
-    }
-}
-
-/// The trace-local mirror of a [`CutReason`] (`dual-trace` sits below
-/// `dual-stream` in the dependency graph, so the vocabulary is
-/// duplicated rather than shared).
-fn trace_cut(reason: CutReason) -> Cut {
-    match reason {
-        CutReason::Size => Cut::Size,
-        CutReason::Deadline => Cut::Deadline,
-        CutReason::Backpressure => Cut::Backpressure,
-        CutReason::Drain => Cut::Drain,
     }
 }
 

@@ -100,7 +100,7 @@ mod online;
 mod persist;
 mod ring;
 
-pub use batcher::{Batcher, CutReason};
+pub use batcher::Batcher;
 pub use engine::{StreamConfig, StreamCounters, StreamEngine, StreamSnapshot};
 pub use error::StreamError;
 pub use fault::{FaultConfig, FaultStatus};

@@ -10,9 +10,8 @@
 
 use dual_obs::Stage;
 
-/// Why a micro-batch was cut — the trace-local mirror of the stream
-/// engine's cut-reason vocabulary (kept separate so `dual-trace` stays
-/// below `dual-stream` in the dependency graph).
+/// Why a micro-batch was cut: the one cut-reason vocabulary, returned by
+/// the stream batcher and stored in the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cut {
     /// Buffered points reached the configured batch size.
@@ -29,7 +28,7 @@ impl Cut {
     /// Every reason, in wire-tag order.
     pub const ALL: [Cut; 4] = [Cut::Size, Cut::Deadline, Cut::Backpressure, Cut::Drain];
 
-    /// Canonical label (identical to `stream::CutReason::name`).
+    /// Canonical label.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

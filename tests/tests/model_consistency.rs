@@ -3,9 +3,15 @@
 //! ablation/scaling behaviours must agree in their overlapping regimes.
 
 use dual_core::baseline::{Algorithm, GpuModel, ImpModel};
-use dual_core::{chip_scaling_speedup, DualConfig, PerfModel, Phase, ScalingModel};
+use dual_core::{chip_scaling_speedup, DualConfig, PerfModel, ScalingModel};
+use dual_hdc::HdMapper;
 use dual_isa::Runtime;
-use dual_pim::{CostModel, Op};
+use dual_obs::Stage;
+use dual_pim::{
+    assign_ops, blocks, encode_ops, nearest_stages, update_ops, windows, CostModel, Op,
+};
+use dual_stream::{StreamConfig, StreamEngine};
+use std::collections::BTreeMap;
 
 #[test]
 fn runtime_hamming_costs_match_cost_model() {
@@ -25,6 +31,88 @@ fn runtime_hamming_costs_match_cost_model() {
     let floor = 10.0 * model.latency_ns(Op::HammingWindow);
     assert!(spent >= floor, "hamming under-priced: {spent} < {floor}");
     assert_eq!(rt.stats().count(Op::HammingWindow), 10);
+}
+
+#[test]
+fn runtime_hamming_issues_exactly_the_window_count() {
+    // 128 data columns per chunk: no window of a ≤ 128-bit VLCA
+    // straddles a chunk, so every window is one sweep.
+    for bits in [1usize, 6, 7, 8, 49, 70, 100, 128] {
+        let mut rt = Runtime::with_block_geometry(16, 256).expect("valid");
+        let refs = rt.alloc(bits, 4).expect("fits");
+        let _ = rt.hamming(&vec![true; bits], &refs).expect("runs");
+        assert_eq!(
+            rt.stats().count(Op::HammingWindow),
+            windows(bits),
+            "{bits} bits"
+        );
+    }
+}
+
+#[test]
+fn runtime_near_search_issues_exactly_the_stage_count() {
+    for bits in 1usize..=16 {
+        let mut rt = Runtime::with_block_geometry(16, 256).expect("valid");
+        let v = rt.alloc(bits, 3).expect("fits");
+        rt.write_values(&v, &[0, 1, 0]).expect("fits");
+        let _ = rt.near_search(&v, 0).expect("runs");
+        let stages = u64::from(nearest_stages(u32::try_from(bits).expect("small")));
+        assert_eq!(rt.stats().count(Op::NearestStage), stages, "{bits} bits");
+    }
+}
+
+#[test]
+fn one_engine_batch_charges_exactly_the_phase_op_lists() {
+    let (dim, n_features, n) = (2100, 5, 12u64);
+    let encoder = HdMapper::builder(dim, n_features)
+        .seed(1)
+        .sigma(2.0)
+        .build()
+        .expect("valid");
+    let mut cfg = StreamConfig::new(2);
+    cfg.max_batch = 64;
+    cfg.threads = 1;
+    let mut engine = StreamEngine::new(encoder, cfg).expect("valid");
+    for i in 0..n {
+        let p: Vec<f64> = (0..n_features)
+            .map(|f| (i * 7 + f as u64) as f64 * 0.1)
+            .collect();
+        engine.push(&p).expect("accepted");
+    }
+    assert_eq!(engine.drain().expect("drains").len(), 1, "one batch");
+    assert!(engine.counters().rebinarized > 0, "the update writes");
+
+    let mut want: BTreeMap<Op, u64> = BTreeMap::new();
+    let mut add = |rows: &[(Op, u64)], times: u64| {
+        for &(op, count) in rows {
+            *want.entry(op).or_default() += count * times;
+        }
+    };
+    let dim_blocks = blocks(dim) as u64;
+    add(&encode_ops(n_features), n * dim_blocks);
+    add(
+        &assign_ops(dim, 1),
+        n * blocks(engine.model().seeded()) as u64,
+    );
+    let [per_point, per_centroid] = update_ops(dim);
+    add(&[per_point], n * dim_blocks);
+    add(&[per_centroid], engine.counters().rebinarized);
+    want.retain(|_, count| *count > 0);
+    let got: BTreeMap<Op, u64> = engine.meter().total().counts().collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn perf_model_encoding_energy_is_the_priced_op_list() {
+    let mut cfg = DualConfig::paper();
+    cfg.active_power_w = 0.0;
+    for (n, m) in [(1usize, 2usize), (60_000, 784), (10_000, 617)] {
+        let (_, e_point) = cfg.cost.price(&encode_ops(m));
+        let want = n as f64 * e_point * blocks(cfg.dim) as f64;
+        let report = PerfModel::new(cfg).encoding(n, m);
+        let got = report.phases()[0].1.energy_pj();
+        assert_eq!(got.to_bits(), want.to_bits(), "n {n}, m {m}");
+    }
 }
 
 #[test]
@@ -52,14 +140,14 @@ fn dimensionality_drives_hamming_phase() {
     let fh = f
         .phases()
         .iter()
-        .find(|(p, _)| *p == Phase::Hamming)
+        .find(|(p, _)| *p == Stage::Hamming)
         .expect("has hamming")
         .1
         .time_s();
     let hh = h
         .phases()
         .iter()
-        .find(|(p, _)| *p == Phase::Hamming)
+        .find(|(p, _)| *p == Stage::Hamming)
         .expect("has hamming")
         .1
         .time_s();

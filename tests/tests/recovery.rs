@@ -293,6 +293,12 @@ fn checksum_valid_corruption_of_a_real_wal_restores_or_fails_typed() {
     cfg.shards = 2;
     cfg.snapshot_every = SNAPSHOT_EVERY;
     cfg.trace_capacity = 6;
+    // One thread: the corpus restores ~35 k engines, and the scoped
+    // workers an automatic thread count spawns for every 8-point batch
+    // would triple the run. The window cases still overwrite the blob's
+    // thread-count word with 0, 1, 2^40 and `u64::MAX`; thread identity
+    // is pinned by `replay_from_any_kill_tick_matches_uninterrupted`.
+    cfg.threads = 1;
     let mut engine = StreamEngine::new(encoder.clone(), cfg)
         .unwrap()
         .with_fault_injection(corpus_fault())
