@@ -21,6 +21,13 @@ pub enum ClusterError {
         /// Points actually supplied.
         got: usize,
     },
+    /// Two input points have different dimensionalities.
+    DimensionMismatch {
+        /// Dimensionality of the first point.
+        left: usize,
+        /// Dimensionality of the first point that differs from it.
+        right: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -31,6 +38,9 @@ impl fmt::Display for ClusterError {
             }
             Self::TooFewPoints { needed, got } => {
                 write!(f, "need at least {needed} points, got {got}")
+            }
+            Self::DimensionMismatch { left, right } => {
+                write!(f, "points have different dimensions: {left} and {right}")
             }
         }
     }

@@ -357,7 +357,8 @@ impl HammingKMeans {
     /// # Errors
     ///
     /// Returns [`ClusterError::TooFewPoints`] when fewer than `k` points
-    /// are supplied.
+    /// are supplied, and [`ClusterError::DimensionMismatch`] when the
+    /// points' dimensionalities differ.
     pub fn fit(&self, points: &[Hypervector]) -> Result<HammingKMeansResult, ClusterError> {
         self.fit_with(points, Obs::global())
     }
@@ -387,6 +388,13 @@ impl HammingKMeans {
             return Err(ClusterError::TooFewPoints {
                 needed: self.k,
                 got: n,
+            });
+        }
+        let dim = points[0].dim();
+        if let Some(p) = points.iter().find(|p| p.dim() != dim) {
+            return Err(ClusterError::DimensionMismatch {
+                left: dim,
+                right: p.dim(),
             });
         }
         // k-means++-style initialization in Hamming space: a random
@@ -497,6 +505,12 @@ fn assign_hamming_labels(
 /// the `decay == 1.0` single-batch case of the streaming engine's
 /// online update (`dual-stream`), shared so the two can be tested for
 /// equivalence. Bit-identical for every `threads` value (`0` = auto).
+///
+/// # Panics
+///
+/// Panics when the points and centers do not all share one
+/// dimensionality (the [`dual_hdc::search::assign_batch`] contract);
+/// [`HammingKMeans::fit`] checks its points before it gets here.
 #[must_use]
 pub fn hamming_lloyd_step(
     points: &[Hypervector],
@@ -510,7 +524,8 @@ pub fn hamming_lloyd_step(
         members[lbl].push(p);
     }
     // An empty member list is `majority_bundle`'s only reachable error:
-    // `assign_batch` has already panicked on a dimensionality mismatch.
+    // `assign_batch` measured every point against every center, so the
+    // members of a center all share one dimensionality.
     let votes = members.iter().map(|m| majority_bundle(m).ok()).collect();
     (labels, votes)
 }
@@ -604,6 +619,20 @@ mod tests {
         let km = HammingKMeans::new(3).unwrap();
         let pts = vec![Hypervector::zeros(8)];
         assert!(km.fit(&pts).is_err());
+    }
+
+    #[test]
+    fn hamming_kmeans_rejects_points_of_unequal_dimension() {
+        let km = HammingKMeans::new(2).unwrap();
+        let hv = Hypervector::zeros;
+        for pts in [[hv(8), hv(9), hv(8)], [hv(8), hv(8), hv(9)]] {
+            assert_eq!(
+                km.fit(&pts),
+                Err(ClusterError::DimensionMismatch { left: 8, right: 9 })
+            );
+        }
+        let err = ClusterError::DimensionMismatch { left: 8, right: 9 };
+        assert!(err.to_string().contains("8 and 9"));
     }
 
     #[test]

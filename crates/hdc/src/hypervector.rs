@@ -1,5 +1,6 @@
 //! The [`Hypervector`] newtype.
 
+use crate::planes::{self, Lanes, LANES};
 use crate::{BitVec, HdcError};
 use std::fmt;
 
@@ -143,10 +144,12 @@ impl AsRef<BitVec> for Hypervector {
 /// accumulated per-dimension sums are thresholded so centers stay binary.
 /// It is the one integer majority kernel of the tree — the software twin
 /// of the paper's per-block counters. The per-dimension counts are kept
-/// *bit-sliced*: for every 64-dimension word, plane `p` holds bit `p` of
-/// that word's 64 counts, so folding a member in is a ripple-carry add of
-/// one whole word and the vote is one word-wide comparison. Counts are
-/// exact integers, so the result does not depend on member order.
+/// *bit-sliced* in a Harley–Seal counter (the crate's `planes`), 256
+/// dimensions (four words) at a time: the members are summed 16 at a
+/// time by carry-save adders, the `n mod 16` left over are rippled in
+/// one by one, and the vote is one MSB-first comparison per plane.
+/// Counts are exact integers, so the result does not depend on member
+/// order.
 ///
 /// # Errors
 ///
@@ -158,9 +161,7 @@ pub fn majority_bundle(items: &[&Hypervector]) -> Result<Hypervector, HdcError> 
         reason: "must be non-empty",
     })?;
     let dim = first.dim();
-    // ⌈log₂(n + 1)⌉ planes hold every count in 0..=n.
-    let depth = (usize::BITS - items.len().leading_zeros()) as usize;
-    let mut planes = vec![0u64; first.bits.as_words().len() * depth];
+    let mut members = Vec::with_capacity(items.len());
     for hv in items {
         if hv.dim() != dim {
             return Err(HdcError::DimensionMismatch {
@@ -168,42 +169,45 @@ pub fn majority_bundle(items: &[&Hypervector]) -> Result<Hypervector, HdcError> 
                 right: hv.dim(),
             });
         }
-        for (count, &word) in planes.chunks_exact_mut(depth).zip(hv.bits.as_words()) {
-            let mut carry = word;
-            for plane in count {
-                if carry == 0 {
-                    break;
-                }
-                let old = *plane;
-                *plane = old ^ carry;
-                carry &= old;
-            }
-        }
+        members.push(hv.bits.as_words());
     }
+    let words = first.bits.as_words().len();
+    let mut counter = vec![[0; LANES]; planes::depth(items.len())];
     // `2·count > n` over integers is `count ≥ ⌊n / 2⌋ + 1`.
     let threshold = items.len() / 2 + 1;
-    let words = planes
-        .chunks_exact(depth)
-        .map(|count| sliced_at_least(count, threshold))
-        .collect();
-    Ok(Hypervector::from_bitvec(BitVec::from_words(words, dim)))
+    let mut votes = Vec::with_capacity(words.next_multiple_of(LANES));
+    for at in (0..words).step_by(LANES) {
+        // The last group may be partial; its missing words count as zero.
+        let mask = if at + LANES <= words {
+            vote(&mut counter, &members, threshold, |w| {
+                let w = &w[at..at + LANES];
+                std::array::from_fn(|l| w[l])
+            })
+        } else {
+            vote(&mut counter, &members, threshold, |w| {
+                std::array::from_fn(|l| w.get(at + l).copied().unwrap_or(0))
+            })
+        };
+        votes.extend_from_slice(&mask);
+    }
+    votes.truncate(words);
+    Ok(Hypervector::from_bitvec(BitVec::from_words(votes, dim)))
 }
 
-/// Lane mask of `count ≥ threshold` for 64 bit-sliced counters
-/// (`planes[p]` holds bit `p` of every lane), compared MSB first.
-/// `threshold` must fit in `planes.len()` bits.
-fn sliced_at_least(planes: &[u64], threshold: usize) -> u64 {
-    let mut greater = 0u64;
-    let mut equal = u64::MAX;
-    for (p, &plane) in planes.iter().enumerate().rev() {
-        if (threshold >> p) & 1 == 1 {
-            equal &= plane;
-        } else {
-            greater |= equal & plane;
-            equal &= !plane;
-        }
+/// Lane mask of `count ≥ threshold` over one group of four words, where
+/// `load` picks the group out of a member's words.
+fn vote(
+    counter: &mut [Lanes],
+    members: &[&[u64]],
+    threshold: usize,
+    load: impl Fn(&[u64]) -> Lanes,
+) -> Lanes {
+    let (chunks, rest) = members.as_chunks::<16>();
+    planes::sum16(counter, chunks.len(), |i, k| load(chunks[i][k]));
+    for m in rest {
+        planes::add(counter, load(m));
     }
-    greater | equal
+    planes::at_least(counter, threshold)
 }
 
 #[cfg(test)]
@@ -263,8 +267,10 @@ mod tests {
         Hypervector::from_bitvec(counts.iter().map(|&c| 2 * c > items.len()).collect())
     }
 
-    const MEMBER_COUNTS: [usize; 11] = [1, 2, 3, 4, 63, 64, 65, 255, 256, 257, 1_000];
-    const DIMS: [usize; 7] = [1, 63, 64, 65, 127, 1_000, 4_000];
+    const MEMBER_COUNTS: [usize; 19] = [
+        1, 2, 3, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 511, 512, 1_000,
+    ];
+    const DIMS: [usize; 10] = [1, 63, 64, 65, 127, 255, 256, 257, 1_000, 4_000];
 
     #[test]
     fn majority_bundle_matches_per_bit_reference_across_sizes() {
@@ -334,7 +340,7 @@ mod tests {
         #[test]
         fn prop_majority_bundle_matches_per_bit_reference(
             dim in 1usize..200,
-            rows in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 200), 1..40),
+            rows in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 200), 1..80),
         ) {
             let hvs: Vec<Hypervector> = rows.iter().map(|r| hv(&r[..dim])).collect();
             let refs: Vec<&Hypervector> = hvs.iter().collect();

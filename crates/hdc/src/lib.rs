@@ -48,6 +48,7 @@ mod error;
 mod hypervector;
 mod lsh;
 mod ops;
+mod planes;
 mod project;
 pub mod search;
 mod sliced;

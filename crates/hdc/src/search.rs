@@ -281,7 +281,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Random shapes against the serial scan (strict `<`, so ties
         /// go to the lowest index): dims straddle word

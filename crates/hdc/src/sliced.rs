@@ -7,31 +7,24 @@
 //! 256·g + 256`, one bit per centroid across four `u64` lanes. A query
 //! scores a whole super-group at once: every plane is XORed with the
 //! query's bit `p` broadcast to all-ones or zero, and the 256 one-bit
-//! differences are summed by Harley–Seal carry-save adders into
-//! per-centroid counters that are themselves bit planes. The minimum is
-//! then read MSB-first, the way the CAM's match lines narrow it.
+//! differences are summed by the Harley–Seal counter of
+//! [`crate::planes`] into per-centroid counters that are themselves bit
+//! planes. The minimum is then read MSB-first, the way the CAM's match
+//! lines narrow it.
 //!
-//! **Exactness.** A carry-save adder drops no carry, so every lane of
-//! the counter holds its centroid's exact integer Hamming distance.
-//! For non-negative integers numeric order is the lexicographic order
-//! of their bits from the top, so keeping, bit by bit from the MSB, the
-//! live lanes with a 0 there (whenever any has one) leaves exactly the
-//! lanes at the minimum distance. Lane order is index order, so the
-//! lowest surviving bit is the lowest index at that distance, and
-//! super-groups fold in index order under strict improvement: the
-//! result is the flat scan's `(index, distance)` to the bit.
+//! **Exactness.** Every lane of the counter holds its centroid's exact
+//! integer Hamming distance, and [`minimum`] keeps exactly the lanes at
+//! the minimum distance. Lane order is index order, so the lowest
+//! surviving bit is the lowest index at that distance, and super-groups
+//! fold in index order under strict improvement: the result is the flat
+//! scan's `(index, distance)` to the bit.
 
+use crate::planes::{depth, minimum, sum16, Lanes, LANES};
 use crate::Hypervector;
 
-/// `u64` lanes per super-group.
-const LANES: usize = 4;
-
-/// Centroids per super-group: one bit of each lane per centroid.
+/// Centroids per super-group: one lane per centroid, so bit `j` of word
+/// `l` of a plane belongs to centroid `64·l + j` of the group.
 const GROUP: usize = 64 * LANES;
-
-/// One bit plane of a super-group: bit `j` of lane `l` belongs to
-/// centroid `64·l + j` of the group.
-type Lanes = [u64; LANES];
 
 /// A codebook transposed into bit planes.
 pub(crate) struct SlicedCodebook {
@@ -45,8 +38,7 @@ pub(crate) struct SlicedCodebook {
     dim: usize,
     /// Live lanes of the last super-group; every other group is full.
     last_live: Lanes,
-    /// Bit planes in a distance: enough to hold `dim`, and at least the
-    /// four registers of the carry-save tree.
+    /// Bit planes in a distance: [`depth`] of `dim`.
     bits: usize,
 }
 
@@ -102,7 +94,7 @@ impl SlicedCodebook {
                 k if k >= 64 => u64::MAX,
                 k => (1 << k) - 1,
             }),
-            bits: (usize::BITS - dim.leading_zeros()).max(4) as usize,
+            bits: depth(dim),
         }
     }
 
@@ -158,72 +150,12 @@ impl SlicedCodebook {
 /// `counter`, which comes back holding every lane's count as bit
 /// planes, least significant first. `planes.len()` is a multiple of 64.
 fn count(planes: &[Lanes], masks: &[u64], counter: &mut [Lanes]) {
-    let zero = [0; LANES];
-    counter.fill(zero);
-    let (low, high) = counter.split_at_mut(4);
-    let (mut ones, mut twos, mut fours, mut eights) = (zero, zero, zero, zero);
-    for (p, m) in planes.chunks_exact(16).zip(masks.chunks_exact(16)) {
-        let x = |k: usize| -> Lanes { p[k].map(|w| w ^ m[k]) };
-        let (twos_a, o) = csa(ones, x(0), x(1));
-        let (twos_b, o) = csa(o, x(2), x(3));
-        let (fours_a, t) = csa(twos, twos_a, twos_b);
-        let (twos_a, o) = csa(o, x(4), x(5));
-        let (twos_b, o) = csa(o, x(6), x(7));
-        let (fours_b, t) = csa(t, twos_a, twos_b);
-        let (eights_a, f) = csa(fours, fours_a, fours_b);
-        let (twos_a, o) = csa(o, x(8), x(9));
-        let (twos_b, o) = csa(o, x(10), x(11));
-        let (fours_a, t) = csa(t, twos_a, twos_b);
-        let (twos_a, o) = csa(o, x(12), x(13));
-        let (twos_b, o) = csa(o, x(14), x(15));
-        let (fours_b, t) = csa(t, twos_a, twos_b);
-        let (eights_b, f) = csa(f, fours_a, fours_b);
-        let (sixteens, e) = csa(eights, eights_a, eights_b);
-        (ones, twos, fours, eights) = (o, t, f, e);
-        // Ripple the sixteens into the high bits. A count never exceeds
-        // `dim`, so no carry leaves the top plane.
-        let mut carry = sixteens;
-        for h in high.iter_mut() {
-            let next: Lanes = std::array::from_fn(|l| h[l] & carry[l]);
-            *h = std::array::from_fn(|l| h[l] ^ carry[l]);
-            carry = next;
-        }
-    }
-    low.copy_from_slice(&[ones, twos, fours, eights]);
-}
-
-/// Carry-save add of three planes: `(carry, sum)` with `a + b + c ==
-/// 2·carry + sum` in every bit position.
-#[inline(always)]
-fn csa(a: Lanes, b: Lanes, c: Lanes) -> (Lanes, Lanes) {
-    let u: Lanes = std::array::from_fn(|l| a[l] ^ b[l]);
-    (
-        std::array::from_fn(|l| (a[l] & b[l]) | (u[l] & c[l])),
-        std::array::from_fn(|l| u[l] ^ c[l]),
-    )
-}
-
-/// Lane index and value of the smallest count among the `live` lanes,
-/// ties to the lowest index: narrow MSB-first, keeping the lanes with a
-/// 0 in the current bit whenever any live lane has one.
-fn minimum(counter: &[Lanes], mut live: Lanes) -> (usize, usize) {
-    let mut value = 0;
-    for (b, plane) in counter.iter().enumerate().rev() {
-        let zero: Lanes = std::array::from_fn(|l| live[l] & !plane[l]);
-        if zero == [0; LANES] {
-            value |= 1 << b;
-        } else {
-            live = zero;
-        }
-    }
-    // Narrowing never empties `live`, and a super-group has at least one
-    // live lane, so the fallback is never taken.
-    let index = live
-        .iter()
-        .enumerate()
-        .find_map(|(l, &w)| (w != 0).then(|| 64 * l + w.trailing_zeros() as usize))
-        .unwrap_or(0);
-    (index, value)
+    let planes = planes.as_chunks::<16>().0;
+    // Equal lengths let the compiler drop the bounds checks in the tree.
+    let masks = &masks.as_chunks::<16>().0[..planes.len()];
+    sum16(counter, planes.len(), |i, k| {
+        planes[i][k].map(|w| w ^ masks[i][k])
+    });
 }
 
 /// Transpose a 64 × 64 bit matrix in place: bit `j` of `a[i]` moves to
