@@ -461,37 +461,22 @@ impl HammingKMeans {
                 break;
             }
         }
-        assign_hamming_labels(points, &centers, &mut labels, self.threads);
-        let inertia = dual_pool::par_map_fixed(dual_pool::fixed_blocks(n), self.threads, |range| {
-            range
-                .map(|i| points[i].hamming(&centers[labels[i]]))
-                .sum::<usize>()
-        })
-        .into_iter()
-        .sum();
+        // The final assignment's distances are the inertia's terms.
+        let mut inertia = 0;
+        for (lbl, (c, dist)) in labels.iter_mut().zip(dual_hdc::search::assign_batch(
+            points,
+            &centers,
+            self.threads,
+        )) {
+            *lbl = c;
+            inertia += dist;
+        }
         Ok(HammingKMeansResult {
             labels,
             centers,
             iterations,
             inertia,
         })
-    }
-}
-
-/// Parallel Hamming assignment step, mirroring [`assign_labels`]:
-/// the shared [`dual_hdc::search::assign_batch`] nearest loop (ties
-/// break toward the lowest center index for every thread count).
-fn assign_hamming_labels(
-    points: &[Hypervector],
-    centers: &[Hypervector],
-    labels: &mut [usize],
-    threads: usize,
-) {
-    for (lbl, (c, _)) in labels
-        .iter_mut()
-        .zip(dual_hdc::search::assign_batch(points, centers, threads))
-    {
-        *lbl = c;
     }
 }
 

@@ -108,13 +108,11 @@ impl PimEncoder {
         let dim = dual_hdc::Encoder::dim(mapper);
         let m = dual_hdc::Encoder::n_features(mapper);
         let s = f64::from(1u32 << s_bits);
-        let mut base_q = Vec::with_capacity(dim * m);
-        for i in 0..dim {
-            for &b in mapper.base_vector(i) {
-                let q = (b * s).round().clamp(-4.0 * s, 4.0 * s) as i64;
-                base_q.push(q);
-            }
-        }
+        let base_q: Vec<i64> = (0..dim)
+            .map_while(|i| mapper.base_vector(i))
+            .flatten()
+            .map(|&b| (b * s).round().clamp(-4.0 * s, 4.0 * s) as i64)
+            .collect();
         // y_int = Σ q(f)·q(B) ≈ y_real · S². Want y_angle = y_real/σ =
         // y_int/(S²σ); pick a = round(log2(S²σ)).
         let a = (s * s * sigma).log2().round().max(4.0) as u32;

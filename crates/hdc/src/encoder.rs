@@ -144,16 +144,14 @@ impl HdMapper {
         Self::builder(dim, n_features).seed(seed).build()
     }
 
-    /// Base vector `B_i` (row `i` of the base matrix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.dim()`.
+    /// Base vector `B_i` (row `i` of the base matrix), or `None` when
+    /// `i >= self.dim()`.
     #[must_use]
-    pub fn base_vector(&self, i: usize) -> &[f64] {
-        assert!(i < self.base.dim(), "base vector index out of range");
-        let n = self.base.n_features();
-        &self.base.matrix()[i * n..(i + 1) * n]
+    pub fn base_vector(&self, i: usize) -> Option<&[f64]> {
+        self.base
+            .matrix()
+            .chunks_exact(self.base.n_features())
+            .nth(i)
     }
 
     /// The raw (pre-binarization) encoding `h_i = cos(B_i·F/σ)` — exposed
@@ -185,6 +183,9 @@ impl HdMapper {
 }
 
 /// The mapper's bit of a dot product: [`cosine_positive`] of `dot/σ`.
+/// Its lane forms run [`half_turns`] on every lane and leave the rest
+/// (the guard band, `|x| ≥ 2²⁰`, NaN, ±∞, the Taylor modes) to
+/// `eval_cosine`, so every bit is [`cosine_positive`]'s.
 #[derive(Clone, Copy)]
 pub(crate) struct CosineSign {
     pub(crate) inv_sigma: f64,
@@ -196,16 +197,17 @@ impl Sign for CosineSign {
         cosine_positive(dot * self.inv_sigma, self.mode)
     }
 
+    /// The class is `!(k + 1.5·2⁵²)`'s bits, whose lowest is set when
+    /// `k` is even, decided on [`cosine_positive`]'s parity path.
     /// `x = dot · (1/σ)` and `r = x · (1/π)` are each one rounded
     /// multiply by a positive constant, so both are monotone in `dot`:
     /// every `dot` in `[lo, hi]` has its `r` between `lo`'s and `hi`'s.
     /// When those two share their nearest integer `k` inside the guard
     /// band, below [`MAX_ANGLE`], so does every `r` between them, and
     /// [`cosine_positive`] returns `k`'s parity for all of them.
-    fn certain(self, lo: f64, hi: f64) -> Option<bool> {
-        let (k, lo_in) = half_turns(lo * self.inv_sigma);
-        let (k_hi, hi_in) = half_turns(hi * self.inv_sigma);
-        (lo_in & hi_in & (k == k_hi)).then_some(k & 1 == 0)
+    fn class(self, dot: f64) -> (u64, bool) {
+        let (k, parity_path) = half_turns(dot * self.inv_sigma);
+        (!k, (self.mode == CosineMode::Exact) & parity_path)
     }
 
     fn filters(self) -> bool {
@@ -284,7 +286,7 @@ fn half_turns(x: f64) -> (u64, bool) {
     let k = shifted - SHIFT;
     (
         shifted.to_bits(),
-        x.abs() < MAX_ANGLE && (r - k).abs() <= GUARD,
+        (x.abs() < MAX_ANGLE) & ((r - k).abs() <= GUARD),
     )
 }
 
@@ -456,6 +458,14 @@ mod tests {
         ] {
             assert_sign_is_libms(x);
         }
+    }
+
+    #[test]
+    fn base_vector_is_none_past_the_last_row() {
+        let m = HdMapper::new(3, 2, 0).unwrap();
+        assert_eq!(m.base_vector(2).map(<[f64]>::len), Some(2));
+        assert_eq!(m.base_vector(3), None);
+        assert_eq!(m.base_vector(usize::MAX), None);
     }
 
     #[test]

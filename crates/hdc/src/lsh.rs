@@ -67,16 +67,11 @@ impl Sign for PlaneSign {
         dot > 0.0
     }
 
-    /// An infinite end never decides: a lane that overflowed to `−∞`
-    /// gives `lo = hi = −∞` while the `f64` dot may be positive.
-    fn certain(self, lo: f64, hi: f64) -> Option<bool> {
-        if lo > 0.0 && hi < f64::INFINITY {
-            Some(true)
-        } else if hi <= 0.0 && lo > f64::NEG_INFINITY {
-            Some(false)
-        } else {
-            None
-        }
+    /// The class is the bit itself, decided on finite dots only: a lane
+    /// that overflowed to `−∞` gives `lo = hi = −∞` while the `f64` dot
+    /// may be positive.
+    fn class(self, dot: f64) -> (u64, bool) {
+        (u64::from(dot > 0.0), dot.abs() < f64::INFINITY)
     }
 
     fn filters(self) -> bool {

@@ -71,10 +71,12 @@ const TILE: usize = 16;
 const TILE32: usize = 32;
 
 /// Features from which [`sign_batch`] runs the `f32` filter. Measured on
-/// one 64-point batch at `D = 4000`, filtered against `f64`: 16
-/// features 0.8–1.2 ms against 0.85–1.5 (break-even), 24 features
-/// 1.2–1.3 against 1.0–1.7, 32 features 0.9–1.4 against 1.2–2.0, 64
-/// features 1.8 against 2.7.
+/// one 64-point batch at `D = 4000` (x86-64-v3, features in `[−4, 4)`,
+/// σ = 6, both kernels with the lane-wise sign, medians of 41
+/// alternations), filtered against `f64`: 16 features 0.58 ms against
+/// 0.45, 24 features 0.66 against 0.59, 32 features 0.72 against 0.72
+/// (break-even), 48 features 0.84 against 0.98, 64 features 0.98
+/// against 1.26.
 const F32_MIN_FEATURES: usize = 32;
 
 /// A row-major `D × n_features` base matrix with each row's Euclidean
@@ -192,20 +194,84 @@ fn bound(n: usize) -> f64 {
 const UNDERFLOW: f64 = f32::from_bits(1) as f64;
 
 /// What an encoder keeps of a dot product.
+///
+/// The kernels take a row's `P` bits at once through the lane forms
+/// [`Sign::lanes`] and [`Sign::certain`]: one pass of plain compares
+/// and bit operations over every lane, which vectorises, and then
+/// [`Sign::positive`] only on the lanes that pass left undecided. A
+/// fallback inside the lane loop (a branch to libm per lane) stops it
+/// vectorising, or worse, gets if-converted so every lane pays it.
 pub(crate) trait Sign: Copy {
-    /// The bit of one `f64` dot product.
+    /// The bit of one `f64` dot product: the scalar oracle, and the
+    /// fallback for the lanes [`Sign::class`] leaves undecided.
     fn positive(self, dot: f64) -> bool;
 
-    /// `Some(bit)` when [`Sign::positive`] gives `bit` for every `f64`
-    /// in `[lo, hi]`; `None` when it may not, or either end is NaN or
-    /// infinite. An `f32` dot that overflowed or met a NaN or ±∞ gives
-    /// such an end and bounds nothing: `[−∞, −∞]` from a lane that went
-    /// to −∞ may hold a positive `f64` dot.
-    fn certain(self, lo: f64, hi: f64) -> Option<bool>;
+    /// `dot`'s class and whether it is decided, without a branch. A
+    /// decided class's lowest bit is [`Sign::positive`]`(dot)`, and two
+    /// decided dots of equal class give that bit to every `f64` between
+    /// them. NaN and ±∞ are never decided: an `f32` dot that overflowed
+    /// or met a NaN or ±∞ bounds nothing (`[−∞, −∞]` from a lane that
+    /// went to −∞ may hold a positive `f64` dot).
+    fn class(self, dot: f64) -> (u64, bool);
 
-    /// Whether [`Sign::certain`] can ever answer. `false` sends every
+    /// Whether [`Sign::certain`] can ever decide. `false` sends every
     /// batch to the exact kernel.
     fn filters(self) -> bool;
+
+    /// Every lane's bit of `dots`, and the mask of lanes (bit `p` for
+    /// lane `p`) left to [`Sign::positive`]; an undecided lane's bit
+    /// is 0.
+    fn lanes<const P: usize>(self, dots: &[f64; P]) -> ([u64; P], u64) {
+        const { assert!(P <= 64) };
+        let (mut bits, mut unsure) = ([0; P], 0);
+        for (p, (bit, &dot)) in bits.iter_mut().zip(dots).enumerate() {
+            let (class, decided) = self.class(dot);
+            *bit = class & u64::from(decided) & 1;
+            unsure |= u64::from(!decided) << p;
+        }
+        (bits, unsure)
+    }
+
+    /// [`Sign::lanes`] over intervals: lane `p`'s bit where
+    /// [`Sign::positive`] gives it to every `f64` in `[lo[p], hi[p]]`,
+    /// and the mask of lanes where it may not.
+    fn certain<const P: usize>(self, lo: &[f64; P], hi: &[f64; P]) -> ([u64; P], u64) {
+        const { assert!(P <= 64) };
+        let (mut bits, mut unsure) = ([0; P], 0);
+        for (p, ((bit, &lo), &hi)) in bits.iter_mut().zip(lo).zip(hi).enumerate() {
+            let ((class, lo_in), (class_hi, hi_in)) = (self.class(lo), self.class(hi));
+            let decided = lo_in & hi_in & (class == class_hi);
+            *bit = class & u64::from(decided) & 1;
+            unsure |= u64::from(!decided) << p;
+        }
+        (bits, unsure)
+    }
+}
+
+/// OR one row's lane bits into its 64-row `block` at `shift`, then the
+/// bit `exact(p)` of each lane `p` in `unsure`, in its own pass.
+fn settle<const P: usize>(
+    block: &mut [u64; P],
+    shift: usize,
+    (bits, mut unsure): ([u64; P], u64),
+    mut exact: impl FnMut(usize) -> bool,
+) {
+    for (word, bit) in block.iter_mut().zip(bits) {
+        *word |= bit << shift;
+    }
+    while unsure != 0 {
+        let p = unsure.trailing_zeros() as usize;
+        block[p] |= u64::from(exact(p)) << shift;
+        unsure &= unsure - 1;
+    }
+}
+
+/// The `P` hypervectors of a tile's 64-row blocks.
+fn unblock<const P: usize>(blocks: &[[u64; P]], dim: usize) -> [Hypervector; P] {
+    std::array::from_fn(|p| {
+        let words = blocks.iter().map(|block| block[p]).collect();
+        Hypervector::from_bitvec(BitVec::from_words(words, dim))
+    })
 }
 
 /// An accumulator lane of [`dots`]: `f64` for the exact kernel, `f32`
@@ -331,23 +397,19 @@ fn dots<const P: usize, L: Lane>(
     }
 }
 
-/// Bit `i` of point `p` is `positive(matrix[i] · point p)`, written
-/// straight into the packed words. Only the first `live` lanes are
-/// sign-tested; the rest come back all-zero.
-fn sign_tile<const P: usize>(
-    base: &Base,
-    tile: &[f64],
-    live: usize,
-    sign: impl Sign,
-) -> [Hypervector; P] {
+/// Bit `i` of point `p` is `positive(matrix[i] · point p)`, taken a
+/// row's `P` lanes at a time by [`Sign::lanes`] and gathered per 64
+/// rows as `[u64; P]`. Lanes past the tile's points hold zeros and
+/// their bits are dropped by the caller.
+fn sign_tile<const P: usize>(base: &Base, tile: &[f64], sign: impl Sign) -> [Hypervector; P] {
     let dim = base.dim();
-    let mut words: [Vec<u64>; P] = std::array::from_fn(|_| vec![0; dim.div_ceil(64)]);
+    let mut blocks = vec![[0u64; P]; dim.div_ceil(64)];
     tile_dots::<P>(&base.matrix, base.n_features, tile, |i, dots| {
-        for (w, &dot) in words.iter_mut().zip(dots).take(live) {
-            w[i / 64] |= u64::from(sign.positive(dot)) << (i % 64);
-        }
+        settle(&mut blocks[i / 64], i % 64, sign.lanes(dots), |p| {
+            sign.positive(dots[p])
+        });
     });
-    words.map(|w| Hypervector::from_bitvec(BitVec::from_words(w, dim)))
+    unblock(&blocks, dim)
 }
 
 /// [`sign_tile`] for `points` through the `f32` filter: `tile` holds
@@ -355,8 +417,7 @@ fn sign_tile<const P: usize>(
 /// `d` stands for the interval `d ± E`, which holds the `f64` dot
 /// when both ends are finite (see [`bound`]); where [`Sign::certain`]
 /// cannot name the bit of the whole interval, the pair's `f64` dot is
-/// summed again in the exact order and [`Sign::positive`] decides. Bits gather per 64 rows as `[u64; P]`,
-/// so one row's lanes are written side by side.
+/// summed again in the exact order and [`Sign::positive`] decides.
 fn filter_tile<const P: usize>(
     base: &Base,
     points: &[Vec<f64>],
@@ -367,31 +428,26 @@ fn filter_tile<const P: usize>(
     let c = bound(n);
     let eta = n as f64 * UNDERFLOW;
     let scale: [f64; P] = std::array::from_fn(|p| points.get(p).map_or(0.0, |f| c * norm(f)));
+    let live = (0..points.len()).fold(0u64, |mask, p| mask | 1 << p);
     let mut blocks = vec![[0u64; P]; dim.div_ceil(64)];
     dots::<P, f32>(&base.matrix, n, tile, |i, dots| {
-        let (norm, shift) = (base.norms[i], i % 64);
-        let block = &mut blocks[i / 64];
-        let mut unsure = [false; P];
-        for (((word, unsure), &dot), &scale) in
-            block.iter_mut().zip(&mut unsure).zip(dots).zip(&scale)
-        {
+        let norm = base.norms[i];
+        let (mut lo, mut hi) = ([0.0; P], [0.0; P]);
+        for (((lo, hi), &dot), &scale) in lo.iter_mut().zip(&mut hi).zip(dots).zip(&scale) {
             let (d, e) = (f64::from(dot), scale * norm + eta);
-            let bit = sign.certain(d - e, d + e);
-            *word |= u64::from(bit == Some(true)) << shift;
-            *unsure = bit.is_none();
+            (*lo, *hi) = (d - e, d + e);
         }
+        let (bits, unsure) = sign.certain(&lo, &hi);
         let row = &base.matrix[i * n..][..n];
-        for ((word, unsure), point) in block.iter_mut().zip(unsure).zip(points) {
-            if unsure {
-                let exact = row.iter().zip(point).fold(-0.0, |acc, (b, f)| acc + b * f);
-                *word |= u64::from(sign.positive(exact)) << shift;
-            }
-        }
+        settle(&mut blocks[i / 64], i % 64, (bits, unsure & live), |p| {
+            let exact = row
+                .iter()
+                .zip(&points[p])
+                .fold(-0.0, |acc, (b, f)| acc + b * f);
+            sign.positive(exact)
+        });
     });
-    std::array::from_fn(|p| {
-        let words = blocks.iter().map(|block| block[p]).collect();
-        Hypervector::from_bitvec(BitVec::from_words(words, dim))
-    })
+    unblock(&blocks, dim)
 }
 
 /// Encode one point: the `P = 1` tile.
@@ -401,7 +457,7 @@ pub(crate) fn sign_one(
     sign: impl Sign,
 ) -> Result<Hypervector, HdcError> {
     check_features(features, base.n_features)?;
-    let [hv] = sign_tile::<1>(base, features, 1, sign);
+    let [hv] = sign_tile::<1>(base, features, sign);
     dual_obs::Obs::global().add(dual_obs::Key::HdcEncoded, 1);
     Ok(hv)
 }
@@ -426,9 +482,7 @@ pub(crate) fn sign_batch(
         if base.n_features >= F32_MIN_FEATURES && cfg!(target_feature = "fma") && sign.filters() {
             filter_batch(base, rows, sign)
         } else {
-            tiled::<TILE, f64>(base, rows, sign, |points, tile| {
-                sign_tile(base, tile, points.len(), sign)
-            })
+            tiled::<TILE, f64>(base, rows, sign, |_, tile| sign_tile(base, tile, sign))
         };
     dual_obs::Obs::global().add(dual_obs::Key::HdcEncoded, rows.len() as u64);
     Ok(out)
@@ -460,7 +514,7 @@ fn tiled<const P: usize, L: Lane>(
     let mut tile = vec![L::narrow(0.0); base.n_features * P];
     for points in rows.chunks(P) {
         if let [point] = points {
-            out.extend(sign_tile::<1>(base, point, 1, sign));
+            out.extend(sign_tile::<1>(base, point, sign));
             continue;
         }
         for (j, lanes) in tile.chunks_exact_mut(P).enumerate() {
@@ -536,7 +590,7 @@ mod tests {
 
     fn matrix_of(mapper: &HdMapper) -> Vec<f64> {
         (0..mapper.dim())
-            .flat_map(|i| mapper.base_vector(i).to_vec())
+            .flat_map(|i| mapper.base_vector(i).unwrap().to_vec())
             .collect()
     }
 
@@ -672,6 +726,7 @@ mod tests {
                     for (i, h) in got.iter().enumerate() {
                         let dot: f64 = mapper
                             .base_vector(i)
+                            .unwrap()
                             .iter()
                             .zip(&row)
                             .map(|(b, f)| b * f)
@@ -860,6 +915,101 @@ mod tests {
         }
     }
 
+    /// `dots` through `sign`'s lane form `P` lanes at a time (a short
+    /// last group padded with zeros): every decided lane carries
+    /// [`Sign::positive`]'s bit, every undecided one a 0, and a lane
+    /// compared with itself by [`Sign::certain`] reads as in
+    /// [`Sign::lanes`].
+    fn assert_lanes_are_scalar<const P: usize>(sign: impl Sign, dots: &[f64], name: &str) {
+        for group in dots.chunks(P) {
+            let mut lanes = [0.0; P];
+            lanes[..group.len()].copy_from_slice(group);
+            let (bits, unsure) = sign.lanes(&lanes);
+            assert_eq!(sign.certain(&lanes, &lanes), (bits, unsure), "{name}");
+            for (p, (&bit, &dot)) in bits.iter().zip(&lanes).enumerate() {
+                let want = if unsure >> p & 1 == 1 {
+                    0
+                } else {
+                    u64::from(sign.positive(dot))
+                };
+                assert_eq!(
+                    bit,
+                    want,
+                    "{name} P={P} dot = {dot:e} ({:#018x})",
+                    dot.to_bits()
+                );
+            }
+        }
+    }
+
+    fn assert_every_width(sign: impl Sign, dots: &[f64], name: &str) {
+        assert_lanes_are_scalar::<1>(sign, dots, name);
+        assert_lanes_are_scalar::<4>(sign, dots, name);
+        assert_lanes_are_scalar::<TILE>(sign, dots, name);
+        assert_lanes_are_scalar::<TILE32>(sign, dots, name);
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_sign_on_adversarial_dots() {
+        use std::f64::consts::PI;
+        let limit = f64::from(1u32 << 20);
+        let stepped = |x: f64, ulps: i32| {
+            (0..ulps.abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+        };
+        // Every half-integer of π below 2¹² and below 2²⁰ from 333 000
+        // up, ±2 ulps: on it, and on both edges of the 10⁻⁶ guard band.
+        let mut angles = Vec::new();
+        for k in (0..4096).chain(333_000..333_772) {
+            let crossing = (f64::from(k) + 0.5) * PI;
+            for offset in [0.0, 0.99e-6, 1e-6, 1.01e-6] {
+                for x in [crossing - offset * PI, crossing + offset * PI] {
+                    for ulps in -2..=2 {
+                        angles.extend([stepped(x, ulps), -stepped(x, ulps)]);
+                    }
+                }
+            }
+        }
+        for ulps in -2..=2 {
+            angles.extend([stepped(limit, ulps), -stepped(limit, ulps)]);
+        }
+        angles.extend([
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            2.2e-308,
+            -2.2e-308,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]);
+        for sigma in [1.0, 3.0] {
+            let dots: Vec<f64> = angles.iter().map(|x| x * sigma).collect();
+            for mode in MODES {
+                let sign = CosineSign {
+                    inv_sigma: 1.0 / sigma,
+                    mode,
+                };
+                assert_every_width(sign, &dots, &format!("{mode:?} σ={sigma}"));
+            }
+            assert_every_width(PlaneSign, &dots, "plane");
+        }
+        // Only the Exact mode decides a lane; the Taylor modes defer all.
+        let sign = CosineSign {
+            inv_sigma: 1.0,
+            mode: CosineMode::Taylor3Raw,
+        };
+        assert_eq!(sign.lanes(&[0.0, 1.0, -2.0, 3.0]).1, 0b1111);
+        let sign = CosineSign {
+            inv_sigma: 1.0,
+            mode: CosineMode::Exact,
+        };
+        assert_eq!(sign.lanes(&[0.0, 1.0, -2.0, 3.0]), ([1, 1, 0, 0], 0));
+    }
+
     proptest! {
         #[test]
         fn prop_any_split_of_a_batch_encodes_the_same(
@@ -884,6 +1034,48 @@ mod tests {
             prop_assert_eq!(&halves, &single);
             let single: Vec<Hypervector> = rows.iter().map(|r| lsh.encode(r).unwrap()).collect();
             prop_assert_eq!(lsh.encode_batch(&rows).unwrap(), single);
+        }
+
+        #[test]
+        fn prop_lane_tiles_match_the_scalar_sign(
+            features in 0usize..8,
+            size in 0usize..9,
+            dim in 0usize..5,
+            sigma in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let n_features = [1, 2, 15, 16, 17, 31, 32, 33][features];
+            let n = [1, 2, 15, 16, 17, 31, 32, 33, 64][size];
+            let dim = [1, 63, 64, 65, 1000][dim];
+            // σ = 10⁻⁷ puts most angles past 2²⁰; the others put every
+            // other point's dot with one row a few ulps off a cosine zero.
+            let sigma = [1e-7, 0.5, 3.0, 20.0][sigma];
+            let mode = MODES[seed as usize % MODES.len()];
+            let mapper = HdMapper::builder(dim, n_features)
+                .seed(seed)
+                .sigma(sigma)
+                .cosine_mode(mode)
+                .build()
+                .unwrap();
+            let matrix = matrix_of(&mapper);
+            let half_turn = std::f64::consts::PI * sigma;
+            let rows = edge_points(n, &matrix, n_features, seed, |dot| {
+                ((dot / half_turn - 0.5).round() + 0.5) * half_turn
+            });
+            let sign = CosineSign { inv_sigma: 1.0 / sigma, mode };
+            let batch = mapper.encode_batch(&rows).unwrap();
+            for (row, hv) in rows.iter().zip(&batch) {
+                prop_assert_eq!(hv, &reference(&matrix, n_features, row, |dot| sign.positive(dot)));
+                prop_assert_eq!(hv, &mapper.encode(row).unwrap());
+            }
+            let planes = Base::from_matrix(uniform(dim * n_features, &mut seed.clone()), n_features);
+            let rows = edge_points(n, planes.matrix(), n_features, seed, |_| 0.0);
+            let batch = sign_batch(&planes, &rows, PlaneSign).unwrap();
+            for (row, hv) in rows.iter().zip(&batch) {
+                let want = reference(planes.matrix(), n_features, row, |dot| PlaneSign.positive(dot));
+                prop_assert_eq!(hv, &want);
+                prop_assert_eq!(hv, &sign_one(&planes, row, PlaneSign).unwrap());
+            }
         }
 
         #[test]
